@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import fcs as fcsmod
-from .dynamics import Scenario, balance_check, delta_q_direct, delta_q_flux, dyson_cocycle, dyson_error_bound, exact_cocycle
+from .dynamics import DEFAULT_QUAD_TOL, Scenario, balance_check, delta_q_direct, delta_q_flux, dyson_cocycle, dyson_error_bound, exact_cocycle
 from .linalg import (
     dagger,
     eig_hermitian,
@@ -291,7 +291,7 @@ def two_time_reservoir_oracle(scn: Scenario, t: float, merge_tol: float = 1e-8):
         start = p1f @ scn.rho_init @ p1f
         for e2, p2t in zip(dec.eigenvalues, evolved):
             locs.append(e1 - e2)
-            wts.append(float(np.trace(start @ p2t).real))
+            wts.append(float(np.einsum("ij,ji->", start, p2t).real))  # tr(start p2t)
     return AtomicMeasure.from_points(np.array(locs), np.array(wts), merge_tol=merge_tol)
 
 
@@ -307,7 +307,7 @@ def measure_distance(mu_a, mu_b) -> float:
     )
 
 
-def suite_fcs(scn: Scenario, seed: int = 0, t: float = 1.0, quad_tol: float = 1e-8) -> list[CheckResult]:
+def suite_fcs(scn: Scenario, seed: int = 0, t: float = 1.0, quad_tol: float = DEFAULT_QUAD_TOL) -> list[CheckResult]:
     out = []
 
     mu_modular = fcsmod.reservoir_fcs(scn, t).measure
@@ -383,7 +383,7 @@ SUITE_BUILDERS: dict[str, Callable] = {
 
 
 def run_suites(
-    scn: Scenario, which: str = "all", seed: int = 0, quad_tol: float = 1e-8
+    scn: Scenario, which: str = "all", seed: int = 0, quad_tol: float = DEFAULT_QUAD_TOL
 ) -> list[CheckResult]:
     """Run the selected suites against a scenario; 'all' runs everything."""
     names = SUITES if which == "all" else (which,)

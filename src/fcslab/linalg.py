@@ -221,16 +221,6 @@ def herm_power(a: np.ndarray, alpha: complex, rank_tol: float = 0.0) -> np.ndarr
     return (v * powered) @ dagger(v)
 
 
-def herm_log(a: np.ndarray) -> np.ndarray:
-    """Matrix logarithm of a positive definite matrix via its eigenbasis."""
-    assert_square(a)
-    assert_hermitian(a)
-    w, v = np.linalg.eigh(a)
-    if w[0] <= 0:
-        raise RankDeficientError(f"log of a non-definite matrix (min eigenvalue {w[0]:.3e})")
-    return (v * np.log(w)) @ dagger(v)
-
-
 def expm_hermitian(h: np.ndarray, z: complex = 1.0) -> np.ndarray:
     """exp(z * h) for Hermitian h, assembled in the eigenbasis.
 

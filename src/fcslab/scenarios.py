@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import Scenario
+from .dynamics import DEFAULT_QUAD_TOL, Scenario
 from .linalg import hermiticity_defect, op_norm, tensor
 from .states import gibbs, maximally_mixed, random_density, random_hermitian
 
@@ -20,7 +20,6 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 MAX_CHAIN_SITES = 12
 DEFAULT_CLUSTER_TOL = 1e-9
-DEFAULT_QUAD_TOL = 1e-8
 
 
 class ConfigError(ValueError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad_vec
 
 from fcslab.dynamics import (
     QuadratureError,
@@ -163,7 +164,26 @@ class TestDyson:
 
     def test_reports_integration_failure(self, qubit_qubit):
         with pytest.raises(QuadratureError, match="estimate"):
-            dyson_cocycle(qubit_qubit, 3.0, 3, quad_tol=1e-16, n_steps=5)
+            dyson_cocycle(qubit_qubit, 3.0, 3, quad_tol=1e-16)
+
+    def test_order_one_is_integrated_coupling(self, scenario_factory):
+        scn = scenario_factory(23, d_sys=2, d_res=3, lam=0.3)
+        t = 1.7
+        w0, u0 = np.linalg.eigh(scn.h_free)
+
+        def w_at(s):
+            u = (u0 * np.exp(1j * s * w0)) @ dagger(u0)
+            return u @ scn.v @ dagger(u)
+
+        integral, _ = quad_vec(w_at, 0.0, t, epsabs=1e-13, epsrel=1e-13)
+        first = dyson_cocycle(scn, t, 1) - np.eye(scn.dim)
+        assert op_norm(first - 1j * scn.lam * integral) <= 1e-10
+
+    def test_high_order_matches_exact(self, scenario_factory):
+        scn = scenario_factory(29, d_sys=2, d_res=4, lam=0.5)
+        t = 1.0 / (abs(scn.lam) * op_norm(scn.v))  # lam ||V|| t = 1
+        assert dyson_error_bound(scn, t, 20) <= 1e-18
+        assert op_norm(dyson_cocycle(scn, t, 20) - exact_cocycle(scn, t)) <= 1e-12
 
     def test_exact_cocycle_is_unitary(self, qubit_qubit):
         g = exact_cocycle(qubit_qubit, 1.3)

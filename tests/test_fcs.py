@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad_vec
 
-from fcslab.dynamics import delta_q_direct
+from fcslab.dynamics import QuadratureError, delta_q_direct
 from fcslab.fcs import (
     default_gamma_grid,
     derivative_moments,
@@ -58,6 +59,39 @@ def reservoir_two_time_oracle(scn, t):
             locs.append(float(e1 - e2))
             wts.append(np.trace(start @ p2_t).real)
     return np.array(locs), np.array(wts)
+
+
+def operator_balance_loop(scn, t, quad_tol=1e-8):
+    """Reference: both sides of the operator balance applied to every matrix
+    unit E_kl as superoperators, largest entrywise residual (O(d^5))."""
+    d = scn.dim
+    w_res, v_res = np.linalg.eigh(scn.h_res)
+    e = np.exp(-scn.beta * (w_res - w_res.min()))
+    log_rho_res = (v_res * np.log(e / e.sum())) @ v_res.conj().T
+    log_static = np.kron(np.eye(scn.dim_sys), log_rho_res)
+    u = _expm_i(np.asarray(scn.h_coupled), t)
+    log_flowed = u @ log_static @ u.conj().T
+    h_r = np.asarray(scn.h_res_full)
+    v = np.asarray(scn.v)
+    phi_r = scn.lam * 1j * (h_r @ v - v @ h_r)
+    if t == 0.0:
+        flux_int = np.zeros((d, d), dtype=complex)
+    else:
+        def evolved(s):
+            us = _expm_i(np.asarray(scn.h_coupled), s)
+            return us @ phi_r @ us.conj().T
+
+        flux_int, _ = quad_vec(evolved, 0.0, t, epsabs=quad_tol, epsrel=1e-13)
+    worst = 0.0
+    basis = np.zeros((d, d), dtype=complex)
+    for k in range(d):
+        for l in range(d):
+            basis[k, l] = 1.0
+            lhs = log_flowed @ basis - basis @ log_static
+            rhs = log_static @ basis - basis @ log_static + scn.beta * (flux_int @ basis)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+            basis[k, l] = 0.0
+    return worst
 
 
 def match_atoms(measure, oracle, tol=1e-10, window=1e-8):
@@ -219,6 +253,24 @@ class TestIdentities:
     def test_operator_balance_small_scenario(self, scenario_factory):
         scn = scenario_factory(72, d_sys=2, d_res=2)
         assert operator_balance_check(scn, 1.0) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "seed, d_sys, d_res, lam, t",
+        [(72, 2, 2, None, 1.0), (5, 2, 4, None, 2.5), (6, 3, 2, 0.4, 0.7),
+         (7, 2, 3, None, 0.0), (8, 2, 4, 0.0, 1.5)],
+    )
+    def test_operator_balance_matches_matrix_unit_loop(self, seed, d_sys, d_res, lam, t):
+        scn = random_scenario(np.random.default_rng(seed), d_sys, d_res)
+        if lam is not None:
+            scn = scn.with_lam(lam)
+        loop = operator_balance_loop(scn, t)
+        assert abs(operator_balance_check(scn, t) - loop) <= 1e-13
+
+    def test_operator_balance_reports_quadrature_failure(self):
+        scn = random_scenario(np.random.default_rng(72), 2, 4)
+        with pytest.raises(QuadratureError) as info:
+            operator_balance_check(scn, 50.0, quad_tol=1e-16)
+        assert info.value.achieved > 1e-16
 
     def test_half_line_reduction_at_origin(self, qubit_qubit):
         from fcslab.linalg import hs_inner, tensor, positive_sqrt
