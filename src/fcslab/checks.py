@@ -310,7 +310,8 @@ def measure_distance(mu_a, mu_b) -> float:
 def suite_fcs(scn: Scenario, seed: int = 0, t: float = 1.0, quad_tol: float = DEFAULT_QUAD_TOL) -> list[CheckResult]:
     out = []
 
-    mu_modular = fcsmod.reservoir_fcs(scn, t).measure
+    res_modular = fcsmod.reservoir_fcs(scn, t)
+    mu_modular = res_modular.measure
     mu_oracle = two_time_reservoir_oracle(scn, t)
     out.append(_result("reservoir_fcs_two_route", measure_distance(mu_modular, mu_oracle), 1e-10))
 
@@ -350,9 +351,9 @@ def suite_fcs(scn: Scenario, seed: int = 0, t: float = 1.0, quad_tol: float = DE
         worst = max(worst, abs(np.conjugate(plus) - minus))
     out.append(_result("char_conjugate_symmetry", worst, 1e-12))
 
-    atom_moments = fcsmod.reservoir_fcs(scn, t).moments
     deriv_moments = fcsmod.derivative_moments(scn, t)
-    out.append(_result("moment_consistency", float(np.max(np.abs(atom_moments - deriv_moments))), 1e-6))
+    out.append(_result("moment_consistency",
+                       float(np.max(np.abs(res_modular.moments - deriv_moments))), 1e-6))
 
     trivial_cases = (
         ("uncoupled", scn.with_lam(0.0), t),

@@ -149,31 +149,7 @@ def cmd_sweep(args) -> int:
         rows,
     )
 
-    # Convergence verdict per lambda: the late-time plateau (upper half of the
-    # positive t range) must improve on the t = 0 baseline distance.
-    verdicts = []
-    ts = np.atleast_1d(t_grid)
-    t_mid = (ts.min() + ts.max()) / 2
-    for lam in np.atleast_1d(lam_grid):
-        lam = float(lam)
-        lam_rows = [r for r in sweep.rows if r.lam == lam]
-        base = next((r.distance for r in lam_rows if r.t == 0.0), None)
-        plateau_rows = [r for r in lam_rows if r.t > 0 and r.t >= t_mid]
-        plateau = float(np.mean([r.distance for r in plateau_rows])) if plateau_rows else None
-        improved = (
-            base is not None
-            and plateau is not None
-            and plateau < base * (1.0 - 1e-9)  # strict, beyond roundoff
-        )
-        verdicts.append(
-            {
-                "lambda": lam,
-                "baseline_t0": base,
-                "plateau_distance": plateau,
-                "pass": improved,
-            }
-        )
-    _write_json(out_dir / "verdict.json", verdicts)
+    _write_json(out_dir / "verdict.json", sweep.verdicts())
     print(f"wrote {out_dir}/sweep.csv, verdict.json")
     return EXIT_OK
 

@@ -27,7 +27,7 @@ from .modular import (
     liouvilleans,
     reservoir_weight_vector,
 )
-from .states import AtomicMeasure
+from .states import MERGE_TOL, AtomicMeasure
 
 N_MOMENTS = 4
 
@@ -112,41 +112,61 @@ def system_char_limit(scn: Scenario, gamma: float) -> complex:
 
 @dataclass(frozen=True, eq=False)
 class _ReservoirSpectralData:
-    """Eigen-data of the relative modular operator of the reservoir weights.
+    """Atoms of the reservoir FCS, before any tolerance-based merging.
 
     The flowed weight e^{itH}(1 (x) rho_R)e^{-itH} and the static weight
     1 (x) rho_R share the reservoir spectrum; the relative modular operator
     has eigenvectors |u_i><v_j| with eigenvalue exp(beta (e_j - e_i)), so the
-    atoms of its (1/beta) log sit at energy differences e_j - e_i.  Weights
-    are |<u_i, Omega v_j>|^2 via the overlap matrix U* Omega V.
+    atoms of its (1/beta) log sit at energy differences e_j - e_i, with
+    weights |<u_i, Omega v_j>|^2 from the overlap matrix U* Omega V.
+
+    Exact grouping: a product eigenvector index is i = (s, a), with s the
+    system index and a the reservoir level, and e_i = w_res[a].  The d^2
+    atoms (i, j) = ((s, a), (s', b)) therefore sit at the bitwise-same
+    location w_res[b] - w_res[a] for every s, s', and summing their weights
+    over s and s' gives the same measure with d_R^2 atoms.  The strip
+    function F(alpha) = sum_k weights_k exp(alpha beta locations_k) is entire
+    at finite size, so ``char`` accepts any complex alpha.
     """
 
-    energies: np.ndarray  # per-column reservoir energy, lifted to the product
-    overlaps: np.ndarray  # U* Omega V
+    locations: np.ndarray  # w_res[b] - w_res[a] (first - second), flat over (a, b)
+    weights: np.ndarray  # |overlaps|^2 summed over the system indices s, s'
+    beta: float
 
-    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
-        x = self.energies[None, :] - self.energies[:, None]  # first - second
-        w = np.abs(self.overlaps) ** 2
-        return x.ravel(), w.ravel()
+    def char(self, alpha: complex) -> complex:
+        return complex(np.dot(self.weights, np.exp(alpha * self.beta * self.locations)))
 
-    def char(self, alpha: complex, beta: float) -> complex:
-        x, w = self.atoms()
-        return complex(np.sum(w * np.exp(alpha * beta * x)))
+    def contour_moments(
+        self, n_moments: int = N_MOMENTS, n_nodes: int = 64, radius: float | None = None
+    ) -> np.ndarray:
+        """Moments from the derivatives of F at 0 (see derivative_moments)."""
+        if radius is None:
+            span = float(np.max(np.abs(self.locations)))
+            radius = min(0.45, 0.5 / max(1.0, self.beta * span))
+        nodes = np.exp(2j * np.pi * np.arange(n_nodes) / n_nodes)
+        values = np.array([self.char(radius * z) for z in nodes])
+        out = np.empty(n_moments)
+        for k in range(1, n_moments + 1):
+            deriv = math.factorial(k) * np.mean(values * nodes ** (-k)) / radius**k
+            out[k - 1] = deriv.real / self.beta**k
+        return out
 
 
 def _reservoir_spectral_data(scn: Scenario, t: float) -> _ReservoirSpectralData:
     w_res, v_res = np.linalg.eigh(scn.h_res)
     v_full = tensor(np.eye(scn.dim_sys), v_res)  # eigenbasis of the static weight
     u_full = scn.unitary_coupled(t) @ v_full  # eigenbasis of the flowed weight
-    energies = np.tile(w_res, scn.dim_sys)  # column k carries energy w_res[k % d_R]
     overlaps = dagger(u_full) @ initial_vector(scn) @ v_full
-    return _ReservoirSpectralData(energies=energies, overlaps=overlaps)
+    d_s, d_r = scn.dim_sys, scn.dim_res
+    weights = (np.abs(overlaps) ** 2).reshape(d_s, d_r, d_s, d_r).sum(axis=(0, 2))
+    locations = w_res[None, :] - w_res[:, None]
+    return _ReservoirSpectralData(locations.ravel(), weights.ravel(), scn.beta)
 
 
 def reservoir_fcs(
     scn: Scenario,
     t: float,
-    merge_tol: float = 1e-8,
+    merge_tol: float = MERGE_TOL,
     gamma_grid: np.ndarray | None = None,
 ) -> FcsResult:
     """Reservoir energy statistics from the relative modular operator.
@@ -159,8 +179,7 @@ def reservoir_fcs(
     if gamma_grid is None:
         gamma_grid = default_gamma_grid(scn)
     data = _reservoir_spectral_data(scn, t)
-    locs, wts = data.atoms()
-    mu = AtomicMeasure.from_points(locs, wts, merge_tol=merge_tol)
+    mu = AtomicMeasure.from_points(data.locations, data.weights, merge_tol=merge_tol)
     return FcsResult.from_measure(mu, gamma_grid)
 
 
@@ -174,13 +193,7 @@ def reservoir_char(scn: Scenario, t: float, alpha: complex) -> complex:
     alpha = complex(alpha)
     if not 0.0 <= alpha.real <= 1.0:
         raise ValueError(f"alpha = {alpha} outside the strip 0 <= Re(alpha) <= 1")
-    return _reservoir_char_entire(scn, t, alpha)
-
-
-def _reservoir_char_entire(scn: Scenario, t: float, alpha: complex) -> complex:
-    # The finite-size strip function extends to an entire function of alpha
-    # (finitely many atoms); internal callers may leave the strip.
-    return _reservoir_spectral_data(scn, t).char(complex(alpha), scn.beta)
+    return _reservoir_spectral_data(scn, t).char(alpha)
 
 
 def mean_identity_check(
@@ -235,7 +248,8 @@ class HalfLineResult:
 
     ``residuals`` maps each construction of the auxiliary vector (direct left
     multiplication vs. conjugated right multiplication) to its residual; in
-    the standard representation the two vectors coincide.
+    the standard representation the two vectors coincide.  ``residual`` is
+    the larger of them, so a failing route is never hidden by the other.
     """
 
     value: complex
@@ -244,7 +258,7 @@ class HalfLineResult:
 
     @property
     def residual(self) -> float:
-        return min(self.residuals.values())
+        return max(self.residuals.values())
 
 
 def half_line_identity_check(
@@ -266,7 +280,7 @@ def half_line_identity_check(
         "left_mult": r_op @ omega,
         "conjugated": dagger(r_op @ dagger(omega)),  # J pi(R) J Omega
     }
-    lhs = _reservoir_char_entire(scn, t, 0.5 + 1j * s)
+    lhs = _reservoir_spectral_data(scn, t).char(0.5 + 1j * s)
     residuals = {}
     for name, omega_hat in hat_variants.items():
         bra = lv.exp_half(scn.beta * s, omega_hat)
@@ -307,10 +321,10 @@ def strip_bounds_check(
         if not 0.0 <= alpha.real <= 1.0:
             raise ValueError(f"grid point {alpha} outside the strip")
         bound = 1.0 + (scn.dim_sys - 1) * alpha.real + tol
-        val = abs(data.char(alpha, scn.beta))
+        val = abs(data.char(alpha))
         max_violation = max(max_violation, val - bound)
         min_slack = min(min_slack, bound - val)
-    f1 = data.char(1.0, scn.beta).real
+    f1 = data.char(1.0).real
     max_violation = max(max_violation, f1 - (scn.dim_sys + tol))
     return StripReport(
         max_violation=max_violation,
@@ -333,18 +347,7 @@ def derivative_moments(
     contour integral over a small circle, evaluated with the trapezoid rule
     (spectrally accurate); moment k is that derivative divided by beta^k.
     """
-    data = _reservoir_spectral_data(scn, t)
-    x, _ = data.atoms()
-    span = float(np.max(np.abs(x))) if x.size else 1.0
-    if radius is None:
-        radius = min(0.45, 0.5 / max(1.0, scn.beta * span))
-    nodes = np.exp(2j * np.pi * np.arange(n_nodes) / n_nodes)
-    values = np.array([data.char(radius * z, scn.beta) for z in nodes])
-    out = np.empty(n_moments)
-    for k in range(1, n_moments + 1):
-        deriv = math.factorial(k) * np.mean(values * nodes ** (-k)) / radius**k
-        out[k - 1] = deriv.real / scn.beta**k
-    return out
+    return _reservoir_spectral_data(scn, t).contour_moments(n_moments, n_nodes, radius)
 
 
 @dataclass(frozen=True)
@@ -367,29 +370,38 @@ class SweepResult:
     rows: list
     gamma_grid: np.ndarray
 
-    def row(self, lam: float, t: float) -> SweepRow:
-        for r in self.rows:
-            if r.lam == lam and r.t == t:
-                return r
-        raise KeyError((lam, t))
+    def verdicts(self) -> list[dict]:
+        """Convergence verdict per lambda, in grid order.
 
-    def baseline(self, lam: float) -> float:
-        """Distance of the point mass at zero from the limit law."""
-        for r in self.rows:
-            if r.lam == lam and r.t == 0.0:
-                return r.distance
-        raise KeyError(f"no t = 0 row for lam = {lam}")
+        A lambda passes when its late-time plateau (mean distance over the
+        upper half of the positive t range) is below its t = 0 baseline
+        distance, strictly and beyond roundoff; without a t = 0 row or a
+        plateau row it fails.
+        """
+        ts = [r.t for r in self.rows]
+        t_mid = (min(ts) + max(ts)) / 2
+        out = []
+        for lam in dict.fromkeys(r.lam for r in self.rows):
+            lam_rows = [r for r in self.rows if r.lam == lam]
+            base = next((r.distance for r in lam_rows if r.t == 0.0), None)
+            late = [r.distance for r in lam_rows if r.t > 0 and r.t >= t_mid]
+            plateau = float(np.mean(late)) if late else None
+            improved = base is not None and plateau is not None and plateau < base * (1.0 - 1e-9)
+            out.append({"lambda": lam, "baseline_t0": base, "plateau_distance": plateau,
+                        "pass": improved})
+        return out
 
 
 def _sweep_cell(scn: Scenario, lam: float, t: float, gamma_grid: np.ndarray) -> SweepRow:
     cell = scn.with_lam(lam)
-    res = reservoir_fcs(cell, t, gamma_grid=gamma_grid)
+    data = _reservoir_spectral_data(cell, t)
+    mu = AtomicMeasure.from_points(data.locations, data.weights)
+    res = FcsResult.from_measure(mu, gamma_grid)
     sys = system_fcs(cell, t, gamma_grid=gamma_grid)
     limit_vals = np.array([system_char_limit(cell, g) for g in gamma_grid])
     fcs_vals = np.array([val for _, val in res.char_samples])
     distance = float(np.max(np.abs(fcs_vals - limit_vals)))
-    deriv = derivative_moments(cell, t)
-    gap = float(np.max(np.abs(deriv - res.moments)))
+    gap = float(np.max(np.abs(data.contour_moments() - res.moments)))
     return SweepRow(
         lam=lam,
         t=t,

@@ -120,12 +120,15 @@ class SpectralDecomposition:
         return out
 
 
-def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Greedy chain clustering of sorted values: split where the gap > tol."""
-    if len(values) == 0:
-        return []
-    splits = np.nonzero(np.diff(values) > tol)[0] + 1
-    return np.split(np.arange(len(values)), splits)
+def cluster_starts(values: np.ndarray, tol: float) -> np.ndarray:
+    """Start index of each cluster of ascending values.
+
+    Greedy chain clustering: a new cluster starts wherever the gap to the
+    previous value exceeds ``tol``, so a chain of small gaps is one cluster.
+    Shared by eigenvalue clustering and atom merging; empty input has no
+    clusters.
+    """
+    return np.flatnonzero(np.concatenate(([len(values) > 0], np.diff(values) > tol)))
 
 
 def eig_hermitian(a: np.ndarray, cluster_tol: float | None = None) -> SpectralDecomposition:
@@ -144,7 +147,7 @@ def eig_hermitian(a: np.ndarray, cluster_tol: float | None = None) -> SpectralDe
         raise ValueError("cluster_tol must be positive")
     w, v = np.linalg.eigh(a)
     eigenvalues, projectors, mults = [], [], []
-    for idx in _cluster(w, cluster_tol):
+    for idx in np.split(np.arange(len(w)), cluster_starts(w, cluster_tol)[1:]):
         cols = v[:, idx]
         projectors.append(cols @ dagger(cols))
         eigenvalues.append(float(np.mean(w[idx])))

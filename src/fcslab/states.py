@@ -11,6 +11,7 @@ import numpy as np
 from .linalg import (
     assert_hermitian,
     assert_square,
+    cluster_starts,
     dagger,
     eig_hermitian,
     expm_hermitian,
@@ -82,6 +83,12 @@ class AtomicMeasure:
         merge_tol: float = MERGE_TOL,
         drop_tol: float = WEIGHT_DROP_TOL,
     ) -> "AtomicMeasure":
+        """Sort the points and merge them with the eigenvalue clustering rule
+        of :func:`~fcslab.linalg.cluster_starts`: a new atom starts wherever
+        the gap to the previous point exceeds ``merge_tol``.  Each atom carries
+        its cluster's total weight at the weighted-mean location (the first
+        point's location for zero total weight); atoms of weight at most
+        ``drop_tol`` are dropped."""
         locations = np.asarray(locations, dtype=float).ravel()
         weights = np.asarray(weights, dtype=float).ravel()
         if locations.shape != weights.shape:
@@ -91,23 +98,13 @@ class AtomicMeasure:
         weights = np.clip(weights, 0.0, None)
         order = np.argsort(locations)
         locations, weights = locations[order], weights[order]
-        locs, wts = [], []
-        i = 0
-        while i < len(locations):
-            j = i
-            while j + 1 < len(locations) and locations[j + 1] - locations[j] <= merge_tol:
-                j += 1
-            w = weights[i : j + 1].sum()
-            if w > drop_tol:
-                x = (
-                    float(np.dot(locations[i : j + 1], weights[i : j + 1]) / w)
-                    if w > 0
-                    else float(locations[i])
-                )
-                locs.append(x)
-                wts.append(float(w))
-            i = j + 1
-        return cls(np.array(locs), np.array(wts), merge_tol)
+        starts = cluster_starts(locations, merge_tol)
+        mass = np.add.reduceat(weights, starts)
+        moment = np.add.reduceat(locations * weights, starts)
+        keep = mass > drop_tol
+        mass, moment, first = mass[keep], moment[keep], locations[starts[keep]]
+        mean = np.divide(moment, mass, out=first, where=mass > 0)
+        return cls(mean, mass, merge_tol)
 
     def __len__(self) -> int:
         return len(self.locations)

@@ -1,0 +1,43 @@
+"""The benchmark tracer (perfbench/tracer.py) patches library methods and
+integrators by name; a rename or move would break traced benchmark runs with
+a KeyError.  Its name tables are loaded by file path, without installing the
+tracer, and checked against the library."""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_layers_import():
+    for layer in load_tracer().LAYERS:
+        importlib.import_module(f"fcslab.{layer}")
+
+
+def test_traced_methods_exist():
+    for (layer, cls_name), names in load_tracer().METHODS.items():
+        cls = getattr(importlib.import_module(f"fcslab.{layer}"), cls_name)
+        for name in names:
+            assert name in cls.__dict__, f"{cls_name}.{name}"
+
+
+def test_from_points_is_classmethod_with_weights():
+    from fcslab.states import AtomicMeasure
+
+    raw = AtomicMeasure.__dict__["from_points"]
+    assert isinstance(raw, classmethod)
+    assert "weights" in inspect.signature(raw.__func__).parameters
+
+
+def test_counted_integrators_are_module_attributes():
+    for layer, name in load_tracer().INTEGRATORS:
+        assert callable(getattr(importlib.import_module(f"fcslab.{layer}"), name))

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad_vec
 
+from fcslab.checks import measure_distance
 from fcslab.dynamics import QuadratureError, delta_q_direct
 from fcslab.fcs import (
+    HalfLineResult,
     default_gamma_grid,
     derivative_moments,
     half_line_identity_check,
@@ -16,7 +18,9 @@ from fcslab.fcs import (
     system_char_limit,
     system_fcs,
 )
-from fcslab.scenarios import random_scenario
+from fcslab.modular import initial_vector
+from fcslab.scenarios import chain_scenario, random_scenario
+from fcslab.states import AtomicMeasure
 
 
 # -- independent oracles (raw numpy, no library reuse) -------------------------
@@ -92,6 +96,17 @@ def operator_balance_loop(scn, t, quad_tol=1e-8):
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
             basis[k, l] = 0.0
     return worst
+
+
+def raw_reservoir_atoms(scn, t):
+    """Reference: all d^2 atoms of the relative modular operator, one per
+    pair of product eigenvectors, before grouping by reservoir level."""
+    w_res, v_res = np.linalg.eigh(scn.h_res)
+    v_full = np.kron(np.eye(scn.dim_sys), v_res)
+    u_full = scn.unitary_coupled(t) @ v_full
+    energies = np.tile(w_res, scn.dim_sys)  # column k carries energy w_res[k % d_R]
+    overlaps = u_full.conj().T @ initial_vector(scn) @ v_full
+    return (energies[None, :] - energies[:, None]).ravel(), (np.abs(overlaps) ** 2).ravel()
 
 
 def match_atoms(measure, oracle, tol=1e-10, window=1e-8):
@@ -188,6 +203,23 @@ class TestReservoirFcs:
         res = reservoir_fcs(scn, 2.0)
         _, dq_r = delta_q_direct(scn, 2.0)
         assert abs(res.mean - dq_r) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "seed, d_sys, d_res, t",
+        [(11, 2, 4, 1.3), (12, 2, 3, 4.0), (13, 3, 3, 0.8), (14, 3, 4, 2.5), (None, 2, 16, 5.0)],
+    )
+    def test_grouped_atoms_match_raw_atoms(self, seed, d_sys, d_res, t):
+        if seed is None:
+            scn = chain_scenario(4, disorder=0.3, seed=1)
+        else:
+            scn = random_scenario(np.random.default_rng(seed), d_sys, d_res)
+        assert (scn.dim_sys, scn.dim_res) == (d_sys, d_res)
+        x, w = raw_reservoir_atoms(scn, t)
+        raw = AtomicMeasure.from_points(x, w)
+        assert measure_distance(reservoir_fcs(scn, t).measure, raw) <= 1e-14
+        for alpha in (0.0, 0.3, 0.5 + 1j, 1.0, 0.25j, -0.7j, 0.8 - 2j):
+            expected = np.sum(w * np.exp(alpha * scn.beta * x))
+            assert abs(reservoir_char(scn, t, alpha) - expected) <= 1e-13
 
 
 class TestReservoirChar:
@@ -299,6 +331,11 @@ class TestIdentities:
                 assert res.passing is not None
         assert worst <= 1e-8
 
+    def test_half_line_residual_is_worse_route(self):
+        res = HalfLineResult(value=0j, residuals={"left_mult": 0.0, "conjugated": 1.0},
+                             passing="left_mult")
+        assert res.residual == 1.0
+
     def test_half_line_variants_coincide(self, scenario_factory):
         # both constructions of the dressed vector agree in the standard rep
         scn = scenario_factory(74, d_sys=3, d_res=3)
@@ -407,6 +444,18 @@ class TestLimitSweep:
         sweep = limit_sweep(qubit_qubit, np.array([0.0, 1.0]), np.array([0.0, 0.3]))
         for row in sweep.rows:
             assert row.moment_gap <= 1e-6
+
+    def test_verdicts(self):
+        scn = chain_scenario(3)
+        sweep = limit_sweep(scn, np.linspace(0.0, 30.0, 7), np.array([0.0, 0.2]))
+        uncoupled, coupled = sweep.verdicts()
+        assert uncoupled["lambda"] == 0.0 and uncoupled["pass"] is False
+        assert uncoupled["plateau_distance"] == pytest.approx(uncoupled["baseline_t0"], abs=1e-12)
+        assert coupled["lambda"] == 0.2 and coupled["pass"] is True
+        assert coupled["plateau_distance"] < coupled["baseline_t0"]
+        # without a t = 0 row there is no baseline to improve on
+        (late_only,) = limit_sweep(scn, np.array([10.0, 20.0]), np.array([0.2])).verdicts()
+        assert late_only["baseline_t0"] is None and late_only["pass"] is False
 
     def test_rejects_empty_grid(self, qubit_qubit):
         with pytest.raises(ValueError, match="nonempty"):

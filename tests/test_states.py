@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from fcslab.linalg import op_norm
 from fcslab.states import (
+    MERGE_TOL,
+    WEIGHT_DROP_TOL,
     AtomicMeasure,
     entropy,
     gibbs,
@@ -19,6 +21,43 @@ from fcslab.states import (
 )
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def from_points_loop(locations, weights, merge_tol=MERGE_TOL, drop_tol=WEIGHT_DROP_TOL):
+    """Reference: the sequential merge loop that AtomicMeasure.from_points
+    replaced.  Returns (locations, weights) of the merged atoms."""
+    locations = np.asarray(locations, dtype=float).ravel()
+    weights = np.clip(np.asarray(weights, dtype=float).ravel(), 0.0, None)
+    order = np.argsort(locations)
+    locations, weights = locations[order], weights[order]
+    locs, wts = [], []
+    i = 0
+    while i < len(locations):
+        j = i
+        while j + 1 < len(locations) and locations[j + 1] - locations[j] <= merge_tol:
+            j += 1
+        w = weights[i : j + 1].sum()
+        if w > drop_tol:
+            x = (
+                float(np.dot(locations[i : j + 1], weights[i : j + 1]) / w)
+                if w > 0
+                else float(locations[i])
+            )
+            locs.append(x)
+            wts.append(float(w))
+        i = j + 1
+    return np.array(locs), np.array(wts)
+
+
+def assert_matches_loop(locations, weights, **kw):
+    """Same atoms as the loop up to summation order: locations to 1e-15
+    (relative beyond |x| = 1), weights to 1e-15 relative."""
+    mu = AtomicMeasure.from_points(locations, weights, **kw)
+    ref_x, ref_w = from_points_loop(locations, weights, **kw)
+    assert len(mu) == len(ref_x)
+    assert np.all(np.abs(mu.locations - ref_x) <= 1e-15 * np.maximum(1.0, np.abs(ref_x)))
+    assert np.all(np.abs(mu.weights - ref_w) <= 1e-15 * ref_w)
+    return mu
 
 
 class TestGibbs:
@@ -203,11 +242,41 @@ class TestAtomicMeasure:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 20))
     def test_merge_separation_invariant(self, seed, n):
         g = np.random.default_rng(seed)
-        mu = AtomicMeasure.from_points(g.normal(size=n), g.uniform(0.1, 1.0, size=n),
-                                       merge_tol=0.3)
+        mu = assert_matches_loop(g.normal(size=n), g.uniform(0.1, 1.0, size=n), merge_tol=0.3)
         if len(mu) > 1:
             assert np.min(np.diff(mu.locations)) > 0.3 * 0.999
         assert abs(mu.mass - sum(mu.weights)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "locations, weights, kw",
+        [
+            ([0.3, -1.0, 0.3, -1.0, 0.3], [0.1, 0.15, 0.2, 0.25, 0.3], {}),  # exact ties
+            (0.2 + 0.999e-8 * np.arange(6), np.linspace(0.1, 0.6, 6), {}),  # chain under tol
+            (0.2 + 1.001e-8 * np.arange(6), np.linspace(0.1, 0.6, 6), {}),  # gaps over tol
+            (0.2 + np.cumsum([0, 0.999e-8, 1.001e-8, 0.999e-8, 0.999e-8, 1.001e-8]),
+             np.full(6, 1 / 6), {}),  # chains broken by gaps just over tol
+            ([-0.5, 0.0, 0.5, 0.5], [0.0, 0.5, 0.0, 0.5], {}),  # zero weights
+            ([-0.5, 0.0, 0.5], [0.0, 0.0, 1.0], {"drop_tol": -1.0}),  # zero-mass atoms kept
+            ([0.0, 0.1, 0.1, 0.2], [WEIGHT_DROP_TOL, 0.6 * WEIGHT_DROP_TOL,
+                                    0.6 * WEIGHT_DROP_TOL, 1.0], {}),  # weights at drop_tol
+            ([0.7], [1.0], {}),  # single point
+            ([], [], {}),  # empty
+        ],
+    )
+    def test_matches_loop_on_edge_cases(self, locations, weights, kw):
+        assert_matches_loop(locations, weights, **kw)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40))
+    def test_matches_loop_reference(self, seed, n):
+        g = np.random.default_rng(seed)
+        # Gaps of exact ties, just under and just over merge_tol, and wide.
+        gaps = g.choice([0.0, 0.999 * MERGE_TOL, 1.001 * MERGE_TOL, 0.05], size=n)
+        locations = g.permutation(np.cumsum(gaps) - 0.5)
+        weights = g.uniform(0.0, 1.0, size=n)
+        weights[g.random(n) < 0.2] = 0.0
+        weights[g.random(n) < 0.2] = WEIGHT_DROP_TOL
+        assert_matches_loop(locations, weights)
 
     def test_char_at_zero_is_mass(self, rng):
         mu = AtomicMeasure.from_points(rng.normal(size=5), rng.uniform(0.1, 1, size=5))
