@@ -1,7 +1,8 @@
 """Command-line surface: validate / verify / fcs / sweep.
 
 Exit codes: 0 success (all checks passed), 1 at least one check failed,
-2 usage, config or I/O error.  Outputs are CSV (measures, characteristic
+2 usage, config or I/O error, 3 numerical failure (a quadrature or contour
+rule missed its tolerance).  Outputs are CSV (measures, characteristic
 functions, sweep tables) and JSON (reports, verdicts); identical inputs and
 seeds give byte-identical outputs regardless of worker count.
 """
@@ -17,12 +18,13 @@ import numpy as np
 
 from . import fcs as fcsmod
 from .checks import run_suites
-from .dynamics import balance_check, delta_q_direct
+from .dynamics import QuadratureError, balance_check, delta_q_direct
 from .scenarios import ConfigError, RunConfig, parse_config
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_NUMERICAL = 3
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -206,6 +208,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except QuadratureError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

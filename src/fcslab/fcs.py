@@ -126,15 +126,17 @@ class _ReservoirSpectralData:
     location w_res[b] - w_res[a] for every s, s', and summing their weights
     over s and s' gives the same measure with d_R^2 atoms.  The strip
     function F(alpha) = sum_k weights_k exp(alpha beta locations_k) is entire
-    at finite size, so ``char`` accepts any complex alpha.
+    at finite size, so ``char`` accepts any complex alpha, or an array of
+    them (one value per element).
     """
 
     locations: np.ndarray  # w_res[b] - w_res[a] (first - second), flat over (a, b)
     weights: np.ndarray  # |overlaps|^2 summed over the system indices s, s'
     beta: float
 
-    def char(self, alpha: complex) -> complex:
-        return complex(np.dot(self.weights, np.exp(alpha * self.beta * self.locations)))
+    def char(self, alpha: complex | np.ndarray) -> complex | np.ndarray:
+        vals = np.exp(np.multiply.outer(alpha * self.beta, self.locations)) @ self.weights
+        return complex(vals) if vals.ndim == 0 else vals
 
     def contour_moments(
         self, n_moments: int = N_MOMENTS, n_nodes: int = 64, radius: float | None = None
@@ -183,17 +185,24 @@ def reservoir_fcs(
     return FcsResult.from_measure(mu, gamma_grid)
 
 
-def reservoir_char(scn: Scenario, t: float, alpha: complex) -> complex:
+def _in_strip(alpha: complex | np.ndarray) -> np.ndarray:
+    """alpha as a complex array; ValueError naming a point off the strip."""
+    alpha = np.asarray(alpha, dtype=complex)
+    outside = ~((alpha.real >= 0.0) & (alpha.real <= 1.0))
+    if np.any(outside):
+        raise ValueError(f"alpha = {complex(alpha[outside][0])} outside the strip 0 <= Re(alpha) <= 1")
+    return alpha
+
+
+def reservoir_char(scn: Scenario, t: float, alpha: complex | np.ndarray) -> complex | np.ndarray:
     """The strip function F(alpha) = <Omega, Delta_rel^alpha Omega>.
 
     Defined for alpha in the closed strip 0 <= Re(alpha) <= 1 (the domain on
     which the bound |F| <= 1 + (d_S - 1) Re(alpha) holds); F(i gamma/beta) is
-    the characteristic function of the reservoir FCS and F(0) = 1.
+    the characteristic function of the reservoir FCS and F(0) = 1.  An array
+    of alpha gives the array of values, from one build of the spectral data.
     """
-    alpha = complex(alpha)
-    if not 0.0 <= alpha.real <= 1.0:
-        raise ValueError(f"alpha = {alpha} outside the strip 0 <= Re(alpha) <= 1")
-    return _reservoir_spectral_data(scn, t).char(alpha)
+    return _reservoir_spectral_data(scn, t).char(_in_strip(alpha))
 
 
 def mean_identity_check(
@@ -313,24 +322,17 @@ def strip_bounds_check(
 ) -> StripReport:
     """Verify |F(alpha)| <= 1 + (d_S - 1) Re(alpha) + tol on a strip grid,
     and F(1) <= d_S + tol."""
+    grid = np.atleast_1d(_in_strip(alpha_grid))
     data = _reservoir_spectral_data(scn, t)
-    max_violation = -math.inf
-    min_slack = math.inf
-    for alpha in np.atleast_1d(alpha_grid):
-        alpha = complex(alpha)
-        if not 0.0 <= alpha.real <= 1.0:
-            raise ValueError(f"grid point {alpha} outside the strip")
-        bound = 1.0 + (scn.dim_sys - 1) * alpha.real + tol
-        val = abs(data.char(alpha))
-        max_violation = max(max_violation, val - bound)
-        min_slack = min(min_slack, bound - val)
+    bound = 1.0 + (scn.dim_sys - 1) * grid.real + tol
+    vals = np.abs(data.char(grid))
     f1 = data.char(1.0).real
-    max_violation = max(max_violation, f1 - (scn.dim_sys + tol))
+    max_violation = max(float(np.max(vals - bound, initial=-math.inf)), f1 - (scn.dim_sys + tol))
     return StripReport(
         max_violation=max_violation,
-        min_slack=min_slack,
+        min_slack=float(np.min(bound - vals, initial=math.inf)),
         f_at_one=f1,
-        n_points=len(np.atleast_1d(alpha_grid)),
+        n_points=len(grid),
     )
 
 
@@ -392,18 +394,18 @@ class SweepResult:
         return out
 
 
-def _sweep_cell(scn: Scenario, lam: float, t: float, gamma_grid: np.ndarray) -> SweepRow:
-    cell = scn.with_lam(lam)
+def _sweep_cell(
+    cell: Scenario, t: float, gamma_grid: np.ndarray, limit_vals: np.ndarray
+) -> SweepRow:
     data = _reservoir_spectral_data(cell, t)
     mu = AtomicMeasure.from_points(data.locations, data.weights)
     res = FcsResult.from_measure(mu, gamma_grid)
     sys = system_fcs(cell, t, gamma_grid=gamma_grid)
-    limit_vals = np.array([system_char_limit(cell, g) for g in gamma_grid])
     fcs_vals = np.array([val for _, val in res.char_samples])
     distance = float(np.max(np.abs(fcs_vals - limit_vals)))
     gap = float(np.max(np.abs(data.contour_moments() - res.moments)))
     return SweepRow(
-        lam=lam,
+        lam=cell.lam,
         t=t,
         distance=distance,
         mean_res=res.mean,
@@ -411,6 +413,13 @@ def _sweep_cell(scn: Scenario, lam: float, t: float, gamma_grid: np.ndarray) -> 
         moments_res=res.moments,
         moment_gap=gap,
     )
+
+
+def _sweep_lam(
+    scn: Scenario, lam: float, ts: list[float], gamma_grid: np.ndarray, limit_vals: np.ndarray
+) -> list[SweepRow]:
+    cell = scn.with_lam(lam)
+    return [_sweep_cell(cell, t, gamma_grid, limit_vals) for t in ts]
 
 
 def limit_sweep(
@@ -426,8 +435,13 @@ def limit_sweep(
     Each cell records the sup-over-gamma distance between the reservoir
     characteristic function and the limit law, both FCS means, and the
     reservoir moments (atom route), cross-checked against the derivative
-    route within ``moment_tol``.  Cells are independent; the row order (and
-    therefore the output) does not depend on the worker count.
+    route within ``moment_tol``; a larger gap raises QuadratureError (the
+    derivative route is a trapezoid rule).  The limit law depends on neither
+    lam nor t and is evaluated once.  Each lam is one task, serial or on one
+    of ``workers`` threads: it builds the coupled Scenario once and reuses
+    its eigendecomposition for every t, so one Scenario per task is alive at
+    a time.  Rows are in grid order (lam-major, then t), so the output does
+    not depend on the worker count.
     """
     if len(np.atleast_1d(t_grid)) == 0 or len(np.atleast_1d(lam_grid)) == 0:
         raise ValueError("grids must be nonempty")
@@ -435,17 +449,23 @@ def limit_sweep(
         raise ValueError("workers must be >= 1")
     if gamma_grid is None:
         gamma_grid = default_gamma_grid(scn)
-    cells = [(float(lam), float(t)) for lam in np.atleast_1d(lam_grid) for t in np.atleast_1d(t_grid)]
+    lams = [float(lam) for lam in np.atleast_1d(lam_grid)]
+    ts = [float(t) for t in np.atleast_1d(t_grid)]
+    limit_vals = np.array([system_char_limit(scn, g) for g in gamma_grid])
     if workers == 1:
-        rows = [_sweep_cell(scn, lam, t, gamma_grid) for lam, t in cells]
+        per_lam = [_sweep_lam(scn, lam, ts, gamma_grid, limit_vals) for lam in lams]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_cell, scn, lam, t, gamma_grid) for lam, t in cells]
-            rows = [f.result() for f in futures]
+            futures = [
+                pool.submit(_sweep_lam, scn, lam, ts, gamma_grid, limit_vals) for lam in lams
+            ]
+            per_lam = [f.result() for f in futures]
+    rows = [r for lam_rows in per_lam for r in lam_rows]
     for r in rows:
         if r.moment_gap > moment_tol:
-            raise AssertionError(
+            raise QuadratureError(
                 f"moment routes disagree at (lam={r.lam}, t={r.t}): "
-                f"gap {r.moment_gap:.3e} > {moment_tol:.1e}"
+                f"gap {r.moment_gap:.3e} > {moment_tol:.1e}",
+                achieved=r.moment_gap,
             )
     return SweepResult(rows=rows, gamma_grid=np.asarray(gamma_grid))

@@ -94,12 +94,6 @@ class ModularStructure:
         """Delta^alpha X = r^alpha X r^(-alpha) through the eigenbasis."""
         return self.ref_power(alpha) @ x @ self.ref_power(-alpha)
 
-    def delta_log(self, x: np.ndarray) -> np.ndarray:
-        """log(Delta) X = (log r) X - X (log r)."""
-        w, v = self._eig
-        logr = (v * np.log(w)) @ dagger(v)
-        return logr @ x - x @ logr
-
     def star(self, x: np.ndarray) -> np.ndarray:
         """S = J Delta^(1/2): maps A Omega to A* Omega."""
         return self.conjugation(self.delta_power(0.5, x))
@@ -141,14 +135,6 @@ class RelativeModular:
     rho_omega: np.ndarray
     rank_tol: float = RANK_TOL
 
-    @cached_property
-    def _eig_eta(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self.rho_eta)
-
-    @cached_property
-    def _eig_omega(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self.rho_omega)
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.rho_eta @ x @ np.linalg.inv(self.rho_omega)
 
@@ -158,19 +144,6 @@ class RelativeModular:
         left = herm_power(self.rho_eta, alpha, rank_tol=self.rank_tol)
         right = herm_power(self.rho_omega, -alpha, rank_tol=0.0)
         return left @ x @ right
-
-    def log_apply(self, x: np.ndarray) -> np.ndarray:
-        """log(Delta_rel) X = (log rho_eta) X - X (log rho_omega)."""
-        we, ve = self._eig_eta
-        wo, vo = self._eig_omega
-        if we[0] <= self.rank_tol:
-            raise RankDeficientError(
-                f"log of relative modular operator with singular weight "
-                f"(min eigenvalue {we[0]:.3e})"
-            )
-        log_eta = (ve * np.log(we)) @ dagger(ve)
-        log_omega = (vo * np.log(wo)) @ dagger(vo)
-        return log_eta @ x - x @ log_omega
 
 
 def relative_modular(
@@ -264,10 +237,6 @@ class Liouvilleans:
 
     def half(self, x: np.ndarray) -> np.ndarray:
         return self.scn.h_coupled @ x - x @ self.scn.h_res_full
-
-    def exp_free(self, t: float, x: np.ndarray) -> np.ndarray:
-        u = self.scn.unitary_free(t)
-        return u @ x @ dagger(u)
 
     def exp_coupled(self, t: float, x: np.ndarray) -> np.ndarray:
         u = self.scn.unitary_coupled(t)

@@ -130,10 +130,6 @@ class AtomicMeasure:
         return complex(sum(w * f(x) for x, w in zip(self.locations, self.weights)))
 
 
-def point_mass(location: float = 0.0, weight: float = 1.0) -> AtomicMeasure:
-    return AtomicMeasure(np.array([location]), np.array([weight]))
-
-
 def gibbs(h: np.ndarray, beta: float) -> np.ndarray:
     """Thermal state exp(-beta h)/tr(exp(-beta h)).
 

@@ -133,3 +133,14 @@ def test_sweep_uncoupled_verdict(config_path, tmp_path):
 
 def test_usage_error_exit_code():
     assert main(["fcs", "--config"]) == 2
+
+
+def test_numerical_failure_exit_code(tmp_path, capsys):
+    cfg = preset_config("qubit_qubit")
+    cfg.setdefault("tolerances", {})["quad_tol"] = 1e-16
+    path = tmp_path / "tight.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(path), "--suite", "fcs"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and "quadrature" in err
+    assert "Traceback" not in err

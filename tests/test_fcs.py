@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
 
 from fcslab.checks import measure_distance
-from fcslab.dynamics import QuadratureError, delta_q_direct
+from fcslab.dynamics import QuadratureError, Scenario, delta_q_direct
 from fcslab.fcs import (
+    FcsResult,
     HalfLineResult,
+    SweepRow,
+    _reservoir_spectral_data,
     default_gamma_grid,
     derivative_moments,
     half_line_identity_check,
@@ -266,6 +271,18 @@ class TestReservoirChar:
             direct = reservoir_char(scn, 1.5, 1j * g / scn.beta)
             assert abs(direct - res.measure.char(g)) <= 1e-10
 
+    def test_array_matches_scalar_calls(self, scenario_factory):
+        scn = scenario_factory(64, d_sys=3, d_res=4)
+        alphas = np.array([[0.0, 0.25 - 1.0j], [0.5 + 2.0j, 1.0], [0.7j, 0.9 - 0.3j]])
+        vals = reservoir_char(scn, 1.3, alphas)
+        assert vals.shape == alphas.shape
+        scalar = np.array([[reservoir_char(scn, 1.3, a) for a in row] for row in alphas])
+        assert np.max(np.abs(vals - scalar)) <= 1e-14
+
+    def test_array_with_one_point_off_strip_raises(self, qubit_qubit):
+        with pytest.raises(ValueError, match="strip"):
+            reservoir_char(qubit_qubit, 1.0, np.array([0.0, 0.5j, 1.0 + 1e-9, 0.3]))
+
 
 class TestIdentities:
     def test_mean_identity_trivial_cases(self, qubit_qubit):
@@ -415,7 +432,67 @@ class TestMoments:
         assert abs(derivative_moments(scn, 1.1)[0] - dq_r) <= 1e-8
 
 
+def per_cell_sweep_rows(scn, t_grid, lam_grid, gamma_grid):
+    """The per-cell sweep loop: a with_lam and a limit law for every (lam, t)."""
+    rows = []
+    for lam in lam_grid:
+        for t in t_grid:
+            cell = scn.with_lam(float(lam))
+            data = _reservoir_spectral_data(cell, float(t))
+            mu = AtomicMeasure.from_points(data.locations, data.weights)
+            res = FcsResult.from_measure(mu, gamma_grid)
+            sys = system_fcs(cell, float(t), gamma_grid=gamma_grid)
+            limit_vals = np.array([system_char_limit(cell, g) for g in gamma_grid])
+            fcs_vals = np.array([val for _, val in res.char_samples])
+            rows.append(SweepRow(
+                lam=float(lam),
+                t=float(t),
+                distance=float(np.max(np.abs(fcs_vals - limit_vals))),
+                mean_res=res.mean,
+                mean_sys=sys.mean,
+                moments_res=res.moments,
+                moment_gap=float(np.max(np.abs(data.contour_moments() - res.moments))),
+            ))
+    return rows
+
+
 class TestLimitSweep:
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("which", ["qubit_qubit", "chain3"])
+    def test_rows_equal_per_cell_loop(self, qubit_qubit, which, workers):
+        scn = qubit_qubit if which == "qubit_qubit" else chain_scenario(3, disorder=0.3, seed=2)
+        t_grid, lam_grid = np.array([0.0, 1.5, 4.0]), np.array([0.0, 0.2, 0.2])
+        gam = default_gamma_grid(scn)
+        sweep = limit_sweep(scn, t_grid, lam_grid, workers=workers)
+        expected = per_cell_sweep_rows(scn, t_grid, lam_grid, gam)
+        assert len(sweep.rows) == len(expected) == 9
+        for row, ref in zip(sweep.rows, expected):
+            for f in dataclasses.fields(SweepRow):
+                a, b = getattr(row, f.name), getattr(ref, f.name)
+                assert np.array_equal(a, b), (f.name, row.lam, row.t, a, b)
+                assert type(a) is type(b), f.name
+
+    def test_one_scenario_per_lambda(self, qubit_qubit, monkeypatch):
+        calls = []
+        with_lam = Scenario.with_lam
+
+        def counting(self, lam):
+            calls.append(lam)
+            return with_lam(self, lam)
+
+        monkeypatch.setattr(Scenario, "with_lam", counting)
+        sweep = limit_sweep(qubit_qubit, np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 0.1, 0.2]))
+        assert len(sweep.rows) == 12
+        assert calls == [0.0, 0.1, 0.2]
+
+    def test_moment_gap_above_tol_is_a_quadrature_error(self, qubit_qubit):
+        t_grid, lam_grid = np.array([0.0, 1.0]), np.array([0.3])
+        gap = max(r.moment_gap for r in limit_sweep(qubit_qubit, t_grid, lam_grid).rows)
+        assert gap > 0.0
+        with pytest.raises(QuadratureError, match="moment routes disagree") as exc:
+            limit_sweep(qubit_qubit, t_grid, lam_grid, moment_tol=gap / 2)
+        assert exc.value.achieved == gap
+
     def test_uncoupled_column_is_baseline(self, qubit_qubit):
         gam = default_gamma_grid(qubit_qubit, 11)
         sweep = limit_sweep(qubit_qubit, np.array([0.0, 1.0, 2.0]), np.array([0.0]),
