@@ -2,9 +2,10 @@
 
 Exit codes: 0 success (all checks passed), 1 at least one check failed,
 2 usage, config or I/O error, 3 numerical failure (a quadrature or contour
-rule missed its tolerance).  Outputs are CSV (measures, characteristic
-functions, sweep tables) and JSON (reports, verdicts); identical inputs and
-seeds give byte-identical outputs regardless of worker count.
+rule missed its tolerance, or a LAPACK routine did not converge).  Outputs
+are CSV (measures, characteristic functions, sweep tables) and JSON
+(reports, verdicts); identical inputs and seeds give byte-identical outputs
+regardless of worker count.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import fcs as fcsmod
 from .checks import run_suites
 from .dynamics import QuadratureError, balance_check, delta_q_direct
-from .scenarios import ConfigError, RunConfig, parse_config
+from .scenarios import ConfigError, parse_config
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -38,10 +39,6 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.array([float(x) for x in text.split(",")])
 
 
-def _load(args) -> RunConfig:
-    return parse_config(args.config)
-
-
 def _write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
@@ -58,7 +55,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def cmd_validate(args) -> int:
-    run = _load(args)
+    run = parse_config(args.config)
     scn = run.scenario
     print(
         f"ok: d_S={scn.dim_sys} d_R={scn.dim_res} dim={scn.dim} "
@@ -68,7 +65,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    run = _load(args)
+    run = parse_config(args.config)
     results = run_suites(run.scenario, which=args.suite, seed=args.seed,
                          quad_tol=run.quad_tol)
     records = [r.as_record() for r in results]
@@ -86,7 +83,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fcs(args) -> int:
-    run = _load(args)
+    run = parse_config(args.config)
     scn = run.scenario
     t = args.t
     out_dir = Path(args.out_dir)
@@ -131,7 +128,7 @@ def cmd_fcs(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    run = _load(args)
+    run = parse_config(args.config)
     scn = run.scenario
     out_dir = Path(args.out_dir)
     t_grid = _parse_grid(args.t_grid)
@@ -202,15 +199,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except (QuadratureError, np.linalg.LinAlgError) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except QuadratureError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

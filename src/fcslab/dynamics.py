@@ -17,9 +17,10 @@ from .linalg import (
     dagger,
     expm_hermitian,
     op_norm,
+    positive_sqrt,
     tensor,
 )
-from .states import assert_density, gibbs
+from .states import assert_density, gibbs, gibbs_from_eigh
 
 DEFAULT_QUAD_TOL = 1e-8
 
@@ -104,9 +105,17 @@ class Scenario:
         return self.h_free + self.lam * self.v
 
     @cached_property
+    def _eig_res(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(self.h_res)
+
+    @cached_property
     def rho_res(self) -> np.ndarray:
-        """Reservoir thermal state at beta."""
-        return gibbs(self.h_res, self.beta)
+        """Reservoir thermal state at beta, from the one eigh of h_res."""
+        return gibbs_from_eigh(*self._eig_res, self.beta)
+
+    @cached_property
+    def sqrt_rho_res(self) -> np.ndarray:
+        return positive_sqrt(self.rho_res)
 
     @cached_property
     def rho_sys_thermal(self) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad_vec
 
-from .dynamics import DEFAULT_QUAD_TOL, QuadratureError, Scenario, delta_q_flux
+from .dynamics import DEFAULT_QUAD_TOL, QuadratureError, Scenario, delta_q_flux, flux_observables
 from .linalg import dagger, eig_hermitian, hs_inner, positive_sqrt, tensor
 from .modular import (
     initial_vector,
@@ -155,7 +155,7 @@ class _ReservoirSpectralData:
 
 
 def _reservoir_spectral_data(scn: Scenario, t: float) -> _ReservoirSpectralData:
-    w_res, v_res = np.linalg.eigh(scn.h_res)
+    w_res, v_res = scn._eig_res
     v_full = tensor(np.eye(scn.dim_sys), v_res)  # eigenbasis of the static weight
     u_full = scn.unitary_coupled(t) @ v_full  # eigenbasis of the flowed weight
     overlaps = dagger(u_full) @ initial_vector(scn) @ v_full
@@ -230,14 +230,13 @@ def operator_balance_check(
     of log_flowed - log_static - beta I_t, which is returned.  Raises
     QuadratureError when the flux integral misses ``quad_tol``.
     """
-    w_res, v_res = np.linalg.eigh(scn.h_res)
+    w_res, v_res = scn._eig_res
     e = np.exp(-scn.beta * (w_res - w_res.min()))
     log_rho_res = (v_res * (np.log(e / e.sum()))) @ dagger(v_res)
     log_static = tensor(np.eye(scn.dim_sys), log_rho_res)
-    u = scn.unitary_coupled(t)
-    log_flowed = u @ log_static @ dagger(u)
+    log_flowed = scn.evolve(log_static, t)
 
-    phi_r = scn.lam * 1j * (scn.h_res_full @ scn.v - scn.v @ scn.h_res_full)
+    phi_r = flux_observables(scn).phi_res
     if t == 0.0:
         flux_int = 0.0
     else:

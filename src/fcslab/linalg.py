@@ -58,19 +58,22 @@ def hs_inner(x: np.ndarray, y: np.ndarray) -> complex:
     return complex(np.vdot(x, y))
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Operator norm of (a - a*)."""
-    return op_norm(a - dagger(a))
+def is_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
+    """Whether ||a - a*|| <= rtol * max(1, ||a||) in the operator norm.
+
+    ||.|| <= ||.||_HS and the scale is >= 1, so ||a - a*||_HS <= rtol passes
+    without an SVD.  NaN and Inf fail it; op_norm then raises LinAlgError
+    or returns NaN, which fails the comparison, so they never pass."""
+    defect = a - dagger(a)
+    return hs_norm(defect) <= rtol or op_norm(defect) <= rtol * max(1.0, op_norm(a))
 
 
 def assert_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL, name: str = "operator") -> None:
-    """Raise NonHermitianError if ||a - a*|| > rtol * max(1, ||a||)."""
-    defect = hermiticity_defect(a)
-    scale = max(1.0, op_norm(a))
-    if defect > rtol * scale:
+    """Raise NonHermitianError unless :func:`is_hermitian`."""
+    if not is_hermitian(a, rtol):
         raise NonHermitianError(
-            f"{name} is not Hermitian: asymmetry norm {defect:.3e} exceeds "
-            f"{rtol:.1e} * {scale:.3e}"
+            f"{name} is not Hermitian: asymmetry norm {op_norm(a - dagger(a)):.3e} exceeds "
+            f"{rtol:.1e} * {max(1.0, op_norm(a)):.3e}"
         )
 
 
@@ -140,9 +143,8 @@ def eig_hermitian(a: np.ndarray, cluster_tol: float | None = None) -> SpectralDe
     """
     assert_square(a)
     assert_hermitian(a)
-    scale = op_norm(a)
     if cluster_tol is None:
-        cluster_tol = CLUSTER_RTOL * max(scale, 1e-300)
+        cluster_tol = CLUSTER_RTOL * max(op_norm(a), 1e-300)
     if cluster_tol <= 0:
         raise ValueError("cluster_tol must be positive")
     w, v = np.linalg.eigh(a)

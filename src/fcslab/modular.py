@@ -29,6 +29,7 @@ from .linalg import (
     herm_power,
     hs_inner,
     hs_norm,
+    is_hermitian,
     op_norm,
     positive_sqrt,
     tensor,
@@ -176,15 +177,14 @@ def cone_membership(x: np.ndarray, tol: float = 1e-10) -> bool:
 
     The cone {A J A J Omega} closes to exactly the positive semidefinite
     matrices, so membership is Hermiticity plus positivity within ``tol``
-    (relative to max(1, ||x||)).
+    (relative to max(1, ||x||)).  The scale is at least 1, so an eigenvalue
+    floor of -tol passes before ||x|| is computed.
     """
     assert_square(x)
-    scale = max(1.0, op_norm(x))
-    herm_defect = op_norm(x - dagger(x))
-    if herm_defect > tol * scale:
+    if not is_hermitian(x, tol):
         return False
     w = np.linalg.eigvalsh((x + dagger(x)) / 2)
-    return bool(w[0] >= -tol * scale)
+    return bool(w[0] >= -tol or w[0] >= -tol * max(1.0, op_norm(x)))
 
 
 # -- scenario-level vectors and Liouvilleans ---------------------------------
@@ -192,12 +192,12 @@ def cone_membership(x: np.ndarray, tol: float = 1e-10) -> bool:
 
 def initial_vector(scn: Scenario) -> np.ndarray:
     """Vector representative of the initial state: rho_sys^(1/2) (x) rho_res^(1/2)."""
-    return tensor(positive_sqrt(scn.rho_sys), positive_sqrt(scn.rho_res))
+    return tensor(positive_sqrt(scn.rho_sys), scn.sqrt_rho_res)
 
 
 def equilibrium_vector(scn: Scenario) -> np.ndarray:
     """Vector representative of the uncoupled equilibrium state."""
-    return tensor(positive_sqrt(scn.rho_sys_thermal), positive_sqrt(scn.rho_res))
+    return tensor(positive_sqrt(scn.rho_sys_thermal), scn.sqrt_rho_res)
 
 
 def reservoir_weight_vector(scn: Scenario) -> np.ndarray:
@@ -206,14 +206,13 @@ def reservoir_weight_vector(scn: Scenario) -> np.ndarray:
     Deliberately *not* normalized: its squared norm is d_S, which the
     half-line identity and the strip bound rely on.
     """
-    return tensor(np.eye(scn.dim_sys), positive_sqrt(scn.rho_res))
+    return tensor(np.eye(scn.dim_sys), scn.sqrt_rho_res)
 
 
 def evolved_reservoir_weight(scn: Scenario, t: float) -> np.ndarray:
     """Weight operator of the reservoir state pulled back through the flow:
     e^{itH} (1 (x) rho_res) e^{-itH} with the coupled H."""
-    u = scn.unitary_coupled(t)
-    return u @ tensor(np.eye(scn.dim_sys), scn.rho_res) @ dagger(u)
+    return scn.evolve(tensor(np.eye(scn.dim_sys), scn.rho_res), t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,17 +238,12 @@ class Liouvilleans:
         return self.scn.h_coupled @ x - x @ self.scn.h_res_full
 
     def exp_coupled(self, t: float, x: np.ndarray) -> np.ndarray:
-        u = self.scn.unitary_coupled(t)
-        return u @ x @ dagger(u)
-
-    @cached_property
-    def _eig_res_full(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self.scn.h_res_full)
+        return self.scn.evolve(x, t)
 
     def exp_half(self, s: float, x: np.ndarray) -> np.ndarray:
         """e^{is half} X = e^{isH_coupled} X e^{-is (1 (x) H_R)}."""
-        w, v = self._eig_res_full
-        right = (v * np.exp(-1j * s * w)) @ dagger(v)
+        w, v = self.scn._eig_res
+        right = tensor(np.eye(self.scn.dim_sys), (v * np.exp(-1j * s * w)) @ dagger(v))
         return self.scn.unitary_coupled(s) @ x @ right
 
     def coupled_decomposed(self, x: np.ndarray) -> np.ndarray:

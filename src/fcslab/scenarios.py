@@ -4,6 +4,7 @@ configs (parse, validate, serialize round-trip)."""
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import DEFAULT_QUAD_TOL, Scenario
-from .linalg import hermiticity_defect, op_norm, tensor
+from .linalg import NonHermitianError, assert_hermitian, tensor
 from .states import gibbs, maximally_mixed, random_density, random_hermitian
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -126,6 +127,8 @@ def pairs_to_matrix(rows: list, field_name: str) -> np.ndarray:
         raise ConfigError(
             f"{field_name}: expected a square matrix of [re, im] pairs, got shape {arr.shape}"
         )
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{field_name}: matrix has a non-finite entry")
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
@@ -150,10 +153,23 @@ def _as_object(value, context: str) -> dict:
     return value
 
 
+def _number(value, field_name: str, positive: bool = False) -> float:
+    """A finite number (> 0 if ``positive``), or a ConfigError naming the field."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x) or (positive and x <= 0):
+        kind = "finite positive" if positive else "finite"
+        raise ConfigError(f"{field_name}: expected a {kind} number, got {value!r}")
+    return x
+
+
 def _check_hermitian_field(a: np.ndarray, field_name: str) -> np.ndarray:
-    defect = hermiticity_defect(a)
-    if defect > 1e-12 * max(1.0, op_norm(a)):
-        raise ConfigError(f"{field_name}: matrix is not Hermitian (asymmetry norm {defect:.3e})")
+    try:
+        assert_hermitian(a, name="matrix")
+    except NonHermitianError as exc:
+        raise ConfigError(f"{field_name}: {exc}") from exc
     return a
 
 
@@ -188,17 +204,14 @@ def _initial_state_from_config(cfg: dict, h: np.ndarray, dim: int):
             raise ConfigError("system.initial_state: dimension mismatch")
         return rho, None
     preset = cfg.get("preset", "ground")
-    if preset == "ground":
-        _, v = np.linalg.eigh(h)
-        rho = np.outer(v[:, 0], v[:, 0].conj())
-    elif preset == "excited":
-        _, v = np.linalg.eigh(h)
-        rho = np.outer(v[:, -1], v[:, -1].conj())
+    if preset in ("ground", "excited"):
+        psi = np.linalg.eigh(h)[1][:, 0 if preset == "ground" else -1]
+        rho = np.outer(psi, psi.conj())
     elif preset == "maximally_mixed":
         rho = maximally_mixed(dim)
     elif preset == "thermal":
         # Needs beta, resolved by the caller once beta is known.
-        return None, float(cfg.get("beta_scale", 1.0))
+        return None, _number(cfg.get("beta_scale", 1.0), "system.initial_state.beta_scale")
     else:
         raise ConfigError(f"system.initial_state.preset: unknown preset {preset!r}")
     return rho, None
@@ -216,14 +229,11 @@ def _reservoir_from_config(cfg: dict) -> tuple[np.ndarray, np.ndarray | None]:
     n = _require(cfg, "n", "reservoir")
     if not isinstance(n, int):
         raise ConfigError(f"reservoir.n: expected an integer, got {n!r}")
+    j_coupling = _number(cfg.get("coupling", 1.0), "reservoir.coupling")
+    field = _number(cfg.get("field", 1.0), "reservoir.field")
+    disorder = _number(cfg.get("disorder", 0.0), "reservoir.disorder")
     try:
-        h, edge = build_chain_reservoir(
-            n,
-            j_coupling=float(cfg.get("coupling", 1.0)),
-            field=float(cfg.get("field", 1.0)),
-            seed=cfg.get("seed"),
-            disorder=float(cfg.get("disorder", 0.0)),
-        )
+        h, edge = build_chain_reservoir(n, j_coupling, field, seed=cfg.get("seed"), disorder=disorder)
     except ValueError as exc:
         raise ConfigError(f"reservoir: {exc}") from exc
     return h, edge
@@ -251,18 +261,14 @@ def config_to_scenario(cfg: dict) -> RunConfig:
     """Build a validated scenario from a parsed config mapping."""
     if not isinstance(cfg, dict):
         raise ConfigError("top level: expected a JSON object")
-    beta = _require(cfg, "beta", "top level")
-    try:
-        beta = float(beta)
-    except (TypeError, ValueError):
-        raise ConfigError(f"beta: expected a number, got {beta!r}") from None
+    beta = _number(_require(cfg, "beta", "top level"), "beta")
 
     h_sys, rho_sys, thermal_scale = _system_from_config(_require(cfg, "system", "top level"))
     h_res, edge = _reservoir_from_config(_require(cfg, "reservoir", "top level"))
     coupling_cfg = _as_object(_require(cfg, "coupling", "top level"), "coupling")
     v = _coupling_from_config(coupling_cfg, h_sys.shape[0], h_res.shape[0], edge)
     if "lambda" in coupling_cfg:
-        lam = float(coupling_cfg["lambda"])
+        lam = _number(coupling_cfg["lambda"], "coupling.lambda")
     else:
         warnings.warn(
             "coupling.lambda omitted: defaulting to 0 (uncoupled baseline run)",
@@ -272,20 +278,16 @@ def config_to_scenario(cfg: dict) -> RunConfig:
     if rho_sys is None:
         rho_sys = gibbs(h_sys, beta * (thermal_scale or 1.0))
 
-    tols = _as_object(cfg.get("tolerances", {}), "tolerances")
-    run = RunConfig(
-        scenario=_scenario_checked(h_sys, h_res, v, lam, beta, rho_sys),
-        cluster_tol=float(tols.get("cluster_tol", DEFAULT_CLUSTER_TOL)),
-        quad_tol=float(tols.get("quad_tol", DEFAULT_QUAD_TOL)),
-    )
-    return run
-
-
-def _scenario_checked(h_sys, h_res, v, lam, beta, rho_sys) -> Scenario:
     try:
-        return Scenario(h_sys=h_sys, h_res=h_res, v=v, lam=lam, beta=beta, rho_sys=rho_sys)
+        scn = Scenario(h_sys=h_sys, h_res=h_res, v=v, lam=lam, beta=beta, rho_sys=rho_sys)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    tols = _as_object(cfg.get("tolerances", {}), "tolerances")
+    return RunConfig(
+        scenario=scn,
+        cluster_tol=_number(tols.get("cluster_tol", DEFAULT_CLUSTER_TOL), "tolerances.cluster_tol", True),
+        quad_tol=_number(tols.get("quad_tol", DEFAULT_QUAD_TOL), "tolerances.quad_tol", True),
+    )
 
 
 def parse_config(path: str | Path) -> RunConfig:

@@ -130,19 +130,20 @@ class AtomicMeasure:
         return complex(sum(w * f(x) for x, w in zip(self.locations, self.weights)))
 
 
-def gibbs(h: np.ndarray, beta: float) -> np.ndarray:
-    """Thermal state exp(-beta h)/tr(exp(-beta h)).
+def gibbs_from_eigh(w: np.ndarray, v: np.ndarray, beta: float) -> np.ndarray:
+    """Thermal state of the Hermitian matrix with eigendecomposition (w, v);
+    exponents are shifted by their minimum, so any finite beta is safe."""
+    e = np.exp(-(beta * w - np.min(beta * w)))
+    return (v * (e / e.sum())) @ dagger(v)
 
-    Exponents are shifted by their minimum before exponentiation, so the
-    result is overflow-safe for any finite beta of either sign.
-    """
+
+def gibbs(h: np.ndarray, beta: float) -> np.ndarray:
+    """Thermal state exp(-beta h)/tr(exp(-beta h))."""
     assert_square(h)
     assert_hermitian(h)
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
-    w, v = np.linalg.eigh(h)
-    e = np.exp(-(beta * w - np.min(beta * w)))
-    return (v * (e / e.sum())) @ dagger(v)
+    return gibbs_from_eigh(*np.linalg.eigh(h), beta)
 
 
 def entropy(rho: np.ndarray) -> float:

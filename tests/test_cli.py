@@ -144,3 +144,25 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical error: ") and "quadrature" in err
     assert "Traceback" not in err
+
+
+def test_nan_cluster_tol_is_a_config_error(tmp_path, capsys):
+    # every atom gap compares False against NaN: the run would merge the
+    # reservoir measure into a handful of atoms and still exit 0
+    cfg = preset_config("qubit_chain3")
+    cfg["tolerances"] = {"cluster_tol": float("nan")}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["fcs", "--config", str(path), "--t", "5.0", "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: tolerances.cluster_tol: ")
+    assert not (tmp_path / "measures.csv").exists()
+
+
+def test_lapack_failure_exit_code(config_path, monkeypatch, capsys):
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    assert main(["verify", "--config", config_path, "--suite", "fcs"]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical error: Eigenvalues did not converge\n"

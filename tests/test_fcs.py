@@ -2,10 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad_vec
 
 from fcslab.checks import measure_distance
-from fcslab.dynamics import QuadratureError, Scenario, delta_q_direct
+from fcslab.dynamics import DEFAULT_QUAD_TOL, QuadratureError, Scenario, delta_q_direct
 from fcslab.fcs import (
     FcsResult,
     HalfLineResult,
@@ -23,9 +25,10 @@ from fcslab.fcs import (
     system_char_limit,
     system_fcs,
 )
+from fcslab.linalg import positive_sqrt, tensor
 from fcslab.modular import initial_vector
 from fcslab.scenarios import chain_scenario, random_scenario
-from fcslab.states import AtomicMeasure
+from fcslab.states import AtomicMeasure, gibbs
 
 
 # -- independent oracles (raw numpy, no library reuse) -------------------------
@@ -537,3 +540,72 @@ class TestLimitSweep:
     def test_rejects_empty_grid(self, qubit_qubit):
         with pytest.raises(ValueError, match="nonempty"):
             limit_sweep(qubit_qubit, np.array([]), np.array([0.1]))
+
+
+class TestReservoirSpectrum:
+    """The Scenario owns the one eigendecomposition of h_res and the one root
+    of rho_res; every reservoir-side consumer reads them from it."""
+
+    def test_sweep_diagonalizes_the_reservoir_once(self, monkeypatch):
+        scn = chain_scenario(3)  # d_R = 8, d = 16
+        eigh_shapes, two_norm_shapes = [], []
+        eigh, norm = np.linalg.eigh, np.linalg.norm
+
+        def counting_eigh(a, *args, **kw):
+            eigh_shapes.append(np.shape(a))
+            return eigh(a, *args, **kw)
+
+        def counting_norm(x, ord=None, *args, **kw):
+            if ord == 2:
+                two_norm_shapes.append(np.shape(x))
+            return norm(x, ord, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        limit_sweep(scn, np.array([0.0, 1.0, 2.0]), np.array([0.2]))
+        # eigh(h_res) and the root of rho_res; no SVD of a reservoir-sized
+        # or joint matrix, because every Hermiticity check passes cheaply
+        assert eigh_shapes.count((8, 8)) == 2
+        assert [s for s in two_norm_shapes if s in ((8, 8), (16, 16))] == []
+
+    @pytest.mark.parametrize("which", ["qubit_qubit", "chain3", "random"])
+    def test_cached_spectrum_is_bitwise_the_public_route(self, qubit_qubit, which):
+        scn = {
+            "qubit_qubit": qubit_qubit,
+            "chain3": chain_scenario(3, disorder=0.3, seed=4),
+            "random": random_scenario(np.random.default_rng(9), 3, 4),
+        }[which]
+        rho_res = gibbs(scn.h_res, scn.beta)
+        assert np.array_equal(scn.rho_res, rho_res)
+        expected = tensor(positive_sqrt(scn.rho_sys), positive_sqrt(rho_res))
+        assert np.array_equal(initial_vector(scn), expected)
+
+
+# -- FCS invariants over random scenarios ----------------------------------------
+
+
+class TestFcsInvariants:
+    """Each invariant at the tolerance its check in the fcs suite uses."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3]),
+        st.sampled_from([2, 3, 4]),
+        st.floats(0.1, 5.0),
+    )
+    def test_invariants(self, seed, d_sys, d_res, t):
+        scn = random_scenario(np.random.default_rng(seed), d_sys, d_res)
+        res = reservoir_fcs(scn, t)
+        assert abs(res.measure.mass - 1.0) <= 1e-10
+        gammas = default_gamma_grid(scn, 11)
+        plus = reservoir_char(scn, t, 1j * gammas / scn.beta)
+        minus = reservoir_char(scn, t, -1j * gammas / scn.beta)
+        assert np.max(np.abs(np.conjugate(plus) - minus)) <= 1e-12
+        assert abs(res.mean - delta_q_direct(scn, t)[1]) <= DEFAULT_QUAD_TOL + 1e-8
+        grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) + 1j * np.array([0.0, -1.0, 2.0, 0.5, 0.0])
+        assert strip_bounds_check(scn, t, grid).max_violation <= 1e-12
+        for variant, tt in ((scn.with_lam(0.0), t), (scn, 0.0)):
+            for mu in (system_fcs(variant, tt).measure, reservoir_fcs(variant, tt).measure):
+                assert len(mu) == 1 and abs(mu.locations[0]) < 1e-12
+                assert abs(mu.mass - 1.0) <= 1e-12

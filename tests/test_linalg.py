@@ -8,18 +8,22 @@ from fcslab.linalg import (
     NotPositiveError,
     SpectrumDomainError,
     abs_op,
+    assert_hermitian,
     commutator_gen,
     dagger,
     eig_hermitian,
     expm_hermitian,
     func_calc,
     herm_power,
+    hs_norm,
+    is_hermitian,
     norm_spectral_check,
     op_norm,
     partial_trace,
     positive_sqrt,
     tensor,
 )
+from fcslab.modular import cone_membership
 from fcslab.states import random_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -220,3 +224,90 @@ class TestExpPow:
 
         with pytest.raises(RankDeficientError):
             herm_power(np.diag([0.0, 1.0]).astype(complex), -0.5)
+
+
+# -- the Hermiticity rule against the two-SVD reference -------------------------
+
+
+def two_svd_hermitian(a, rtol):
+    """Reference verdict: both operator norms taken by full SVDs."""
+    return op_norm(a - dagger(a)) <= rtol * max(1.0, op_norm(a))
+
+
+def two_svd_cone(x, tol):
+    """Reference cone verdict: Hermiticity and positivity, both against the
+    operator-norm scale."""
+    scale = max(1.0, op_norm(x))
+    if op_norm(x - dagger(x)) > tol * scale:
+        return False
+    return bool(np.linalg.eigvalsh((x + dagger(x)) / 2)[0] >= -tol * scale)
+
+
+def near_threshold(seed, d, norm, herm_factor, pos_factor, rtol):
+    """Matrix of norm about ``norm`` whose Hermiticity defect is
+    ``herm_factor`` times the threshold rtol * max(1, norm) and whose
+    Hermitian part has lowest eigenvalue -pos_factor times that threshold."""
+    g = np.random.default_rng(seed)
+    threshold = rtol * max(1.0, norm)
+    q, _ = np.linalg.qr(g.normal(size=(d, d)) + 1j * g.normal(size=(d, d)))
+    w = norm * g.uniform(0.0, 1.0, size=d)
+    w[-1] = norm
+    w[0] = -pos_factor * threshold
+    k = g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))
+    k = (k - dagger(k)) / 2
+    k /= op_norm(k)  # anti-Hermitian with unit norm: a - a* = herm_factor * threshold * k
+    return (q * w) @ dagger(q) + 0.5 * herm_factor * threshold * k
+
+
+FACTORS = (0.0, 0.3, 0.999, 1.001, 1.5, 3.0, 1000.0)
+
+
+class TestHermiticityRule:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 8),
+        st.floats(-3.0, 4.0),
+        st.sampled_from(FACTORS),
+        st.sampled_from(FACTORS),
+        st.sampled_from((1e-12, 1e-10)),
+    )
+    def test_verdicts_match_two_svd_rule(self, seed, d, log_norm, herm_f, pos_f, rtol):
+        a = near_threshold(seed, d, 10.0**log_norm, herm_f, pos_f, rtol)
+        expected = two_svd_hermitian(a, rtol)
+        assert is_hermitian(a, rtol) is expected
+        if expected:
+            assert_hermitian(a, rtol)
+        else:
+            with pytest.raises(NonHermitianError, match="asymmetry norm"):
+                assert_hermitian(a, rtol)
+        assert cone_membership(a, rtol) is two_svd_cone(a, rtol)
+
+    @pytest.mark.parametrize("factor", [0.999, 1.001])
+    def test_scale_decides_above_unit_norm(self, factor):
+        # ||a|| = 1e4: the defect is far above rtol in the HS norm, so only
+        # the operator-norm comparison against the scale can pass it.
+        a = near_threshold(3, 6, 1e4, factor, 0.0, 1e-12)
+        assert hs_norm(a - dagger(a)) > 1e-12
+        assert is_hermitian(a) is (factor < 1) is two_svd_hermitian(a, 1e-12)
+
+    def test_constructed_defects_straddle_threshold(self):
+        for factor in FACTORS:
+            a = near_threshold(5, 4, 20.0, factor, 0.0, 1e-12)
+            assert two_svd_hermitian(a, 1e-12) is (factor < 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_non_finite_never_passes(self, bad, where):
+        # NaN makes the SVD fail (LinAlgError); an Inf off the diagonal gives
+        # a NaN norm instead, which fails the comparison.
+        a = np.eye(3, dtype=complex)
+        a[where] = bad
+        with pytest.raises(ValueError):  # LinAlgError or NonHermitianError
+            assert_hermitian(a)
+        for check in (is_hermitian, cone_membership):
+            try:
+                verdict = check(a)
+            except np.linalg.LinAlgError:
+                continue
+            assert verdict is False

@@ -90,6 +90,43 @@ class TestConfig:
         with pytest.raises(ConfigError, match="beta"):
             config_to_scenario({"system": {}, "reservoir": {}, "coupling": {}})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", [
+        "system.hamiltonian.matrix", "system.initial_state.matrix", "reservoir.matrix",
+        "coupling.matrix",
+    ])
+    def test_non_finite_matrix_entry_named(self, tmp_path, scenario_factory, field, value):
+        cfg = scenario_to_config(RunConfig(scenario=scenario_factory(3, d_sys=2, d_res=2)))
+        node = cfg
+        for key in field.split("."):
+            node = node[key]
+        node[0][1][0] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))  # json writes and reads NaN and Infinity
+        with pytest.raises(ConfigError, match=f"{field}: matrix has a non-finite entry"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "x", None])
+    @pytest.mark.parametrize("section, key", [
+        ("reservoir", "coupling"), ("reservoir", "field"), ("reservoir", "disorder"),
+        ("tolerances", "cluster_tol"), ("tolerances", "quad_tol"),
+    ])
+    def test_non_finite_number_named(self, tmp_path, section, key, value):
+        cfg = preset_config("qubit_chain3")
+        cfg.setdefault(section, {})[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError, match=f"{section}.{key}: expected a finite"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("value", [0.0, -1e-9])
+    @pytest.mark.parametrize("key", ["cluster_tol", "quad_tol"])
+    def test_tolerances_must_be_positive(self, key, value):
+        cfg = preset_config("qubit_qubit")
+        cfg["tolerances"] = {key: value}
+        with pytest.raises(ConfigError, match=f"tolerances.{key}: expected a finite positive"):
+            config_to_scenario(cfg)
+
     def test_round_trip_bit_identical(self, tmp_path, scenario_factory):
         run = RunConfig(scenario=scenario_factory(7, d_sys=2, d_res=3))
         cfg = scenario_to_config(run)
