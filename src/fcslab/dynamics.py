@@ -20,7 +20,7 @@ from .linalg import (
     positive_sqrt,
     tensor,
 )
-from .states import assert_density, gibbs, gibbs_from_eigh
+from .states import assert_density, gibbs, gibbs_weights
 
 DEFAULT_QUAD_TOL = 1e-8
 
@@ -105,13 +105,22 @@ class Scenario:
         return self.h_free + self.lam * self.v
 
     @cached_property
+    def _eig_sys(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(self.h_sys)
+
+    @cached_property
     def _eig_res(self) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh(self.h_res)
 
     @cached_property
+    def gibbs_weights_res(self) -> np.ndarray:
+        """Thermal populations of the reservoir levels, in ``_eig_res`` order."""
+        return gibbs_weights(self._eig_res[0], self.beta)
+
+    @cached_property
     def rho_res(self) -> np.ndarray:
         """Reservoir thermal state at beta, from the one eigh of h_res."""
-        return gibbs_from_eigh(*self._eig_res, self.beta)
+        return (self._eig_res[1] * self.gibbs_weights_res) @ dagger(self._eig_res[1])
 
     @cached_property
     def sqrt_rho_res(self) -> np.ndarray:
@@ -140,10 +149,23 @@ class Scenario:
     def _eig_free(self) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh(self.h_free)
 
+    @cached_property
+    def _eig_coupled_free_basis(self) -> np.ndarray:
+        """Coupled eigenvectors in the free product eigenbasis, (V_S (x) V_R)* v_c,
+        applied factor by factor: V_R* on every system slice, then V_S*."""
+        d_s, d_r = self.dim_sys, self.dim_res
+        a = dagger(self._eig_res[1]) @ self._eig_coupled[1].reshape(d_s, d_r, self.dim)
+        return (dagger(self._eig_sys[1]) @ a.reshape(d_s, -1)).reshape(self.dim, self.dim)
+
     def unitary_coupled(self, t: float) -> np.ndarray:
         """exp(i t H_coupled)."""
         w, u = self._eig_coupled
         return (u * np.exp(1j * t * w)) @ dagger(u)
+
+    def unitary_in_free_basis(self, t: float) -> np.ndarray:
+        """exp(i t H_coupled) in the free product eigenbasis: one d x d product."""
+        a = self._eig_coupled_free_basis
+        return (a * np.exp(1j * t * self._eig_coupled[0])) @ dagger(a)
 
     def unitary_free(self, t: float) -> np.ndarray:
         """exp(i t H_free)."""

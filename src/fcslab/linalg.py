@@ -134,6 +134,17 @@ def cluster_starts(values: np.ndarray, tol: float) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([len(values) > 0], np.diff(values) > tol)))
 
 
+def eigenvalue_clusters(w: np.ndarray, cluster_tol: float | None = None) -> list[np.ndarray]:
+    """Index groups of ascending eigenvalues ``w`` of a Hermitian matrix that
+    lie within ``cluster_tol`` of each other (default 1e-9 * max|w|, which is
+    1e-9 times the operator norm)."""
+    if cluster_tol is None:
+        cluster_tol = CLUSTER_RTOL * max(abs(w[0]), abs(w[-1]), 1e-300)
+    if cluster_tol <= 0:
+        raise ValueError("cluster_tol must be positive")
+    return np.split(np.arange(len(w)), cluster_starts(w, cluster_tol)[1:])
+
+
 def eig_hermitian(a: np.ndarray, cluster_tol: float | None = None) -> SpectralDecomposition:
     """Clustered eigendecomposition of a Hermitian matrix.
 
@@ -143,21 +154,12 @@ def eig_hermitian(a: np.ndarray, cluster_tol: float | None = None) -> SpectralDe
     """
     assert_square(a)
     assert_hermitian(a)
-    if cluster_tol is None:
-        cluster_tol = CLUSTER_RTOL * max(op_norm(a), 1e-300)
-    if cluster_tol <= 0:
-        raise ValueError("cluster_tol must be positive")
     w, v = np.linalg.eigh(a)
-    eigenvalues, projectors, mults = [], [], []
-    for idx in np.split(np.arange(len(w)), cluster_starts(w, cluster_tol)[1:]):
-        cols = v[:, idx]
-        projectors.append(cols @ dagger(cols))
-        eigenvalues.append(float(np.mean(w[idx])))
-        mults.append(len(idx))
+    groups = eigenvalue_clusters(w, cluster_tol)
     return SpectralDecomposition(
-        eigenvalues=np.array(eigenvalues),
-        projectors=projectors,
-        multiplicities=np.array(mults),
+        eigenvalues=np.array([float(np.mean(w[g])) for g in groups]),
+        projectors=[v[:, g] @ dagger(v[:, g]) for g in groups],
+        multiplicities=np.array([len(g) for g in groups]),
     )
 
 

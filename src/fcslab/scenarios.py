@@ -21,6 +21,11 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 MAX_CHAIN_SITES = 12
 DEFAULT_CLUSTER_TOL = 1e-9
+# A dense Scenario and one FCS cell hold about this many complex d x d
+# matrices at once (coupling, Hamiltonians, eigenvectors, U(t), temporaries);
+# a config whose estimate exceeds the budget is refused before any is built.
+DENSE_MATRICES = 12
+MEMORY_BUDGET_BYTES = 4 * 2**30
 
 
 class ConfigError(ValueError):
@@ -217,7 +222,7 @@ def _initial_state_from_config(cfg: dict, h: np.ndarray, dim: int):
     return rho, None
 
 
-def _reservoir_from_config(cfg: dict) -> tuple[np.ndarray, np.ndarray | None]:
+def _reservoir_from_config(cfg: dict, dim_sys: int) -> tuple[np.ndarray, np.ndarray | None]:
     cfg = _as_object(cfg, "reservoir")
     if "matrix" in cfg:
         h = _check_hermitian_field(pairs_to_matrix(cfg["matrix"], "reservoir.matrix"),
@@ -229,6 +234,12 @@ def _reservoir_from_config(cfg: dict) -> tuple[np.ndarray, np.ndarray | None]:
     n = _require(cfg, "n", "reservoir")
     if not isinstance(n, int):
         raise ConfigError(f"reservoir.n: expected an integer, got {n!r}")
+    estimate = DENSE_MATRICES * 16 * (dim_sys * 2**n) ** 2 if 1 <= n <= MAX_CHAIN_SITES else 0
+    if estimate > MEMORY_BUDGET_BYTES:
+        raise ConfigError(
+            f"reservoir.n: n={n} gives d = {dim_sys * 2**n} and an estimated {estimate / 2**30:.1f} GiB "
+            f"of dense matrices, above the {MEMORY_BUDGET_BYTES / 2**30:.0f} GiB budget"
+        )
     j_coupling = _number(cfg.get("coupling", 1.0), "reservoir.coupling")
     field = _number(cfg.get("field", 1.0), "reservoir.field")
     disorder = _number(cfg.get("disorder", 0.0), "reservoir.disorder")
@@ -264,7 +275,7 @@ def config_to_scenario(cfg: dict) -> RunConfig:
     beta = _number(_require(cfg, "beta", "top level"), "beta")
 
     h_sys, rho_sys, thermal_scale = _system_from_config(_require(cfg, "system", "top level"))
-    h_res, edge = _reservoir_from_config(_require(cfg, "reservoir", "top level"))
+    h_res, edge = _reservoir_from_config(_require(cfg, "reservoir", "top level"), h_sys.shape[0])
     coupling_cfg = _as_object(_require(cfg, "coupling", "top level"), "coupling")
     v = _coupling_from_config(coupling_cfg, h_sys.shape[0], h_res.shape[0], edge)
     if "lambda" in coupling_cfg:

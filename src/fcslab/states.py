@@ -130,11 +130,11 @@ class AtomicMeasure:
         return complex(sum(w * f(x) for x, w in zip(self.locations, self.weights)))
 
 
-def gibbs_from_eigh(w: np.ndarray, v: np.ndarray, beta: float) -> np.ndarray:
-    """Thermal state of the Hermitian matrix with eigendecomposition (w, v);
-    exponents are shifted by their minimum, so any finite beta is safe."""
+def gibbs_weights(w: np.ndarray, beta: float) -> np.ndarray:
+    """Thermal populations of the levels w; exponents are shifted by their
+    minimum, so any finite beta is safe."""
     e = np.exp(-(beta * w - np.min(beta * w)))
-    return (v * (e / e.sum())) @ dagger(v)
+    return e / e.sum()
 
 
 def gibbs(h: np.ndarray, beta: float) -> np.ndarray:
@@ -143,7 +143,8 @@ def gibbs(h: np.ndarray, beta: float) -> np.ndarray:
     assert_hermitian(h)
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
-    return gibbs_from_eigh(*np.linalg.eigh(h), beta)
+    w, v = np.linalg.eigh(h)
+    return (v * gibbs_weights(w, beta)) @ dagger(v)
 
 
 def entropy(rho: np.ndarray) -> float:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad_vec
 
-from fcslab.checks import measure_distance
+from fcslab.checks import measure_distance, suite_fcs, two_time_reservoir_oracle
 from fcslab.dynamics import DEFAULT_QUAD_TOL, QuadratureError, Scenario, delta_q_direct
+from fcslab import fcs as fcsmod
 from fcslab.fcs import (
     FcsResult,
     HalfLineResult,
@@ -25,10 +27,10 @@ from fcslab.fcs import (
     system_char_limit,
     system_fcs,
 )
-from fcslab.linalg import positive_sqrt, tensor
+from fcslab.linalg import eig_hermitian, positive_sqrt, tensor
 from fcslab.modular import initial_vector
 from fcslab.scenarios import chain_scenario, random_scenario
-from fcslab.states import AtomicMeasure, gibbs
+from fcslab.states import AtomicMeasure, gibbs, random_density
 
 
 # -- independent oracles (raw numpy, no library reuse) -------------------------
@@ -115,6 +117,34 @@ def raw_reservoir_atoms(scn, t):
     energies = np.tile(w_res, scn.dim_sys)  # column k carries energy w_res[k % d_R]
     overlaps = u_full.conj().T @ initial_vector(scn) @ v_full
     return (energies[None, :] - energies[:, None]).ravel(), (np.abs(overlaps) ** 2).ravel()
+
+
+def matrix_product_system_measure(scn, t):
+    """Reference: the system FCS from u (P_j (x) 1) u* for every level j, with
+    clustered projectors P_i of H_S, as full d x d matrix products."""
+    dec = eig_hermitian(scn.h_sys)
+    u = scn.unitary_coupled(t)
+    evolved = [u @ np.kron(p, np.eye(scn.dim_res)) @ u.conj().T for p in dec.projectors]
+    locs, wts = [], []
+    for lam_i, p_i in zip(dec.eigenvalues, dec.projectors):
+        start = np.kron(p_i @ scn.rho_sys @ p_i, scn.rho_res)
+        for lam_j, pj_t in zip(dec.eigenvalues, evolved):
+            locs.append(lam_j - lam_i)
+            wts.append(float(np.einsum("ij,ji->", start, pj_t).real))
+    return AtomicMeasure.from_points(np.array(locs), np.array(wts))
+
+
+def matrix_product_reservoir_atoms(scn, t):
+    """Reference: the d_R^2 grouped reservoir atoms, the raw overlap-matrix
+    atoms summed over the system indices (flat over (a, b))."""
+    x, w = raw_reservoir_atoms(scn, t)
+    shape = (scn.dim_sys, scn.dim_res, scn.dim_sys, scn.dim_res)
+    return x.reshape(shape)[0, :, 0, :].ravel(), w.reshape(shape).sum(axis=(0, 2)).ravel()
+
+
+def per_atom_char(locations, weights, beta, alpha):
+    """Reference: F(alpha) = sum_k weights_k exp(alpha beta locations_k)."""
+    return np.exp(np.multiply.outer(alpha * beta, locations)) @ weights
 
 
 def match_atoms(measure, oracle, tol=1e-10, window=1e-8):
@@ -563,9 +593,10 @@ class TestReservoirSpectrum:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(np.linalg, "norm", counting_norm)
         limit_sweep(scn, np.array([0.0, 1.0, 2.0]), np.array([0.2]))
-        # eigh(h_res) and the root of rho_res; no SVD of a reservoir-sized
-        # or joint matrix, because every Hermiticity check passes cheaply
-        assert eigh_shapes.count((8, 8)) == 2
+        # eigh(h_res) only: the sweep reads the thermal populations from it
+        # and needs no root of rho_res; no SVD of a reservoir-sized or joint
+        # matrix, because every Hermiticity check passes cheaply
+        assert eigh_shapes.count((8, 8)) == 1
         assert [s for s in two_norm_shapes if s in ((8, 8), (16, 16))] == []
 
     @pytest.mark.parametrize("which", ["qubit_qubit", "chain3", "random"])
@@ -609,3 +640,134 @@ class TestFcsInvariants:
             for mu in (system_fcs(variant, tt).measure, reservoir_fcs(variant, tt).measure):
                 assert len(mu) == 1 and abs(mu.locations[0]) < 1e-12
                 assert abs(mu.mass - 1.0) <= 1e-12
+
+
+# -- FCS weights in the free eigenbasis ------------------------------------------
+
+
+def degenerate_scenario(lam=0.3):
+    """H_S with a doubly degenerate level and rho_S coherent inside it."""
+    rng = np.random.default_rng(5)
+    base = random_scenario(rng, 3, 3, lam=lam)
+    rho_sys = random_density(3, rng)
+    assert abs(rho_sys[1, 2]) > 0.05
+    return Scenario(h_sys=np.diag([0.0, 1.0, 1.0]), h_res=base.h_res, v=base.v, lam=lam,
+                    beta=base.beta, rho_sys=rho_sys)
+
+
+FREE_BASIS_CASES = {
+    "random_2x4": lambda: random_scenario(np.random.default_rng(31), 2, 4),
+    "random_3x3": lambda: random_scenario(np.random.default_rng(32), 3, 3),
+    "random_3x4": lambda: random_scenario(np.random.default_rng(33), 3, 4),
+    "degenerate_h_sys": degenerate_scenario,
+    "uncoupled": lambda: random_scenario(np.random.default_rng(34), 3, 4).with_lam(0.0),
+    "chain4": lambda: chain_scenario(4, disorder=0.3, seed=1),
+}
+
+
+class TestFreeBasisWeights:
+    """Both FCS weight sets read from U~ = exp(itH) in the free eigenbasis,
+    against the matrix-product constructions they replace.  Weights are sums
+    of O(d) products of unit-scale numbers: 1e-13 leaves d * eps room."""
+
+    @pytest.mark.parametrize("t", [-1.3, 0.0, 2.1])
+    @pytest.mark.parametrize("case", sorted(FREE_BASIS_CASES))
+    def test_weights_match_matrix_products(self, case, t):
+        scn = FREE_BASIS_CASES[case]()
+        assert measure_distance(system_fcs(scn, t).measure, matrix_product_system_measure(scn, t)) <= 1e-13
+        x_ref, w_ref = matrix_product_reservoir_atoms(scn, t)
+        data = _reservoir_spectral_data(scn, t)
+        assert np.array_equal(data.locations.ravel(), x_ref)
+        assert np.max(np.abs(data.weights.ravel() - w_ref)) <= 1e-13
+        merged_ref = AtomicMeasure.from_points(x_ref, w_ref)
+        assert measure_distance(reservoir_fcs(scn, t).measure, merged_ref) <= 1e-13
+        alphas = np.array([0.0, 0.3, 1.0, 0.5 + 1.0j, 0.25j, -0.7j, 0.8 - 2.0j])
+        ref = per_atom_char(x_ref, w_ref, scn.beta, alphas)
+        assert np.max(np.abs(data.char(alphas) - ref)) <= 1e-13
+
+    def test_degenerate_level_is_one_atom_pair(self):
+        scn = degenerate_scenario()
+        assert sorted(set(np.round(system_fcs(scn, 1.5).measure.locations, 12))) == [-1.0, 0.0, 1.0]
+
+    def test_strip_function_at_large_beta_span(self):
+        # levels far from 0 and beta * span = 50: uncentred exponentials of
+        # the levels would overflow; the centred bilinear form must not
+        base = random_scenario(np.random.default_rng(41), 2, 4, beta=1.0)
+        w = np.linalg.eigvalsh(base.h_res)
+        h_res = base.h_res * (50.0 / (w[-1] - w[0])) + 800.0 * np.eye(4)
+        scn = Scenario(h_sys=base.h_sys, h_res=h_res, v=base.v, lam=0.5, beta=1.0, rho_sys=base.rho_sys)
+        t = 0.7
+        data = _reservoir_spectral_data(scn, t)
+        assert scn.beta * (data.levels[-1] - data.levels[0]) == pytest.approx(50.0)
+        alphas = np.add.outer(np.linspace(0.0, 1.0, 9), 1j * np.array([-3.0, 0.0, 0.4, 2.0])).ravel()
+        with np.errstate(over="raise", invalid="raise"):
+            vals = data.char(alphas)
+            moments = data.contour_moments()
+        ref = per_atom_char(data.locations.ravel(), data.weights.ravel(), scn.beta, alphas)
+        assert np.max(np.abs(vals - ref) / np.maximum(np.abs(ref), 1.0)) <= 1e-12
+        assert np.all(np.isfinite(moments))
+        # populations e^{-50} keep their relative accuracy in W, so F(1)
+        # still matches the squared norm of the dressed, cocycle-rotated
+        # weight (the overlap-matrix route missed it by 6e-3 here)
+        from fcslab.linalg import hs_norm
+        from fcslab.modular import interaction_cocycle, reservoir_weight_vector
+
+        dressed = tensor(positive_sqrt(scn.rho_sys), np.eye(scn.dim_res)) @ (
+            interaction_cocycle(scn, t) @ reservoir_weight_vector(scn)
+        )
+        assert abs(data.char(1.0) - hs_norm(dressed) ** 2) <= 1e-12
+
+    def test_contour_moments_match_per_atom_contour(self):
+        scn = chain_scenario(4, disorder=0.3, seed=1)
+        data = _reservoir_spectral_data(scn, 5.0)
+        x_ref, w_ref = matrix_product_reservoir_atoms(scn, 5.0)
+        radius = min(0.45, 0.5 / max(1.0, scn.beta * float(np.max(np.abs(x_ref)))))
+        nodes = np.exp(2j * np.pi * np.arange(64) / 64)
+        values = per_atom_char(x_ref, w_ref, scn.beta, radius * nodes)
+        ref = [math.factorial(k) * np.mean(values * nodes ** (-k)).real / radius**k / scn.beta**k
+               for k in range(1, 5)]
+        assert np.max(np.abs(data.contour_moments() - ref)) <= 1e-9
+
+    def test_sweep_uses_one_coupled_eigh_per_lambda_and_no_unitary_coupled(self, monkeypatch):
+        scn = chain_scenario(3)  # d = 16
+        joint_eighs, unitary_calls, free_basis_calls = [], [], []
+        eigh, unitary = np.linalg.eigh, Scenario.unitary_coupled
+        free_basis = Scenario.unitary_in_free_basis
+
+        def counting_free_basis(self, t):
+            free_basis_calls.append(t)
+            return free_basis(self, t)
+
+        def counting_eigh(a, *args, **kw):
+            if np.shape(a) == (16, 16):
+                joint_eighs.append(1)
+            return eigh(a, *args, **kw)
+
+        def counting_unitary(self, t):
+            unitary_calls.append(t)
+            return unitary(self, t)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(Scenario, "unitary_coupled", counting_unitary)
+        monkeypatch.setattr(Scenario, "unitary_in_free_basis", counting_free_basis)
+        limit_sweep(scn, np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.2, 0.3]))
+        # one U~(t) per cell feeds both weight sets
+        assert (len(joint_eighs), unitary_calls, free_basis_calls) == (3, [], [0.0, 1.0, 2.0] * 3)
+        two_time_reservoir_oracle(scn, 1.0)  # the independent route keeps U(t)
+        assert unitary_calls == [1.0]
+
+
+class TestSuiteFcsSharing:
+    def test_spectral_data_built_once_per_distinct_scenario_and_time(self, qubit_qubit, monkeypatch):
+        built = []
+        build = fcsmod._reservoir_spectral_data
+
+        def counting(scn, t, ut=None):
+            built.append((scn.lam, t))
+            return build(scn, t, ut)
+
+        monkeypatch.setattr(fcsmod, "_reservoir_spectral_data", counting)
+        results = suite_fcs(qubit_qubit)
+        assert all(r.passed for r in results)
+        # the shared (scn, t = 1) build, then the lam = 0 and t = 0 variants
+        assert built == [(0.2, 1.0), (0.0, 1.0), (0.2, 0.0)]

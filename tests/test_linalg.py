@@ -12,6 +12,7 @@ from fcslab.linalg import (
     commutator_gen,
     dagger,
     eig_hermitian,
+    eigenvalue_clusters,
     expm_hermitian,
     func_calc,
     herm_power,
@@ -47,6 +48,15 @@ class TestEigHermitian:
         # eigenvalue -1 comes first, so its projector is (1 - sx)/2
         assert np.allclose(dec.projectors[0], (np.eye(2) - SX) / 2, atol=1e-12)
         assert np.allclose(dec.projectors[1], (np.eye(2) + SX) / 2, atol=1e-12)
+
+    @pytest.mark.parametrize("gap, n_levels", [(2e-9, 2), (6e-9, 3)])
+    def test_default_tolerance_is_relative_to_the_norm(self, gap, n_levels):
+        # ||a|| = 5 clusters gaps below 5e-9, whichever end of the spectrum
+        # carries the norm
+        for w in ([1e-3, 5.0, 5.0 + gap], [-5.0 - gap, -5.0, 1e-3]):
+            dec = eig_hermitian(np.diag(w).astype(complex))
+            assert len(dec.eigenvalues) == n_levels
+            assert [len(g) for g in eigenvalue_clusters(np.array(w))] == list(dec.multiplicities)
 
     def test_identity_single_cluster(self):
         dec = eig_hermitian(np.eye(5, dtype=complex))

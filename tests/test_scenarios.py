@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fcslab import scenarios
 from fcslab.scenarios import (
     ConfigError,
     RunConfig,
@@ -151,6 +152,43 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="JSON"):
             parse_config(path)
+
+
+class TestSizeGuard:
+    """A chain whose dense model would not fit the memory budget is refused
+    from the config alone, before any matrix is built."""
+
+    @staticmethod
+    def _chain_config(tmp_path, n, dim_sys=2):
+        cfg = preset_config("qubit_chain3" if dim_sys == 2 else "qutrit_chain2")
+        cfg["reservoir"]["n"] = n
+        path = tmp_path / f"chain{n}.json"
+        path.write_text(json.dumps(cfg))
+        return path
+
+    @pytest.fixture
+    def no_kron(self, monkeypatch):
+        def refuse(*args, **kw):
+            raise AssertionError("np.kron called: a matrix was built")
+
+        monkeypatch.setattr(np, "kron", refuse)
+
+    def test_oversized_chain_refused_without_allocating(self, tmp_path, no_kron):
+        # d = 2 * 2**12 = 8192: 12 GiB estimated against the 4 GiB budget
+        with pytest.raises(ConfigError, match=r"n=12 gives d = 8192 .*12\.0 GiB .*4 GiB budget"):
+            parse_config(self._chain_config(tmp_path, 12))
+
+    def test_estimate_scales_with_the_system(self, tmp_path, no_kron):
+        # a qutrit at n = 11 is d = 6144, 6.75 GiB: refused where a qubit is not
+        with pytest.raises(ConfigError, match=r"n=11 gives d = 6144 .*6\.8 GiB"):
+            parse_config(self._chain_config(tmp_path, 11, dim_sys=3))
+
+    def test_budget_is_the_boundary(self, tmp_path, monkeypatch):
+        # at a budget equal to the n = 3 estimate, n = 3 builds and n = 4 is refused
+        monkeypatch.setattr(scenarios, "MEMORY_BUDGET_BYTES", scenarios.DENSE_MATRICES * 16 * 16**2)
+        assert parse_config(self._chain_config(tmp_path, 3)).scenario.dim == 16
+        with pytest.raises(ConfigError, match="n=4 gives d = 32"):
+            parse_config(self._chain_config(tmp_path, 4))
 
 
 class TestPresets:
