@@ -259,11 +259,13 @@ def suite_modular(scn: Scenario, seed: int = 0, n_random: int = 50) -> list[Chec
     gam = interaction_cocycle(scn, t)
     rel_t = relative_modular(evolved_reservoir_weight(scn, t),
                              tensor(np.eye(scn.dim_sys), scn.rho_res))
+    conjugated = gam @ rel_t.rho_omega @ dagger(gam)
+    inv_omega = np.linalg.inv(rel_t.rho_omega)
     worst = 0.0
     for _ in range(10):
         x = rand_mat()
         lhs = rel_t.apply(x)
-        rhs = gam @ rel_t.rho_omega @ dagger(gam) @ x @ np.linalg.inv(rel_t.rho_omega)
+        rhs = conjugated @ x @ inv_omega
         worst = max(worst, hs_norm(lhs - rhs) / hs_norm(x))
     out.append(_result("cocycle_conjugation", worst, 1e-10))
 
@@ -282,15 +284,17 @@ def two_time_reservoir_oracle(scn: Scenario, t: float, merge_tol: float = 1e-8):
     dec = eig_hermitian(scn.h_res)
     i_sys = np.eye(scn.dim_sys)
     u = scn.unitary_coupled(t)
-    evolved = [u @ tensor(i_sys, p) @ dagger(u) for p in dec.projectors]
-    locs, wts = [], []
-    for e1, p1 in zip(dec.eigenvalues, dec.projectors):
+    # Row k is the evolved second projector u P_k u*, transposed and flattened,
+    # so tr(start P_k) over all k is one product with start.ravel().
+    evolved_t = np.empty((len(dec.projectors), scn.dim**2), dtype=complex)
+    for row, p in zip(evolved_t, dec.projectors):
+        row.reshape(scn.dim, scn.dim)[...] = (u @ tensor(i_sys, p) @ dagger(u)).T
+    wts = np.empty((len(dec.projectors), len(dec.projectors)))
+    for row, p1 in zip(wts, dec.projectors):
         p1f = tensor(i_sys, p1)
-        start = p1f @ scn.rho_init @ p1f
-        for e2, p2t in zip(dec.eigenvalues, evolved):
-            locs.append(e1 - e2)
-            wts.append(float(np.einsum("ij,ji->", start, p2t).real))  # tr(start p2t)
-    return AtomicMeasure.from_points(np.array(locs), np.array(wts), merge_tol=merge_tol)
+        row[:] = (evolved_t @ (p1f @ scn.rho_init @ p1f).ravel()).real
+    locs = dec.eigenvalues[:, None] - dec.eigenvalues[None, :]
+    return AtomicMeasure.from_points(locs.ravel(), wts.ravel(), merge_tol=merge_tol)
 
 
 def measure_distance(mu_a, mu_b) -> float:

@@ -89,8 +89,9 @@ def cmd_fcs(args) -> int:
     out_dir = Path(args.out_dir)
     gamma_grid = _parse_grid(args.gamma_grid) if args.gamma_grid else fcsmod.default_gamma_grid(scn)
 
-    sys_res = fcsmod.system_fcs(scn, t, cluster_tol=run.cluster_tol, gamma_grid=gamma_grid)
-    res_res = fcsmod.reservoir_fcs(scn, t, merge_tol=run.cluster_tol, gamma_grid=gamma_grid)
+    ut = scn.unitary_in_free_basis(t)  # feeds both measures, as in a sweep cell
+    sys_res = fcsmod.system_fcs(scn, t, cluster_tol=run.cluster_tol, gamma_grid=gamma_grid, ut=ut)
+    res_res = fcsmod.reservoir_fcs(scn, t, merge_tol=run.cluster_tol, gamma_grid=gamma_grid, ut=ut)
 
     rows = [
         [float(x), float(w), "system"]

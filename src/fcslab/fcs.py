@@ -73,17 +73,22 @@ def system_fcs(
     t: float,
     cluster_tol: float | None = None,
     gamma_grid: np.ndarray | None = None,
+    *,
+    ut: np.ndarray | None = None,
 ) -> FcsResult:
     """Two-time measurement statistics of the system energy change.
 
     Measure the system energy, evolve for time t under the coupled dynamics,
     measure again; atoms sit at differences (second - first) of clustered
     system levels, weighted by the joint outcome law.  Reduces to a point
-    mass at zero for t = 0 or lam = 0.
+    mass at zero for t = 0 or lam = 0.  ``ut``, here and in
+    :func:`reservoir_fcs`, is ``scn.unitary_in_free_basis(t)`` when the
+    caller has already formed it.
     """
     if gamma_grid is None:
         gamma_grid = default_gamma_grid(scn)
-    return FcsResult.from_measure(_system_measure(scn, scn.unitary_in_free_basis(t), cluster_tol), gamma_grid)
+    ut = scn.unitary_in_free_basis(t) if ut is None else ut
+    return FcsResult.from_measure(_system_measure(scn, ut, cluster_tol), gamma_grid)
 
 
 def _system_measure(scn: Scenario, ut: np.ndarray, cluster_tol: float | None = None) -> AtomicMeasure:
@@ -194,6 +199,7 @@ def reservoir_fcs(
     gamma_grid: np.ndarray | None = None,
     *,
     data: _ReservoirSpectralData | None = None,
+    ut: np.ndarray | None = None,
 ) -> FcsResult:
     """Reservoir energy statistics from the relative modular operator.
 
@@ -206,7 +212,7 @@ def reservoir_fcs(
     """
     if gamma_grid is None:
         gamma_grid = default_gamma_grid(scn)
-    data = data or _reservoir_spectral_data(scn, t)
+    data = data or _reservoir_spectral_data(scn, t, ut)
     mu = AtomicMeasure.from_points(data.locations, data.weights, merge_tol=merge_tol)
     return FcsResult.from_measure(mu, gamma_grid)
 
@@ -265,17 +271,23 @@ def operator_balance_check(
     log_static = tensor(np.eye(scn.dim_sys), log_rho_res)
     log_flowed = scn.evolve(log_static, t)
 
-    phi_r = flux_observables(scn).phi_res
     if t == 0.0:
         flux_int = 0.0
     else:
-        flux_int, err = quad_vec(
-            lambda s: scn.evolve(phi_r, s), 0.0, t, epsabs=quad_tol, epsrel=1e-13
+        # tau^s(phi_R) = v (e(s) e(-s)^T . phi_c) v*, phi_c = v* phi_R v, e(s) = e^{isw}:
+        # integrated in the coupled eigenbasis, rotated back once.  quad_vec's
+        # Frobenius error norm does not change under the rotation.
+        w, v = scn._eig_coupled
+        phi_c = dagger(v) @ flux_observables(scn).phi_res @ v
+        flux_c, err = quad_vec(
+            lambda s: np.outer(np.exp(1j * s * w), np.exp(-1j * s * w)) * phi_c,
+            0.0, t, epsabs=quad_tol, epsrel=1e-13,
         )
         if err > quad_tol + 1e-14:
             raise QuadratureError(
                 f"flux-integral quadrature error {err:.3e} > {quad_tol:.3e}", err
             )
+        flux_int = v @ flux_c @ dagger(v)
     return float(np.max(np.abs(log_flowed - log_static - scn.beta * flux_int)))
 
 

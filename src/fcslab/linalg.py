@@ -3,7 +3,7 @@
 Everything downstream runs through the clustered Hermitian eigendecomposition
 defined here: functional calculus, positive square roots, fractional powers
 and unitary exponentials are all assembled in the eigenbasis, never by series
-summation.
+summation.  Only :func:`expm`, for matrices that are not Hermitian, is rational.
 """
 
 from __future__ import annotations
@@ -237,6 +237,33 @@ def expm_hermitian(h: np.ndarray, z: complex = 1.0) -> np.ndarray:
     assert_hermitian(h)
     w, v = np.linalg.eigh(h)
     return (v * np.exp(z * w)) @ dagger(v)
+
+
+# Degree-13 Pade coefficients and the 1-norm up to which they meet unit
+# roundoff without scaling (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+           129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+           40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a square matrix by Pade 13 with scaling and squaring, as in
+    ``scipy.linalg.expm`` but on numpy's BLAS alone (one thread pool)."""
+    assert_square(a)
+    norm = np.linalg.norm(a, 1)
+    s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
+    a = a / 2.0**s
+    b, ident = _PADE13, np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def tensor(*ops: np.ndarray) -> np.ndarray:

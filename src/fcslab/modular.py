@@ -79,17 +79,33 @@ class ModularStructure:
         """Reference vector rho_ref^(1/2)."""
         return positive_sqrt(self.rho_ref)
 
-    def ref_power(self, alpha: complex) -> np.ndarray:
-        """Principal power rho_ref^alpha as a matrix."""
+    @cached_property
+    def _inv(self) -> np.ndarray:
+        return np.linalg.inv(self.rho_ref)
+
+    @cached_property
+    def _half_powers(self) -> dict:
+        """rho_ref^(+-1/2), which star and commutant_star reuse; no other power
+        is kept.  They are handed to every caller, so they are read-only."""
+        powers = {alpha: self._power(alpha) for alpha in (0.5, -0.5)}
+        for p in powers.values():
+            p.setflags(write=False)
+        return powers
+
+    def _power(self, alpha: complex) -> np.ndarray:
         w, v = self._eig
         return (v * (w.astype(complex) ** alpha)) @ dagger(v)
+
+    def ref_power(self, alpha: complex) -> np.ndarray:
+        """Principal power rho_ref^alpha as a matrix."""
+        return self._half_powers[alpha] if alpha in (0.5, -0.5) else self._power(alpha)
 
     def conjugation(self, x: np.ndarray) -> np.ndarray:
         """Modular conjugation J: the adjoint map (antiunitary, J^2 = 1)."""
         return dagger(x)
 
     def delta(self, x: np.ndarray) -> np.ndarray:
-        return self.rho_ref @ x @ np.linalg.inv(self.rho_ref)
+        return self.rho_ref @ x @ self._inv
 
     def delta_power(self, alpha: complex, x: np.ndarray) -> np.ndarray:
         """Delta^alpha X = r^alpha X r^(-alpha) through the eigenbasis."""
@@ -136,8 +152,12 @@ class RelativeModular:
     rho_omega: np.ndarray
     rank_tol: float = RANK_TOL
 
+    @cached_property
+    def _inv_omega(self) -> np.ndarray:
+        return np.linalg.inv(self.rho_omega)
+
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.rho_eta @ x @ np.linalg.inv(self.rho_omega)
+        return self.rho_eta @ x @ self._inv_omega
 
     def power(self, alpha: complex, x: np.ndarray) -> np.ndarray:
         if alpha == 0:

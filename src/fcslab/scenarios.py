@@ -32,6 +32,17 @@ class ConfigError(ValueError):
     """A scenario config file is malformed; the message names the field."""
 
 
+def check_dense_size(dim_sys: int, n: int) -> None:
+    """ValueError, before anything is built, if DENSE_MATRICES complex d x d
+    matrices, d = dim_sys * 2**n, would exceed MEMORY_BUDGET_BYTES."""
+    estimate = DENSE_MATRICES * 16 * (dim_sys * 2**n) ** 2 if 1 <= n <= MAX_CHAIN_SITES else 0
+    if estimate > MEMORY_BUDGET_BYTES:
+        raise ValueError(
+            f"n={n} gives d = {dim_sys * 2**n} and an estimated {estimate / 2**30:.1f} GiB "
+            f"of dense matrices, above the {MEMORY_BUDGET_BYTES / 2**30:.0f} GiB budget"
+        )
+
+
 def build_chain_reservoir(
     n: int,
     j_coupling: float,
@@ -234,16 +245,11 @@ def _reservoir_from_config(cfg: dict, dim_sys: int) -> tuple[np.ndarray, np.ndar
     n = _require(cfg, "n", "reservoir")
     if not isinstance(n, int):
         raise ConfigError(f"reservoir.n: expected an integer, got {n!r}")
-    estimate = DENSE_MATRICES * 16 * (dim_sys * 2**n) ** 2 if 1 <= n <= MAX_CHAIN_SITES else 0
-    if estimate > MEMORY_BUDGET_BYTES:
-        raise ConfigError(
-            f"reservoir.n: n={n} gives d = {dim_sys * 2**n} and an estimated {estimate / 2**30:.1f} GiB "
-            f"of dense matrices, above the {MEMORY_BUDGET_BYTES / 2**30:.0f} GiB budget"
-        )
     j_coupling = _number(cfg.get("coupling", 1.0), "reservoir.coupling")
     field = _number(cfg.get("field", 1.0), "reservoir.field")
     disorder = _number(cfg.get("disorder", 0.0), "reservoir.disorder")
     try:
+        check_dense_size(dim_sys, n)
         h, edge = build_chain_reservoir(n, j_coupling, field, seed=cfg.get("seed"), disorder=disorder)
     except ValueError as exc:
         raise ConfigError(f"reservoir: {exc}") from exc
@@ -379,8 +385,10 @@ def chain_scenario(
     The defaults put the chain's single-flip cost 2*field on resonance with
     the unit qubit gap and keep the band narrow (j_coupling < field), so the
     excited qubit actually relaxes within moderate time windows; growing n
-    postpones the finite-size recurrence.
+    postpones the finite-size recurrence.  A chain too large for the dense
+    memory budget raises ValueError before anything is built.
     """
+    check_dense_size(2, n)
     h_sys = ladder_hamiltonian(2)
     h_res, edge = build_chain_reservoir(n, j_coupling, field, seed=seed, disorder=disorder)
     v = tensor(SIGMA_X, edge)

@@ -91,6 +91,24 @@ def test_fcs_summary_balance(config_path, tmp_path):
     assert any(line.endswith("reservoir") for line in char_lines[1:])
 
 
+def test_fcs_forms_the_free_basis_unitary_once(tmp_path, monkeypatch):
+    from pathlib import Path
+
+    from fcslab.dynamics import Scenario
+
+    calls = []
+    unitary = Scenario.unitary_in_free_basis
+
+    def counting(self, t):
+        calls.append(t)
+        return unitary(self, t)
+
+    monkeypatch.setattr(Scenario, "unitary_in_free_basis", counting)
+    config = Path(__file__).resolve().parent.parent / "configs" / "qubit_chain3.json"
+    assert main(["fcs", "--config", str(config), "--t", "5.0", "--out-dir", str(tmp_path)]) == 0
+    assert calls == [5.0]  # one U~(t) feeds the system and the reservoir measure
+
+
 def test_sweep_single_point_matches_fcs(config_path, tmp_path):
     out_f = tmp_path / "f"
     out_s = tmp_path / "s"

@@ -191,6 +191,17 @@ class TestSizeGuard:
             parse_config(self._chain_config(tmp_path, 4))
 
 
+    def test_library_chain_refused_without_allocating(self, no_kron):
+        with pytest.raises(ValueError, match=r"n=12 gives d = 8192 .*12\.0 GiB .*4 GiB budget"):
+            chain_scenario(12)
+
+    def test_library_chain_budget_is_the_boundary(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "MEMORY_BUDGET_BYTES", scenarios.DENSE_MATRICES * 16 * 16**2)
+        assert chain_scenario(3).dim == 16
+        with pytest.raises(ValueError, match="n=4 gives d = 32"):
+            chain_scenario(4)
+
+
 class TestPresets:
     @pytest.mark.parametrize("name", ["qubit_qubit", "qubit_chain3", "qutrit_chain2"])
     def test_presets_build(self, name):
