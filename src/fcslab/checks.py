@@ -320,12 +320,12 @@ def suite_fcs(scn: Scenario, seed: int = 0, t: float = 1.0, quad_tol: float = DE
 
     out.append(_result("probability_mass", abs(mu_modular.mass - 1.0), 1e-10))
 
-    out.append(_result("mean_identity", fcsmod.mean_identity_check(scn, t, quad_tol, data=data), quad_tol + 1e-8))
+    dq_flux = delta_q_flux(scn, t, quad_tol)  # shared by mean_identity and flux_vs_direct
+    out.append(_result("mean_identity", fcsmod.mean_identity_check(scn, t, quad_tol, data=data, dq_res=dq_flux[1]), quad_tol + 1e-8))
 
     out.append(_result("exchange_balance", balance_check(scn, t), 1e-10 * scn.energy_scale))
 
     dq_direct = delta_q_direct(scn, t)
-    dq_flux = delta_q_flux(scn, t, quad_tol)
     out.append(_result("flux_vs_direct",
                        max(abs(dq_direct[0] - dq_flux[0]), abs(dq_direct[1] - dq_flux[1])),
                        quad_tol + 1e-10))

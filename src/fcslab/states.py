@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # noqa: F401 - numpy loads it lazily; load it with the package, not in a command's first draw
 
 from .linalg import (
     assert_hermitian,

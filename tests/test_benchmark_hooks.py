@@ -41,3 +41,11 @@ def test_from_points_is_classmethod_with_weights():
 def test_counted_integrators_are_module_attributes():
     for layer, name in load_tracer().INTEGRATORS:
         assert callable(getattr(importlib.import_module(f"fcslab.{layer}"), name))
+
+
+def test_counted_integrators_are_distinct_objects():
+    # The tracer replaces every binding of each integrator; one shared object
+    # would count each integral's evaluations under both names.
+    found = [getattr(importlib.import_module(f"fcslab.{layer}"), name)
+             for layer, name in load_tracer().INTEGRATORS]
+    assert len({id(f) for f in found}) == len(found)
