@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fcs as fcsmod
-from .checks import run_suites
+from .checks import SUITE_BUILDERS, run_suites
 from .dynamics import QuadratureError, balance_check, delta_q_direct
 from .scenarios import ConfigError, parse_config
 
@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run identity-check suites")
     p_ver.add_argument("--config", required=True)
     p_ver.add_argument("--suite", default="all",
-                       choices=["all", "operator", "states", "modular", "fcs"])
+                       choices=["all", *SUITE_BUILDERS])
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--out-dir", default=None)
     p_ver.set_defaults(func=cmd_verify)

@@ -186,6 +186,11 @@ class Scenario:
         return Scenario(self.h_sys, self.h_res, self.v, lam, self.beta, self.rho_sys)
 
     @cached_property
+    def flux(self) -> "FluxObservables":
+        """:func:`flux_observables` of this scenario, built once."""
+        return flux_observables(self)
+
+    @cached_property
     def energy_scale(self) -> float:
         return max(1.0, op_norm(self.h_free) + abs(self.lam) * op_norm(self.v))
 
@@ -240,23 +245,24 @@ def quad(f, a: float, b: float, epsabs: float, epsrel: float, limit: int = 10000
     return gauss_kronrod(f, a, b, epsabs, epsrel, limit)
 
 
-def _quad_expect_flux(scn: Scenario, phi: np.ndarray, t: float, quad_tol: float) -> float:
+def check_flux_error(err: float, quad_tol: float) -> None:
+    """QuadratureError unless a flux integral's error is within quad_tol; NaN fails."""
+    if not err <= quad_tol + 1e-14:
+        raise QuadratureError(f"flux-integral quadrature error {err:.3e} > {quad_tol:.3e}", err)
+
+
+def _quad_expect_flux(scn: Scenario, rho_c: np.ndarray, phi: np.ndarray, t: float, quad_tol: float) -> float:
     """Integral of <tau^s(phi)> over [0, t].  In the coupled eigenbasis v, with
-    e(s) = e^{isw}, the integrand is e(s)^T M e(-s), M = (v* rho v)^T . (v* phi v)
-    entrywise: O(d^2) per evaluation."""
-    if t == 0.0:
-        return 0.0
+    e(s) = e^{isw}, the integrand is e(s)^T M e(-s), M = rho_c . (v* phi v)
+    entrywise, rho_c = (v* rho v)^T: O(d^2) per evaluation."""
     w, v = scn._eig_coupled
-    m = (dagger(v) @ scn.rho_init @ v).T * (dagger(v) @ phi @ v)
+    m = rho_c * (dagger(v) @ phi @ v)
 
     def integrand(s: float) -> float:
         return float((np.exp(1j * s * w) @ m @ np.exp(-1j * s * w)).real)
 
     val, err = quad(integrand, 0.0, t, epsabs=quad_tol, epsrel=1e-13, limit=400)
-    if not err <= quad_tol + 1e-14:  # a NaN error fails too
-        raise QuadratureError(
-            f"flux integral reached absolute error {err:.3e} > {quad_tol:.3e}", err
-        )
+    check_flux_error(err, quad_tol)
     return float(val)
 
 
@@ -272,9 +278,12 @@ def delta_q_flux(
     """
     if quad_tol <= 0:
         raise ValueError("quad_tol must be positive")
-    fl = flux_observables(scn)
-    dq_s = -_quad_expect_flux(scn, fl.phi_sys, t, quad_tol)
-    dq_r = _quad_expect_flux(scn, fl.phi_res, t, quad_tol)
+    if t == 0.0:
+        return 0.0, 0.0
+    v = scn._eig_coupled[1]
+    rho_c = (dagger(v) @ scn.rho_init @ v).T
+    dq_s = -_quad_expect_flux(scn, rho_c, scn.flux.phi_sys, t, quad_tol)
+    dq_r = _quad_expect_flux(scn, rho_c, scn.flux.phi_res, t, quad_tol)
     return dq_s, dq_r
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import DEFAULT_QUAD_TOL, QuadratureError, Scenario, delta_q_flux, flux_observables
+from .dynamics import DEFAULT_QUAD_TOL, QuadratureError, Scenario, check_flux_error, delta_q_flux
 from .linalg import dagger, eig_hermitian, eigenvalue_clusters, gauss_kronrod, hs_inner, positive_sqrt, tensor
 from .modular import (
     initial_vector,
@@ -29,6 +29,8 @@ from .modular import (
 from .states import MERGE_TOL, AtomicMeasure
 
 N_MOMENTS = 4
+# Largest accepted gap between the atom and contour routes to the moments.
+MOMENT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -283,15 +285,12 @@ def operator_balance_check(
         # integrated in the coupled eigenbasis, rotated back once.  The quadrature's
         # Frobenius error norm does not change under the rotation.
         w, v = scn._eig_coupled
-        phi_c = dagger(v) @ flux_observables(scn).phi_res @ v
+        phi_c = dagger(v) @ scn.flux.phi_res @ v
         flux_c, err = quad_vec(
             lambda s: np.outer(np.exp(1j * s * w), np.exp(-1j * s * w)) * phi_c,
             0.0, t, epsabs=quad_tol, epsrel=1e-13,
         )
-        if not err <= quad_tol + 1e-14:  # a NaN error fails too
-            raise QuadratureError(
-                f"flux-integral quadrature error {err:.3e} > {quad_tol:.3e}", err
-            )
+        check_flux_error(err, quad_tol)
         flux_int = v @ flux_c @ dagger(v)
     return float(np.max(np.abs(log_flowed - log_static - scn.beta * flux_int)))
 
@@ -477,7 +476,7 @@ def limit_sweep(
     lam_grid: np.ndarray,
     gamma_grid: np.ndarray | None = None,
     workers: int = 1,
-    moment_tol: float = 1e-6,
+    moment_tol: float = MOMENT_TOL,
 ) -> SweepResult:
     """Sweep the FCS over a (lam, t) grid against the decoupled limit law.
 

@@ -99,10 +99,6 @@ class SpectralDecomposition:
     projectors: list = field(repr=False)
     multiplicities: np.ndarray = field(repr=False)
 
-    @property
-    def dim(self) -> int:
-        return self.projectors[0].shape[0]
-
     def reconstruct(self) -> np.ndarray:
         """Sum of eigenvalue * projector."""
         out = np.zeros_like(self.projectors[0])
@@ -204,31 +200,6 @@ def abs_op(a: np.ndarray) -> np.ndarray:
     """Operator absolute value sqrt(a* a)."""
     assert_square(a)
     return positive_sqrt(dagger(a) @ a)
-
-
-def herm_power(a: np.ndarray, alpha: complex, rank_tol: float = 0.0) -> np.ndarray:
-    """Principal fractional power of a positive semidefinite matrix.
-
-    Zero eigenvalues are mapped to zero, which is only valid for
-    Re(alpha) > 0; powers with Re(alpha) <= 0 of a singular matrix raise
-    RankDeficientError.  ``rank_tol`` treats eigenvalues at or below it as
-    zero.
-    """
-    assert_square(a)
-    assert_hermitian(a)
-    w, v = np.linalg.eigh(a)
-    scale = max(abs(w[-1]), 1e-300)
-    if w[0] < -POSITIVITY_RTOL * scale:
-        raise NotPositiveError(f"matrix is not positive: eigenvalue {w[0]:.6e}")
-    w = np.clip(w, 0.0, None)
-    zero = w <= rank_tol
-    if np.any(zero) and alpha.real <= 0:
-        raise RankDeficientError(
-            f"power {alpha} of a singular matrix (min eigenvalue {w[0]:.3e})"
-        )
-    powered = np.zeros(len(w), dtype=complex)
-    powered[~zero] = w[~zero].astype(complex) ** alpha
-    return (v * powered) @ dagger(v)
 
 
 def expm_hermitian(h: np.ndarray, z: complex = 1.0) -> np.ndarray:

@@ -22,11 +22,11 @@ import numpy as np
 
 from .dynamics import Scenario, exact_cocycle
 from .linalg import (
+    NotPositiveError,
     RankDeficientError,
     assert_hermitian,
     assert_square,
     dagger,
-    herm_power,
     hs_inner,
     hs_norm,
     is_hermitian,
@@ -58,82 +58,20 @@ def standard_gns(rho: np.ndarray) -> tuple[Callable, np.ndarray]:
     return left_mult, omega
 
 
-@dataclass(frozen=True, eq=False)
-class ModularStructure:
-    """Modular data of a full-rank positive reference in the standard rep.
+def _weight_power(eig: tuple[np.ndarray, np.ndarray], alpha: complex) -> np.ndarray:
+    """Principal power (v * w^alpha) v* of a weight from its eigh (w, v).
 
-    Actions: conjugation J X = X*, modular operator Delta X = r X r^(-1),
-    fractional powers Delta^a X = r^a X r^(-a), the star operator
-    S = J Delta^(1/2) (sending A Omega to A* Omega), and the commutant star
-    operator F = J Delta^(-1/2), which acts as X -> r^(1/2) X* r^(-1/2).
+    Eigenvalues at or below RANK_TOL, negative roundoff included, map to
+    zero, which is only valid for Re(alpha) > 0: other powers of a singular
+    weight raise RankDeficientError.
     """
-
-    rho_ref: np.ndarray
-
-    @cached_property
-    def _eig(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self.rho_ref)
-
-    @cached_property
-    def omega(self) -> np.ndarray:
-        """Reference vector rho_ref^(1/2)."""
-        return positive_sqrt(self.rho_ref)
-
-    @cached_property
-    def _inv(self) -> np.ndarray:
-        return np.linalg.inv(self.rho_ref)
-
-    @cached_property
-    def _half_powers(self) -> dict:
-        """rho_ref^(+-1/2), which star and commutant_star reuse; no other power
-        is kept.  They are handed to every caller, so they are read-only."""
-        powers = {alpha: self._power(alpha) for alpha in (0.5, -0.5)}
-        for p in powers.values():
-            p.setflags(write=False)
-        return powers
-
-    def _power(self, alpha: complex) -> np.ndarray:
-        w, v = self._eig
-        return (v * (w.astype(complex) ** alpha)) @ dagger(v)
-
-    def ref_power(self, alpha: complex) -> np.ndarray:
-        """Principal power rho_ref^alpha as a matrix."""
-        return self._half_powers[alpha] if alpha in (0.5, -0.5) else self._power(alpha)
-
-    def conjugation(self, x: np.ndarray) -> np.ndarray:
-        """Modular conjugation J: the adjoint map (antiunitary, J^2 = 1)."""
-        return dagger(x)
-
-    def delta(self, x: np.ndarray) -> np.ndarray:
-        return self.rho_ref @ x @ self._inv
-
-    def delta_power(self, alpha: complex, x: np.ndarray) -> np.ndarray:
-        """Delta^alpha X = r^alpha X r^(-alpha) through the eigenbasis."""
-        return self.ref_power(alpha) @ x @ self.ref_power(-alpha)
-
-    def star(self, x: np.ndarray) -> np.ndarray:
-        """S = J Delta^(1/2): maps A Omega to A* Omega."""
-        return self.conjugation(self.delta_power(0.5, x))
-
-    def commutant_star(self, x: np.ndarray) -> np.ndarray:
-        """F = J Delta^(-1/2): acts as X -> r^(1/2) X* r^(-1/2)."""
-        return self.conjugation(self.delta_power(-0.5, x))
-
-
-def modular_pair(rho_ref: np.ndarray, rank_tol: float = RANK_TOL) -> ModularStructure:
-    """Modular structure of a full-rank positive reference.
-
-    A rank-deficient reference has no separating vector and is rejected (no
-    silent regularization: an epsilon floor would corrupt FCS atoms).
-    """
-    assert_square(rho_ref)
-    assert_hermitian(rho_ref, name="reference")
-    w = np.linalg.eigvalsh(rho_ref)
-    if w[0] <= rank_tol:
-        raise RankDeficientError(
-            f"reference is not full rank: min eigenvalue {w[0]:.3e} <= {rank_tol:.1e}"
-        )
-    return ModularStructure(rho_ref=rho_ref)
+    w, v = eig
+    zero = w <= RANK_TOL
+    if np.any(zero) and alpha.real <= 0:
+        raise RankDeficientError(f"power {alpha} of a singular weight (min eigenvalue {w[0]:.3e})")
+    powered = np.zeros(len(w), dtype=complex)
+    powered[~zero] = w[~zero].astype(complex) ** alpha
+    return (v * powered) @ dagger(v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,13 +82,21 @@ class RelativeModular:
     with fractional powers X -> rho_eta^a X rho_omega^(-a); positive and
     self-adjoint in the trace inner product.  ``rho_eta`` may be a
     non-normalized weight and may be rank deficient (powers then require
-    Re a > 0); ``rho_omega`` must be full rank.  For eta = omega this reduces
-    to the plain modular operator.
+    Re a > 0); ``rho_omega`` must be full rank.  Each weight is diagonalized
+    once, on first use.  For eta = omega this is the modular operator, see
+    :class:`ModularStructure`.
     """
 
     rho_eta: np.ndarray
     rho_omega: np.ndarray
-    rank_tol: float = RANK_TOL
+
+    @cached_property
+    def _eig_eta(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(self.rho_eta)
+
+    @cached_property
+    def _eig_omega(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._eig_eta if self.rho_omega is self.rho_eta else np.linalg.eigh(self.rho_omega)
 
     @cached_property
     def _inv_omega(self) -> np.ndarray:
@@ -162,34 +108,94 @@ class RelativeModular:
     def power(self, alpha: complex, x: np.ndarray) -> np.ndarray:
         if alpha == 0:
             return x.copy()
-        left = herm_power(self.rho_eta, alpha, rank_tol=self.rank_tol)
-        right = herm_power(self.rho_omega, -alpha, rank_tol=0.0)
-        return left @ x @ right
+        return _weight_power(self._eig_eta, alpha) @ x @ _weight_power(self._eig_omega, -alpha)
 
 
-def relative_modular(
-    rho_eta: np.ndarray, rho_omega: np.ndarray, rank_tol: float = RANK_TOL
-) -> RelativeModular:
+@dataclass(frozen=True, eq=False, init=False)
+class ModularStructure(RelativeModular):
+    """Modular data of a full-rank positive reference in the standard rep:
+    the relative modular operator with eta = omega = ``rho_ref``.
+
+    Actions: conjugation J X = X*, modular operator Delta X = r X r^(-1),
+    fractional powers Delta^a X = r^a X r^(-a), the star operator
+    S = J Delta^(1/2) (sending A Omega to A* Omega), and the commutant star
+    operator F = J Delta^(-1/2), which acts as X -> r^(1/2) X* r^(-1/2).
+    """
+
+    def __init__(self, rho_ref: np.ndarray):
+        super().__init__(rho_eta=rho_ref, rho_omega=rho_ref)
+
+    @property
+    def rho_ref(self) -> np.ndarray:
+        return self.rho_eta
+
+    @property
+    def omega(self) -> np.ndarray:
+        """Reference vector rho_ref^(1/2)."""
+        return self.ref_power(0.5)
+
+    @cached_property
+    def _half_powers(self) -> dict:
+        """rho_ref^(+-1/2), which star and commutant_star reuse; no other power
+        is kept.  They are handed to every caller, so they are read-only."""
+        powers = {alpha: _weight_power(self._eig_eta, alpha) for alpha in (0.5, -0.5)}
+        for p in powers.values():
+            p.setflags(write=False)
+        return powers
+
+    def ref_power(self, alpha: complex) -> np.ndarray:
+        """Principal power rho_ref^alpha as a matrix."""
+        return self._half_powers[alpha] if alpha in (0.5, -0.5) else _weight_power(self._eig_eta, alpha)
+
+    def conjugation(self, x: np.ndarray) -> np.ndarray:
+        """Modular conjugation J: the adjoint map (antiunitary, J^2 = 1)."""
+        return dagger(x)
+
+    delta = RelativeModular.apply
+
+    def delta_power(self, alpha: complex, x: np.ndarray) -> np.ndarray:
+        """Delta^alpha X = r^alpha X r^(-alpha), the half powers from the cache."""
+        return self.ref_power(alpha) @ x @ self.ref_power(-alpha)
+
+    def star(self, x: np.ndarray) -> np.ndarray:
+        """S = J Delta^(1/2): maps A Omega to A* Omega."""
+        return self.conjugation(self.delta_power(0.5, x))
+
+    def commutant_star(self, x: np.ndarray) -> np.ndarray:
+        """F = J Delta^(-1/2): acts as X -> r^(1/2) X* r^(-1/2)."""
+        return self.conjugation(self.delta_power(-0.5, x))
+
+
+def _validated(rel: RelativeModular, eta: str, omega: str) -> RelativeModular:
+    """``rel`` once both weights are square and Hermitian, eta is positive and omega
+    is full rank, read from each weight's one eigh.  A rank-deficient omega has no
+    separating vector; an epsilon floor in its place would corrupt FCS atoms."""
+    for a, name in ((rel.rho_eta, eta), (rel.rho_omega, omega)):
+        assert_square(a, name)
+        assert_hermitian(a, name=name)
+    if rel.rho_eta.shape != rel.rho_omega.shape:
+        raise ValueError("weight dimensions differ")
+    w = rel._eig_eta[0][0]
+    if w < -RANK_TOL:
+        raise NotPositiveError(f"{eta} is not positive: eigenvalue {w:.3e}")
+    w = rel._eig_omega[0][0]
+    if w <= RANK_TOL:
+        raise RankDeficientError(f"{omega} is not full rank: min eigenvalue {w:.3e} <= {RANK_TOL:.1e}")
+    return rel
+
+
+def modular_pair(rho_ref: np.ndarray) -> ModularStructure:
+    """Modular structure of a full-rank positive reference."""
+    return _validated(ModularStructure(rho_ref), "reference", "reference")
+
+
+def relative_modular(rho_eta: np.ndarray, rho_omega: np.ndarray) -> RelativeModular:
     """Relative modular operator for a weight eta against a full-rank omega.
 
     Satisfies the Radon-Nikodym property
     <Omega_omega, Delta_rel pi(A) Omega_omega> = tr(rho_eta A).
     """
-    assert_square(rho_eta)
-    assert_square(rho_omega)
-    assert_hermitian(rho_eta, name="rho_eta")
-    assert_hermitian(rho_omega, name="rho_omega")
-    if rho_eta.shape != rho_omega.shape:
-        raise ValueError("weight dimensions differ")
-    we = np.linalg.eigvalsh(rho_eta)
-    if we[0] < -RANK_TOL:
-        raise ValueError(f"rho_eta is not positive: eigenvalue {we[0]:.3e}")
-    wo = np.linalg.eigvalsh(rho_omega)
-    if wo[0] <= rank_tol:
-        raise RankDeficientError(
-            f"rho_omega is not full rank: min eigenvalue {wo[0]:.3e} <= {rank_tol:.1e}"
-        )
-    return RelativeModular(rho_eta=rho_eta, rho_omega=rho_omega, rank_tol=rank_tol)
+    return _validated(RelativeModular(rho_eta=rho_eta, rho_omega=rho_omega), "rho_eta", "rho_omega")
 
 
 def cone_membership(x: np.ndarray, tol: float = 1e-10) -> bool:
@@ -342,7 +348,6 @@ def mixing_diagnostic(
     for _ in range(n_vectors):
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         vecs.append(g / hs_norm(g))
-    lv = liouvilleans(scn)
     omega_lam = perturbed_gibbs_vector(scn)
     times = (
         np.array([window[0]])
@@ -351,7 +356,8 @@ def mixing_diagnostic(
     )
     avg = np.zeros((n_vectors, n_vectors), dtype=complex)
     for t in times:
-        evolved = [lv.exp_coupled(t, x) for x in vecs]
+        u = scn.unitary_coupled(t)  # Liouvilleans.exp_coupled, one U(t) for all vectors
+        evolved = [u @ x @ dagger(u) for x in vecs]
         for j, ex in enumerate(evolved):
             for i, xi in enumerate(vecs):
                 avg[i, j] += hs_inner(xi, ex)

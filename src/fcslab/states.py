@@ -164,10 +164,6 @@ class VariationalReport:
     equality_gap: float
     trials: int
 
-    @property
-    def passed(self) -> bool:
-        return self.max_violation <= 1e-10 and abs(self.equality_gap) <= 1e-10
-
 
 def gibbs_variational_check(
     h: np.ndarray, beta: float, trials: int, rng_seed: int = 0

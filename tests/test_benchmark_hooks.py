@@ -6,9 +6,11 @@ tracer, and checked against the library."""
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -49,3 +51,19 @@ def test_counted_integrators_are_distinct_objects():
     found = [getattr(importlib.import_module(f"fcslab.{layer}"), name)
              for layer, name in load_tracer().INTEGRATORS]
     assert len({id(f) for f in found}) == len(found)
+
+
+def test_benchmarked_spans_name_traced_callables():
+    # A per-layer metric "<layer>.<name>.<stat>" reads the span of a public
+    # function of fcslab.<layer> or of a traced method; deleting or renaming
+    # it would leave the metric silently empty.
+    tracer = load_tracer()
+    methods = {(layer, name) for (layer, _), names in tracer.METHODS.items() for name in names}
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    spans = [m["name"].split(".")[:2] for m in metrics if m["name"].split(".")[0] in tracer.LAYERS]
+    assert spans
+    for layer, name in spans:
+        mod = importlib.import_module(f"fcslab.{layer}")
+        fn = getattr(mod, name, None)
+        public = inspect.isfunction(fn) and fn.__module__ == mod.__name__ and not name.startswith("_")
+        assert public or (layer, name) in methods, f"{layer}.{name}"

@@ -54,6 +54,16 @@ def test_verify_suite_selector(config_path, tmp_path):
     assert "cstar_identity" not in names  # operator suite not run
 
 
+def test_suite_names_come_from_the_builders(config_path, capsys):
+    from fcslab.checks import run_suites
+    from fcslab.scenarios import parse_config
+
+    assert main(["verify", "--config", config_path, "--suite", "bogus"]) == 2
+    assert "'all', 'operator', 'states', 'modular', 'fcs'" in capsys.readouterr().err
+    with pytest.raises(ValueError, match=r"unknown suite 'bogus'; options: \('all', 'operator', 'states', 'modular', 'fcs'\)"):
+        run_suites(parse_config(config_path).scenario, "bogus")
+
+
 def test_fcs_uncoupled_single_rows(tmp_path):
     cfg = preset_config("qubit_qubit")
     cfg["coupling"]["lambda"] = 0.0

@@ -15,7 +15,6 @@ from fcslab.linalg import (
     eigenvalue_clusters,
     expm_hermitian,
     func_calc,
-    herm_power,
     hs_norm,
     is_hermitian,
     norm_spectral_check,
@@ -24,7 +23,7 @@ from fcslab.linalg import (
     positive_sqrt,
     tensor,
 )
-from fcslab.modular import cone_membership
+from fcslab.modular import cone_membership, relative_modular
 from fcslab.states import random_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -226,14 +225,14 @@ class TestExpPow:
     def test_fractional_power_roundtrip(self, rng):
         g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         a = g @ dagger(g) + 0.1 * np.eye(3)
-        half = herm_power(a, 0.5)
+        half = relative_modular(a, np.eye(3)).power(0.5, np.eye(3))
         assert op_norm(half @ half - a) <= 1e-10 * op_norm(a)
 
     def test_singular_inverse_power_rejected(self):
         from fcslab.linalg import RankDeficientError
 
         with pytest.raises(RankDeficientError):
-            herm_power(np.diag([0.0, 1.0]).astype(complex), -0.5)
+            relative_modular(np.diag([0.0, 1.0]).astype(complex), np.eye(2)).power(-0.5, np.eye(2))
 
 
 # -- the Hermiticity rule against the two-SVD reference -------------------------

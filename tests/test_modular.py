@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fcslab.linalg import (
+    NotPositiveError,
     RankDeficientError,
     dagger,
     hs_inner,
@@ -10,6 +11,7 @@ from fcslab.linalg import (
     tensor,
 )
 from fcslab.modular import (
+    RelativeModular,
     cone_membership,
     equilibrium_vector,
     evolved_reservoir_weight,
@@ -157,6 +159,31 @@ class TestRelativeModular:
     def test_rejects_singular_denominator(self, rng):
         with pytest.raises(RankDeficientError):
             relative_modular(random_density(2, rng), np.diag([1.0, 0.0]).astype(complex))
+
+    def test_rejects_non_positive_weight(self):
+        with pytest.raises(NotPositiveError, match="rho_eta"):
+            relative_modular(np.diag([1.0, -0.5]).astype(complex), np.eye(2))
+
+    def test_modular_structure_is_the_case_eta_equals_omega(self, rng):
+        ms = modular_pair(random_density(4, rng))
+        assert isinstance(ms, RelativeModular)
+        assert ms.rho_eta is ms.rho_omega is ms.rho_ref
+        x = rand_mat(rng, 4)
+        assert np.array_equal(ms.delta(x), ms.apply(x))
+        for alpha in (0.5, -0.5, 0.3j, 1.2 - 0.7j):
+            assert np.array_equal(ms.delta_power(alpha, x), ms.power(alpha, x))
+
+    def test_each_weight_diagonalized_once(self, rng, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        x = rand_mat(rng, 3)
+        ms = modular_pair(random_density(3, rng))
+        ms.power(0.3, x), ms.delta_power(0.7j, x), ms.star(x), ms.omega
+        assert len(calls) == 1
+        rel = relative_modular(random_density(3, rng), random_density(3, rng))
+        rel.power(0.3, x), rel.power(-1.1j, x)
+        assert len(calls) == 3
 
 
 class TestNaturalCone:
