@@ -13,6 +13,8 @@ from .linalg import (
     assert_hermitian,
     assert_square,
     dagger,
+    eigh_blocks,
+    exp_complex,
     expm,
     expm_hermitian,
     gauss_kronrod,
@@ -143,7 +145,8 @@ class Scenario:
 
     @cached_property
     def _eig_coupled(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self.h_coupled)
+        """eigh of H_coupled, one invariant block at a time (``linalg.eigh_blocks``)."""
+        return eigh_blocks(self.h_coupled)
 
     @cached_property
     def _eig_free(self) -> tuple[np.ndarray, np.ndarray]:
@@ -160,17 +163,17 @@ class Scenario:
     def unitary_coupled(self, t: float) -> np.ndarray:
         """exp(i t H_coupled)."""
         w, u = self._eig_coupled
-        return (u * np.exp(1j * t * w)) @ dagger(u)
+        return (u * exp_complex(1j * t * w)) @ dagger(u)
 
     def unitary_in_free_basis(self, t: float) -> np.ndarray:
         """exp(i t H_coupled) in the free product eigenbasis: one d x d product."""
         a = self._eig_coupled_free_basis
-        return (a * np.exp(1j * t * self._eig_coupled[0])) @ dagger(a)
+        return (a * exp_complex(1j * t * self._eig_coupled[0])) @ dagger(a)
 
     def unitary_free(self, t: float) -> np.ndarray:
         """exp(i t H_free)."""
         w, u = self._eig_free
-        return (u * np.exp(1j * t * w)) @ dagger(u)
+        return (u * exp_complex(1j * t * w)) @ dagger(u)
 
     def evolve(self, a: np.ndarray, t: float) -> np.ndarray:
         """Coupled Heisenberg evolution e^{itH} a e^{-itH}."""
@@ -259,7 +262,7 @@ def _quad_expect_flux(scn: Scenario, rho_c: np.ndarray, phi: np.ndarray, t: floa
     m = rho_c * (dagger(v) @ phi @ v)
 
     def integrand(s: float) -> float:
-        return float((np.exp(1j * s * w) @ m @ np.exp(-1j * s * w)).real)
+        return float((exp_complex(1j * s * w) @ m @ exp_complex(-1j * s * w)).real)
 
     val, err = quad(integrand, 0.0, t, epsabs=quad_tol, epsrel=1e-13, limit=400)
     check_flux_error(err, quad_tol)
@@ -355,7 +358,7 @@ def dyson_cocycle(
         raise QuadratureError(
             f"cocycle error estimate {est:.3e} > {quad_tol:.3e}", est
         )
-    nodes = np.exp(2j * np.pi * np.arange(n_nodes) / n_nodes)
+    nodes = exp_complex(2j * np.pi * np.arange(n_nodes) / n_nodes)
     weights = (nodes[:, None] ** -np.arange(order + 1)).sum(axis=1) / n_nodes
     total = np.zeros((scn.dim, scn.dim), dtype=complex)
     for z, wgt in zip(nodes, weights):

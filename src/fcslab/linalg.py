@@ -61,6 +61,24 @@ def hs_inner(x: np.ndarray, y: np.ndarray) -> complex:
     return complex(np.vdot(x, y))
 
 
+def exp_complex(z) -> np.ndarray:
+    """exp(z) elementwise, as np.exp gives it.  Complex z is computed as
+    exp(Re z) (cos Im z + i sin Im z), written into the real and imaginary
+    views of the result: numpy's complex exp calls libm's cexp, which runs
+    many times slower after any AVX matrix product.  Real z goes to np.exp.
+    For finite results only: exp(Re z) = inf times a zero sine gives NaN."""
+    z = np.asarray(z)
+    if not np.iscomplexobj(z):
+        return np.exp(z)
+    out = np.empty(z.shape, dtype=complex)
+    np.cos(z.imag, out=out.real)
+    np.sin(z.imag, out=out.imag)
+    r = np.exp(z.real)
+    out.real *= r
+    out.imag *= r
+    return out
+
+
 def is_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
     """Whether ||a - a*|| <= rtol * max(1, ||a||) in the operator norm.
 
@@ -162,6 +180,51 @@ def eig_hermitian(a: np.ndarray, cluster_tol: float | None = None) -> SpectralDe
     )
 
 
+def _components(mask: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of the graph whose adjacency is
+    the symmetrized boolean matrix ``mask``, in order of their smallest index,
+    by breadth-first search over whole frontiers."""
+    adj = mask | mask.T
+    label = np.full(len(adj), -1)
+    blocks = []
+    while (unseen := np.flatnonzero(label < 0)).size:
+        frontier = unseen[:1]
+        label[frontier] = len(blocks)
+        while frontier.size:
+            frontier = np.flatnonzero(adj[frontier].any(axis=0) & (label < 0))
+            label[frontier] = len(blocks)
+        blocks.append(np.flatnonzero(label == len(blocks)))
+    return blocks
+
+
+def eigh_blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(a)`` of a Hermitian matrix, one invariant block at a time.
+
+    The blocks are the connected components of the nonzero pattern of ``a``;
+    each is diagonalized by its own ``np.linalg.eigh`` (a conserved quantity
+    such as a spin-chain parity splits d^3 work into a sum of block cubes).
+    Eigenvalues come out ascending (stable sort, so ties keep block order)
+    and each eigenvector is exactly zero outside its block.  A single block
+    returns ``np.linalg.eigh(a)`` itself.  A non-finite entry raises
+    LinAlgError, which eigh alone does only for some inputs.
+    """
+    assert_square(a)
+    if not np.all(np.isfinite(a)):
+        raise np.linalg.LinAlgError("matrix to diagonalize has a non-finite entry")
+    blocks = _components(a != 0)
+    if len(blocks) == 1:
+        return np.linalg.eigh(a)
+    w = np.empty(len(a))
+    v = np.zeros(a.shape, dtype=np.result_type(a.dtype, float))
+    col = 0
+    for idx in blocks:
+        cols = np.arange(col, col + len(idx))
+        w[cols], v[np.ix_(idx, cols)] = np.linalg.eigh(a[np.ix_(idx, idx)])
+        col += len(idx)
+    order = np.argsort(w, kind="stable")
+    return w[order], v[:, order]
+
+
 def func_calc(
     a: np.ndarray,
     f: Callable[[float], complex],
@@ -210,7 +273,7 @@ def expm_hermitian(h: np.ndarray, z: complex = 1.0) -> np.ndarray:
     assert_square(h)
     assert_hermitian(h)
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(z * w)) @ dagger(v)
+    return (v * exp_complex(z * w)) @ dagger(v)
 
 
 # Degree-13 Pade coefficients and the 1-norm up to which they meet unit

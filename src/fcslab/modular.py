@@ -27,6 +27,7 @@ from .linalg import (
     assert_hermitian,
     assert_square,
     dagger,
+    exp_complex,
     hs_inner,
     hs_norm,
     is_hermitian,
@@ -266,11 +267,16 @@ class Liouvilleans:
     def exp_coupled(self, t: float, x: np.ndarray) -> np.ndarray:
         return self.scn.evolve(x, t)
 
+    def half_factors(self, s: float) -> tuple[np.ndarray, np.ndarray]:
+        """(e^{isH_coupled}, 1 (x) e^{-isH_R}), the two factors of e^{is half}."""
+        w, v = self.scn._eig_res
+        right = tensor(np.eye(self.scn.dim_sys), (v * exp_complex(-1j * s * w)) @ dagger(v))
+        return self.scn.unitary_coupled(s), right
+
     def exp_half(self, s: float, x: np.ndarray) -> np.ndarray:
         """e^{is half} X = e^{isH_coupled} X e^{-is (1 (x) H_R)}."""
-        w, v = self.scn._eig_res
-        right = tensor(np.eye(self.scn.dim_sys), (v * np.exp(-1j * s * w)) @ dagger(v))
-        return self.scn.unitary_coupled(s) @ x @ right
+        left, right = self.half_factors(s)
+        return left @ x @ right
 
     def coupled_decomposed(self, x: np.ndarray) -> np.ndarray:
         """free + lam pi(V) - lam J pi(V) J, for the identity check."""

@@ -15,6 +15,7 @@ from .linalg import (
     cluster_starts,
     dagger,
     eig_hermitian,
+    exp_complex,
     expm_hermitian,
     op_norm,
 )
@@ -124,7 +125,7 @@ class AtomicMeasure:
     def char(self, gamma: np.ndarray | float) -> np.ndarray | complex:
         """Characteristic function: sum of w * exp(i gamma x)."""
         gamma = np.asarray(gamma, dtype=float)
-        vals = np.exp(1j * np.multiply.outer(gamma, self.locations)) @ self.weights
+        vals = exp_complex(1j * np.multiply.outer(gamma, self.locations)) @ self.weights
         return complex(vals) if vals.ndim == 0 else vals
 
     def integrate(self, f) -> complex:

@@ -194,3 +194,39 @@ def test_lapack_failure_exit_code(config_path, monkeypatch, capsys):
     assert main(["verify", "--config", config_path, "--suite", "fcs"]) == 3
     err = capsys.readouterr().err
     assert err == "numerical error: Eigenvalues did not converge\n"
+
+
+def test_non_finite_coupled_hamiltonian_exit_code(config_path, tmp_path, monkeypatch, capsys):
+    # eigh alone returns NaNs without raising for some such inputs; the block
+    # decomposition of H_coupled refuses them as a numerical failure
+    from fcslab.dynamics import Scenario
+
+    def poisoned(self):
+        h = self.h_free + self.lam * self.v
+        h[0, 0] = np.nan
+        return h
+
+    monkeypatch.setattr(Scenario, "h_coupled", property(poisoned))
+    assert main([
+        "sweep", "--config", config_path, "--t-grid", "0,1", "--lambda-grid", "0.2",
+        "--out-dir", str(tmp_path / "out"),
+    ]) == 3
+    assert capsys.readouterr().err == "numerical error: matrix to diagonalize has a non-finite entry\n"
+
+
+def test_sweep_worker_invariance_where_blas_threads(tmp_path):
+    # d = 256: OpenBLAS runs its products and eigh on several threads here,
+    # which the d <= 16 invariance tests never reach
+    cfg = preset_config("qubit_chain3")
+    cfg["reservoir"].update(n=7, disorder=0.3, seed=5)
+    path = tmp_path / "chain7.json"
+    path.write_text(json.dumps(cfg))
+    outs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert main([
+            "sweep", "--config", str(path), "--t-grid", "0,10",
+            "--lambda-grid", "0.1,0.2,0.3", "--workers", workers, "--out-dir", str(out),
+        ]) == 0
+        outs.append(((out / "sweep.csv").read_bytes(), (out / "verdict.json").read_bytes()))
+    assert outs[0] == outs[1]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad_vec
 
 from fcslab.checks import measure_distance, suite_fcs, two_time_reservoir_oracle
+from fcslab import dynamics
 from fcslab.dynamics import DEFAULT_QUAD_TOL, QuadratureError, Scenario, delta_q_direct
 from fcslab import fcs as fcsmod
 from fcslab.fcs import (
@@ -572,31 +573,54 @@ class TestLimitSweep:
             limit_sweep(qubit_qubit, np.array([]), np.array([0.1]))
 
 
+def count_diagonalizations(monkeypatch):
+    """(shapes passed to np.linalg.eigh outside the coupled block decomposition,
+    shapes passed to that decomposition), filled as the code under test runs."""
+    eigh_shapes, block_shapes, inside = [], [], []
+    eigh, blocks = np.linalg.eigh, dynamics.eigh_blocks
+
+    def counting_eigh(a, *args, **kw):
+        if not inside:
+            eigh_shapes.append(np.shape(a))
+        return eigh(a, *args, **kw)
+
+    def counting_blocks(a):
+        block_shapes.append(np.shape(a))
+        inside.append(a)
+        try:
+            return blocks(a)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(dynamics, "eigh_blocks", counting_blocks)
+    return eigh_shapes, block_shapes
+
+
 class TestReservoirSpectrum:
     """The Scenario owns the one eigendecomposition of h_res and the one root
     of rho_res; every reservoir-side consumer reads them from it."""
 
     def test_sweep_diagonalizes_the_reservoir_once(self, monkeypatch):
         scn = chain_scenario(3)  # d_R = 8, d = 16
-        eigh_shapes, two_norm_shapes = [], []
-        eigh, norm = np.linalg.eigh, np.linalg.norm
-
-        def counting_eigh(a, *args, **kw):
-            eigh_shapes.append(np.shape(a))
-            return eigh(a, *args, **kw)
+        two_norm_shapes = []
+        norm = np.linalg.norm
 
         def counting_norm(x, ord=None, *args, **kw):
             if ord == 2:
                 two_norm_shapes.append(np.shape(x))
             return norm(x, ord, *args, **kw)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        eigh_shapes, block_shapes = count_diagonalizations(monkeypatch)
         monkeypatch.setattr(np.linalg, "norm", counting_norm)
         limit_sweep(scn, np.array([0.0, 1.0, 2.0]), np.array([0.2]))
         # eigh(h_res) only: the sweep reads the thermal populations from it
         # and needs no root of rho_res; no SVD of a reservoir-sized or joint
-        # matrix, because every Hermiticity check passes cheaply
+        # matrix, because every Hermiticity check passes cheaply.  The two
+        # (8, 8) parity blocks of H_coupled are counted apart, as one block
+        # decomposition of the joint matrix.
         assert eigh_shapes.count((8, 8)) == 1
+        assert block_shapes == [(16, 16)]
         assert [s for s in two_norm_shapes if s in ((8, 8), (16, 16))] == []
 
     @pytest.mark.parametrize("which", ["qubit_qubit", "chain3", "random"])
@@ -730,29 +754,25 @@ class TestFreeBasisWeights:
 
     def test_sweep_uses_one_coupled_eigh_per_lambda_and_no_unitary_coupled(self, monkeypatch):
         scn = chain_scenario(3)  # d = 16
-        joint_eighs, unitary_calls, free_basis_calls = [], [], []
-        eigh, unitary = np.linalg.eigh, Scenario.unitary_coupled
-        free_basis = Scenario.unitary_in_free_basis
+        unitary_calls, free_basis_calls = [], []
+        unitary, free_basis = Scenario.unitary_coupled, Scenario.unitary_in_free_basis
 
         def counting_free_basis(self, t):
             free_basis_calls.append(t)
             return free_basis(self, t)
 
-        def counting_eigh(a, *args, **kw):
-            if np.shape(a) == (16, 16):
-                joint_eighs.append(1)
-            return eigh(a, *args, **kw)
-
         def counting_unitary(self, t):
             unitary_calls.append(t)
             return unitary(self, t)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        eigh_shapes, block_shapes = count_diagonalizations(monkeypatch)
         monkeypatch.setattr(Scenario, "unitary_coupled", counting_unitary)
         monkeypatch.setattr(Scenario, "unitary_in_free_basis", counting_free_basis)
         limit_sweep(scn, np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.2, 0.3]))
+        # one coupled block decomposition per lambda and no joint eigh besides;
         # one U~(t) per cell feeds both weight sets
-        assert (len(joint_eighs), unitary_calls, free_basis_calls) == (3, [], [0.0, 1.0, 2.0] * 3)
+        assert block_shapes == [(16, 16)] * 3 and (16, 16) not in eigh_shapes
+        assert (unitary_calls, free_basis_calls) == ([], [0.0, 1.0, 2.0] * 3)
         two_time_reservoir_oracle(scn, 1.0)  # the independent route keeps U(t)
         assert unitary_calls == [1.0]
 
@@ -771,3 +791,23 @@ class TestSuiteFcsSharing:
         assert all(r.passed for r in results)
         # the shared (scn, t = 1) build, then the lam = 0 and t = 0 variants
         assert built == [(0.2, 1.0), (0.0, 1.0), (0.2, 0.0)]
+
+    def test_half_line_forms_each_propagator_once(self, monkeypatch):
+        from fcslab.linalg import hs_inner
+        from fcslab.modular import liouvilleans, reservoir_weight_vector
+
+        scn = chain_scenario(3, disorder=0.3, seed=2)
+        t, s = 1.5, 0.7
+        res = half_line_identity_check(scn, t, s)
+        # the route through exp_half and exp_coupled per variant, bitwise
+        lv = liouvilleans(scn)
+        ket = lv.exp_coupled(t, lv.exp_half(scn.beta * s, reservoir_weight_vector(scn)))
+        r_op = tensor(positive_sqrt(scn.rho_sys), np.eye(scn.dim_res))
+        bras = {"left_mult": lv.exp_half(scn.beta * s, r_op @ initial_vector(scn)),
+                "conjugated": lv.exp_half(scn.beta * s, (r_op @ initial_vector(scn).conj().T).conj().T)}
+        assert res.residuals == {name: abs(res.value - hs_inner(bra, ket)) for name, bra in bras.items()}
+        calls = []
+        unitary = Scenario.unitary_coupled
+        monkeypatch.setattr(Scenario, "unitary_coupled", lambda self, x: calls.append(x) or unitary(self, x))
+        half_line_identity_check(scn, t, s)
+        assert calls == [scn.beta * s, t]

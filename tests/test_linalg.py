@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from fcslab.linalg import (
     dagger,
     eig_hermitian,
     eigenvalue_clusters,
+    eigh_blocks,
+    exp_complex,
     expm_hermitian,
     func_calc,
     hs_norm,
@@ -24,6 +28,7 @@ from fcslab.linalg import (
     tensor,
 )
 from fcslab.modular import cone_membership, relative_modular
+from fcslab.scenarios import chain_scenario, parse_config
 from fcslab.states import random_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -81,6 +86,109 @@ class TestEigHermitian:
                 assert op_norm(p @ q) <= 1e-12
         assert op_norm(total - np.eye(6)) <= 1e-12
         assert op_norm(dec.reconstruct() - a) <= 1e-12 * op_norm(a)
+
+
+def permuted_block_diagonal(rng, eigenvalues, sizes):
+    """A random permutation of a block-diagonal Hermitian matrix with the given
+    block sizes and spectrum, and the index set of each block after the permutation."""
+    d = sum(sizes)
+    a = np.zeros((d, d), dtype=complex)
+    start = 0
+    for size in sizes:
+        q, _ = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+        a[start:start + size, start:start + size] = (q * eigenvalues[start:start + size]) @ dagger(q)
+        start += size
+    perm = rng.permutation(d)
+    inverse = np.argsort(perm)
+    starts = np.cumsum([0, *sizes])
+    blocks = [np.sort(inverse[lo:hi]) for lo, hi in zip(starts[:-1], starts[1:])]
+    return a[np.ix_(perm, perm)], blocks
+
+
+class TestEighBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(1, 5), min_size=1, max_size=5),
+        st.booleans(),
+    )
+    def test_decomposes_permuted_block_diagonal(self, seed, sizes, degenerate):
+        rng = np.random.default_rng(seed)
+        d = sum(sizes)
+        # degenerate: eigenvalues drawn from {-1, 0, 1, 2}, so ties fall across blocks
+        eigenvalues = rng.integers(-1, 3, size=d).astype(float) if degenerate else rng.normal(size=d)
+        a, blocks = permuted_block_diagonal(rng, eigenvalues, sizes)
+        w, v = eigh_blocks(a)
+        scale = max(1.0, op_norm(a))
+        assert np.all(np.diff(w) >= 0)
+        assert np.max(np.abs(w - np.linalg.eigvalsh(a))) <= 1e-12 * scale
+        assert np.max(np.abs((v * w) @ dagger(v) - a)) <= 1e-12 * scale
+        assert np.max(np.abs(dagger(v) @ v - np.eye(d))) <= 1e-12
+        # every eigenvector lives on exactly one block
+        on_block = np.array([[np.any(v[idx, k] != 0) for idx in blocks] for k in range(d)])
+        assert np.all(on_block.sum(axis=1) == 1)
+
+    def test_single_block_is_bitwise_eigh(self, rng):
+        a = random_hermitian(7, rng)
+        w, v = eigh_blocks(a)
+        w_ref, v_ref = np.linalg.eigh(a)
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+    def test_one_eigh_per_block(self, rng, monkeypatch):
+        a, _ = permuted_block_diagonal(rng, rng.normal(size=6), [1, 2, 3])
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda b: shapes.append(b.shape) or eigh(b))
+        eigh_blocks(a)
+        assert sorted(shapes) == [(1, 1), (2, 2), (3, 3)]
+
+    def test_non_finite_raises_linalg_error(self, rng):
+        a, _ = permuted_block_diagonal(rng, rng.normal(size=6), [3, 3])
+        for bad in (np.nan, np.inf):
+            b = a.copy()
+            b[0, 0] = bad
+            with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+                eigh_blocks(b)
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_chain_coupling_splits_into_two_parity_blocks(self, n, monkeypatch):
+        # H_coupled conserves the parity of sz on the qubit and every chain site
+        scn = chain_scenario(n, disorder=0.4, seed=n).with_lam(0.2)
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda b: shapes.append(b.shape) or eigh(b))
+        eigh_blocks(scn.h_coupled)
+        assert shapes == [(scn.dim // 2, scn.dim // 2)] * 2
+
+    @pytest.mark.parametrize("name", ["qubit_qubit", "qubit_chain3", "qubit_chain6", "qutrit_chain2"])
+    def test_shipped_configs_split_in_two(self, name, monkeypatch):
+        scn = parse_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json").scenario
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda b: shapes.append(b.shape) or eigh(b))
+        scn._eig_coupled
+        assert shapes == [(scn.dim // 2, scn.dim // 2)] * 2
+
+
+class TestExpComplex:
+    ULP = 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("kind", ["random", "imaginary", "zero"])
+    def test_matches_numpy_exp(self, rng, kind):
+        shape = (64, 256)
+        re = {"random": rng.uniform(-30, 30, shape), "imaginary": np.zeros(shape), "zero": np.zeros(shape)}[kind]
+        im = np.zeros(shape) if kind == "zero" else rng.uniform(-200, 200, shape)
+        z = re + 1j * im
+        ref = np.exp(z)
+        got = exp_complex(z)
+        assert got.dtype == complex and got.shape == shape
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= self.ULP
+
+    def test_scalars_and_real_input(self, rng):
+        assert exp_complex(0.5 + 2j) == pytest.approx(np.exp(0.5 + 2j), rel=self.ULP)
+        assert exp_complex(1j * 0.0) == 1.0
+        x = rng.normal(size=9)
+        assert np.array_equal(exp_complex(x), np.exp(x))
 
 
 class TestFuncCalc:
