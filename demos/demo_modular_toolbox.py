@@ -21,9 +21,9 @@ random inputs, the structural facts everything else in the library rests on:
 import numpy as np
 
 from fcslab import (
+    Liouvilleans,
     cone_membership,
     gibbs,
-    liouvilleans,
     modular_pair,
     perturbed_gibbs_vector,
     positive_sqrt,
@@ -67,9 +67,9 @@ print(f"relative density |<O,D_rel a O> - tr(eta a)| = {abs(val - np.trace(eta @
 vec = a @ omega @ dagger(a)
 print(f"cone generation: a (JaJ) Omega is PSD      = {cone_membership(vec)}")
 
-lv = liouvilleans(scn)
+lv = Liouvilleans(scn)
 print(f"flow keeps cone: exp(itL) maps PSD to PSD  = "
-      f"{cone_membership(lv.exp_coupled(2.2, vec))}")
+      f"{cone_membership(scn.evolve(vec, 2.2))}")
 print(f"generator split ||L x - (free+lam v. - lam JvJ) x|| = "
       f"{hs_norm(lv.coupled(x) - lv.coupled_decomposed(x)):.2e}")
 

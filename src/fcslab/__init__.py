@@ -14,7 +14,6 @@ from .dynamics import (
     dyson_error_bound,
     exact_cocycle,
     flux_observables,
-    heisenberg,
 )
 from .fcs import (
     FcsResult,
@@ -39,13 +38,9 @@ from .linalg import (
     RankDeficientError,
     SpectralDecomposition,
     SpectrumDomainError,
-    abs_op,
-    commutator_gen,
     eig_hermitian,
     expm_hermitian,
     func_calc,
-    norm_spectral_check,
-    partial_trace,
     positive_sqrt,
     tensor,
 )
@@ -57,8 +52,6 @@ from .modular import (
     cone_membership,
     equilibrium_vector,
     initial_vector,
-    interaction_cocycle,
-    liouvilleans,
     mixing_diagnostic,
     modular_pair,
     perturbed_gibbs_vector,
@@ -73,7 +66,6 @@ from .scenarios import (
     chain_scenario,
     config_to_scenario,
     parse_config,
-    preset_config,
     random_scenario,
     scenario_to_config,
 )
@@ -86,7 +78,6 @@ from .states import (
     gibbs_variational_check,
     kms_defect,
     measure,
-    spectral_measure,
 )
 
 __version__ = "0.1.0"

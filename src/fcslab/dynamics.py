@@ -16,7 +16,6 @@ from .linalg import (
     eigh_blocks,
     exp_complex,
     expm,
-    expm_hermitian,
     gauss_kronrod,
     op_norm,
     positive_sqrt,
@@ -198,18 +197,6 @@ class Scenario:
         return max(1.0, op_norm(self.h_free) + abs(self.lam) * op_norm(self.v))
 
 
-def heisenberg(a: np.ndarray, h: np.ndarray, t: float) -> np.ndarray:
-    """Heisenberg evolution e^{itH} a e^{-itH} of an observable.
-
-    Unitary conjugation: preserves spectrum, Hermiticity and norm, and obeys
-    the group law in t.
-    """
-    if a.shape != h.shape:
-        raise ValueError("observable and Hamiltonian dimensions differ")
-    u = expm_hermitian(h, 1j * t)
-    return u @ a @ dagger(u)
-
-
 @dataclass(frozen=True)
 class FluxObservables:
     """Instantaneous energy currents phi = lam * i [H_component, V]."""
@@ -302,7 +289,8 @@ def balance_check(scn: Scenario, t: float) -> float:
 
 
 def exact_cocycle(scn: Scenario, t: float) -> np.ndarray:
-    """Interaction-picture cocycle e^{itH_coupled} e^{-itH_free}."""
+    """Interaction-picture cocycle e^{itH_coupled} e^{-itH_free}.  On HS vectors,
+    left multiplication by it is e^{it(L_free + lam pi(V))} e^{-itL_free}."""
     return scn.unitary_coupled(t) @ scn.unitary_free(-t)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -259,12 +259,6 @@ def positive_sqrt(a: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ dagger(v)
 
 
-def abs_op(a: np.ndarray) -> np.ndarray:
-    """Operator absolute value sqrt(a* a)."""
-    assert_square(a)
-    return positive_sqrt(dagger(a) @ a)
-
-
 def expm_hermitian(h: np.ndarray, z: complex = 1.0) -> np.ndarray:
     """exp(z * h) for Hermitian h, assembled in the eigenbasis.
 
@@ -377,46 +371,3 @@ def tensor(*ops: np.ndarray) -> np.ndarray:
     for b in ops[1:]:
         out = np.kron(out, np.asarray(b, dtype=complex))
     return out
-
-
-def partial_trace(x: np.ndarray, factor_dims: Sequence[int], which: int) -> np.ndarray:
-    """Trace out tensor factor ``which`` (0-based) of a product-space matrix.
-
-    ``factor_dims`` lists the local dimensions in Kronecker order; their
-    product must equal the dimension of ``x``.
-    """
-    assert_square(x)
-    dims = tuple(int(d) for d in factor_dims)
-    n = len(dims)
-    if int(np.prod(dims)) != x.shape[0]:
-        raise ValueError(
-            f"factor dims {dims} have product {int(np.prod(dims))}, "
-            f"but matrix has dimension {x.shape[0]}"
-        )
-    if not 0 <= which < n:
-        raise ValueError(f"subsystem index {which} out of range for {n} factors")
-    t = x.reshape(dims + dims)
-    t = np.trace(t, axis1=which, axis2=which + n)
-    keep = int(np.prod([d for i, d in enumerate(dims) if i != which]))
-    return t.reshape(keep, keep)
-
-
-def commutator_gen(h: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Derivation generated by a Hermitian h: the map a -> i(h a - a h)."""
-    assert_square(h)
-    assert_hermitian(h)
-
-    def gen(a: np.ndarray) -> np.ndarray:
-        return 1j * (h @ a - a @ h)
-
-    return gen
-
-
-def norm_spectral_check(a: np.ndarray) -> tuple[float, float]:
-    """(operator norm, spectral radius) of a square matrix.
-
-    The two agree for normal matrices; a nilpotent matrix exhibits the gap.
-    """
-    assert_square(a)
-    radius = float(np.max(np.abs(np.linalg.eigvals(a)))) if a.shape[0] else 0.0
-    return op_norm(a), radius

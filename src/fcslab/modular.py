@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import Scenario, exact_cocycle
+from .dynamics import Scenario
 from .linalg import (
     NotPositiveError,
     RankDeficientError,
@@ -244,13 +244,13 @@ def evolved_reservoir_weight(scn: Scenario, t: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Liouvilleans:
-    """The three generators of the standard dynamics on HS vectors.
+    """The generators of the standard dynamics on HS vectors.
 
     free:     X -> H_free X - X H_free        (annihilates the equilibrium vector)
     coupled:  X -> H_coupled X - X H_coupled  (annihilates the coupled one)
-    half:     X -> H_coupled X - X (1 (x) H_R), the generator appearing in
-              the half-line identity.
-    All are Hermitian as operators in the trace inner product.
+    Both are Hermitian as operators in the trace inner product; e^{itL_coupled}
+    is ``scn.evolve``.  The half-line generator X -> H_coupled X - X (1 (x) H_R)
+    enters only through its exponential, :meth:`half_factors`.
     """
 
     scn: Scenario
@@ -261,30 +261,15 @@ class Liouvilleans:
     def coupled(self, x: np.ndarray) -> np.ndarray:
         return self.scn.h_coupled @ x - x @ self.scn.h_coupled
 
-    def half(self, x: np.ndarray) -> np.ndarray:
-        return self.scn.h_coupled @ x - x @ self.scn.h_res_full
-
-    def exp_coupled(self, t: float, x: np.ndarray) -> np.ndarray:
-        return self.scn.evolve(x, t)
-
     def half_factors(self, s: float) -> tuple[np.ndarray, np.ndarray]:
-        """(e^{isH_coupled}, 1 (x) e^{-isH_R}), the two factors of e^{is half}."""
+        """(e^{isH_coupled}, 1 (x) e^{-isH_R}): e^{is L_half} X is their product around X."""
         w, v = self.scn._eig_res
         right = tensor(np.eye(self.scn.dim_sys), (v * exp_complex(-1j * s * w)) @ dagger(v))
         return self.scn.unitary_coupled(s), right
 
-    def exp_half(self, s: float, x: np.ndarray) -> np.ndarray:
-        """e^{is half} X = e^{isH_coupled} X e^{-is (1 (x) H_R)}."""
-        left, right = self.half_factors(s)
-        return left @ x @ right
-
     def coupled_decomposed(self, x: np.ndarray) -> np.ndarray:
         """free + lam pi(V) - lam J pi(V) J, for the identity check."""
         return self.free(x) + self.scn.lam * (self.scn.v @ x) - self.scn.lam * (x @ self.scn.v)
-
-
-def liouvilleans(scn: Scenario) -> Liouvilleans:
-    return Liouvilleans(scn=scn)
 
 
 def perturbed_gibbs_vector(scn: Scenario) -> np.ndarray:
@@ -302,17 +287,6 @@ def perturbed_gibbs_vector(scn: Scenario) -> np.ndarray:
     right = (v0 * np.exp(scn.beta / 2 * (w0 - w0.max()))) @ dagger(v0)
     vec = left @ equilibrium_vector(scn) @ right
     return vec / hs_norm(vec)
-
-
-def interaction_cocycle(scn: Scenario, t: float) -> np.ndarray:
-    """The unitary intertwining the free and coupled dynamics on HS vectors.
-
-    e^{it(L_free + lam pi(V))} e^{-it L_free} acts by left multiplication
-    with e^{itH_coupled} e^{-itH_free}; that matrix is returned.  It
-    conjugates the reservoir-weight modular operator into its pulled-back
-    counterpart.
-    """
-    return exact_cocycle(scn, t)
 
 
 @dataclass(frozen=True)
@@ -362,7 +336,7 @@ def mixing_diagnostic(
     )
     avg = np.zeros((n_vectors, n_vectors), dtype=complex)
     for t in times:
-        u = scn.unitary_coupled(t)  # Liouvilleans.exp_coupled, one U(t) for all vectors
+        u = scn.unitary_coupled(t)  # scn.evolve, with one U(t) for all vectors
         evolved = [u @ x @ dagger(u) for x in vecs]
         for j, ex in enumerate(evolved):
             for i, xi in enumerate(vecs):

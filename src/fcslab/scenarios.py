@@ -340,36 +340,6 @@ def scenario_to_config(run: RunConfig) -> dict:
     }
 
 
-def preset_config(name: str) -> dict:
-    """Named ready-to-run configs used by the demos and the trivial-limit tests."""
-    presets = {
-        "qubit_qubit": {
-            "system": {"dim": 2, "hamiltonian": {"preset": "ladder"},
-                       "initial_state": {"preset": "ground"}},
-            "reservoir": {"preset": "chain", "n": 1, "coupling": 0.0, "field": 0.5},
-            "coupling": {"preset": "edge_hopping", "lambda": 0.2},
-            "beta": 1.0,
-        },
-        "qubit_chain3": {
-            "system": {"dim": 2, "hamiltonian": {"preset": "ladder"},
-                       "initial_state": {"preset": "excited"}},
-            "reservoir": {"preset": "chain", "n": 3, "coupling": 0.3, "field": 0.5},
-            "coupling": {"preset": "edge_hopping", "lambda": 0.2},
-            "beta": 1.0,
-        },
-        "qutrit_chain2": {
-            "system": {"dim": 3, "hamiltonian": {"preset": "ladder"},
-                       "initial_state": {"preset": "maximally_mixed"}},
-            "reservoir": {"preset": "chain", "n": 2, "coupling": 0.8, "field": 0.6},
-            "coupling": {"preset": "edge_hopping", "lambda": 0.3},
-            "beta": 1.0,
-        },
-    }
-    if name not in presets:
-        raise KeyError(f"unknown preset {name!r}; available: {sorted(presets)}")
-    return presets[name]
-
-
 def chain_scenario(
     n: int,
     lam: float = 0.2,

@@ -1,5 +1,5 @@
 """Density matrices, entropy, Gibbs equilibrium, projective measurement,
-and atomic spectral measures of (observable, state) pairs."""
+and atomic measures on the real line."""
 
 from __future__ import annotations
 
@@ -40,13 +40,6 @@ def assert_density(rho: np.ndarray, tol: float = DENSITY_TOL, name: str = "state
 
 def maximally_mixed(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex) / dim
-
-
-def pure_state(psi: np.ndarray) -> np.ndarray:
-    """Rank-one projector onto a (normalized) vector."""
-    psi = np.asarray(psi, dtype=complex).ravel()
-    psi = psi / np.linalg.norm(psi)
-    return np.outer(psi, psi.conj())
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -127,10 +120,6 @@ class AtomicMeasure:
         gamma = np.asarray(gamma, dtype=float)
         vals = exp_complex(1j * np.multiply.outer(gamma, self.locations)) @ self.weights
         return complex(vals) if vals.ndim == 0 else vals
-
-    def integrate(self, f) -> complex:
-        return complex(sum(w * f(x) for x, w in zip(self.locations, self.weights)))
-
 
 def gibbs_weights(w: np.ndarray, beta: float) -> np.ndarray:
     """Thermal populations of the levels w; exponents are shifted by their
@@ -229,30 +218,6 @@ def measure(
             posts.append(p @ rho @ p / w)
     outcomes = AtomicMeasure(np.array(locs), np.array(wts))
     return MeasurementResult(outcomes=outcomes, post_states=posts)
-
-
-def spectral_measure(
-    a: np.ndarray, rho: np.ndarray, cluster_tol: float | None = None
-) -> AtomicMeasure:
-    """Spectral measure of the pair (observable, state).
-
-    Atoms sit at the (clustered) eigenvalues of ``a`` with weights
-    tr(rho P_x); integrating a polynomial against the measure reproduces
-    tr(rho f(a)), which is cross-checked internally.
-    """
-    mu = measure(rho, a, cluster_tol).outcomes
-    # Built-in consistency check against the functional calculus.
-    dec = eig_hermitian(a, cluster_tol)
-    quad = dec.apply(lambda x: x * x + 0.5 * x)
-    lhs = mu.integrate(lambda x: x * x + 0.5 * x).real
-    rhs = float(np.trace(rho @ quad).real)
-    scale = max(1.0, op_norm(a) ** 2)
-    if abs(lhs - rhs) > 1e-10 * scale:
-        raise AssertionError(
-            f"spectral measure inconsistent with functional calculus: "
-            f"{lhs!r} vs {rhs!r}"
-        )
-    return mu
 
 
 def kms_defect(

@@ -35,15 +35,16 @@ from fcslab.linalg import (
     positive_sqrt,
 )
 from fcslab.modular import (
-    liouvilleans,
+    Liouvilleans,
     modular_pair,
     perturbed_gibbs_vector,
     relative_modular,
 )
-from fcslab.scenarios import chain_scenario, config_to_scenario, preset_config, random_scenario
+from fcslab.scenarios import chain_scenario, config_to_scenario, random_scenario
 from fcslab.states import gibbs, kms_defect, random_hermitian
 
 from test_fcs import match_atoms, reservoir_two_time_oracle
+from test_scenarios import shipped_config
 
 
 def _verdict(num, name, ok, detail=""):
@@ -105,17 +106,16 @@ def test_criterion_4_operator_balance():
 
 def test_criterion_5_half_line_identity(scenario_suite):
     worst = 0.0
-    variants = set()
+    routes = set()
     grid = (-2.0, -1.0, 0.0, 1.0, 2.0)
     for scn, _ in scenario_suite[:10]:
         for s in grid:
             for t in grid:
                 res = half_line_identity_check(scn, t, s)
                 worst = max(worst, res.residual)
-                if res.passing:
-                    variants.update(res.passing.split(","))
+                routes.update(res.residuals)
     _verdict(5, "half-line identity", worst <= 1e-8,
-             f"(max residual {worst:.2e}; passing variants: {sorted(variants)})")
+             f"(max residual {worst:.2e} over routes {sorted(routes)})")
 
 
 def test_criterion_6_strip_bounds(scenario_suite):
@@ -164,7 +164,7 @@ def test_criterion_7_modular_suite():
         a = rand()
         worst = max(worst, abs(hs_inner(omega, rel.apply(a @ omega)) - np.trace(scn.rho_init @ a)))
 
-    lv = liouvilleans(scn)
+    lv = Liouvilleans(scn)
     for _ in range(25):
         x = rand()
         worst = max(worst, hs_norm(lv.coupled(x) - lv.coupled_decomposed(x)) / hs_norm(x))
@@ -178,7 +178,7 @@ def test_criterion_7_modular_suite():
 
 def test_criterion_8_trivial_limits():
     worst = 0.0
-    scenarios = [config_to_scenario(preset_config(n)).scenario
+    scenarios = [config_to_scenario(shipped_config(n)).scenario
                  for n in ("qubit_qubit", "qubit_chain3", "qutrit_chain2")]
     scenarios.append(chain_scenario(2))
     for scn in scenarios:

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from fcslab.cli import main
-from fcslab.scenarios import matrix_to_pairs, preset_config
+from fcslab.scenarios import matrix_to_pairs
+
+from test_scenarios import shipped_config
 
 
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(preset_config("qubit_qubit")))
+    path.write_text(json.dumps(shipped_config("qubit_qubit")))
     return str(path)
 
 
@@ -24,7 +26,7 @@ def test_validate_missing_file(tmp_path, capsys):
 
 
 def test_validate_corrupted_state(tmp_path, capsys):
-    cfg = preset_config("qubit_qubit")
+    cfg = shipped_config("qubit_qubit")
     cfg["system"]["initial_state"] = {
         "matrix": matrix_to_pairs(np.diag([0.7, 0.4]).astype(complex))
     }
@@ -65,7 +67,7 @@ def test_suite_names_come_from_the_builders(config_path, capsys):
 
 
 def test_fcs_uncoupled_single_rows(tmp_path):
-    cfg = preset_config("qubit_qubit")
+    cfg = shipped_config("qubit_qubit")
     cfg["coupling"]["lambda"] = 0.0
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -164,7 +166,7 @@ def test_usage_error_exit_code():
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
-    cfg = preset_config("qubit_qubit")
+    cfg = shipped_config("qubit_qubit")
     cfg.setdefault("tolerances", {})["quad_tol"] = 1e-16
     path = tmp_path / "tight.json"
     path.write_text(json.dumps(cfg))
@@ -174,10 +176,22 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_dyson_check_uses_the_configured_quad_tol(tmp_path, capsys):
+    # at lambda = 16 the cocycle's a-priori error is about 1.4e-8: within a
+    # configured quad_tol of 1e-6, above the 1e-8 default
+    cfg = shipped_config("qubit_qubit")
+    cfg["coupling"]["lambda"] = 16.0
+    cfg["tolerances"] = {"quad_tol": 1e-6}
+    path = tmp_path / "strong.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(path), "--suite", "fcs"]) == 0
+    assert "all 15 checks passed" in capsys.readouterr().out
+
+
 def test_nan_cluster_tol_is_a_config_error(tmp_path, capsys):
     # every atom gap compares False against NaN: the run would merge the
     # reservoir measure into a handful of atoms and still exit 0
-    cfg = preset_config("qubit_chain3")
+    cfg = shipped_config("qubit_chain3")
     cfg["tolerances"] = {"cluster_tol": float("nan")}
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(cfg))
@@ -217,7 +231,7 @@ def test_non_finite_coupled_hamiltonian_exit_code(config_path, tmp_path, monkeyp
 def test_sweep_worker_invariance_where_blas_threads(tmp_path):
     # d = 256: OpenBLAS runs its products and eigh on several threads here,
     # which the d <= 16 invariance tests never reach
-    cfg = preset_config("qubit_chain3")
+    cfg = shipped_config("qubit_chain3")
     cfg["reservoir"].update(n=7, disorder=0.3, seed=5)
     path = tmp_path / "chain7.json"
     path.write_text(json.dumps(cfg))

@@ -12,7 +12,6 @@ from fcslab.dynamics import (
     dyson_error_bound,
     exact_cocycle,
     flux_observables,
-    heisenberg,
 )
 from fcslab.linalg import dagger, op_norm, tensor
 from fcslab.scenarios import random_scenario
@@ -42,6 +41,14 @@ class TestScenario:
     def test_inputs_frozen(self, qubit_qubit):
         with pytest.raises(ValueError):
             qubit_qubit.h_sys[0, 0] = 5.0
+
+
+def heisenberg(a, h, t):
+    """e^{itH} a e^{-itH} by Scenario.evolve, with h the whole coupled
+    Hamiltonian: a one-level reservoir and no coupling."""
+    d = h.shape[0]
+    scn = Scenario(h, np.zeros((1, 1)), np.zeros((d, d)), 0.0, 1.0, np.eye(d) / d)
+    return scn.evolve(a, t)
 
 
 class TestHeisenberg:

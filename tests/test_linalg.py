@@ -9,9 +9,7 @@ from fcslab.linalg import (
     NonHermitianError,
     NotPositiveError,
     SpectrumDomainError,
-    abs_op,
     assert_hermitian,
-    commutator_gen,
     dagger,
     eig_hermitian,
     eigenvalue_clusters,
@@ -21,9 +19,7 @@ from fcslab.linalg import (
     func_calc,
     hs_norm,
     is_hermitian,
-    norm_spectral_check,
     op_norm,
-    partial_trace,
     positive_sqrt,
     tensor,
 )
@@ -32,7 +28,6 @@ from fcslab.scenarios import chain_scenario, parse_config
 from fcslab.states import random_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
@@ -253,68 +248,16 @@ class TestPositiveSqrt:
             positive_sqrt(np.diag([-1.0, 2.0]).astype(complex))
 
 
-class TestAbsOp:
-    def test_nilpotent(self):
-        a = np.array([[0, 1], [0, 0]], dtype=complex)
-        assert np.allclose(dagger(a) @ a, np.diag([0.0, 1.0]))  # hand multiply
-        assert np.allclose(abs_op(a), np.diag([0.0, 1.0]), atol=1e-12)
-
-    def test_hermitian_diagonal(self):
-        assert np.allclose(abs_op(np.diag([-2.0, 3.0]).astype(complex)), np.diag([2.0, 3.0]))
-
-    def test_unitary(self, rng):
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        q, _ = np.linalg.qr(g)
-        assert np.allclose(abs_op(q), np.eye(4), atol=1e-10)
-
-
 class TestTensorPartialTrace:
     def test_tensor_identity(self):
         assert np.allclose(tensor(np.eye(2), np.eye(3)), np.eye(6))
-
-    def test_partial_trace_of_product(self, rng):
-        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        rho = g @ dagger(g)
-        rho /= np.trace(rho)
-        assert np.allclose(partial_trace(tensor(SZ, rho), (2, 3), 1), SZ, atol=1e-12)
 
     def test_tensor_spectra_multiply(self):
         w = np.sort(np.linalg.eigvalsh(tensor(SX, SX)))
         assert np.allclose(w, [-1, -1, 1, 1])
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dims"):
-            partial_trace(np.eye(6, dtype=complex), (2, 2), 0)
-
-
-class TestCommutatorGen:
-    def test_annihilates_generator(self):
-        h = SZ + 0.2 * SX
-        assert op_norm(commutator_gen(h)(h)) <= 1e-14
-
-    def test_pauli_table(self):
-        # i[sz, sx] = -2 sy
-        assert np.allclose(commutator_gen(SZ)(SX), -2 * SY, atol=1e-14)
-
-    def test_annihilates_identity(self):
-        assert op_norm(commutator_gen(SZ)(np.eye(2))) == 0.0
-
 
 class TestNormSpectralCheck:
-    def test_hermitian(self):
-        n, r = norm_spectral_check(np.diag([-3.0, 2.0]).astype(complex))
-        assert abs(n - 3.0) <= 1e-12 and abs(r - 3.0) <= 1e-12
-
-    def test_nilpotent_gap(self):
-        n, r = norm_spectral_check(np.array([[0, 1], [0, 0]], dtype=complex))
-        assert abs(n - 1.0) <= 1e-12 and r <= 1e-12
-
-    def test_unitary_on_circle(self, rng):
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        q, _ = np.linalg.qr(g)
-        n, r = norm_spectral_check(q)
-        assert abs(n - 1.0) <= 1e-10 and abs(r - 1.0) <= 1e-10
-
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
     def test_cstar_identity(self, seed, d):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +14,13 @@ from fcslab.scenarios import (
     config_to_scenario,
     matrix_to_pairs,
     parse_config,
-    preset_config,
     scenario_to_config,
 )
+
+
+def shipped_config(name: str) -> dict:
+    """configs/<name>.json as a fresh mapping."""
+    return json.loads((Path(__file__).resolve().parent.parent / "configs" / f"{name}.json").read_text())
 
 
 class TestChainReservoir:
@@ -47,7 +52,7 @@ class TestChainReservoir:
 
 class TestConfig:
     def test_minimal_qubit_qubit(self, tmp_path):
-        cfg = preset_config("qubit_qubit")
+        cfg = shipped_config("qubit_qubit")
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         run = parse_config(path)
@@ -56,14 +61,14 @@ class TestConfig:
         assert run.cluster_tol == 1e-9 and run.quad_tol == 1e-8
 
     def test_lambda_omitted_warns_and_defaults(self):
-        cfg = preset_config("qubit_qubit")
+        cfg = shipped_config("qubit_qubit")
         del cfg["coupling"]["lambda"]
         with pytest.warns(UserWarning, match="lambda"):
             run = config_to_scenario(cfg)
         assert run.scenario.lam == 0.0
 
     def test_dimension_mismatch_rejected(self):
-        cfg = preset_config("qubit_qubit")
+        cfg = shipped_config("qubit_qubit")
         cfg["coupling"] = {
             "matrix": matrix_to_pairs(np.eye(6, dtype=complex)),
             "lambda": 0.1,
@@ -72,7 +77,7 @@ class TestConfig:
             config_to_scenario(cfg)
 
     def test_non_hermitian_rejected_with_norm(self):
-        cfg = preset_config("qubit_qubit")
+        cfg = shipped_config("qubit_qubit")
         bad = np.zeros((2, 2), dtype=complex)
         bad[0, 1] = 1.0
         cfg["system"]["hamiltonian"] = {"matrix": matrix_to_pairs(bad)}
@@ -80,7 +85,7 @@ class TestConfig:
             config_to_scenario(cfg)
 
     def test_invalid_state_trace_rejected(self):
-        cfg = preset_config("qubit_qubit")
+        cfg = shipped_config("qubit_qubit")
         cfg["system"]["initial_state"] = {
             "matrix": matrix_to_pairs(np.diag([0.7, 0.4]).astype(complex))
         }
@@ -113,7 +118,7 @@ class TestConfig:
         ("tolerances", "cluster_tol"), ("tolerances", "quad_tol"),
     ])
     def test_non_finite_number_named(self, tmp_path, section, key, value):
-        cfg = preset_config("qubit_chain3")
+        cfg = shipped_config("qubit_chain3")
         cfg.setdefault(section, {})[key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
@@ -123,7 +128,7 @@ class TestConfig:
     @pytest.mark.parametrize("value", [0.0, -1e-9])
     @pytest.mark.parametrize("key", ["cluster_tol", "quad_tol"])
     def test_tolerances_must_be_positive(self, key, value):
-        cfg = preset_config("qubit_qubit")
+        cfg = shipped_config("qubit_qubit")
         cfg["tolerances"] = {key: value}
         with pytest.raises(ConfigError, match=f"tolerances.{key}: expected a finite positive"):
             config_to_scenario(cfg)
@@ -142,7 +147,7 @@ class TestConfig:
         assert scn.lam == orig.lam and scn.beta == orig.beta
 
     def test_unknown_preset_rejected(self):
-        cfg = preset_config("qubit_qubit")
+        cfg = shipped_config("qubit_qubit")
         cfg["reservoir"] = {"preset": "oscillator", "n": 2}
         with pytest.raises(ConfigError, match="preset"):
             config_to_scenario(cfg)
@@ -160,7 +165,7 @@ class TestSizeGuard:
 
     @staticmethod
     def _chain_config(tmp_path, n, dim_sys=2):
-        cfg = preset_config("qubit_chain3" if dim_sys == 2 else "qutrit_chain2")
+        cfg = shipped_config("qubit_chain3" if dim_sys == 2 else "qutrit_chain2")
         cfg["reservoir"]["n"] = n
         path = tmp_path / f"chain{n}.json"
         path.write_text(json.dumps(cfg))
@@ -205,7 +210,7 @@ class TestSizeGuard:
 class TestPresets:
     @pytest.mark.parametrize("name", ["qubit_qubit", "qubit_chain3", "qutrit_chain2"])
     def test_presets_build(self, name):
-        run = config_to_scenario(preset_config(name))
+        run = config_to_scenario(shipped_config(name))
         assert run.scenario.beta > 0
 
     def test_chain_scenario_defaults(self):
