@@ -19,7 +19,7 @@ against hard thresholds.
 
 import numpy as np
 
-from fcslab import default_gamma_grid, mixing_diagnostic, reservoir_fcs, system_char_limit
+from fcslab import default_gamma_grid, fcs_at, mixing_diagnostic, reservoir_fcs, system_char_limit
 from fcslab.scenarios import chain_scenario
 
 for n in (3, 5):
@@ -28,7 +28,7 @@ for n in (3, 5):
     limit = np.array([system_char_limit(scn, g) for g in gammas])
 
     def distance(t):
-        res = reservoir_fcs(scn, t, gamma_grid=gammas)
+        res = reservoir_fcs(fcs_at(scn, t), gamma_grid=gammas)
         vals = np.array([v for _, v in res.char_samples])
         return float(np.max(np.abs(vals - limit)))
 

@@ -19,6 +19,7 @@ protocol produce the *same* measure, atom by atom.
 from fcslab import (
     balance_check,
     delta_q_direct,
+    fcs_at,
     reservoir_fcs,
     system_fcs,
 )
@@ -31,14 +32,15 @@ t = 2.0
 print(f"scenario: qubit + single thermal site, lambda={scn.lam}, beta={scn.beta}, t={t}")
 print()
 
-sys_res = system_fcs(scn, t)
+fa = fcs_at(scn, t)  # one propagator feeds both measures
+sys_res = system_fcs(fa)
 print("system energy-change measure (two-time protocol):")
 for x, w in zip(sys_res.measure.locations, sys_res.measure.weights):
     print(f"  x = {x:+.4f}   weight = {w:.6f}")
 print(f"  mean = {sys_res.mean:+.6f}")
 print()
 
-res_res = reservoir_fcs(scn, t)
+res_res = reservoir_fcs(fa)
 print("reservoir energy-drop measure (relative modular operator):")
 for x, w in zip(res_res.measure.locations, res_res.measure.weights):
     print(f"  x = {x:+.4f}   weight = {w:.6f}")

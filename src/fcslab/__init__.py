@@ -16,12 +16,14 @@ from .dynamics import (
     flux_observables,
 )
 from .fcs import (
+    FcsAtTime,
     FcsResult,
     HalfLineResult,
     StripReport,
     SweepResult,
     default_gamma_grid,
     derivative_moments,
+    fcs_at,
     half_line_identity_check,
     limit_sweep,
     mean_identity_check,

@@ -307,8 +307,8 @@ def measure_distance(mu_a, mu_b) -> float:
 def suite_fcs(scn: Scenario, seed: int = 0, t: float = 1.0, quad_tol: float = DEFAULT_QUAD_TOL) -> list[CheckResult]:
     out = []
 
-    data = fcsmod._reservoir_spectral_data(scn, t)  # shared by every (scn, t) check below
-    res_modular = fcsmod.reservoir_fcs(scn, t, data=data)
+    fa = fcsmod.fcs_at(scn, t)  # every (scn, t) check below reads it
+    res_modular = fcsmod.reservoir_fcs(fa)
     mu_modular = res_modular.measure
     mu_oracle = two_time_reservoir_oracle(scn, t)
     out.append(_result("reservoir_fcs_two_route", measure_distance(mu_modular, mu_oracle), 1e-10))
@@ -316,7 +316,7 @@ def suite_fcs(scn: Scenario, seed: int = 0, t: float = 1.0, quad_tol: float = DE
     out.append(_result("probability_mass", abs(mu_modular.mass - 1.0), 1e-10))
 
     dq_flux = delta_q_flux(scn, t, quad_tol)  # shared by mean_identity and flux_vs_direct
-    out.append(_result("mean_identity", fcsmod.mean_identity_check(scn, t, quad_tol, data=data, dq_res=dq_flux[1]), quad_tol + 1e-8))
+    out.append(_result("mean_identity", fcsmod.mean_identity_check(fa, dq_flux[1]), quad_tol + 1e-8))
 
     out.append(_result("exchange_balance", balance_check(scn, t), 1e-10 * scn.energy_scale))
 
@@ -328,19 +328,19 @@ def suite_fcs(scn: Scenario, seed: int = 0, t: float = 1.0, quad_tol: float = DE
     out.append(_result("operator_balance", fcsmod.operator_balance_check(scn, t, quad_tol),
                        quad_tol * scn.beta * scn.energy_scale * max(t, 1.0) + 1e-8))
 
-    worst = max(fcsmod.half_line_identity_check(scn, t, s, data=data).residual for s in (-1.0, 0.0, 0.7))
+    worst = max(fcsmod.half_line_identity_check(fa, s).residual for s in (-1.0, 0.0, 0.7))
     out.append(_result("half_line_identity", worst, 1e-8))
 
     grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) + 1j * np.array([0.0, -1.0, 2.0, 0.5, 0.0])
-    rep = fcsmod.strip_bounds_check(scn, t, grid, data=data)
+    rep = fcsmod.strip_bounds_check(fa, grid)
     out.append(_result("strip_growth_bound", max(rep.max_violation, 0.0), 1e-12))
 
     gammas = fcsmod.default_gamma_grid(scn, 11)
-    plus = fcsmod.reservoir_char(scn, t, 1j * gammas / scn.beta, data=data)
-    minus = fcsmod.reservoir_char(scn, t, -1j * gammas / scn.beta, data=data)
+    plus = fcsmod.reservoir_char(fa, 1j * gammas / scn.beta)
+    minus = fcsmod.reservoir_char(fa, -1j * gammas / scn.beta)
     out.append(_result("char_conjugate_symmetry", np.max(np.abs(np.conjugate(plus) - minus)), 1e-12))
 
-    deriv_moments = fcsmod.derivative_moments(scn, t, data=data)
+    deriv_moments = fcsmod.derivative_moments(fa)
     out.append(_result("moment_consistency",
                        float(np.max(np.abs(res_modular.moments - deriv_moments))), fcsmod.MOMENT_TOL))
 
@@ -349,9 +349,10 @@ def suite_fcs(scn: Scenario, seed: int = 0, t: float = 1.0, quad_tol: float = DE
         ("instant", scn, 0.0),
     )
     for name, variant, tt in trivial_cases:
+        fa_variant = fcsmod.fcs_at(variant, tt)
         for label, mu in (
-            (f"system_delta_{name}", fcsmod.system_fcs(variant, tt).measure),
-            (f"reservoir_delta_{name}", fcsmod.reservoir_fcs(variant, tt).measure),
+            (f"system_delta_{name}", fcsmod.system_fcs(fa_variant).measure),
+            (f"reservoir_delta_{name}", fcsmod.reservoir_fcs(fa_variant).measure),
         ):
             is_point_mass = len(mu) == 1 and abs(mu.locations[0]) < 1e-12
             out.append(_result(label, abs(mu.mass - 1.0) if is_point_mass else 1.0, 1e-12))

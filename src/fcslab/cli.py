@@ -2,10 +2,11 @@
 
 Exit codes: 0 success (all checks passed), 1 at least one check failed,
 2 usage, config or I/O error, 3 numerical failure (a quadrature or contour
-rule missed its tolerance, or a LAPACK routine did not converge).  Outputs
-are CSV (measures, characteristic functions, sweep tables) and JSON
-(reports, verdicts); identical inputs and seeds give byte-identical outputs
-regardless of worker count.
+rule missed its tolerance, a LAPACK routine did not converge, or a computed
+state is not positive or not of full rank).  Outputs are CSV (measures,
+characteristic functions, sweep tables) and JSON (reports, verdicts);
+identical inputs and seeds give byte-identical outputs regardless of worker
+count.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from . import fcs as fcsmod
 from .checks import SUITE_BUILDERS, run_suites
 from .dynamics import QuadratureError, balance_check, delta_q_direct
+from .linalg import NotPositiveError, RankDeficientError, SpectrumDomainError
 from .scenarios import ConfigError, parse_config
 
 EXIT_OK = 0
@@ -89,9 +91,9 @@ def cmd_fcs(args) -> int:
     out_dir = Path(args.out_dir)
     gamma_grid = _parse_grid(args.gamma_grid) if args.gamma_grid else fcsmod.default_gamma_grid(scn)
 
-    ut = scn.unitary_in_free_basis(t)  # feeds both measures, as in a sweep cell
-    sys_res = fcsmod.system_fcs(scn, t, cluster_tol=run.cluster_tol, gamma_grid=gamma_grid, ut=ut)
-    res_res = fcsmod.reservoir_fcs(scn, t, merge_tol=run.cluster_tol, gamma_grid=gamma_grid, ut=ut)
+    fa = fcsmod.fcs_at(scn, t, cluster_tol=run.cluster_tol)
+    sys_res = fcsmod.system_fcs(fa, gamma_grid)
+    res_res = fcsmod.reservoir_fcs(fa, gamma_grid)
 
     rows = [
         [float(x), float(w), "system"]
@@ -200,7 +202,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (QuadratureError, np.linalg.LinAlgError) as exc:
+    except (QuadratureError, np.linalg.LinAlgError, RankDeficientError, NotPositiveError,
+            SpectrumDomainError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, FileNotFoundError, ValueError) as exc:

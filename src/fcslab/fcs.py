@@ -3,7 +3,8 @@
 The system FCS is the two-time measurement distribution of the system energy
 change; the reservoir FCS is the spectral measure of (1/beta) log of the
 relative modular operator between the flowed and static reservoir weights,
-taken in the initial-state vector.  Both are atomic at finite size; this
+taken in the initial-state vector.  Both are atomic at finite size, and
+``fcs_at`` reads both for one (scenario, t) from one propagator; this
 module computes them, their characteristic functions on the complex strip
 0 <= Re(alpha) <= 1, and the identities tying the two routes together:
 the mean/flux identity, the operator-level balance between the modular log
@@ -16,13 +17,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .dynamics import DEFAULT_QUAD_TOL, QuadratureError, Scenario, check_flux_error, delta_q_flux
+from .dynamics import DEFAULT_QUAD_TOL, QuadratureError, Scenario, check_flux_error
 from .linalg import dagger, eigenvalue_clusters, exp_complex, gauss_kronrod, hs_inner, positive_sqrt, tensor
 from .modular import Liouvilleans, initial_vector, reservoir_weight_vector
-from .states import MERGE_TOL, AtomicMeasure
+from .states import AtomicMeasure
 
 N_MOMENTS = 4
 # Largest accepted gap between the atom and contour routes to the moments.
@@ -63,41 +65,83 @@ def default_gamma_grid(scn: Scenario, n: int = 41) -> np.ndarray:
     return np.linspace(-np.pi / de, np.pi / de, n)
 
 
-def system_fcs(
-    scn: Scenario,
-    t: float,
-    cluster_tol: float | None = None,
-    gamma_grid: np.ndarray | None = None,
-    *,
-    ut: np.ndarray | None = None,
-) -> FcsResult:
-    """Two-time measurement statistics of the system energy change.
+@dataclass(frozen=True, eq=False)
+class FcsAtTime:
+    """Both energy FCS of one (scenario, t), read from one U~ = exp(itH) in
+    the free product eigenbasis V_S (x) V_R.  Build it with :func:`fcs_at`.
 
-    Measure the system energy, evolve for time t under the coupled dynamics,
-    measure again; atoms sit at differences (second - first) of clustered
-    system levels, weighted by the joint outcome law.  Reduces to a point
-    mass at zero for t = 0 or lam = 0.  ``ut``, here and in
-    :func:`reservoir_fcs`, is ``scn.unitary_in_free_basis(t)`` when the
-    caller has already formed it.
+    ``system_measure`` holds the merged atoms of the system two-time law (see
+    :func:`system_fcs`).  The reservoir law is the spectral measure of the
+    relative modular operator of the flowed weight e^{itH}(1 (x) rho_R)
+    e^{-itH} to the static weight 1 (x) rho_R.  Its eigenvalues are
+    exp(beta (e_j - e_i)) over pairs of product levels i = (s, a),
+    j = (s', b), e_i = w_res[a], with weights |<u_i, Omega v_j>|^2.  Every
+    (s, s') gives the same location w_res[b] - w_res[a], so the measure has
+    d_R^2 atoms, the matrix W[a, b] of weights summed over s and s'; the
+    atoms merged at MERGE_TOL are ``reservoir_measure``.
+
+    The strip function F(alpha) = sum_ab W_ab exp(alpha beta (w_b - w_a)) is
+    the bilinear form e(-alpha)^T W e(alpha), e(alpha)_b =
+    exp(alpha beta (w_b - c)) with c the spectrum midpoint, so no exponent
+    exceeds Re(alpha) beta span / 2: 2 d_R exponentials per alpha.  F is
+    entire at finite size; ``char`` takes any complex alpha or an array.
     """
-    if gamma_grid is None:
-        gamma_grid = default_gamma_grid(scn)
-    ut = scn.unitary_in_free_basis(t) if ut is None else ut
-    return FcsResult.from_measure(_system_measure(scn, ut, cluster_tol), gamma_grid)
+
+    scn: Scenario
+    t: float
+    system_measure: AtomicMeasure
+    levels: np.ndarray  # w_res, ascending
+    weights: np.ndarray  # W[a, b], the atom at w_res[b] - w_res[a] (first - second)
+
+    @property
+    def locations(self) -> np.ndarray:
+        return self.levels[None, :] - self.levels[:, None]
+
+    @cached_property
+    def reservoir_measure(self) -> AtomicMeasure:
+        return AtomicMeasure.from_points(self.locations, self.weights)
+
+    def char(self, alpha: complex | np.ndarray) -> complex | np.ndarray:
+        x = np.multiply.outer(alpha * self.scn.beta, self.levels - (self.levels[0] + self.levels[-1]) / 2)
+        vals = ((exp_complex(-x) @ self.weights) * exp_complex(x)).sum(axis=-1)
+        return complex(vals) if vals.ndim == 0 else vals
+
+    def contour_moments(self) -> np.ndarray:
+        """Moments from the derivatives of F at 0 by a 64-node trapezoid rule (see derivative_moments)."""
+        beta = self.scn.beta
+        span = float(self.levels[-1] - self.levels[0])
+        radius = min(0.45, 0.5 / max(1.0, beta * span))
+        nodes = exp_complex(2j * np.pi * np.arange(64) / 64)
+        values = self.char(radius * nodes)
+        out = np.empty(N_MOMENTS)
+        for k in range(1, N_MOMENTS + 1):
+            deriv = math.factorial(k) * np.mean(values * nodes ** (-k)) / radius**k
+            out[k - 1] = deriv.real / beta**k
+        return out
 
 
-def _system_measure(scn: Scenario, ut: np.ndarray, cluster_tol: float | None = None) -> AtomicMeasure:
-    """System FCS from U~, exp(itH) in the free product eigenbasis V_S (x) V_R.
+def fcs_at(scn: Scenario, t: float, cluster_tol: float | None = None) -> FcsAtTime:
+    """Both FCS of (scn, t) from one U~ = exp(itH) in the free eigenbasis,
+    formed here and not kept.  ``cluster_tol`` groups the system levels; the
+    reservoir atoms merge at MERGE_TOL."""
+    u_tilde = scn.unitary_in_free_basis(t)
+    system = _system_measure(scn, u_tilde, cluster_tol)
+    return FcsAtTime(scn, t, system, scn._eig_res[0], _reservoir_weights(scn, u_tilde))
 
-    There the level projectors are diagonal blocks, and the weight of the
-    level pair (i, j) is tr((sigma_ii (x) diag p) U~_ij U~_ij*), with
-    sigma = V_S* rho_S V_S and p the reservoir populations: O(d^2 d_S) work.
+
+def _system_measure(scn: Scenario, u_tilde: np.ndarray, cluster_tol: float | None) -> AtomicMeasure:
+    """System FCS from U~.
+
+    In the free product eigenbasis the level projectors are diagonal blocks,
+    and the weight of the level pair (i, j) is
+    tr((sigma_ii (x) diag p) U~_ij U~_ij*), with sigma = V_S* rho_S V_S and
+    p the reservoir populations: O(d^2 d_S) work.
     """
     w_s, v_s = scn._eig_sys
     groups = eigenvalue_clusters(w_s, cluster_tol)
     levels, starts = np.array([w_s[g].mean() for g in groups]), [g[0] for g in groups]
     sigma = dagger(v_s) @ scn.rho_sys @ v_s
-    u4 = ut.reshape(scn.dim_sys, scn.dim_res, scn.dim_sys, scn.dim_res)
+    u4 = u_tilde.reshape(scn.dim_sys, scn.dim_res, scn.dim_sys, scn.dim_res)
     locs, wts = [], []
     for lam_i, g in zip(levels, groups):
         rows = u4[g]  # rows (s, a) with s in level i; columns (s', b)
@@ -106,6 +150,36 @@ def _system_measure(scn: Scenario, ut: np.ndarray, cluster_tol: float | None = N
         locs.extend(levels - lam_i)
         wts.extend(np.add.reduceat(per_col, starts))
     return AtomicMeasure.from_points(np.array(locs), np.array(wts))
+
+
+def _reservoir_weights(scn: Scenario, u_tilde: np.ndarray) -> np.ndarray:
+    """W from U~.
+
+    In the free product eigenbasis the overlap matrix is
+    U~* (S~ (x) diag sqrt(p)), up to a rotation of the system factor that
+    keeps the Frobenius norm of each d_S x d_S block (a, b); S~ =
+    V_S* rho_S^(1/2) V_S.  With N = (S~ (x) 1) U~ and S~ Hermitian, the
+    overlap entry ((s, a), (s', b)) has modulus sqrt(p_b) |N_{(s', b), (s, a)}|.
+    """
+    d_s, d_r = scn.dim_sys, scn.dim_res
+    root = dagger(scn._eig_sys[1]) @ positive_sqrt(scn.rho_sys) @ scn._eig_sys[1]
+    n = (root @ u_tilde.reshape(d_s, -1)).reshape(d_s, d_r, d_s, d_r)
+    weights = (np.abs(n) ** 2).sum(axis=(0, 2)) * scn.gibbs_weights_res[:, None]
+    return weights.T
+
+
+def system_fcs(fa: FcsAtTime, gamma_grid: np.ndarray | None = None) -> FcsResult:
+    """Two-time measurement statistics of the system energy change.
+
+    Measure the system energy, evolve for time t under the coupled dynamics,
+    measure again; atoms sit at differences (second - first) of clustered
+    system levels, weighted by the joint outcome law.  Reduces to a point
+    mass at zero for t = 0 or lam = 0.  ``gamma_grid`` here and in
+    :func:`reservoir_fcs` defaults to ``default_gamma_grid(fa.scn)``.
+    """
+    if gamma_grid is None:
+        gamma_grid = default_gamma_grid(fa.scn)
+    return FcsResult.from_measure(fa.system_measure, gamma_grid)
 
 
 def system_char_limit(scn: Scenario, gamma: float) -> complex:
@@ -121,92 +195,17 @@ def system_char_limit(scn: Scenario, gamma: float) -> complex:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class _ReservoirSpectralData:
-    """Atoms of the reservoir FCS, before any tolerance-based merging.
-
-    The relative modular operator of the flowed weight e^{itH}(1 (x) rho_R)
-    e^{-itH} to the static weight 1 (x) rho_R has eigenvalues
-    exp(beta (e_j - e_i)) over pairs of product levels i = (s, a), j = (s', b),
-    e_i = w_res[a], with weights |<u_i, Omega v_j>|^2.  Every (s, s') gives
-    the same location w_res[b] - w_res[a], so the measure has d_R^2 atoms,
-    the matrix W[a, b] of weights summed over s and s'.
-
-    In the free product eigenbasis V_S (x) V_R the overlap matrix is
-    U~* (S~ (x) diag sqrt(p)), up to a rotation of the system factor that
-    keeps the Frobenius norm of each d_S x d_S block (a, b); U~ is exp(itH)
-    in that basis, S~ = V_S* rho_S^(1/2) V_S and p the reservoir populations.
-
-    The strip function F(alpha) = sum_ab W_ab exp(alpha beta (w_b - w_a)) is
-    the bilinear form e(-alpha)^T W e(alpha), e(alpha)_b =
-    exp(alpha beta (w_b - c)) with c the spectrum midpoint, so no exponent
-    exceeds Re(alpha) beta span / 2: 2 d_R exponentials per alpha.  F is
-    entire at finite size; ``char`` takes any complex alpha or an array.
-    """
-
-    levels: np.ndarray  # w_res, ascending
-    weights: np.ndarray  # W[a, b], the atom at w_res[b] - w_res[a] (first - second)
-    beta: float
-
-    @property
-    def locations(self) -> np.ndarray:
-        return self.levels[None, :] - self.levels[:, None]
-
-    def char(self, alpha: complex | np.ndarray) -> complex | np.ndarray:
-        x = np.multiply.outer(alpha * self.beta, self.levels - (self.levels[0] + self.levels[-1]) / 2)
-        vals = ((exp_complex(-x) @ self.weights) * exp_complex(x)).sum(axis=-1)
-        return complex(vals) if vals.ndim == 0 else vals
-
-    def contour_moments(self) -> np.ndarray:
-        """Moments from the derivatives of F at 0 by a 64-node trapezoid rule (see derivative_moments)."""
-        span = float(self.levels[-1] - self.levels[0])
-        radius = min(0.45, 0.5 / max(1.0, self.beta * span))
-        nodes = exp_complex(2j * np.pi * np.arange(64) / 64)
-        values = self.char(radius * nodes)
-        out = np.empty(N_MOMENTS)
-        for k in range(1, N_MOMENTS + 1):
-            deriv = math.factorial(k) * np.mean(values * nodes ** (-k)) / radius**k
-            out[k - 1] = deriv.real / self.beta**k
-        return out
-
-
-def _reservoir_spectral_data(scn: Scenario, t: float, ut: np.ndarray | None = None) -> _ReservoirSpectralData:
-    """W from U~ = ``scn.unitary_in_free_basis(t)``, or from ``ut`` if given.
-
-    With N = (S~ (x) 1) U~ and S~ Hermitian, the overlap entry
-    ((s, a), (s', b)) has modulus sqrt(p_b) |N_{(s', b), (s, a)}|.
-    """
-    ut = scn.unitary_in_free_basis(t) if ut is None else ut
-    d_s, d_r = scn.dim_sys, scn.dim_res
-    root = dagger(scn._eig_sys[1]) @ positive_sqrt(scn.rho_sys) @ scn._eig_sys[1]
-    n = (root @ ut.reshape(d_s, -1)).reshape(d_s, d_r, d_s, d_r)
-    weights = (np.abs(n) ** 2).sum(axis=(0, 2)) * scn.gibbs_weights_res[:, None]
-    return _ReservoirSpectralData(scn._eig_res[0], weights.T, scn.beta)
-
-
-def reservoir_fcs(
-    scn: Scenario,
-    t: float,
-    merge_tol: float = MERGE_TOL,
-    gamma_grid: np.ndarray | None = None,
-    *,
-    data: _ReservoirSpectralData | None = None,
-    ut: np.ndarray | None = None,
-) -> FcsResult:
+def reservoir_fcs(fa: FcsAtTime, gamma_grid: np.ndarray | None = None) -> FcsResult:
     """Reservoir energy statistics from the relative modular operator.
 
     Spectral measure of (1/beta) log Delta(flowed weight | static weight) in
     the initial-state vector.  Atoms sit at the *decrease* of the reservoir
     energy between the two measurements, so the mean equals the
     reservoir-energy drop dq_res; a point mass at zero for t = 0 or lam = 0.
-    ``data``, here and in the checks below, is the spectral data of (scn, t)
-    when the caller has already built it.
     """
     if gamma_grid is None:
-        gamma_grid = default_gamma_grid(scn)
-    data = data or _reservoir_spectral_data(scn, t, ut)
-    mu = AtomicMeasure.from_points(data.locations, data.weights, merge_tol=merge_tol)
-    return FcsResult.from_measure(mu, gamma_grid)
+        gamma_grid = default_gamma_grid(fa.scn)
+    return FcsResult.from_measure(fa.reservoir_measure, gamma_grid)
 
 
 def _in_strip(alpha: complex | np.ndarray) -> np.ndarray:
@@ -218,17 +217,15 @@ def _in_strip(alpha: complex | np.ndarray) -> np.ndarray:
     return alpha
 
 
-def reservoir_char(
-    scn: Scenario, t: float, alpha: complex | np.ndarray, *, data: _ReservoirSpectralData | None = None
-) -> complex | np.ndarray:
+def reservoir_char(fa: FcsAtTime, alpha: complex | np.ndarray) -> complex | np.ndarray:
     """The strip function F(alpha) = <Omega, Delta_rel^alpha Omega>.
 
     Defined for alpha in the closed strip 0 <= Re(alpha) <= 1 (the domain on
     which the bound |F| <= 1 + (d_S - 1) Re(alpha) holds); F(i gamma/beta) is
     the characteristic function of the reservoir FCS and F(0) = 1.  An array
-    of alpha gives the array of values, from one build of the spectral data.
+    of alpha gives the array of values.
     """
-    return (data or _reservoir_spectral_data(scn, t)).char(_in_strip(alpha))
+    return fa.char(_in_strip(alpha))
 
 
 def quad_vec(f, a: float, b: float, epsabs: float, epsrel: float):
@@ -236,15 +233,10 @@ def quad_vec(f, a: float, b: float, epsabs: float, epsrel: float):
     return gauss_kronrod(f, a, b, epsabs, epsrel)
 
 
-def mean_identity_check(
-    scn: Scenario, t: float, quad_tol: float = DEFAULT_QUAD_TOL, *,
-    data: _ReservoirSpectralData | None = None, dq_res: float | None = None,
-) -> float:
-    """|mean of the reservoir FCS - flux-integrated reservoir energy drop ``dq_res``| (default: delta_q_flux)."""
-    mean_r = reservoir_fcs(scn, t, data=data).mean
-    if dq_res is None:
-        _, dq_res = delta_q_flux(scn, t, quad_tol)
-    return abs(mean_r - dq_res)
+def mean_identity_check(fa: FcsAtTime, flux_drop: float) -> float:
+    """|mean of the reservoir FCS - ``flux_drop``|, the flux-integrated
+    reservoir energy drop ``delta_q_flux(fa.scn, fa.t, quad_tol)[1]``."""
+    return abs(fa.reservoir_measure.mean - flux_drop)
 
 
 def operator_balance_check(
@@ -304,9 +296,7 @@ class HalfLineResult:
         return max(self.residuals.values())
 
 
-def half_line_identity_check(
-    scn: Scenario, t: float, s: float, *, data: _ReservoirSpectralData | None = None
-) -> HalfLineResult:
+def half_line_identity_check(fa: FcsAtTime, s: float) -> HalfLineResult:
     """Check the identity for F(1/2 + is) against the Liouvillean route.
 
     F(1/2 + is) = <e^{i beta s L_half} Omega_hat,
@@ -316,6 +306,7 @@ def half_line_identity_check(
     the system state.  Both constructions of Omega_hat are evaluated against
     one ket: U(beta s), U(t) and 1 (x) e^{-i beta s H_R} are each formed once.
     """
+    scn, t = fa.scn, fa.t
     omega = initial_vector(scn)
     omega_eta = reservoir_weight_vector(scn)
     r_op = tensor(positive_sqrt(scn.rho_sys), np.eye(scn.dim_res))
@@ -323,7 +314,7 @@ def half_line_identity_check(
         "left_mult": r_op @ omega,
         "conjugated": dagger(r_op @ dagger(omega)),  # J pi(R) J Omega
     }
-    lhs = (data or _reservoir_spectral_data(scn, t)).char(0.5 + 1j * s)
+    lhs = fa.char(0.5 + 1j * s)
     left, right = Liouvilleans(scn).half_factors(scn.beta * s)
     ket = scn.evolve(left @ omega_eta @ right, t)
     residuals = {
@@ -346,18 +337,16 @@ class StripReport:
         return self.max_violation <= 0.0
 
 
-def strip_bounds_check(
-    scn: Scenario, t: float, alpha_grid: np.ndarray, *, data: _ReservoirSpectralData | None = None
-) -> StripReport:
+def strip_bounds_check(fa: FcsAtTime, alpha_grid: np.ndarray) -> StripReport:
     """Verify |F(alpha)| <= 1 + (d_S - 1) Re(alpha) + tol on a strip grid,
     and F(1) <= d_S + tol, with tol = 1e-10 for roundoff."""
     tol = 1e-10
     grid = np.atleast_1d(_in_strip(alpha_grid))
-    data = data or _reservoir_spectral_data(scn, t)
-    bound = 1.0 + (scn.dim_sys - 1) * grid.real + tol
-    vals = np.abs(data.char(grid))
-    f1 = data.char(1.0).real
-    max_violation = max(float(np.max(vals - bound, initial=-math.inf)), f1 - (scn.dim_sys + tol))
+    d_s = fa.scn.dim_sys
+    bound = 1.0 + (d_s - 1) * grid.real + tol
+    vals = np.abs(fa.char(grid))
+    f1 = fa.char(1.0).real
+    max_violation = max(float(np.max(vals - bound, initial=-math.inf)), f1 - (d_s + tol))
     return StripReport(
         max_violation=max_violation,
         min_slack=float(np.min(bound - vals, initial=math.inf)),
@@ -366,14 +355,14 @@ def strip_bounds_check(
     )
 
 
-def derivative_moments(scn: Scenario, t: float, *, data: _ReservoirSpectralData | None = None) -> np.ndarray:
+def derivative_moments(fa: FcsAtTime) -> np.ndarray:
     """Moments of the reservoir FCS from derivatives of F at alpha = 0.
 
     F(alpha) is entire at finite size, so the k-th derivative at 0 is a
     contour integral over a small circle, evaluated with the trapezoid rule
     (spectrally accurate); moment k is that derivative divided by beta^k.
     """
-    return (data or _reservoir_spectral_data(scn, t)).contour_moments()
+    return fa.contour_moments()
 
 
 @dataclass(frozen=True)
@@ -421,19 +410,17 @@ class SweepResult:
 def _sweep_cell(
     cell: Scenario, t: float, gamma_grid: np.ndarray, limit_vals: np.ndarray
 ) -> SweepRow:
-    ut = cell.unitary_in_free_basis(t)
-    data = _reservoir_spectral_data(cell, t, ut)
-    mu = AtomicMeasure.from_points(data.locations, data.weights)
-    res = FcsResult.from_measure(mu, gamma_grid)
+    fa = fcs_at(cell, t)
+    res = reservoir_fcs(fa, gamma_grid)
     fcs_vals = np.array([val for _, val in res.char_samples])
     distance = float(np.max(np.abs(fcs_vals - limit_vals)))
-    gap = float(np.max(np.abs(data.contour_moments() - res.moments)))
+    gap = float(np.max(np.abs(fa.contour_moments() - res.moments)))
     return SweepRow(
         lam=cell.lam,
         t=t,
         distance=distance,
         mean_res=res.mean,
-        mean_sys=_system_measure(cell, ut).mean,
+        mean_sys=fa.system_measure.mean,
         moments_res=res.moments,
         moment_gap=gap,
     )

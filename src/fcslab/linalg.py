@@ -240,17 +240,22 @@ def func_calc(
     return eig_hermitian(a, cluster_tol).apply(f)
 
 
+def positivity_floor(w: np.ndarray) -> float:
+    """Most negative eigenvalue taken for roundoff in a positive semidefinite
+    matrix with ascending spectrum w: -1e-12 * ||a||."""
+    return -POSITIVITY_RTOL * max(abs(w[0]), abs(w[-1]), 1e-300)
+
+
 def positive_sqrt(a: np.ndarray) -> np.ndarray:
     """Unique positive square root of a positive semidefinite matrix.
 
-    Eigenvalues in [-1e-12 * ||a||, 0) are clamped to zero (roundoff);
+    Eigenvalues in [positivity_floor, 0) are clamped to zero (roundoff);
     anything more negative raises NotPositiveError.
     """
     assert_square(a)
     assert_hermitian(a)
     w, v = np.linalg.eigh(a)
-    scale = max(abs(w[0]), abs(w[-1]), 0.0)
-    floor = -POSITIVITY_RTOL * max(scale, 1e-300)
+    floor = positivity_floor(w)
     if w[0] < floor:
         raise NotPositiveError(
             f"matrix is not positive: eigenvalue {w[0]:.6e} below tolerance {floor:.1e}"

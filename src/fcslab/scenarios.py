@@ -18,6 +18,7 @@ from .states import gibbs, maximally_mixed, random_density, random_hermitian
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+SIGMA_XX = np.kron(SIGMA_X, SIGMA_X)
 
 MAX_CHAIN_SITES = 12
 DEFAULT_CLUSTER_TOL = 1e-9
@@ -70,18 +71,15 @@ def build_chain_reservoir(
         rng = np.random.default_rng(seed)
         fields = fields + disorder * rng.standard_normal(n)
     dim = 2**n
-    h = np.zeros((dim, dim), dtype=complex)
-
-    def site_op(op: np.ndarray, site: int) -> np.ndarray:
-        mats = [np.eye(2, dtype=complex)] * n
-        mats[site] = op
-        return tensor(*mats)
-
-    for i in range(n):
-        h += fields[i] * site_op(SIGMA_Z, i)
-    for i in range(n - 1):
-        h += j_coupling * site_op(SIGMA_X, i) @ site_op(SIGMA_X, i + 1)
-    return h, site_op(SIGMA_X, 0)
+    # sz_i is +1 where bit n-1-i of the basis index is 0 (site 0 leads the tensor product)
+    spins = 1 - 2 * ((np.arange(dim)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
+    diag = np.zeros(dim)
+    for i in range(n):  # site by site: spins @ fields would sum in another order and move bits
+        diag += fields[i] * spins[:, i]
+    h = np.diag(diag.astype(complex))
+    for i in range(n - 1):  # one Kronecker product 1 (x) sx sx (x) 1 per bond
+        h += j_coupling * np.kron(np.kron(np.eye(2**i), SIGMA_XX), np.eye(2 ** (n - i - 2)))
+    return h, np.kron(SIGMA_X, np.eye(dim // 2))
 
 
 def ladder_hamiltonian(dim: int) -> np.ndarray:

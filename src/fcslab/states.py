@@ -18,6 +18,7 @@ from .linalg import (
     exp_complex,
     expm_hermitian,
     op_norm,
+    positivity_floor,
 )
 
 DENSITY_TOL = 1e-12
@@ -27,11 +28,12 @@ WEIGHT_DROP_TOL = 1e-13
 
 
 def assert_density(rho: np.ndarray, tol: float = DENSITY_TOL, name: str = "state") -> None:
-    """Validate Hermiticity, positivity (>= -tol) and unit trace (within tol)."""
+    """Validate Hermiticity, positivity (the floor positive_sqrt accepts) and
+    unit trace (within tol)."""
     assert_square(rho, name)
     assert_hermitian(rho, name=name)
     w = np.linalg.eigvalsh(rho)
-    if w[0] < -tol:
+    if w[0] < positivity_floor(w):
         raise ValueError(f"{name} has negative eigenvalue {w[0]:.3e}")
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > tol:

@@ -21,6 +21,7 @@ from fcslab.dynamics import (
 from fcslab.fcs import (
     default_gamma_grid,
     derivative_moments,
+    fcs_at,
     half_line_identity_check,
     reservoir_fcs,
     strip_bounds_check,
@@ -70,7 +71,7 @@ def scenario_suite():
 def test_criterion_1_modular_vs_protocol(scenario_suite):
     start = time.monotonic()
     for scn, t in scenario_suite:
-        mu = reservoir_fcs(scn, t).measure
+        mu = reservoir_fcs(fcs_at(scn, t)).measure
         match_atoms(mu, reservoir_two_time_oracle(scn, t), tol=1e-10)
     elapsed = time.monotonic() - start
     _verdict(1, "modular-vs-protocol equivalence", elapsed < 30.0,
@@ -80,7 +81,7 @@ def test_criterion_1_modular_vs_protocol(scenario_suite):
 def test_criterion_2_mean_identity(scenario_suite):
     worst = 0.0
     for scn, t in scenario_suite:
-        mean_r = reservoir_fcs(scn, t).mean
+        mean_r = reservoir_fcs(fcs_at(scn, t)).mean
         _, dq_r = delta_q_flux(scn, t, quad_tol=1e-8)
         worst = max(worst, abs(mean_r - dq_r))
     _verdict(2, "mean identity", worst <= 1e-7, f"(max residual {worst:.2e})")
@@ -111,7 +112,7 @@ def test_criterion_5_half_line_identity(scenario_suite):
     for scn, _ in scenario_suite[:10]:
         for s in grid:
             for t in grid:
-                res = half_line_identity_check(scn, t, s)
+                res = half_line_identity_check(fcs_at(scn, t), s)
                 worst = max(worst, res.residual)
                 routes.update(res.residuals)
     _verdict(5, "half-line identity", worst <= 1e-8,
@@ -124,7 +125,7 @@ def test_criterion_6_strip_bounds(scenario_suite):
     )
     worst = -np.inf
     for scn, t in scenario_suite:
-        rep = strip_bounds_check(scn, t, grid)
+        rep = strip_bounds_check(fcs_at(scn, t), grid)
         worst = max(worst, rep.max_violation)
     _verdict(6, "strip growth bounds", worst <= 0.0, f"(max violation {worst:.2e})")
 
@@ -183,7 +184,7 @@ def test_criterion_8_trivial_limits():
     scenarios.append(chain_scenario(2))
     for scn in scenarios:
         for variant, t in ((scn.with_lam(0.0), 2.5), (scn, 0.0)):
-            for mu in (system_fcs(variant, t).measure, reservoir_fcs(variant, t).measure):
+            for mu in (system_fcs(fcs_at(variant, t)).measure, reservoir_fcs(fcs_at(variant, t)).measure):
                 ok = len(mu) == 1 and abs(mu.locations[0]) <= 1e-12
                 residual = abs(mu.weights[0] - 1.0) if ok else 1.0
                 worst = max(worst, residual)
@@ -216,7 +217,7 @@ def test_criterion_10_convergence_trend():
         limit = np.array([system_char_limit(scn, g) for g in gammas])
 
         def distance(t):
-            res = reservoir_fcs(scn, t, gamma_grid=gammas)
+            res = reservoir_fcs(fcs_at(scn, t), gamma_grid=gammas)
             vals = np.array([v for _, v in res.char_samples])
             return float(np.max(np.abs(vals - limit)))
 
@@ -234,7 +235,8 @@ def test_criterion_10_convergence_trend():
 def test_criterion_11_moment_consistency(scenario_suite):
     worst = 0.0
     for scn, t in scenario_suite:
-        atom_moments = reservoir_fcs(scn, t).moments
-        deriv = derivative_moments(scn, t)
+        fa = fcs_at(scn, t)
+        atom_moments = reservoir_fcs(fa).moments
+        deriv = derivative_moments(fa)
         worst = max(worst, float(np.max(np.abs(atom_moments - deriv))))
     _verdict(11, "moment route consistency", worst <= 1e-6, f"(max gap {worst:.2e})")

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from fcslab.cli import main
-from fcslab.scenarios import matrix_to_pairs
+from fcslab.fcs import fcs_at
+from fcslab.linalg import NotPositiveError, positive_sqrt
+from fcslab.scenarios import RunConfig, matrix_to_pairs, parse_config, scenario_to_config
 
 from test_scenarios import shipped_config
 
@@ -121,6 +123,27 @@ def test_fcs_forms_the_free_basis_unitary_once(tmp_path, monkeypatch):
     assert calls == [5.0]  # one U~(t) feeds the system and the reservoir measure
 
 
+@pytest.mark.parametrize("disorder", [None, 0.27224210453])
+def test_fcs_measures_are_the_library_atoms(tmp_path, disorder):
+    # At disorder 0.27224210453 (seed 1) two distinct reservoir atoms lie
+    # 4.0e-9 apart: merged at cluster_tol (1e-9) the reservoir has 27 atoms,
+    # at the library's MERGE_TOL (1e-8) 21.
+    cfg = shipped_config("qubit_chain3")
+    if disorder is not None:
+        cfg["reservoir"].update(disorder=disorder, seed=1)
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["fcs", "--config", str(path), "--t", "5.0", "--out-dir", str(tmp_path)]) == 0
+    run = parse_config(path)
+    fa = fcs_at(run.scenario, 5.0, cluster_tol=run.cluster_tol)
+    expected = [
+        f"{x!r},{w!r},{which}"
+        for which, mu in (("system", fa.system_measure), ("reservoir", fa.reservoir_measure))
+        for x, w in zip(mu.locations.tolist(), mu.weights.tolist())
+    ]
+    assert (tmp_path / "measures.csv").read_text().splitlines()[1:] == expected
+
+
 def test_sweep_single_point_matches_fcs(config_path, tmp_path):
     out_f = tmp_path / "f"
     out_s = tmp_path / "s"
@@ -174,6 +197,36 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical error: ") and "quadrature" in err
     assert "Traceback" not in err
+
+
+def test_rank_deficient_reference_is_a_numerical_failure(tmp_path, capsys):
+    # at beta = 40 the chain's thermal reference state has a smallest
+    # eigenvalue at roundoff: the config is valid, the modular suite cannot run
+    cfg = shipped_config("qubit_chain3")
+    cfg["beta"] = 40.0
+    path = tmp_path / "cold.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", "--config", str(path)]) == 0
+    assert main(["verify", "--config", str(path), "--suite", "modular"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and "not full rank" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_state_below_the_square_root_floor_is_a_config_error(tmp_path, capsys, scenario_factory):
+    # -8e-13 lies above -1e-12 but below -1e-12 * max|w| = -5e-13, the floor
+    # under which positive_sqrt refuses the state: validation refuses it too
+    rho = np.diag([0.5, 0.5 + 8e-13, -8e-13]).astype(complex)
+    with pytest.raises(NotPositiveError):
+        positive_sqrt(rho)
+    cfg = scenario_to_config(RunConfig(scenario=scenario_factory(3, d_sys=3, d_res=2)))
+    cfg["system"]["initial_state"] = {"matrix": matrix_to_pairs(rho)}
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert main(["verify", "--config", str(path), "--suite", "fcs"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("negative eigenvalue -8.000e-13") == 2 and "numerical error" not in err
 
 
 def test_dyson_check_uses_the_configured_quad_tol(tmp_path, capsys):

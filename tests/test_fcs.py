@@ -9,15 +9,15 @@ from scipy.integrate import quad_vec
 
 from fcslab.checks import measure_distance, suite_fcs, two_time_reservoir_oracle
 from fcslab import dynamics
-from fcslab.dynamics import DEFAULT_QUAD_TOL, QuadratureError, Scenario, delta_q_direct, exact_cocycle
+from fcslab.dynamics import DEFAULT_QUAD_TOL, QuadratureError, Scenario, delta_q_direct, delta_q_flux, exact_cocycle
 from fcslab import fcs as fcsmod
 from fcslab.fcs import (
     FcsResult,
     HalfLineResult,
     SweepRow,
-    _reservoir_spectral_data,
     default_gamma_grid,
     derivative_moments,
+    fcs_at,
     half_line_identity_check,
     limit_sweep,
     mean_identity_check,
@@ -164,28 +164,28 @@ def match_atoms(measure, oracle, tol=1e-10, window=1e-8):
 
 class TestSystemFcs:
     def test_zero_time_point_mass(self, qubit_qubit):
-        mu = system_fcs(qubit_qubit, 0.0).measure
+        mu = system_fcs(fcs_at(qubit_qubit, 0.0)).measure
         assert len(mu) == 1 and abs(mu.locations[0]) <= 1e-12
         assert abs(mu.weights[0] - 1.0) <= 1e-12
 
     def test_uncoupled_point_mass(self, qubit_qubit):
-        mu = system_fcs(qubit_qubit.with_lam(0.0), 3.0).measure
+        mu = system_fcs(fcs_at(qubit_qubit.with_lam(0.0), 3.0)).measure
         assert len(mu) == 1 and abs(mu.locations[0]) <= 1e-12
         assert abs(mu.weights[0] - 1.0) <= 1e-12
 
     def test_qubit_qubit_double_sum(self, qubit_qubit):
-        res = system_fcs(qubit_qubit, 1.0)
+        res = system_fcs(fcs_at(qubit_qubit, 1.0))
         assert np.allclose(res.measure.locations, [-1.0, 0.0, 1.0], atol=1e-12)
         match_atoms(res.measure, system_two_time_oracle(qubit_qubit, 1.0))
 
     def test_probability_measure(self, scenario_factory):
         scn = scenario_factory(41, d_sys=3, d_res=4)
-        res = system_fcs(scn, 2.0)
+        res = system_fcs(fcs_at(scn, 2.0))
         assert abs(res.measure.mass - 1.0) <= 1e-10
         assert all(w >= 0 for w in res.measure.weights)
 
     def test_mean_matches_moments(self, scenario_factory):
-        res = system_fcs(scenario_factory(42), 1.5)
+        res = system_fcs(fcs_at(scenario_factory(42), 1.5))
         assert abs(res.mean - res.moments[0]) <= 1e-12
 
 
@@ -234,28 +234,28 @@ class TestDefaultGammaGrid:
 
 class TestReservoirFcs:
     def test_zero_time_point_mass(self, qubit_qubit):
-        mu = reservoir_fcs(qubit_qubit, 0.0).measure
+        mu = reservoir_fcs(fcs_at(qubit_qubit, 0.0)).measure
         assert len(mu) == 1 and abs(mu.locations[0]) <= 1e-12
         assert abs(mu.weights[0] - 1.0) <= 1e-12
 
     def test_uncoupled_point_mass(self, qubit_qubit):
-        mu = reservoir_fcs(qubit_qubit.with_lam(0.0), 4.0).measure
+        mu = reservoir_fcs(fcs_at(qubit_qubit.with_lam(0.0), 4.0)).measure
         assert len(mu) == 1 and abs(mu.locations[0]) <= 1e-12
         assert abs(mu.weights[0] - 1.0) <= 1e-12
 
     def test_qubit_qubit_matches_protocol(self, qubit_qubit):
-        res = reservoir_fcs(qubit_qubit, 1.0)
+        res = reservoir_fcs(fcs_at(qubit_qubit, 1.0))
         match_atoms(res.measure, reservoir_two_time_oracle(qubit_qubit, 1.0))
 
     def test_random_scenarios_match_protocol(self):
         for k in range(8):
             scn = random_scenario(np.random.default_rng(500 + k), 2, 4)
             t = 0.7 + 0.4 * k
-            match_atoms(reservoir_fcs(scn, t).measure, reservoir_two_time_oracle(scn, t))
+            match_atoms(reservoir_fcs(fcs_at(scn, t)).measure, reservoir_two_time_oracle(scn, t))
 
     def test_mean_equals_energy_drop(self, scenario_factory):
         scn = scenario_factory(51, d_sys=2, d_res=4)
-        res = reservoir_fcs(scn, 2.0)
+        res = reservoir_fcs(fcs_at(scn, 2.0))
         _, dq_r = delta_q_direct(scn, 2.0)
         assert abs(res.mean - dq_r) <= 1e-12
 
@@ -271,25 +271,25 @@ class TestReservoirFcs:
         assert (scn.dim_sys, scn.dim_res) == (d_sys, d_res)
         x, w = raw_reservoir_atoms(scn, t)
         raw = AtomicMeasure.from_points(x, w)
-        assert measure_distance(reservoir_fcs(scn, t).measure, raw) <= 1e-14
+        assert measure_distance(reservoir_fcs(fcs_at(scn, t)).measure, raw) <= 1e-14
         for alpha in (0.0, 0.3, 0.5 + 1j, 1.0, 0.25j, -0.7j, 0.8 - 2j):
             expected = np.sum(w * np.exp(alpha * scn.beta * x))
-            assert abs(reservoir_char(scn, t, alpha) - expected) <= 1e-13
+            assert abs(reservoir_char(fcs_at(scn, t), alpha) - expected) <= 1e-13
 
 
 class TestReservoirChar:
     def test_at_zero(self, qubit_qubit):
-        assert reservoir_char(qubit_qubit, 1.0, 0.0) == pytest.approx(1.0)
+        assert reservoir_char(fcs_at(qubit_qubit, 1.0), 0.0) == pytest.approx(1.0)
 
     def test_uncoupled_constant_one(self, qubit_qubit):
         scn = qubit_qubit.with_lam(0.0)
         for alpha in (0.3, 0.5 + 1j, 1.0, 0.25j):
-            assert reservoir_char(scn, 2.0, alpha) == pytest.approx(1.0, abs=1e-10)
+            assert reservoir_char(fcs_at(scn, 2.0), alpha) == pytest.approx(1.0, abs=1e-10)
 
     def test_alpha_one_real_bounded_and_dual_route(self, scenario_factory):
         scn = scenario_factory(61, d_sys=2, d_res=3)
         t = 1.2
-        val = reservoir_char(scn, t, 1.0)
+        val = reservoir_char(fcs_at(scn, t), 1.0)
         assert abs(val.imag) <= 1e-10
         assert -1e-10 <= val.real <= scn.dim_sys + 1e-10
         # independent route: squared norm of the dressed, cocycle-rotated weight
@@ -303,45 +303,50 @@ class TestReservoirChar:
 
     def test_rejects_outside_strip(self, qubit_qubit):
         with pytest.raises(ValueError, match="strip"):
-            reservoir_char(qubit_qubit, 1.0, -0.1)
+            reservoir_char(fcs_at(qubit_qubit, 1.0), -0.1)
         with pytest.raises(ValueError, match="strip"):
-            reservoir_char(qubit_qubit, 1.0, 1.2 + 0.5j)
+            reservoir_char(fcs_at(qubit_qubit, 1.0), 1.2 + 0.5j)
 
     def test_conjugate_symmetry(self, scenario_factory):
         scn = scenario_factory(62)
         for g in (0.3, 1.1, 2.9):
-            plus = reservoir_char(scn, 1.0, 1j * g / scn.beta)
-            minus = reservoir_char(scn, 1.0, -1j * g / scn.beta)
+            plus = reservoir_char(fcs_at(scn, 1.0), 1j * g / scn.beta)
+            minus = reservoir_char(fcs_at(scn, 1.0), -1j * g / scn.beta)
             assert abs(np.conjugate(plus) - minus) <= 1e-12
 
     def test_matches_measure_char(self, scenario_factory):
         scn = scenario_factory(63)
-        res = reservoir_fcs(scn, 1.5)
+        res = reservoir_fcs(fcs_at(scn, 1.5))
         for g in (0.0, 0.7, -1.3):
-            direct = reservoir_char(scn, 1.5, 1j * g / scn.beta)
+            direct = reservoir_char(fcs_at(scn, 1.5), 1j * g / scn.beta)
             assert abs(direct - res.measure.char(g)) <= 1e-10
 
     def test_array_matches_scalar_calls(self, scenario_factory):
         scn = scenario_factory(64, d_sys=3, d_res=4)
         alphas = np.array([[0.0, 0.25 - 1.0j], [0.5 + 2.0j, 1.0], [0.7j, 0.9 - 0.3j]])
-        vals = reservoir_char(scn, 1.3, alphas)
+        vals = reservoir_char(fcs_at(scn, 1.3), alphas)
         assert vals.shape == alphas.shape
-        scalar = np.array([[reservoir_char(scn, 1.3, a) for a in row] for row in alphas])
+        scalar = np.array([[reservoir_char(fcs_at(scn, 1.3), a) for a in row] for row in alphas])
         assert np.max(np.abs(vals - scalar)) <= 1e-14
 
     def test_array_with_one_point_off_strip_raises(self, qubit_qubit):
         with pytest.raises(ValueError, match="strip"):
-            reservoir_char(qubit_qubit, 1.0, np.array([0.0, 0.5j, 1.0 + 1e-9, 0.3]))
+            reservoir_char(fcs_at(qubit_qubit, 1.0), np.array([0.0, 0.5j, 1.0 + 1e-9, 0.3]))
+
+
+def mean_gap(scn, t):
+    """The mean identity residual against the flux-integrated drop at the default quad_tol."""
+    return mean_identity_check(fcs_at(scn, t), delta_q_flux(scn, t)[1])
 
 
 class TestIdentities:
     def test_mean_identity_trivial_cases(self, qubit_qubit):
-        assert mean_identity_check(qubit_qubit.with_lam(0.0), 2.0) <= 1e-12
-        assert mean_identity_check(qubit_qubit, 0.0) <= 1e-12
+        assert mean_gap(qubit_qubit.with_lam(0.0), 2.0) <= 1e-12
+        assert mean_gap(qubit_qubit, 0.0) <= 1e-12
 
     def test_mean_identity_random(self, scenario_factory):
         scn = scenario_factory(71, d_sys=2, d_res=4, lam=0.3)
-        assert mean_identity_check(scn, 2.0) <= 1e-7
+        assert mean_gap(scn, 2.0) <= 1e-7
 
     def test_operator_balance_zero_time(self, qubit_qubit):
         assert operator_balance_check(qubit_qubit, 0.0) <= 1e-12
@@ -375,7 +380,7 @@ class TestIdentities:
         from fcslab.linalg import hs_inner, tensor, positive_sqrt
         from fcslab.modular import initial_vector, reservoir_weight_vector
 
-        res = half_line_identity_check(qubit_qubit, 0.0, 0.0)
+        res = half_line_identity_check(fcs_at(qubit_qubit, 0.0), 0.0)
         overlap = hs_inner(
             tensor(positive_sqrt(qubit_qubit.rho_sys), np.eye(2))
             @ initial_vector(qubit_qubit),
@@ -385,7 +390,7 @@ class TestIdentities:
         assert res.residual <= 1e-12
 
     def test_half_line_uncoupled(self, qubit_qubit):
-        res = half_line_identity_check(qubit_qubit.with_lam(0.0), 2.0, 0.8)
+        res = half_line_identity_check(fcs_at(qubit_qubit.with_lam(0.0), 2.0), 0.8)
         assert res.residual <= 1e-10
 
     def test_half_line_grid(self, scenario_factory):
@@ -393,7 +398,7 @@ class TestIdentities:
         worst = 0.0
         for s in (-2.0, -1.0, 0.0, 1.0, 2.0):
             for t in (-2.0, -1.0, 0.0, 1.0, 2.0):
-                res = half_line_identity_check(scn, t, s)
+                res = half_line_identity_check(fcs_at(scn, t), s)
                 worst = max(worst, res.residual)
         assert worst <= 1e-8
 
@@ -404,7 +409,7 @@ class TestIdentities:
     def test_half_line_variants_coincide(self, scenario_factory):
         # both constructions of the dressed vector agree in the standard rep
         scn = scenario_factory(74, d_sys=3, d_res=3)
-        res = half_line_identity_check(scn, 1.0, 0.5)
+        res = half_line_identity_check(fcs_at(scn, 1.0), 0.5)
         vals = list(res.residuals.values())
         assert abs(vals[0] - vals[1]) <= 1e-12
         assert set(res.residuals) == {"left_mult", "conjugated"} and res.residual <= 1e-8
@@ -417,7 +422,7 @@ class TestFirstLawOfAverages:
         scn = random_scenario(np.random.default_rng(85), 2, 4, lam=0.3,
                               commuting_init=True)
         t = 2.0
-        res = system_fcs(scn, t)
+        res = system_fcs(fcs_at(scn, t))
         dq_s, _ = delta_q_direct(scn, t)
         assert abs(res.mean - dq_s) <= 1e-10
 
@@ -425,8 +430,8 @@ class TestFirstLawOfAverages:
         scn = random_scenario(np.random.default_rng(86), 3, 4, lam=0.4,
                               commuting_init=True)
         t = 1.6
-        mean_r = reservoir_fcs(scn, t).mean
-        mean_s = system_fcs(scn, t).mean
+        mean_r = reservoir_fcs(fcs_at(scn, t)).mean
+        mean_s = system_fcs(fcs_at(scn, t)).mean
         coupling = scn.lam * (scn.expect(scn.evolve(scn.v, t)) - scn.expect(scn.v))
         assert abs(mean_r - mean_s - coupling) <= 1e-8
 
@@ -436,7 +441,7 @@ class TestFirstLawOfAverages:
         scn = random_scenario(np.random.default_rng(87), 2, 4, lam=0.4)
         assert np.abs(scn.rho_sys @ scn.h_sys - scn.h_sys @ scn.rho_sys).max() > 1e-3
         t = 2.0
-        res = system_fcs(scn, t)
+        res = system_fcs(fcs_at(scn, t))
         dq_s, _ = delta_q_direct(scn, t)
         assert abs(res.mean - dq_s) > 1e-6
 
@@ -447,37 +452,37 @@ class TestStripBounds:
         grid = np.array(
             [a + 1j * b for a in np.linspace(0, 1, 5) for b in np.linspace(-2, 2, 5)]
         )
-        rep = strip_bounds_check(scn, 2.0, grid)
+        rep = strip_bounds_check(fcs_at(scn, 2.0), grid)
         assert rep.passed
         assert rep.n_points == 25
 
     def test_value_at_zero_saturates(self, qubit_qubit):
-        rep = strip_bounds_check(qubit_qubit, 1.0, np.array([0.0]))
+        rep = strip_bounds_check(fcs_at(qubit_qubit, 1.0), np.array([0.0]))
         assert rep.max_violation <= 0.0
         # |F(0)| = 1 exactly: slack equals the tolerance only
         assert rep.min_slack <= 1e-9
 
     def test_uncoupled_at_one(self, qubit_qubit):
-        rep = strip_bounds_check(qubit_qubit.with_lam(0.0), 3.0, np.array([1.0]))
+        rep = strip_bounds_check(fcs_at(qubit_qubit.with_lam(0.0), 3.0), np.array([1.0]))
         assert abs(rep.f_at_one - 1.0) <= 1e-10
         assert rep.passed
 
     def test_rejects_off_strip_grid(self, qubit_qubit):
         with pytest.raises(ValueError, match="strip"):
-            strip_bounds_check(qubit_qubit, 1.0, np.array([-0.2]))
+            strip_bounds_check(fcs_at(qubit_qubit, 1.0), np.array([-0.2]))
 
 
 class TestMoments:
     def test_derivative_route_matches_atoms(self, scenario_factory):
         scn = scenario_factory(91, d_sys=2, d_res=4)
-        res = reservoir_fcs(scn, 1.7)
-        deriv = derivative_moments(scn, 1.7)
+        res = reservoir_fcs(fcs_at(scn, 1.7))
+        deriv = derivative_moments(fcs_at(scn, 1.7))
         assert np.max(np.abs(deriv - res.moments)) <= 1e-6
 
     def test_first_derivative_moment_is_energy_drop(self, scenario_factory):
         scn = scenario_factory(92)
         _, dq_r = delta_q_direct(scn, 1.1)
-        assert abs(derivative_moments(scn, 1.1)[0] - dq_r) <= 1e-8
+        assert abs(derivative_moments(fcs_at(scn, 1.1))[0] - dq_r) <= 1e-8
 
 
 def per_cell_sweep_rows(scn, t_grid, lam_grid, gamma_grid):
@@ -486,10 +491,10 @@ def per_cell_sweep_rows(scn, t_grid, lam_grid, gamma_grid):
     for lam in lam_grid:
         for t in t_grid:
             cell = scn.with_lam(float(lam))
-            data = _reservoir_spectral_data(cell, float(t))
+            data = fcs_at(cell, float(t))
             mu = AtomicMeasure.from_points(data.locations, data.weights)
             res = FcsResult.from_measure(mu, gamma_grid)
-            sys = system_fcs(cell, float(t), gamma_grid=gamma_grid)
+            sys = system_fcs(fcs_at(cell, float(t)), gamma_grid=gamma_grid)
             limit_vals = np.array([system_char_limit(cell, g) for g in gamma_grid])
             fcs_vals = np.array([val for _, val in res.char_samples])
             rows.append(SweepRow(
@@ -665,17 +670,18 @@ class TestFcsInvariants:
     )
     def test_invariants(self, seed, d_sys, d_res, t):
         scn = random_scenario(np.random.default_rng(seed), d_sys, d_res)
-        res = reservoir_fcs(scn, t)
+        fa = fcs_at(scn, t)
+        res = reservoir_fcs(fcs_at(scn, t))
         assert abs(res.measure.mass - 1.0) <= 1e-10
         gammas = default_gamma_grid(scn, 11)
-        plus = reservoir_char(scn, t, 1j * gammas / scn.beta)
-        minus = reservoir_char(scn, t, -1j * gammas / scn.beta)
+        plus = reservoir_char(fa, 1j * gammas / scn.beta)
+        minus = reservoir_char(fa, -1j * gammas / scn.beta)
         assert np.max(np.abs(np.conjugate(plus) - minus)) <= 1e-12
         assert abs(res.mean - delta_q_direct(scn, t)[1]) <= DEFAULT_QUAD_TOL + 1e-8
         grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) + 1j * np.array([0.0, -1.0, 2.0, 0.5, 0.0])
-        assert strip_bounds_check(scn, t, grid).max_violation <= 1e-12
+        assert strip_bounds_check(fa, grid).max_violation <= 1e-12
         for variant, tt in ((scn.with_lam(0.0), t), (scn, 0.0)):
-            for mu in (system_fcs(variant, tt).measure, reservoir_fcs(variant, tt).measure):
+            for mu in (system_fcs(fcs_at(variant, tt)).measure, reservoir_fcs(fcs_at(variant, tt)).measure):
                 assert len(mu) == 1 and abs(mu.locations[0]) < 1e-12
                 assert abs(mu.mass - 1.0) <= 1e-12
 
@@ -712,20 +718,20 @@ class TestFreeBasisWeights:
     @pytest.mark.parametrize("case", sorted(FREE_BASIS_CASES))
     def test_weights_match_matrix_products(self, case, t):
         scn = FREE_BASIS_CASES[case]()
-        assert measure_distance(system_fcs(scn, t).measure, matrix_product_system_measure(scn, t)) <= 1e-13
+        assert measure_distance(system_fcs(fcs_at(scn, t)).measure, matrix_product_system_measure(scn, t)) <= 1e-13
         x_ref, w_ref = matrix_product_reservoir_atoms(scn, t)
-        data = _reservoir_spectral_data(scn, t)
+        data = fcs_at(scn, t)
         assert np.array_equal(data.locations.ravel(), x_ref)
         assert np.max(np.abs(data.weights.ravel() - w_ref)) <= 1e-13
         merged_ref = AtomicMeasure.from_points(x_ref, w_ref)
-        assert measure_distance(reservoir_fcs(scn, t).measure, merged_ref) <= 1e-13
+        assert measure_distance(reservoir_fcs(fcs_at(scn, t)).measure, merged_ref) <= 1e-13
         alphas = np.array([0.0, 0.3, 1.0, 0.5 + 1.0j, 0.25j, -0.7j, 0.8 - 2.0j])
         ref = per_atom_char(x_ref, w_ref, scn.beta, alphas)
         assert np.max(np.abs(data.char(alphas) - ref)) <= 1e-13
 
     def test_degenerate_level_is_one_atom_pair(self):
         scn = degenerate_scenario()
-        assert sorted(set(np.round(system_fcs(scn, 1.5).measure.locations, 12))) == [-1.0, 0.0, 1.0]
+        assert sorted(set(np.round(system_fcs(fcs_at(scn, 1.5)).measure.locations, 12))) == [-1.0, 0.0, 1.0]
 
     def test_strip_function_at_large_beta_span(self):
         # levels far from 0 and beta * span = 50: uncentred exponentials of
@@ -735,7 +741,7 @@ class TestFreeBasisWeights:
         h_res = base.h_res * (50.0 / (w[-1] - w[0])) + 800.0 * np.eye(4)
         scn = Scenario(h_sys=base.h_sys, h_res=h_res, v=base.v, lam=0.5, beta=1.0, rho_sys=base.rho_sys)
         t = 0.7
-        data = _reservoir_spectral_data(scn, t)
+        data = fcs_at(scn, t)
         assert scn.beta * (data.levels[-1] - data.levels[0]) == pytest.approx(50.0)
         alphas = np.add.outer(np.linspace(0.0, 1.0, 9), 1j * np.array([-3.0, 0.0, 0.4, 2.0])).ravel()
         with np.errstate(over="raise", invalid="raise"):
@@ -757,7 +763,7 @@ class TestFreeBasisWeights:
 
     def test_contour_moments_match_per_atom_contour(self):
         scn = chain_scenario(4, disorder=0.3, seed=1)
-        data = _reservoir_spectral_data(scn, 5.0)
+        data = fcs_at(scn, 5.0)
         x_ref, w_ref = matrix_product_reservoir_atoms(scn, 5.0)
         radius = min(0.45, 0.5 / max(1.0, scn.beta * float(np.max(np.abs(x_ref)))))
         nodes = np.exp(2j * np.pi * np.arange(64) / 64)
@@ -793,18 +799,21 @@ class TestFreeBasisWeights:
 
 class TestSuiteFcsSharing:
     def test_spectral_data_built_once_per_distinct_scenario_and_time(self, qubit_qubit, monkeypatch):
-        built = []
-        build = fcsmod._reservoir_spectral_data
+        built, unitaries = [], []
+        build, unitary = fcsmod.fcs_at, Scenario.unitary_in_free_basis
 
-        def counting(scn, t, ut=None):
+        def counting(scn, t, cluster_tol=None):
             built.append((scn.lam, t))
-            return build(scn, t, ut)
+            return build(scn, t, cluster_tol)
 
-        monkeypatch.setattr(fcsmod, "_reservoir_spectral_data", counting)
+        monkeypatch.setattr(fcsmod, "fcs_at", counting)
+        monkeypatch.setattr(Scenario, "unitary_in_free_basis", lambda self, t: unitaries.append(t) or unitary(self, t))
         results = suite_fcs(qubit_qubit)
         assert all(r.passed for r in results)
         # the shared (scn, t = 1) build, then the lam = 0 and t = 0 variants
         assert built == [(0.2, 1.0), (0.0, 1.0), (0.2, 0.0)]
+        # one U~ per build: each trivial variant feeds both of its measures from one
+        assert unitaries == [1.0, 1.0, 0.0]
 
     def test_half_line_forms_each_propagator_once(self, monkeypatch):
         from fcslab.linalg import hs_inner
@@ -812,7 +821,8 @@ class TestSuiteFcsSharing:
 
         scn = chain_scenario(3, disorder=0.3, seed=2)
         t, s = 1.5, 0.7
-        res = half_line_identity_check(scn, t, s)
+        fa = fcs_at(scn, t)
+        res = half_line_identity_check(fa, s)
 
         def exp_half(x):  # e^{i beta s L_half} X, its factors formed per call
             left, right = Liouvilleans(scn).half_factors(scn.beta * s)
@@ -827,5 +837,5 @@ class TestSuiteFcsSharing:
         calls = []
         unitary = Scenario.unitary_coupled
         monkeypatch.setattr(Scenario, "unitary_coupled", lambda self, x: calls.append(x) or unitary(self, x))
-        half_line_identity_check(scn, t, s)
+        half_line_identity_check(fa, s)
         assert calls == [scn.beta * s, t]

@@ -154,8 +154,8 @@ def test_suite_fcs_integrates_each_flux_once(qubit_qubit, monkeypatch):
     records = {r.check_name: r.residual for r in checks.suite_fcs(qubit_qubit)}
     assert len(calls) == 2
     monkeypatch.setattr(dynmod, "quad", quad)
-    assert records["mean_identity"] == fcsmod.mean_identity_check(qubit_qubit, 1.0)
     dq_s, dq_r = delta_q_flux(qubit_qubit, 1.0)
+    assert records["mean_identity"] == fcsmod.mean_identity_check(fcsmod.fcs_at(qubit_qubit, 1.0), dq_r)
     direct = dynmod.delta_q_direct(qubit_qubit, 1.0)
     assert records["flux_vs_direct"] == max(abs(direct[0] - dq_s), abs(direct[1] - dq_r))
 

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from fcslab import scenarios
+from fcslab.linalg import tensor
 from fcslab.scenarios import (
     ConfigError,
     RunConfig,
+    SIGMA_X,
     SIGMA_Z,
     build_chain_reservoir,
     chain_scenario,
@@ -18,9 +20,32 @@ from fcslab.scenarios import (
 )
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def shipped_config(name: str) -> dict:
     """configs/<name>.json as a fresh mapping."""
-    return json.loads((Path(__file__).resolve().parent.parent / "configs" / f"{name}.json").read_text())
+    return json.loads((ROOT / "configs" / f"{name}.json").read_text())
+
+
+def nfold_chain_reservoir(n, j_coupling, field, seed=None, disorder=0.0):
+    """The chain built from site operators, each an n-fold Kronecker product,
+    and each bond the product of two of them."""
+    fields = np.full(n, float(field))
+    if disorder != 0.0:
+        fields = fields + disorder * np.random.default_rng(seed).standard_normal(n)
+
+    def site_op(op, site):
+        mats = [np.eye(2, dtype=complex)] * n
+        mats[site] = op
+        return tensor(*mats)
+
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    for i in range(n):
+        h += fields[i] * site_op(SIGMA_Z, i)
+    for i in range(n - 1):
+        h += j_coupling * site_op(SIGMA_X, i) @ site_op(SIGMA_X, i + 1)
+    return h, site_op(SIGMA_X, 0)
 
 
 class TestChainReservoir:
@@ -48,6 +73,16 @@ class TestChainReservoir:
         h, edge = build_chain_reservoir(3, 0.4, 0.9)
         assert np.allclose(h, h.conj().T)
         assert np.allclose(edge, edge.conj().T)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bond_by_bond_is_bitwise_the_site_operator_build(self, n):
+        for disorder, seed in ((0.0, None), (0.3, 4), (-0.7, 11)):
+            for j_coupling in (0.3, -0.3):
+                for field in (0.5, -0.5):
+                    h, edge = build_chain_reservoir(n, j_coupling, field, seed=seed, disorder=disorder)
+                    h_ref, edge_ref = nfold_chain_reservoir(n, j_coupling, field, seed=seed, disorder=disorder)
+                    assert h.tobytes() == h_ref.tobytes()
+                    assert edge.tobytes() == edge_ref.tobytes()
 
 
 class TestConfig:
@@ -219,3 +254,25 @@ class TestPresets:
         assert scn.lam == 0.2
         # excited start: all population on the upper level
         assert scn.rho_sys[1, 1] == pytest.approx(1.0)
+
+
+class TestSchema:
+    """docs/config.schema.json accepts every shipped config and the configs
+    that scenario_to_config writes."""
+
+    @pytest.fixture(scope="class")
+    def validator(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads((ROOT / "docs" / "config.schema.json").read_text())
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        return cls(schema)
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.stem)
+    def test_shipped_configs_validate(self, validator, path):
+        validator.validate(json.loads(path.read_text()))
+
+    @pytest.mark.parametrize("which", ["random", "chain"])
+    def test_round_trip_config_validates(self, validator, scenario_factory, which):
+        scn = scenario_factory(7, d_sys=2, d_res=3) if which == "random" else chain_scenario(3, disorder=0.3, seed=2)
+        validator.validate(json.loads(json.dumps(scenario_to_config(RunConfig(scenario=scn)))))
