@@ -18,8 +18,6 @@ from .dynamics import (
 from .fcs import (
     FcsAtTime,
     FcsResult,
-    HalfLineResult,
-    StripReport,
     SweepResult,
     default_gamma_grid,
     derivative_moments,
@@ -37,6 +35,7 @@ from .fcs import (
 from .linalg import (
     NonHermitianError,
     NotPositiveError,
+    NumericalError,
     RankDeficientError,
     SpectralDecomposition,
     SpectrumDomainError,

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import fcs as fcsmod
 from .checks import SUITE_BUILDERS, run_suites
-from .dynamics import QuadratureError, balance_check, delta_q_direct
-from .linalg import NotPositiveError, RankDeficientError, SpectrumDomainError
+from .dynamics import balance_check, delta_q_direct
+from .linalg import NumericalError
 from .scenarios import ConfigError, parse_config
 
 EXIT_OK = 0
@@ -202,8 +202,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (QuadratureError, np.linalg.LinAlgError, RankDeficientError, NotPositiveError,
-            SpectrumDomainError) as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, FileNotFoundError, ValueError) as exc:

@@ -29,15 +29,21 @@ class NonHermitianError(ValueError):
     """Input required to be Hermitian is not, beyond tolerance."""
 
 
-class NotPositiveError(ValueError):
+class NumericalError(ArithmeticError):
+    """A numerical failure, as opposed to bad input: a state that is not
+    positive or not of full rank, a function off its domain, a missed
+    quadrature tolerance."""
+
+
+class NotPositiveError(NumericalError, ValueError):
     """Input required to be positive semidefinite has a negative eigenvalue."""
 
 
-class SpectrumDomainError(ValueError):
+class SpectrumDomainError(NumericalError, ValueError):
     """A scalar function is undefined at an eigenvalue of its argument."""
 
 
-class RankDeficientError(ValueError):
+class RankDeficientError(NumericalError, ValueError):
     """An operator required to be full rank is (numerically) singular."""
 
 

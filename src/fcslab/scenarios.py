@@ -33,15 +33,23 @@ class ConfigError(ValueError):
     """A scenario config file is malformed; the message names the field."""
 
 
-def check_dense_size(dim_sys: int, n: int) -> None:
+def check_dense_size(d: int, source: str) -> None:
     """ValueError, before anything is built, if DENSE_MATRICES complex d x d
-    matrices, d = dim_sys * 2**n, would exceed MEMORY_BUDGET_BYTES."""
-    estimate = DENSE_MATRICES * 16 * (dim_sys * 2**n) ** 2 if 1 <= n <= MAX_CHAIN_SITES else 0
+    matrices, d the joint dimension, would exceed MEMORY_BUDGET_BYTES; the
+    message starts with ``source``, the input that sets d."""
+    estimate = DENSE_MATRICES * 16 * d**2
     if estimate > MEMORY_BUDGET_BYTES:
         raise ValueError(
-            f"n={n} gives d = {dim_sys * 2**n} and an estimated {estimate / 2**30:.1f} GiB "
+            f"{source} gives d = {d} and an estimated {estimate / 2**30:.1f} GiB "
             f"of dense matrices, above the {MEMORY_BUDGET_BYTES / 2**30:.0f} GiB budget"
         )
+
+
+def _check_chain_size(dim_sys: int, n: int) -> None:
+    """:func:`check_dense_size` of an n-site chain; an n out of range is left
+    to :func:`build_chain_reservoir`, so 2**n is never formed for it."""
+    if 1 <= n <= MAX_CHAIN_SITES:
+        check_dense_size(dim_sys * 2**n, f"n={n}")
 
 
 def build_chain_reservoir(
@@ -236,6 +244,10 @@ def _reservoir_from_config(cfg: dict, dim_sys: int) -> tuple[np.ndarray, np.ndar
     if "matrix" in cfg:
         h = _check_hermitian_field(pairs_to_matrix(cfg["matrix"], "reservoir.matrix"),
                                    "reservoir.matrix")
+        try:
+            check_dense_size(dim_sys * h.shape[0], f"d_R = {h.shape[0]}")
+        except ValueError as exc:
+            raise ConfigError(f"reservoir.matrix: {exc}") from exc
         return h, None
     preset = _require(cfg, "preset", "reservoir")
     if preset != "chain":
@@ -247,7 +259,7 @@ def _reservoir_from_config(cfg: dict, dim_sys: int) -> tuple[np.ndarray, np.ndar
     field = _number(cfg.get("field", 1.0), "reservoir.field")
     disorder = _number(cfg.get("disorder", 0.0), "reservoir.disorder")
     try:
-        check_dense_size(dim_sys, n)
+        _check_chain_size(dim_sys, n)
         h, edge = build_chain_reservoir(n, j_coupling, field, seed=cfg.get("seed"), disorder=disorder)
     except ValueError as exc:
         raise ConfigError(f"reservoir: {exc}") from exc
@@ -356,7 +368,7 @@ def chain_scenario(
     postpones the finite-size recurrence.  A chain too large for the dense
     memory budget raises ValueError before anything is built.
     """
-    check_dense_size(2, n)
+    _check_chain_size(2, n)
     h_sys = ladder_hamiltonian(2)
     h_res, edge = build_chain_reservoir(n, j_coupling, field, seed=seed, disorder=disorder)
     v = tensor(SIGMA_X, edge)

@@ -62,15 +62,14 @@ def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> 
 class AtomicMeasure:
     """Finite positive point measure on the real line.
 
-    Locations are strictly ascending and pairwise separated by more than
-    ``merge_tol``; weights are nonnegative.  Construction through
-    :meth:`from_points` merges nearby points (weight-averaged location, so
-    the first moment is preserved exactly) and drops negligible weights.
+    Locations are strictly ascending; weights are nonnegative.  Construction
+    through :meth:`from_points` merges points closer than its ``merge_tol``
+    (weight-averaged location, so the first moment is preserved exactly) and
+    drops negligible weights.
     """
 
     locations: np.ndarray
     weights: np.ndarray
-    merge_tol: float = MERGE_TOL
 
     @classmethod
     def from_points(
@@ -101,7 +100,7 @@ class AtomicMeasure:
         keep = mass > drop_tol
         mass, moment, first = mass[keep], moment[keep], locations[starts[keep]]
         mean = np.divide(moment, mass, out=first, where=mass > 0)
-        return cls(mean, mass, merge_tol)
+        return cls(mean, mass)
 
     def __len__(self) -> int:
         return len(self.locations)

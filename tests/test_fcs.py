@@ -13,7 +13,6 @@ from fcslab.dynamics import DEFAULT_QUAD_TOL, QuadratureError, Scenario, delta_q
 from fcslab import fcs as fcsmod
 from fcslab.fcs import (
     FcsResult,
-    HalfLineResult,
     SweepRow,
     default_gamma_grid,
     derivative_moments,
@@ -30,8 +29,10 @@ from fcslab.fcs import (
 )
 from fcslab.linalg import eig_hermitian, positive_sqrt, tensor
 from fcslab.modular import initial_vector
-from fcslab.scenarios import chain_scenario, random_scenario
+from fcslab.scenarios import chain_scenario, config_to_scenario, random_scenario
 from fcslab.states import AtomicMeasure, gibbs, random_density
+
+from test_scenarios import shipped_config
 
 
 # -- independent oracles (raw numpy, no library reuse) -------------------------
@@ -380,39 +381,40 @@ class TestIdentities:
         from fcslab.linalg import hs_inner, tensor, positive_sqrt
         from fcslab.modular import initial_vector, reservoir_weight_vector
 
-        res = half_line_identity_check(fcs_at(qubit_qubit, 0.0), 0.0)
+        fa = fcs_at(qubit_qubit, 0.0)
         overlap = hs_inner(
             tensor(positive_sqrt(qubit_qubit.rho_sys), np.eye(2))
             @ initial_vector(qubit_qubit),
             reservoir_weight_vector(qubit_qubit),
         )
-        assert abs(res.value - overlap) <= 1e-12
-        assert res.residual <= 1e-12
+        assert abs(fa.char(0.5) - overlap) <= 1e-12
+        assert half_line_identity_check(fa, [0.0]) <= 1e-12
 
     def test_half_line_uncoupled(self, qubit_qubit):
-        res = half_line_identity_check(fcs_at(qubit_qubit.with_lam(0.0), 2.0), 0.8)
-        assert res.residual <= 1e-10
+        assert half_line_identity_check(fcs_at(qubit_qubit.with_lam(0.0), 2.0), [0.8]) <= 1e-10
 
     def test_half_line_grid(self, scenario_factory):
         scn = scenario_factory(73, d_sys=2, d_res=4)
-        worst = 0.0
-        for s in (-2.0, -1.0, 0.0, 1.0, 2.0):
-            for t in (-2.0, -1.0, 0.0, 1.0, 2.0):
-                res = half_line_identity_check(fcs_at(scn, t), s)
-                worst = max(worst, res.residual)
+        grid = (-2.0, -1.0, 0.0, 1.0, 2.0)
+        worst = max(half_line_identity_check(fcs_at(scn, t), grid) for t in grid)
         assert worst <= 1e-8
 
-    def test_half_line_residual_is_worse_route(self):
-        res = HalfLineResult(value=0j, residuals={"left_mult": 0.0, "conjugated": 1.0})
-        assert res.residual == 1.0
-
-    def test_half_line_variants_coincide(self, scenario_factory):
-        # both constructions of the dressed vector agree in the standard rep
-        scn = scenario_factory(74, d_sys=3, d_res=3)
-        res = half_line_identity_check(fcs_at(scn, 1.0), 0.5)
-        vals = list(res.residuals.values())
-        assert abs(vals[0] - vals[1]) <= 1e-12
-        assert set(res.residuals) == {"left_mult", "conjugated"} and res.residual <= 1e-8
+    @pytest.mark.parametrize("seed, d_sys", [(74, 3), (75, 2), (76, 3), (None, 2)])
+    def test_omega_hat_constructions_agree(self, scenario_factory, seed, d_sys):
+        # Omega_hat = (rho_S^(1/2) (x) 1) Omega, the check's one route, equals
+        # J pi(rho_S^(1/2) (x) 1) J Omega in the standard representation, also
+        # for a rho_S that is not diagonal (seed None: the diagonal one of qubit_chain3)
+        if seed is None:
+            scn = config_to_scenario(shipped_config("qubit_chain3")).scenario
+        else:
+            scn = scenario_factory(seed, d_sys=d_sys, d_res=3)
+        if seed is not None:
+            assert np.abs(scn.rho_sys - np.diag(np.diag(scn.rho_sys))).max() > 1e-3
+        r_op = tensor(positive_sqrt(scn.rho_sys), np.eye(scn.dim_res))
+        omega = initial_vector(scn)
+        left_mult = r_op @ omega
+        conjugated = (r_op @ omega.conj().T).conj().T
+        assert np.linalg.norm(left_mult - conjugated) <= 1e-14
 
 
 class TestFirstLawOfAverages:
@@ -452,20 +454,18 @@ class TestStripBounds:
         grid = np.array(
             [a + 1j * b for a in np.linspace(0, 1, 5) for b in np.linspace(-2, 2, 5)]
         )
-        rep = strip_bounds_check(fcs_at(scn, 2.0), grid)
-        assert rep.passed
-        assert rep.n_points == 25
+        assert strip_bounds_check(fcs_at(scn, 2.0), grid) <= 0.0
 
     def test_value_at_zero_saturates(self, qubit_qubit):
-        rep = strip_bounds_check(fcs_at(qubit_qubit, 1.0), np.array([0.0]))
-        assert rep.max_violation <= 0.0
+        fa = fcs_at(qubit_qubit, 1.0)
+        assert strip_bounds_check(fa, np.array([0.0])) <= 0.0
         # |F(0)| = 1 exactly: slack equals the tolerance only
-        assert rep.min_slack <= 1e-9
+        assert 1.0 + 1e-10 - abs(fa.char(0.0)) <= 1e-9
 
     def test_uncoupled_at_one(self, qubit_qubit):
-        rep = strip_bounds_check(fcs_at(qubit_qubit.with_lam(0.0), 3.0), np.array([1.0]))
-        assert abs(rep.f_at_one - 1.0) <= 1e-10
-        assert rep.passed
+        fa = fcs_at(qubit_qubit.with_lam(0.0), 3.0)
+        assert abs(fa.char(1.0).real - 1.0) <= 1e-10
+        assert strip_bounds_check(fa, np.array([1.0])) <= 0.0
 
     def test_rejects_off_strip_grid(self, qubit_qubit):
         with pytest.raises(ValueError, match="strip"):
@@ -679,7 +679,7 @@ class TestFcsInvariants:
         assert np.max(np.abs(np.conjugate(plus) - minus)) <= 1e-12
         assert abs(res.mean - delta_q_direct(scn, t)[1]) <= DEFAULT_QUAD_TOL + 1e-8
         grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) + 1j * np.array([0.0, -1.0, 2.0, 0.5, 0.0])
-        assert strip_bounds_check(fa, grid).max_violation <= 1e-12
+        assert strip_bounds_check(fa, grid) <= 1e-12
         for variant, tt in ((scn.with_lam(0.0), t), (scn, 0.0)):
             for mu in (system_fcs(fcs_at(variant, tt)).measure, reservoir_fcs(fcs_at(variant, tt)).measure):
                 assert len(mu) == 1 and abs(mu.locations[0]) < 1e-12
@@ -820,22 +820,36 @@ class TestSuiteFcsSharing:
         from fcslab.modular import Liouvilleans, reservoir_weight_vector
 
         scn = chain_scenario(3, disorder=0.3, seed=2)
-        t, s = 1.5, 0.7
+        t, grid = 1.5, (-1.0, 0.0, 0.7)
         fa = fcs_at(scn, t)
-        res = half_line_identity_check(fa, s)
+        worst = half_line_identity_check(fa, grid)
 
-        def exp_half(x):  # e^{i beta s L_half} X, its factors formed per call
+        def exp_half(x, s):  # e^{i beta s L_half} X, its factors formed per call
             left, right = Liouvilleans(scn).half_factors(scn.beta * s)
             return left @ x @ right
 
-        # the route through exp_half and scn.evolve per variant, bitwise
-        ket = scn.evolve(exp_half(reservoir_weight_vector(scn)), t)
-        r_op = tensor(positive_sqrt(scn.rho_sys), np.eye(scn.dim_res))
-        bras = {"left_mult": exp_half(r_op @ initial_vector(scn)),
-                "conjugated": exp_half((r_op @ initial_vector(scn).conj().T).conj().T)}
-        assert res.residuals == {name: abs(res.value - hs_inner(bra, ket)) for name, bra in bras.items()}
+        # the route through exp_half and scn.evolve, one s at a time, bitwise
+        omega_hat = tensor(positive_sqrt(scn.rho_sys), np.eye(scn.dim_res)) @ initial_vector(scn)
+        assert worst == max(
+            abs(fa.char(0.5 + 1j * s)
+                - hs_inner(exp_half(omega_hat, s), scn.evolve(exp_half(reservoir_weight_vector(scn), s), t)))
+            for s in grid
+        )
         calls = []
         unitary = Scenario.unitary_coupled
         monkeypatch.setattr(Scenario, "unitary_coupled", lambda self, x: calls.append(x) or unitary(self, x))
-        half_line_identity_check(fa, s)
-        assert calls == [scn.beta * s, t]
+        half_line_identity_check(fa, grid)
+        assert calls == [t] + [scn.beta * s for s in grid]
+
+    def test_suite_forms_u_t_once_per_check(self, monkeypatch):
+        # oracle, delta_q_direct, balance_check, operator_balance_check, the
+        # half-line check and the Dyson check's exact_cocycle: one U(1.0) each,
+        # and one U(beta s) per s of the half-line grid
+        from collections import Counter
+
+        scn = config_to_scenario(shipped_config("qubit_chain6")).scenario
+        calls = []
+        unitary = Scenario.unitary_coupled
+        monkeypatch.setattr(Scenario, "unitary_coupled", lambda self, x: calls.append(x) or unitary(self, x))
+        assert all(r.passed for r in suite_fcs(scn))
+        assert Counter(calls) == Counter({1.0: 6, **{scn.beta * s: 1 for s in (-1.0, 0.0, 0.7)}})

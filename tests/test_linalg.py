@@ -286,6 +286,18 @@ class TestExpPow:
             relative_modular(np.diag([0.0, 1.0]).astype(complex), np.eye(2)).power(-0.5, np.eye(2))
 
 
+def test_numerical_errors_share_one_base():
+    # a caller tells a numerical failure from bad input by type; the old
+    # bases stay, so existing handlers still catch them
+    from fcslab.dynamics import QuadratureError
+    from fcslab.linalg import NumericalError, RankDeficientError
+
+    for err in (NotPositiveError, RankDeficientError, SpectrumDomainError):
+        assert issubclass(err, NumericalError) and issubclass(err, ValueError)
+    assert issubclass(QuadratureError, NumericalError) and issubclass(QuadratureError, RuntimeError)
+    assert issubclass(NumericalError, ArithmeticError) and not issubclass(NonHermitianError, NumericalError)
+
+
 # -- the Hermiticity rule against the two-SVD reference -------------------------
 
 

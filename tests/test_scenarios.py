@@ -231,6 +231,14 @@ class TestSizeGuard:
             parse_config(self._chain_config(tmp_path, 4))
 
 
+    def test_inline_reservoir_refused_before_the_coupling(self, monkeypatch):
+        # an inline reservoir.matrix of d_R = 8 with a qubit is d = 16
+        cfg = scenario_to_config(RunConfig(scenario=chain_scenario(3)))
+        monkeypatch.setattr(scenarios, "MEMORY_BUDGET_BYTES", scenarios.DENSE_MATRICES * 16 * 16**2 - 1)
+        monkeypatch.setattr(scenarios, "_coupling_from_config", lambda *a: pytest.fail("coupling built"))
+        with pytest.raises(ConfigError, match=r"^reservoir\.matrix: d_R = 8 gives d = 16 .*budget"):
+            config_to_scenario(cfg)
+
     def test_library_chain_refused_without_allocating(self, no_kron):
         with pytest.raises(ValueError, match=r"n=12 gives d = 8192 .*12\.0 GiB .*4 GiB budget"):
             chain_scenario(12)
