@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -31,14 +32,31 @@ EXIT_NUMERICAL = 3
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """Parse 'a,b,c' as explicit points or 'lo:hi:n' as a linspace."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"grid {text!r}: expected lo:hi:n")
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-        return np.linspace(lo, hi, n)
-    return np.array([float(x) for x in text.split(",")])
+    """Parse 'a,b,c' as explicit points or 'lo:hi:n' as a linspace of
+    finite points; argparse names the argument of a bad grid."""
+    try:
+        if ":" in text:
+            parts = text.split(":")
+            if len(parts) != 3:
+                raise ValueError("expected lo:hi:n")
+            grid = np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
+        else:
+            grid = np.array([float(x) for x in text.split(",")])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"grid {text!r}: {exc}") from None
+    if not np.all(np.isfinite(grid)):
+        raise argparse.ArgumentTypeError(f"grid {text!r} has a non-finite point")
+    return grid
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def _write_json(path: Path, payload) -> None:
@@ -89,7 +107,7 @@ def cmd_fcs(args) -> int:
     scn = run.scenario
     t = args.t
     out_dir = Path(args.out_dir)
-    gamma_grid = _parse_grid(args.gamma_grid) if args.gamma_grid else fcsmod.default_gamma_grid(scn)
+    gamma_grid = args.gamma_grid if args.gamma_grid is not None else fcsmod.default_gamma_grid(scn)
 
     fa = fcsmod.fcs_at(scn, t, cluster_tol=run.cluster_tol)
     sys_res = fcsmod.system_fcs(fa, gamma_grid)
@@ -134,12 +152,10 @@ def cmd_sweep(args) -> int:
     run = parse_config(args.config)
     scn = run.scenario
     out_dir = Path(args.out_dir)
-    t_grid = _parse_grid(args.t_grid)
-    lam_grid = _parse_grid(args.lambda_grid)
-    gamma_grid = _parse_grid(args.gamma_grid) if args.gamma_grid else fcsmod.default_gamma_grid(scn)
+    gamma_grid = args.gamma_grid if args.gamma_grid is not None else fcsmod.default_gamma_grid(scn)
 
     sweep = fcsmod.limit_sweep(
-        scn, t_grid, lam_grid, gamma_grid=gamma_grid, workers=args.workers
+        scn, args.t_grid, args.lambda_grid, gamma_grid=gamma_grid, workers=args.workers
     )
     rows = [
         [r.lam, r.t, r.distance, r.mean_res, r.mean_sys, *(float(m) for m in r.moments_res[1:4])]
@@ -177,16 +193,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fcs = sub.add_parser("fcs", help="compute both FCS measures at one time")
     p_fcs.add_argument("--config", required=True)
-    p_fcs.add_argument("--t", type=float, required=True)
+    p_fcs.add_argument("--t", type=_finite_float, required=True)
     p_fcs.add_argument("--out-dir", required=True)
-    p_fcs.add_argument("--gamma-grid", default=None)
+    p_fcs.add_argument("--gamma-grid", type=_parse_grid, default=None)
     p_fcs.set_defaults(func=cmd_fcs)
 
     p_sw = sub.add_parser("sweep", help="sweep the FCS over a (lambda, t) grid")
     p_sw.add_argument("--config", required=True)
-    p_sw.add_argument("--t-grid", required=True)
-    p_sw.add_argument("--lambda-grid", required=True)
-    p_sw.add_argument("--gamma-grid", default=None)
+    p_sw.add_argument("--t-grid", type=_parse_grid, required=True)
+    p_sw.add_argument("--lambda-grid", type=_parse_grid, required=True)
+    p_sw.add_argument("--gamma-grid", type=_parse_grid, default=None)
     p_sw.add_argument("--workers", type=int, default=1)
     p_sw.add_argument("--out-dir", required=True)
     p_sw.set_defaults(func=cmd_sweep)

@@ -13,9 +13,10 @@ from .linalg import (
     NumericalError,
     assert_hermitian,
     assert_square,
+    bipartite_sectors,
     dagger,
     eigh_blocks,
-    exp_complex,
+    exp_i,
     expm,
     gauss_kronrod,
     op_norm,
@@ -112,7 +113,9 @@ class Scenario:
 
     @cached_property
     def _eig_res(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self.h_res)
+        """eigh of h_res by ``linalg.eigh_blocks``, as in ``states.gibbs``: each
+        eigenvector of a parity-conserving chain has a definite parity."""
+        return eigh_blocks(self.h_res)
 
     @cached_property
     def gibbs_weights_res(self) -> np.ndarray:
@@ -153,27 +156,48 @@ class Scenario:
         return np.linalg.eigh(self.h_free)
 
     @cached_property
-    def _eig_coupled_free_basis(self) -> np.ndarray:
-        """Coupled eigenvectors in the free product eigenbasis, (V_S (x) V_R)* v_c,
-        applied factor by factor: V_R* on every system slice, then V_S*."""
-        d_s, d_r = self.dim_sys, self.dim_res
-        a = dagger(self._eig_res[1]) @ self._eig_coupled[1].reshape(d_s, d_r, self.dim)
-        return (dagger(self._eig_sys[1]) @ a.reshape(d_s, -1)).reshape(self.dim, self.dim)
+    def _free_basis_sectors(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The coupled eigenvectors in the free product eigenbasis,
+        A = (V_S (x) V_R)* v_c (applied factor by factor: V_R* on every system
+        slice, then V_S*), split into sectors: one (rows, columns, A[rows, columns])
+        per connected component of the bipartite graph of A's nonzero entries,
+        with no tolerance.  A is unitary, so each sector is square, and U~ is
+        zero outside the (rows, rows) blocks.  A block whose imaginary part is
+        zero is kept real."""
+        d_s, d_r, d = self.dim_sys, self.dim_res, self.dim
+        a = dagger(self._eig_res[1]) @ self._eig_coupled[1].reshape(d_s, d_r, d)
+        a = (dagger(self._eig_sys[1]) @ a.reshape(d_s, -1)).reshape(d, d)
+        sectors = bipartite_sectors(a != 0)
+        blocks = (a[np.ix_(rows, cols)] for rows, cols in sectors)
+        return [(rows, cols, blk if blk.imag.any() else blk.real.copy())
+                for (rows, cols), blk in zip(sectors, blocks)]
 
     def unitary_coupled(self, t: float) -> np.ndarray:
         """exp(i t H_coupled)."""
         w, u = self._eig_coupled
-        return (u * exp_complex(1j * t * w)) @ dagger(u)
+        return (u * exp_i(t * w)) @ dagger(u)
 
     def unitary_in_free_basis(self, t: float) -> np.ndarray:
-        """exp(i t H_coupled) in the free product eigenbasis: one d x d product."""
-        a = self._eig_coupled_free_basis
-        return (a * exp_complex(1j * t * self._eig_coupled[0])) @ dagger(a)
+        """exp(i t H_coupled) in the free product eigenbasis, U~ = (A e^{itw}) A*:
+        one product per sector of A, each placed in its (rows, rows) block; a
+        real block takes two real products, for the real and imaginary parts."""
+        w = self._eig_coupled[0]
+        u = np.zeros((self.dim, self.dim), dtype=complex)
+        for rows, cols, a in self._free_basis_sectors:
+            phase = exp_i(t * w[cols])
+            if np.iscomplexobj(a):
+                block = (a * phase) @ dagger(a)
+            else:
+                block = np.empty((len(rows), len(rows)), dtype=complex)
+                block.real = (a * phase.real) @ a.T
+                block.imag = (a * phase.imag) @ a.T
+            u[np.ix_(rows, rows)] = block
+        return u
 
     def unitary_free(self, t: float) -> np.ndarray:
         """exp(i t H_free)."""
         w, u = self._eig_free
-        return (u * exp_complex(1j * t * w)) @ dagger(u)
+        return (u * exp_i(t * w)) @ dagger(u)
 
     def evolve(self, a: np.ndarray, t: float) -> np.ndarray:
         """Coupled Heisenberg evolution e^{itH} a e^{-itH}."""
@@ -255,7 +279,7 @@ def _quad_expect_flux(scn: Scenario, rho_c: np.ndarray, phi: np.ndarray, t: floa
     m = rho_c * (dagger(v) @ phi @ v)
 
     def integrand(s: float) -> float:
-        return float((exp_complex(1j * s * w) @ m @ exp_complex(-1j * s * w)).real)
+        return float((exp_i(s * w) @ m @ exp_i(-s * w)).real)
 
     val, err = quad(integrand, 0.0, t, epsabs=quad_tol, epsrel=1e-13, limit=400)
     check_flux_error(err, quad_tol)
@@ -354,7 +378,7 @@ def dyson_cocycle(
         raise QuadratureError(
             f"cocycle error estimate {est:.3e} > {quad_tol:.3e}", est
         )
-    nodes = exp_complex(2j * np.pi * np.arange(n_nodes) / n_nodes)
+    nodes = exp_i(2 * np.pi * np.arange(n_nodes) / n_nodes)
     weights = (nodes[:, None] ** -np.arange(order + 1)).sum(axis=1) / n_nodes
     total = np.zeros((scn.dim, scn.dim), dtype=complex)
     for z, wgt in zip(nodes, weights):

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import DEFAULT_QUAD_TOL, QuadratureError, Scenario, check_flux_error
-from .linalg import dagger, eigenvalue_clusters, exp_complex, gauss_kronrod, hs_inner, positive_sqrt, tensor
+from .linalg import dagger, eigenvalue_clusters, exp_complex, exp_i, gauss_kronrod, hs_inner, positive_sqrt, tensor
 from .modular import Liouvilleans, initial_vector, reservoir_weight_vector
 from .states import AtomicMeasure
 
@@ -111,7 +111,7 @@ class FcsAtTime:
         beta = self.scn.beta
         span = float(self.levels[-1] - self.levels[0])
         radius = min(0.45, 0.5 / max(1.0, beta * span))
-        nodes = exp_complex(2j * np.pi * np.arange(64) / 64)
+        nodes = exp_i(2 * np.pi * np.arange(64) / 64)
         values = self.char(radius * nodes)
         out = np.empty(N_MOMENTS)
         for k in range(1, N_MOMENTS + 1):
@@ -144,8 +144,9 @@ def _system_measure(scn: Scenario, u_tilde: np.ndarray, cluster_tol: float | Non
     u4 = u_tilde.reshape(scn.dim_sys, scn.dim_res, scn.dim_sys, scn.dim_res)
     locs, wts = [], []
     for lam_i, g in zip(levels, groups):
-        rows = u4[g]  # rows (s, a) with s in level i; columns (s', b)
-        x_rows = np.tensordot(sigma[np.ix_(g, g)], rows, 1) * scn.gibbs_weights_res[:, None, None]
+        rows = u4[g[0]:g[-1] + 1]  # a view: rows (s, a) with s in level i; columns (s', b)
+        x_rows = np.tensordot(sigma[np.ix_(g, g)], rows, 1)
+        x_rows *= scn.gibbs_weights_res[:, None, None]
         per_col = np.einsum("sacb,sacb->c", rows.conj(), x_rows).real
         locs.extend(levels - lam_i)
         wts.extend(np.add.reduceat(per_col, starts))
@@ -188,7 +189,7 @@ def system_char_limit(scn: Scenario, gamma: float) -> complex:
     tr(rho_thermal e^{i gamma H_S}) * tr(rho_sys e^{-i gamma H_S}).
     """
     w, v = scn._eig_sys
-    phase_p = (v * exp_complex(1j * gamma * w)) @ dagger(v)
+    phase_p = (v * exp_i(gamma * w)) @ dagger(v)
     phase_m = dagger(phase_p)
     return complex(
         np.trace(scn.rho_sys_thermal @ phase_p) * np.trace(scn.rho_sys @ phase_m)
@@ -270,7 +271,7 @@ def operator_balance_check(
         w, v = scn._eig_coupled
         phi_c = dagger(v) @ scn.flux.phi_res @ v
         flux_c, err = quad_vec(
-            lambda s: np.outer(exp_complex(1j * s * w), exp_complex(-1j * s * w)) * phi_c,
+            lambda s: np.outer(exp_i(s * w), exp_i(-s * w)) * phi_c,
             0.0, t, epsabs=quad_tol, epsrel=1e-13,
         )
         check_flux_error(err, quad_tol)

@@ -67,18 +67,26 @@ def hs_inner(x: np.ndarray, y: np.ndarray) -> complex:
     return complex(np.vdot(x, y))
 
 
+def exp_i(theta) -> np.ndarray:
+    """cos(theta) + i sin(theta) elementwise for real theta, written into the
+    real and imaginary views of the result: numpy's complex exp calls libm's
+    cexp, which runs many times slower after any AVX matrix product.  Bitwise
+    ``exp_complex(1j * theta)`` for finite theta, since exp(0) = 1 exactly."""
+    theta = np.asarray(theta, dtype=float)
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 def exp_complex(z) -> np.ndarray:
     """exp(z) elementwise, as np.exp gives it.  Complex z is computed as
-    exp(Re z) (cos Im z + i sin Im z), written into the real and imaginary
-    views of the result: numpy's complex exp calls libm's cexp, which runs
-    many times slower after any AVX matrix product.  Real z goes to np.exp.
-    For finite results only: exp(Re z) = inf times a zero sine gives NaN."""
+    exp(Re z) exp_i(Im z); real z goes to np.exp.  For finite results only:
+    exp(Re z) = inf times a zero sine gives NaN."""
     z = np.asarray(z)
     if not np.iscomplexobj(z):
         return np.exp(z)
-    out = np.empty(z.shape, dtype=complex)
-    np.cos(z.imag, out=out.real)
-    np.sin(z.imag, out=out.imag)
+    out = exp_i(z.imag)
     r = np.exp(z.real)
     out.real *= r
     out.imag *= r
@@ -210,18 +218,25 @@ def eigh_blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     each is diagonalized by its own ``np.linalg.eigh`` (a conserved quantity
     such as a spin-chain parity splits d^3 work into a sum of block cubes).
     Eigenvalues come out ascending (stable sort, so ties keep block order)
-    and each eigenvector is exactly zero outside its block.  A single block
-    returns ``np.linalg.eigh(a)`` itself.  A non-finite entry raises
-    LinAlgError, which eigh alone does only for some inputs.
+    and each eigenvector is exactly zero outside its block.  A complex matrix
+    whose imaginary part is all zero is diagonalized in real arithmetic (the
+    blocks reach ``np.linalg.eigh`` as float64, 2-3x faster) and its
+    eigenvectors come back complex-typed; a single block of a genuinely
+    complex matrix returns ``np.linalg.eigh(a)`` itself.  A non-finite entry
+    raises LinAlgError, which eigh alone does only for some inputs.
     """
     assert_square(a)
     if not np.all(np.isfinite(a)):
         raise np.linalg.LinAlgError("matrix to diagonalize has a non-finite entry")
+    dtype = np.result_type(a.dtype, float)
+    if np.iscomplexobj(a) and not a.imag.any():
+        a = a.real
     blocks = _components(a != 0)
     if len(blocks) == 1:
-        return np.linalg.eigh(a)
+        w, v = np.linalg.eigh(a)
+        return w, v.astype(dtype, copy=False)
     w = np.empty(len(a))
-    v = np.zeros(a.shape, dtype=np.result_type(a.dtype, float))
+    v = np.zeros(a.shape, dtype=dtype)
     col = 0
     for idx in blocks:
         cols = np.arange(col, col + len(idx))
@@ -229,6 +244,16 @@ def eigh_blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         col += len(idx)
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order]
+
+
+def bipartite_sectors(mask: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(rows, columns) of each connected component of the bipartite graph
+    whose edges are the True entries of the rectangular ``mask``, in order of
+    their smallest row; an empty row or column is a component of its own."""
+    n_rows = mask.shape[0]
+    adj = np.zeros((n_rows + mask.shape[1],) * 2, dtype=bool)
+    adj[:n_rows, n_rows:] = mask
+    return [(c[c < n_rows], c[c >= n_rows] - n_rows) for c in _components(adj)]
 
 
 def func_calc(

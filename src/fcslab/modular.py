@@ -27,7 +27,7 @@ from .linalg import (
     assert_hermitian,
     assert_square,
     dagger,
-    exp_complex,
+    exp_i,
     hs_inner,
     hs_norm,
     is_hermitian,
@@ -264,7 +264,7 @@ class Liouvilleans:
     def half_factors(self, s: float) -> tuple[np.ndarray, np.ndarray]:
         """(e^{isH_coupled}, 1 (x) e^{-isH_R}): e^{is L_half} X is their product around X."""
         w, v = self.scn._eig_res
-        right = tensor(np.eye(self.scn.dim_sys), (v * exp_complex(-1j * s * w)) @ dagger(v))
+        right = tensor(np.eye(self.scn.dim_sys), (v * exp_i(-s * w)) @ dagger(v))
         return self.scn.unitary_coupled(s), right
 
     def coupled_decomposed(self, x: np.ndarray) -> np.ndarray:

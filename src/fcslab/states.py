@@ -10,12 +10,14 @@ import numpy as np
 import numpy.random  # noqa: F401 - numpy loads it lazily; load it with the package, not in a command's first draw
 
 from .linalg import (
+    NumericalError,
     assert_hermitian,
     assert_square,
     cluster_starts,
     dagger,
     eig_hermitian,
-    exp_complex,
+    eigh_blocks,
+    exp_i,
     expm_hermitian,
     op_norm,
     positivity_floor,
@@ -84,11 +86,14 @@ class AtomicMeasure:
         the gap to the previous point exceeds ``merge_tol``.  Each atom carries
         its cluster's total weight at the weighted-mean location (the first
         point's location for zero total weight); atoms of weight at most
-        ``drop_tol`` are dropped."""
+        ``drop_tol`` are dropped.  A non-finite location or weight raises
+        NumericalError: NaN weights would otherwise be dropped silently."""
         locations = np.asarray(locations, dtype=float).ravel()
         weights = np.asarray(weights, dtype=float).ravel()
         if locations.shape != weights.shape:
             raise ValueError("locations and weights must have equal length")
+        if not (np.all(np.isfinite(locations)) and np.all(np.isfinite(weights))):
+            raise NumericalError("atom with a non-finite location or weight")
         if weights.size and weights.min() < -1e-12:
             raise ValueError(f"negative weight {weights.min():.3e}")
         weights = np.clip(weights, 0.0, None)
@@ -119,7 +124,7 @@ class AtomicMeasure:
     def char(self, gamma: np.ndarray | float) -> np.ndarray | complex:
         """Characteristic function: sum of w * exp(i gamma x)."""
         gamma = np.asarray(gamma, dtype=float)
-        vals = exp_complex(1j * np.multiply.outer(gamma, self.locations)) @ self.weights
+        vals = exp_i(np.multiply.outer(gamma, self.locations)) @ self.weights
         return complex(vals) if vals.ndim == 0 else vals
 
 def gibbs_weights(w: np.ndarray, beta: float) -> np.ndarray:
@@ -130,12 +135,13 @@ def gibbs_weights(w: np.ndarray, beta: float) -> np.ndarray:
 
 
 def gibbs(h: np.ndarray, beta: float) -> np.ndarray:
-    """Thermal state exp(-beta h)/tr(exp(-beta h))."""
+    """Thermal state exp(-beta h)/tr(exp(-beta h)), from ``linalg.eigh_blocks``
+    of h (so a Scenario's ``rho_res`` is bitwise ``gibbs(h_res, beta)``)."""
     assert_square(h)
     assert_hermitian(h)
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
-    w, v = np.linalg.eigh(h)
+    w, v = eigh_blocks(h)
     return (v * gibbs_weights(w, beta)) @ dagger(v)
 
 

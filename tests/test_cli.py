@@ -329,3 +329,54 @@ def test_sweep_worker_invariance_where_blas_threads(tmp_path):
         ]) == 0
         outs.append(((out / "sweep.csv").read_bytes(), (out / "verdict.json").read_bytes()))
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "--t-grid", "nan", "--lambda-grid", "0.2"], "--t-grid"),
+    (["sweep", "--t-grid", "0,inf", "--lambda-grid", "0.2"], "--t-grid"),
+    (["sweep", "--t-grid", "0:nan:3", "--lambda-grid", "0.2"], "--t-grid"),
+    (["sweep", "--t-grid", "0,1", "--lambda-grid", "0.2,nan"], "--lambda-grid"),
+    (["sweep", "--t-grid", "0,1", "--lambda-grid", "0.2", "--gamma-grid", "nan,1"], "--gamma-grid"),
+    (["fcs", "--t", "nan"], "--t"),
+    (["fcs", "--t=-inf"], "--t"),
+    (["fcs", "--t", "1.0", "--gamma-grid", "inf"], "--gamma-grid"),
+])
+def test_non_finite_grid_or_time_is_a_usage_error(argv, flag, tmp_path, capsys):
+    # these once exited 0 with NaN distances, all-zero means or empty measures
+    cfg = tmp_path / "chain3.json"
+    cfg.write_text(json.dumps(shipped_config("qubit_chain3")))
+    out = tmp_path / "out"
+    assert main([argv[0], "--config", str(cfg), *argv[1:], "--out-dir", str(out)]) == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--t-grid", "0,1e308", "--lambda-grid", "0.2"],
+    ["fcs", "--t", "1e308"],
+])
+def test_overflowing_time_is_a_numerical_error(argv, tmp_path, capsys):
+    # a finite t whose phases t * w overflow: NaN weights reach from_points
+    cfg = tmp_path / "chain3.json"
+    cfg.write_text(json.dumps(shipped_config("qubit_chain3")))
+    with np.errstate(invalid="ignore", over="ignore"):
+        rc = main([argv[0], "--config", str(cfg), *argv[1:], "--out-dir", str(tmp_path / "out")])
+    assert rc == 3
+    assert capsys.readouterr().err == "numerical error: atom with a non-finite location or weight\n"
+
+
+def test_sweep_worker_invariance_at_n8(tmp_path):
+    # d = 512, two parity sectors of A per lambda, BLAS threads in every product
+    cfg = shipped_config("qubit_chain6")
+    cfg["reservoir"]["n"] = 8
+    path = tmp_path / "chain8.json"
+    path.write_text(json.dumps(cfg))
+    outs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert main([
+            "sweep", "--config", str(path), "--t-grid", "0,10",
+            "--lambda-grid", "0.1,0.2", "--workers", workers, "--out-dir", str(out),
+        ]) == 0
+        outs.append(((out / "sweep.csv").read_bytes(), (out / "verdict.json").read_bytes()))
+    assert outs[0] == outs[1]

@@ -13,9 +13,13 @@ from fcslab.dynamics import (
     exact_cocycle,
     flux_observables,
 )
-from fcslab.linalg import dagger, op_norm, tensor
-from fcslab.scenarios import random_scenario
+from fcslab.fcs import fcs_at, system_char_limit
+from fcslab.linalg import dagger, exp_complex, op_norm, tensor
+from fcslab.modular import Liouvilleans
+from fcslab.scenarios import chain_scenario, config_to_scenario, random_scenario
 from fcslab.states import random_hermitian
+
+from test_scenarios import shipped_config
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -49,6 +53,84 @@ def heisenberg(a, h, t):
     d = h.shape[0]
     scn = Scenario(h, np.zeros((1, 1)), np.zeros((d, d)), 0.0, 1.0, np.eye(d) / d)
     return scn.evolve(a, t)
+
+
+def dense_free_basis_vectors(scn):
+    """A = (V_S (x) V_R)* v_c as one Kronecker product, from the Scenario's spectra."""
+    return dagger(np.kron(scn._eig_sys[1], scn._eig_res[1])) @ scn._eig_coupled[1]
+
+
+def complex_parity_chain():
+    """chain_scenario(3) plus a sx sy term on the first bond: h_res is complex
+    and still conserves the parity, so A splits into two complex sectors."""
+    scn = chain_scenario(3)
+    h_res = scn.h_res + 0.2 * tensor(SX, SY, np.eye(2))
+    return Scenario(scn.h_sys, h_res, scn.v, scn.lam, scn.beta, scn.rho_sys)
+
+
+class TestFreeBasisSectors:
+    """U~ = exp(itH) in the free eigenbasis, formed one sector of A at a time."""
+
+    SCENARIOS = {
+        **{f"chain{n}-{dis}": (lambda n=n, dis=dis: chain_scenario(n, disorder=dis, seed=n))
+           for n in range(3, 7) for dis in (0.0, 0.3)},
+        "qutrit_chain2": lambda: config_to_scenario(shipped_config("qutrit_chain2")).scenario,
+        "complex_chain3": complex_parity_chain,
+    }
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_sector_product_matches_dense_product(self, name):
+        scn = self.SCENARIOS[name]()
+        sectors = scn._free_basis_sectors
+        assert len(sectors) == 2
+        a = dense_free_basis_vectors(scn)
+        w = scn._eig_coupled[0]
+        inside = np.zeros((scn.dim, scn.dim), dtype=bool)
+        for rows, cols, blk in sectors:
+            assert np.iscomplexobj(blk) == name.startswith("complex")
+            assert np.max(np.abs(a[np.ix_(rows, cols)] - blk)) <= 1e-14
+            inside[np.ix_(rows, rows)] = True
+        for t in (-1.3, 0.0, 2.1, 30.0):
+            u = scn.unitary_in_free_basis(t)
+            assert np.max(np.abs(u - (a * np.exp(1j * t * w)) @ dagger(a))) <= 1e-13
+            assert not u[~inside].any()
+
+    def test_one_sector_keeps_the_dense_product_bitwise(self):
+        scn = random_scenario(np.random.default_rng(7), 3, 4)
+        ((rows, cols, a),) = scn._free_basis_sectors
+        d_s, d_r, d = scn.dim_sys, scn.dim_res, scn.dim
+        factored = dagger(scn._eig_res[1]) @ scn._eig_coupled[1].reshape(d_s, d_r, d)
+        factored = (dagger(scn._eig_sys[1]) @ factored.reshape(d_s, -1)).reshape(d, d)
+        assert np.array_equal(a, factored) and np.array_equal(rows, np.arange(d))
+        w = scn._eig_coupled[0]
+        for t in (-1.3, 0.0, 2.1):
+            assert np.array_equal(scn.unitary_in_free_basis(t), (a * exp_complex(1j * t * w)) @ dagger(a))
+
+
+class TestUnitModulusPhases:
+    """The unitaries read their phases from linalg.exp_i, bitwise the
+    exp_complex(1j * t * w) they were built from."""
+
+    @pytest.mark.parametrize("t", [-1.3, 0.0, 2.1])
+    def test_unitaries_bitwise_exp_complex(self, qubit_qubit, t):
+        w, u = qubit_qubit._eig_coupled
+        assert np.array_equal(qubit_qubit.unitary_coupled(t), (u * exp_complex(1j * t * w)) @ dagger(u))
+        w, u = qubit_qubit._eig_free
+        assert np.array_equal(qubit_qubit.unitary_free(t), (u * exp_complex(1j * t * w)) @ dagger(u))
+        w, v = qubit_qubit._eig_res
+        right = tensor(np.eye(2), (v * exp_complex(-1j * t * w)) @ dagger(v))
+        assert np.array_equal(Liouvilleans(qubit_qubit).half_factors(t)[1], right)
+
+    def test_characteristic_functions_bitwise_exp_complex(self, qubit_qubit):
+        mu = fcs_at(qubit_qubit, 1.7).reservoir_measure
+        gamma = np.linspace(-3.0, 3.0, 41)
+        ref = exp_complex(1j * np.multiply.outer(gamma, mu.locations)) @ mu.weights
+        assert np.array_equal(mu.char(gamma), ref)
+        w, v = qubit_qubit._eig_sys
+        for g in gamma:
+            phase_p = (v * exp_complex(1j * g * w)) @ dagger(v)
+            ref = np.trace(qubit_qubit.rho_sys_thermal @ phase_p) * np.trace(qubit_qubit.rho_sys @ dagger(phase_p))
+            assert system_char_limit(qubit_qubit, g) == complex(ref)
 
 
 class TestHeisenberg:

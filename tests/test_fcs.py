@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad_vec
 
 from fcslab.checks import measure_distance, suite_fcs, two_time_reservoir_oracle
-from fcslab import dynamics
+from fcslab import dynamics, linalg, states
 from fcslab.dynamics import DEFAULT_QUAD_TOL, QuadratureError, Scenario, delta_q_direct, delta_q_flux, exact_cocycle
 from fcslab import fcs as fcsmod
 from fcslab.fcs import (
@@ -27,7 +27,7 @@ from fcslab.fcs import (
     system_char_limit,
     system_fcs,
 )
-from fcslab.linalg import eig_hermitian, positive_sqrt, tensor
+from fcslab.linalg import eig_hermitian, eigh_blocks, positive_sqrt, tensor
 from fcslab.modular import initial_vector
 from fcslab.scenarios import chain_scenario, config_to_scenario, random_scenario
 from fcslab.states import AtomicMeasure, gibbs, random_density
@@ -112,8 +112,9 @@ def operator_balance_loop(scn, t, quad_tol=1e-8):
 
 def raw_reservoir_atoms(scn, t):
     """Reference: all d^2 atoms of the relative modular operator, one per
-    pair of product eigenvectors, before grouping by reservoir level."""
-    w_res, v_res = np.linalg.eigh(scn.h_res)
+    pair of product eigenvectors, before grouping by reservoir level.  The
+    levels come from the Scenario's eigensolver, linalg.eigh_blocks."""
+    w_res, v_res = eigh_blocks(scn.h_res)
     v_full = np.kron(np.eye(scn.dim_sys), v_res)
     u_full = scn.unitary_coupled(t) @ v_full
     energies = np.tile(w_res, scn.dim_sys)  # column k carries energy w_res[k % d_R]
@@ -593,10 +594,11 @@ class TestLimitSweep:
 
 
 def count_diagonalizations(monkeypatch):
-    """(shapes passed to np.linalg.eigh outside the coupled block decomposition,
-    shapes passed to that decomposition), filled as the code under test runs."""
+    """(shapes passed to np.linalg.eigh outside a block decomposition, shapes
+    passed to linalg.eigh_blocks), filled as the code under test runs.  The
+    decomposition is counted in every module that calls it."""
     eigh_shapes, block_shapes, inside = [], [], []
-    eigh, blocks = np.linalg.eigh, dynamics.eigh_blocks
+    eigh, blocks = np.linalg.eigh, linalg.eigh_blocks
 
     def counting_eigh(a, *args, **kw):
         if not inside:
@@ -612,7 +614,8 @@ def count_diagonalizations(monkeypatch):
             inside.pop()
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(dynamics, "eigh_blocks", counting_blocks)
+    for module in (linalg, states, dynamics):
+        monkeypatch.setattr(module, "eigh_blocks", counting_blocks)
     return eigh_shapes, block_shapes
 
 
@@ -633,13 +636,14 @@ class TestReservoirSpectrum:
         eigh_shapes, block_shapes = count_diagonalizations(monkeypatch)
         monkeypatch.setattr(np.linalg, "norm", counting_norm)
         limit_sweep(scn, np.array([0.0, 1.0, 2.0]), np.array([0.2]))
-        # eigh(h_res) only: the sweep reads the thermal populations from it
-        # and needs no root of rho_res; no SVD of a reservoir-sized or joint
-        # matrix, because every Hermiticity check passes cheaply.  The two
-        # (8, 8) parity blocks of H_coupled are counted apart, as one block
-        # decomposition of the joint matrix.
-        assert eigh_shapes.count((8, 8)) == 1
-        assert block_shapes == [(16, 16)]
+        # one block decomposition of h_res only: the sweep reads the thermal
+        # populations from it and needs no root of rho_res; no SVD of a
+        # reservoir-sized or joint matrix, because every Hermiticity check
+        # passes cheaply.  The parity blocks of h_res and of H_coupled are
+        # counted apart, as one block decomposition of each matrix (the (2, 2)
+        # ones are the system's Gibbs state).
+        assert (8, 8) not in eigh_shapes and (4, 4) not in eigh_shapes
+        assert block_shapes.count((8, 8)) == 1 and block_shapes.count((16, 16)) == 1
         assert [s for s in two_norm_shapes if s in ((8, 8), (16, 16))] == []
 
     @pytest.mark.parametrize("which", ["qubit_qubit", "chain3", "random"])
@@ -789,9 +793,11 @@ class TestFreeBasisWeights:
         monkeypatch.setattr(Scenario, "unitary_coupled", counting_unitary)
         monkeypatch.setattr(Scenario, "unitary_in_free_basis", counting_free_basis)
         limit_sweep(scn, np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.2, 0.3]))
-        # one coupled block decomposition per lambda and no joint eigh besides;
-        # one U~(t) per cell feeds both weight sets
-        assert block_shapes == [(16, 16)] * 3 and (16, 16) not in eigh_shapes
+        # one coupled and one reservoir block decomposition per lambda (besides
+        # the system's (2, 2) Gibbs state) and no joint eigh besides; one U~(t)
+        # per cell feeds both weight sets
+        joint_and_res = [s for s in block_shapes if s != (2, 2)]
+        assert joint_and_res == [(16, 16), (8, 8)] * 3 and (16, 16) not in eigh_shapes
         assert (unitary_calls, free_basis_calls) == ([], [0.0, 1.0, 2.0] * 3)
         two_time_reservoir_oracle(scn, 1.0)  # the independent route keeps U(t)
         assert unitary_calls == [1.0]

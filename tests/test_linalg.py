@@ -10,11 +10,13 @@ from fcslab.linalg import (
     NotPositiveError,
     SpectrumDomainError,
     assert_hermitian,
+    bipartite_sectors,
     dagger,
     eig_hermitian,
     eigenvalue_clusters,
     eigh_blocks,
     exp_complex,
+    exp_i,
     expm_hermitian,
     func_calc,
     hs_norm,
@@ -129,6 +131,21 @@ class TestEighBlocks:
         w_ref, v_ref = np.linalg.eigh(a)
         assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
 
+    @pytest.mark.parametrize("sizes", [[1, 2, 3], [5]])
+    def test_real_valued_complex_blocks_reach_eigh_as_float64(self, rng, sizes, monkeypatch):
+        d = sum(sizes)
+        real, _ = permuted_block_diagonal(rng, rng.normal(size=d), sizes)
+        real = real.real
+        a = real.astype(complex)
+        dtypes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda b: dtypes.append(b.dtype) or eigh(b))
+        w, v = eigh_blocks(a)
+        assert dtypes == [np.dtype(float)] * len(sizes)
+        assert v.dtype == complex and not v.imag.any()
+        assert np.max(np.abs((v * w) @ dagger(v) - a)) <= 1e-12
+        assert np.max(np.abs(w - np.linalg.eigvalsh(real))) <= 1e-12
+
     def test_one_eigh_per_block(self, rng, monkeypatch):
         a, _ = permuted_block_diagonal(rng, rng.normal(size=6), [1, 2, 3])
         shapes = []
@@ -163,6 +180,31 @@ class TestEighBlocks:
         monkeypatch.setattr(np.linalg, "eigh", lambda b: shapes.append(b.shape) or eigh(b))
         scn._eig_coupled
         assert shapes == [(scn.dim // 2, scn.dim // 2)] * 2
+
+
+class TestBipartiteSectors:
+    def test_rectangular_blocks_and_empty_lines(self):
+        mask = np.zeros((5, 4), dtype=bool)
+        mask[np.ix_([0, 3], [1, 2])] = True
+        mask[np.ix_([1, 4], [0])] = True
+        sectors = bipartite_sectors(mask)
+        assert [(r.tolist(), c.tolist()) for r, c in sectors] == [
+            ([0, 3], [1, 2]), ([1, 4], [0]), ([2], []), ([], [3])
+        ]
+
+
+class TestExpI:
+    """exp_i(theta) against exp_complex(1j * theta) in each form a caller uses."""
+
+    def test_bitwise_exp_complex_of_imaginary_argument(self, rng):
+        theta = np.concatenate([rng.uniform(-200, 200, 300), rng.normal(size=300) * 1e-12, [0.0, 1e300]])
+        assert np.array_equal(exp_i(theta), exp_complex(1j * theta))
+        t, s, w = 2.7, 0.3, rng.normal(size=64)
+        assert np.array_equal(exp_i(t * w), exp_complex(1j * t * w))
+        assert np.array_equal(exp_i(-s * w), exp_complex(-1j * s * w))
+        gamma, x = rng.normal(size=41), rng.normal(size=500)
+        assert np.array_equal(exp_i(np.multiply.outer(gamma, x)), exp_complex(1j * np.multiply.outer(gamma, x)))
+        assert exp_i(0.0) == 1.0 and exp_i(0.0).dtype == complex
 
 
 class TestExpComplex:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcslab.linalg import op_norm
+from fcslab.linalg import NumericalError, op_norm
 from fcslab.states import (
     MERGE_TOL,
     WEIGHT_DROP_TOL,
@@ -219,6 +219,16 @@ class TestAtomicMeasure:
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError, match="negative"):
             AtomicMeasure.from_points(np.array([0.0]), np.array([-0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["locations", "weights"])
+    def test_non_finite_point_raises_numerical_error(self, bad, where):
+        # a NaN weight passes the negativity check and fails mass > drop_tol,
+        # so without the guard every atom would be dropped without a word
+        points = {"locations": np.array([0.0, 1.0]), "weights": np.array([0.5, 0.5])}
+        points[where][1] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            AtomicMeasure.from_points(points["locations"], points["weights"])
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 20))
