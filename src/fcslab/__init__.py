@@ -4,7 +4,6 @@ the relative modular operator, with a numerical verification suite for the
 operator-algebraic identities connecting them."""
 
 from .dynamics import (
-    FluxObservables,
     QuadratureError,
     Scenario,
     balance_check,
@@ -13,7 +12,6 @@ from .dynamics import (
     dyson_cocycle,
     dyson_error_bound,
     exact_cocycle,
-    flux_observables,
 )
 from .fcs import (
     FcsAtTime,

@@ -120,7 +120,7 @@ def suite_states(scn: Scenario, seed: int = 0) -> list[CheckResult]:
     out.append(_result("gibbs_variational_inequality", max(rep.max_violation, 0.0), 1e-10))
     out.append(_result("gibbs_variational_equality", abs(rep.equality_gap), 1e-10))
 
-    rho_b = gibbs(scn.h_sys, scn.beta)
+    rho_b = scn.rho_sys_thermal
     pairs = [
         (random_hermitian(d, rng) + 0j, random_hermitian(d, rng) + 0j) for _ in range(100)
     ]

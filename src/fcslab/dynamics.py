@@ -3,6 +3,7 @@ two-time energy bookkeeping, and truncated Dyson cocycles."""
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,10 +21,9 @@ from .linalg import (
     expm,
     gauss_kronrod,
     op_norm,
-    positive_sqrt,
     tensor,
 )
-from .states import assert_density, gibbs, gibbs_weights
+from .states import assert_density, gibbs_weights
 
 DEFAULT_QUAD_TOL = 1e-8
 
@@ -61,21 +61,19 @@ class Scenario:
             object.__setattr__(self, name, arr)
         assert_square(self.h_sys, "h_sys")
         assert_square(self.h_res, "h_res")
-        assert_hermitian(self.h_sys, name="h_sys")
-        assert_hermitian(self.h_res, name="h_res")
-        assert_hermitian(self.v, name="v")
-        assert_density(self.rho_sys, name="rho_sys")
         d = self.h_sys.shape[0] * self.h_res.shape[0]
         if self.v.shape != (d, d):
-            raise ValueError(
-                f"coupling dimension {self.v.shape[0]} != d_S*d_R = {d}"
-            )
+            raise ValueError(f"coupling dimension {self.v.shape} != (d_S*d_R, d_S*d_R) = {(d, d)}")
         if self.rho_sys.shape != self.h_sys.shape:
             raise ValueError("rho_sys dimension does not match h_sys")
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
         if not math.isfinite(self.lam):
             raise ValueError("lam must be finite")
+        assert_hermitian(self.h_sys, name="h_sys")
+        assert_hermitian(self.h_res, name="h_res")
+        assert_hermitian(self.v, name="v")
+        assert_density(self.rho_sys, name="rho_sys")
 
     @property
     def dim_sys(self) -> int:
@@ -109,7 +107,8 @@ class Scenario:
 
     @cached_property
     def _eig_sys(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self.h_sys)
+        """eigh of h_sys by ``linalg.eigh_blocks``, as for h_res."""
+        return eigh_blocks(self.h_sys)
 
     @cached_property
     def _eig_res(self) -> tuple[np.ndarray, np.ndarray]:
@@ -129,12 +128,14 @@ class Scenario:
 
     @cached_property
     def sqrt_rho_res(self) -> np.ndarray:
-        return positive_sqrt(self.rho_res)
+        """rho_res^(1/2) = (V_R sqrt(p)) V_R*, from the one eigh of h_res."""
+        return (self._eig_res[1] * np.sqrt(self.gibbs_weights_res)) @ dagger(self._eig_res[1])
 
     @cached_property
     def rho_sys_thermal(self) -> np.ndarray:
-        """System thermal state at beta (equilibrium target)."""
-        return gibbs(self.h_sys, self.beta)
+        """System thermal state at beta, from the one eigh of h_sys (bitwise ``gibbs(h_sys, beta)``)."""
+        w, v = self._eig_sys
+        return (v * gibbs_weights(w, self.beta)) @ dagger(v)
 
     @cached_property
     def rho_init(self) -> np.ndarray:
@@ -150,10 +151,6 @@ class Scenario:
     def _eig_coupled(self) -> tuple[np.ndarray, np.ndarray]:
         """eigh of H_coupled, one invariant block at a time (``linalg.eigh_blocks``)."""
         return eigh_blocks(self.h_coupled)
-
-    @cached_property
-    def _eig_free(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self.h_free)
 
     @cached_property
     def _free_basis_sectors(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -195,9 +192,8 @@ class Scenario:
         return u
 
     def unitary_free(self, t: float) -> np.ndarray:
-        """exp(i t H_free)."""
-        w, u = self._eig_free
-        return (u * exp_i(t * w)) @ dagger(u)
+        """exp(i t H_free) = e^{itH_S} (x) e^{itH_R}, from the two factor spectra."""
+        return tensor(*((v * exp_i(t * w)) @ dagger(v) for w, v in (self._eig_sys, self._eig_res)))
 
     def evolve(self, a: np.ndarray, t: float) -> np.ndarray:
         """Coupled Heisenberg evolution e^{itH} a e^{-itH}."""
@@ -210,35 +206,36 @@ class Scenario:
         return float(np.einsum("ij,ji->", self.rho_init, a).real)
 
     def with_lam(self, lam: float) -> "Scenario":
-        return Scenario(self.h_sys, self.h_res, self.v, lam, self.beta, self.rho_sys)
+        """This model at coupling ``lam``: the fields and every lam-free cache
+        are shared by reference (the arrays are read-only), not re-validated;
+        the caches every coupling reads are built first, so a sweep decomposes
+        H_S and H_R once.  ``_COUPLING_CACHES`` are not inherited."""
+        if not math.isfinite(lam):
+            raise ValueError("lam must be finite")
+        self.h_free, self._eig_sys, self.gibbs_weights_res  # built once, before the copy shares them
+        cell = copy.copy(self)
+        object.__setattr__(cell, "lam", lam)
+        for name in _COUPLING_CACHES:
+            cell.__dict__.pop(name, None)
+        return cell
 
     @cached_property
-    def flux(self) -> "FluxObservables":
-        """:func:`flux_observables` of this scenario, built once."""
-        return flux_observables(self)
+    def phi_sys(self) -> np.ndarray:
+        """System energy current lam * i [H_S (x) 1, V]."""
+        return self.lam * 1j * (self.h_sys_full @ self.v - self.v @ self.h_sys_full)
+
+    @cached_property
+    def phi_res(self) -> np.ndarray:
+        """Reservoir energy current lam * i [1 (x) H_R, V]; phi_sys + phi_res =
+        lam * i [H_free, V], the total-energy current into the coupling term."""
+        return self.lam * 1j * (self.h_res_full @ self.v - self.v @ self.h_res_full)
 
     @cached_property
     def energy_scale(self) -> float:
         return max(1.0, op_norm(self.h_free) + abs(self.lam) * op_norm(self.v))
 
 
-@dataclass(frozen=True)
-class FluxObservables:
-    """Instantaneous energy currents phi = lam * i [H_component, V]."""
-
-    phi_sys: np.ndarray
-    phi_res: np.ndarray
-
-
-def flux_observables(scn: Scenario) -> FluxObservables:
-    """Energy flux observables of a scenario.
-
-    phi_sys + phi_res = lam * i [H_free, V], the total-energy current into
-    the coupling term.
-    """
-    phi_s = scn.lam * 1j * (scn.h_sys_full @ scn.v - scn.v @ scn.h_sys_full)
-    phi_r = scn.lam * 1j * (scn.h_res_full @ scn.v - scn.v @ scn.h_res_full)
-    return FluxObservables(phi_sys=phi_s, phi_res=phi_r)
+_COUPLING_CACHES = ("h_coupled", "_eig_coupled", "_free_basis_sectors", "phi_sys", "phi_res", "energy_scale")
 
 
 def _expectation_changes(scn: Scenario, t: float, observables: tuple) -> list[float]:
@@ -302,8 +299,8 @@ def delta_q_flux(
         return 0.0, 0.0
     v = scn._eig_coupled[1]
     rho_c = (dagger(v) @ scn.rho_init @ v).T
-    dq_s = -_quad_expect_flux(scn, rho_c, scn.flux.phi_sys, t, quad_tol)
-    dq_r = _quad_expect_flux(scn, rho_c, scn.flux.phi_res, t, quad_tol)
+    dq_s = -_quad_expect_flux(scn, rho_c, scn.phi_sys, t, quad_tol)
+    dq_r = _quad_expect_flux(scn, rho_c, scn.phi_res, t, quad_tol)
     return dq_s, dq_r
 
 

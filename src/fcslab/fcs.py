@@ -257,8 +257,8 @@ def operator_balance_check(
     QuadratureError when the flux integral misses ``quad_tol``.
     """
     w_res, v_res = scn._eig_res
-    e = np.exp(-scn.beta * (w_res - w_res.min()))
-    log_rho_res = (v_res * (np.log(e / e.sum()))) @ dagger(v_res)
+    x = -scn.beta * (w_res - w_res.min())  # log rho_res = x - log sum e^x, finite at any beta
+    log_rho_res = (v_res * (x - np.log(np.exp(x).sum()))) @ dagger(v_res)
     log_static = tensor(np.eye(scn.dim_sys), log_rho_res)
     log_flowed = scn.evolve(log_static, t)
 
@@ -269,7 +269,7 @@ def operator_balance_check(
         # integrated in the coupled eigenbasis, rotated back once.  The quadrature's
         # Frobenius error norm does not change under the rotation.
         w, v = scn._eig_coupled
-        phi_c = dagger(v) @ scn.flux.phi_res @ v
+        phi_c = dagger(v) @ scn.phi_res @ v
         flux_c, err = quad_vec(
             lambda s: np.outer(exp_i(s * w), exp_i(-s * w)) * phi_c,
             0.0, t, epsabs=quad_tol, epsrel=1e-13,
@@ -411,11 +411,11 @@ def limit_sweep(
     route within ``moment_tol``; if the largest gap of the sweep exceeds it,
     QuadratureError reports that cell (the derivative route is a trapezoid
     rule).  The limit law depends on neither lam nor t and is evaluated
-    once.  Each lam is one task, serial or on one of ``workers`` threads: it
-    builds the coupled Scenario once and reuses its eigendecomposition (and
-    the coupled eigenvectors in the free eigenbasis) for every t, so one
-    Scenario per task is alive at a time.  Rows are in grid order
-    (lam-major, then t), so the output does not depend on the worker count.
+    once.  Each lam is one task, serial or on one of ``workers`` threads:
+    ``scn.with_lam(lam)`` shares the free model of ``scn``, and its coupled
+    eigendecomposition (and eigenvectors in the free eigenbasis) serve every t.
+    Rows are in grid order (lam-major, then t), so the output does not depend
+    on the worker count.
     """
     if len(np.atleast_1d(t_grid)) == 0 or len(np.atleast_1d(lam_grid)) == 0:
         raise ValueError("grids must be nonempty")

@@ -1,9 +1,9 @@
 """Dense complex linear algebra on square matrices, and the one quadrature.
 
-Everything downstream runs through the clustered Hermitian eigendecomposition
-defined here: functional calculus, positive square roots, fractional powers
-and unitary exponentials are all assembled in the eigenbasis, never by series
-summation.  Only :func:`expm`, for matrices that are not Hermitian, is rational.
+Hamiltonians are diagonalized by :func:`eigh_blocks`, one invariant block at a
+time; measurements and the functional calculus use the clustered
+:func:`eig_hermitian`.  Roots, powers and unitary exponentials are assembled in
+an eigenbasis; only :func:`expm`, for matrices that are not Hermitian, is rational.
 :func:`gauss_kronrod` integrates the flux over time.  The library runs on numpy alone.
 """
 

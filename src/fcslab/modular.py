@@ -281,10 +281,11 @@ def perturbed_gibbs_vector(scn: Scenario) -> np.ndarray:
     normalization), so large beta * ||H|| is safe.
     """
     wl, vl = scn._eig_coupled
-    w0, v0 = scn._eig_free
-    # e^{-beta(L0 + lam pi(V))/2} X = e^{-beta Hc/2} X e^{+beta H0/2}
+    # e^{-beta(L0 + lam pi(V))/2} X = e^{-beta Hc/2} X e^{+beta H0/2}, and
+    # e^{beta H0/2} = e^{beta H_S/2} (x) e^{beta H_R/2}
     left = (vl * np.exp(-scn.beta / 2 * (wl - wl.min()))) @ dagger(vl)
-    right = (v0 * np.exp(scn.beta / 2 * (w0 - w0.max()))) @ dagger(v0)
+    right = tensor(*((v * np.exp(scn.beta / 2 * (w - w.max()))) @ dagger(v)
+                     for w, v in (scn._eig_sys, scn._eig_res)))
     vec = left @ equilibrium_vector(scn) @ right
     return vec / hs_norm(vec)
 

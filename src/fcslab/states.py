@@ -136,7 +136,8 @@ def gibbs_weights(w: np.ndarray, beta: float) -> np.ndarray:
 
 def gibbs(h: np.ndarray, beta: float) -> np.ndarray:
     """Thermal state exp(-beta h)/tr(exp(-beta h)), from ``linalg.eigh_blocks``
-    of h (so a Scenario's ``rho_res`` is bitwise ``gibbs(h_res, beta)``)."""
+    of h (so a Scenario's ``rho_res`` and ``rho_sys_thermal`` are bitwise
+    ``gibbs(h_res, beta)`` and ``gibbs(h_sys, beta)``)."""
     assert_square(h)
     assert_hermitian(h)
     if not math.isfinite(beta):

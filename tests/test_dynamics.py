@@ -1,6 +1,14 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from functools import cached_property
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad_vec
+
+from fcslab import dynamics
 
 from fcslab.dynamics import (
     QuadratureError,
@@ -11,13 +19,12 @@ from fcslab.dynamics import (
     dyson_cocycle,
     dyson_error_bound,
     exact_cocycle,
-    flux_observables,
 )
 from fcslab.fcs import fcs_at, system_char_limit
-from fcslab.linalg import dagger, exp_complex, op_norm, tensor
-from fcslab.modular import Liouvilleans
+from fcslab.linalg import dagger, exp_complex, expm_hermitian, op_norm, positive_sqrt, tensor
+from fcslab.modular import Liouvilleans, perturbed_gibbs_vector
 from fcslab.scenarios import chain_scenario, config_to_scenario, random_scenario
-from fcslab.states import random_hermitian
+from fcslab.states import gibbs, random_hermitian
 
 from test_scenarios import shipped_config
 
@@ -42,9 +49,86 @@ class TestScenario:
         with pytest.raises(ValueError, match="dimension"):
             Scenario(SZ, SZ, np.kron(SX, np.eye(3)), 0.1, 1.0, np.eye(2, dtype=complex) / 2)
 
+    def test_non_square_coupling_names_the_coupling_dimension(self):
+        with pytest.raises(ValueError, match="coupling dimension"):
+            Scenario(SZ, SZ, np.zeros((4, 2)), 0.1, 1.0, np.eye(2, dtype=complex) / 2)
+
     def test_inputs_frozen(self, qubit_qubit):
         with pytest.raises(ValueError):
             qubit_qubit.h_sys[0, 0] = 5.0
+
+
+def same_bits(a, b) -> bool:
+    """Bitwise equality of a cached value: an array, a float, or nested tuples and lists of them."""
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(same_bits(x, y) for x, y in zip(a, b))
+    return np.asarray(a).dtype == np.asarray(b).dtype and np.array_equal(a, b)
+
+
+WITH_LAM_CASES = {
+    "chain3": lambda: chain_scenario(3, disorder=0.3, seed=4),
+    "random": lambda: random_scenario(np.random.default_rng(11), 3, 4),
+}
+
+
+class TestWithLam:
+    """with_lam(lam) is the fresh Scenario at lam, and shares every lam-free cache."""
+
+    CACHES = [name for name, attr in vars(Scenario).items() if isinstance(attr, cached_property)]
+
+    @pytest.mark.parametrize("case", ["qubit_qubit", *sorted(WITH_LAM_CASES)])
+    def test_every_cache_equals_a_fresh_scenario(self, case, qubit_qubit):
+        scn = qubit_qubit if case == "qubit_qubit" else WITH_LAM_CASES[case]()
+        assert set(dynamics._COUPLING_CACHES) <= set(self.CACHES)
+        for name in self.CACHES:
+            getattr(scn, name)
+        lam = scn.lam + 0.17
+        cell = scn.with_lam(lam)
+        fresh = Scenario(scn.h_sys, scn.h_res, scn.v, lam, scn.beta, scn.rho_sys)
+        assert cell.lam == lam and all(getattr(cell, f) is getattr(scn, f) for f in ("h_sys", "h_res", "v", "rho_sys"))
+        for name in self.CACHES:
+            assert same_bits(getattr(cell, name), getattr(fresh, name)), name
+            assert (getattr(cell, name) is getattr(scn, name)) == (name not in dynamics._COUPLING_CACHES), name
+
+    def test_the_free_spectra_are_built_once_per_model(self):
+        scn = chain_scenario(3)
+        first, second = scn.with_lam(0.1), scn.with_lam(0.3)
+        for name in ("h_free", "_eig_sys", "_eig_res", "gibbs_weights_res"):
+            assert getattr(first, name) is getattr(second, name) is scn.__dict__[name], name
+
+    def test_cells_made_on_many_threads_match_serial_cells(self):
+        # more threads than cores and a short switch interval, on a fresh model
+        # whose free caches the first with_lam calls build concurrently
+        lams = np.linspace(0.0, 0.4, 12)
+
+        def cell_unitary(scn, lam):
+            return scn.with_lam(lam).unitary_in_free_basis(1.0)
+
+        scn = chain_scenario(3, disorder=0.3, seed=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                threaded = list(pool.map(lambda lam: cell_unitary(scn, lam), lams, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        serial = chain_scenario(3, disorder=0.3, seed=4)
+        assert all(np.array_equal(u, cell_unitary(serial, lam)) for u, lam in zip(threaded, lams))
+
+    def test_rejects_non_finite_lam(self, qubit_qubit):
+        with pytest.raises(ValueError, match="finite"):
+            qubit_qubit.with_lam(float("nan"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.sampled_from([2, 3, 4]), st.floats(-5.0, 5.0))
+def test_free_model_routes_match_the_dense_matrices(seed, d_sys, d_res, t):
+    """unitary_free and perturbed_gibbs_vector, built from the factor spectra
+    of H_S and H_R, against the matrices they stand for."""
+    scn = random_scenario(np.random.default_rng(seed), d_sys, d_res)
+    assert np.max(np.abs(scn.unitary_free(t) - expm_hermitian(scn.h_free, 1j * t))) <= 1e-12
+    target = positive_sqrt(gibbs(scn.h_coupled, scn.beta))
+    assert np.max(np.abs(perturbed_gibbs_vector(scn) - target)) <= 1e-12
 
 
 def heisenberg(a, h, t):
@@ -115,8 +199,8 @@ class TestUnitModulusPhases:
     def test_unitaries_bitwise_exp_complex(self, qubit_qubit, t):
         w, u = qubit_qubit._eig_coupled
         assert np.array_equal(qubit_qubit.unitary_coupled(t), (u * exp_complex(1j * t * w)) @ dagger(u))
-        w, u = qubit_qubit._eig_free
-        assert np.array_equal(qubit_qubit.unitary_free(t), (u * exp_complex(1j * t * w)) @ dagger(u))
+        factors = [(v * exp_complex(1j * t * w)) @ dagger(v) for w, v in (qubit_qubit._eig_sys, qubit_qubit._eig_res)]
+        assert np.array_equal(qubit_qubit.unitary_free(t), tensor(*factors))
         w, v = qubit_qubit._eig_res
         right = tensor(np.eye(2), (v * exp_complex(-1j * t * w)) @ dagger(v))
         assert np.array_equal(Liouvilleans(qubit_qubit).half_factors(t)[1], right)
@@ -162,12 +246,11 @@ class TestHeisenberg:
 
 class TestFluxObservables:
     def test_hermitian_and_split(self, qubit_qubit):
-        fl = flux_observables(qubit_qubit)
         scn = qubit_qubit
-        assert op_norm(fl.phi_sys - dagger(fl.phi_sys)) <= 1e-12
-        assert op_norm(fl.phi_res - dagger(fl.phi_res)) <= 1e-12
+        assert op_norm(scn.phi_sys - dagger(scn.phi_sys)) <= 1e-12
+        assert op_norm(scn.phi_res - dagger(scn.phi_res)) <= 1e-12
         total = scn.lam * 1j * (scn.h_free @ scn.v - scn.v @ scn.h_free)
-        assert op_norm(fl.phi_sys + fl.phi_res - total) <= 1e-12
+        assert op_norm(scn.phi_sys + scn.phi_res - total) <= 1e-12
 
 
 class TestDeltaQ:

@@ -378,6 +378,13 @@ class TestIdentities:
             operator_balance_check(scn, 50.0, quad_tol=1e-16)
         assert info.value.achieved > 1e-16
 
+    def test_operator_balance_finite_at_large_beta(self):
+        # the upper reservoir populations e^{-beta (w - w_min)} underflow to
+        # 0 at beta = 300; log rho_res must not be taken of them
+        scn = chain_scenario(3, beta=300.0)
+        tol = DEFAULT_QUAD_TOL * scn.beta * scn.energy_scale + 1e-8  # the fcs suite's tolerance at t = 1
+        assert operator_balance_check(scn, 1.0) <= tol
+
     def test_half_line_reduction_at_origin(self, qubit_qubit):
         from fcslab.linalg import hs_inner, tensor, positive_sqrt
         from fcslab.modular import initial_vector, reservoir_weight_vector
@@ -641,7 +648,7 @@ class TestReservoirSpectrum:
         # reservoir-sized or joint matrix, because every Hermiticity check
         # passes cheaply.  The parity blocks of h_res and of H_coupled are
         # counted apart, as one block decomposition of each matrix (the (2, 2)
-        # ones are the system's Gibbs state).
+        # ones are the system's spectrum).
         assert (8, 8) not in eigh_shapes and (4, 4) not in eigh_shapes
         assert block_shapes.count((8, 8)) == 1 and block_shapes.count((16, 16)) == 1
         assert [s for s in two_norm_shapes if s in ((8, 8), (16, 16))] == []
@@ -653,9 +660,11 @@ class TestReservoirSpectrum:
             "chain3": chain_scenario(3, disorder=0.3, seed=4),
             "random": random_scenario(np.random.default_rng(9), 3, 4),
         }[which]
-        rho_res = gibbs(scn.h_res, scn.beta)
-        assert np.array_equal(scn.rho_res, rho_res)
-        expected = tensor(positive_sqrt(scn.rho_sys), positive_sqrt(rho_res))
+        assert np.array_equal(scn.rho_res, gibbs(scn.h_res, scn.beta))
+        assert np.array_equal(scn.rho_sys_thermal, gibbs(scn.h_sys, scn.beta))
+        w, v = eigh_blocks(scn.h_res)
+        sqrt_rho_res = (v * np.sqrt(states.gibbs_weights(w, scn.beta))) @ v.conj().T
+        expected = tensor(positive_sqrt(scn.rho_sys), sqrt_rho_res)
         assert np.array_equal(initial_vector(scn), expected)
 
 
@@ -793,11 +802,11 @@ class TestFreeBasisWeights:
         monkeypatch.setattr(Scenario, "unitary_coupled", counting_unitary)
         monkeypatch.setattr(Scenario, "unitary_in_free_basis", counting_free_basis)
         limit_sweep(scn, np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.2, 0.3]))
-        # one coupled and one reservoir block decomposition per lambda (besides
-        # the system's (2, 2) Gibbs state) and no joint eigh besides; one U~(t)
-        # per cell feeds both weight sets
+        # one reservoir block decomposition for the sweep and one coupled one
+        # per lambda (besides the system's (2, 2) spectrum), and no joint eigh
+        # besides; one U~(t) per cell feeds both weight sets
         joint_and_res = [s for s in block_shapes if s != (2, 2)]
-        assert joint_and_res == [(16, 16), (8, 8)] * 3 and (16, 16) not in eigh_shapes
+        assert joint_and_res == [(8, 8)] + [(16, 16)] * 3 and (16, 16) not in eigh_shapes
         assert (unitary_calls, free_basis_calls) == ([], [0.0, 1.0, 2.0] * 3)
         two_time_reservoir_oracle(scn, 1.0)  # the independent route keeps U(t)
         assert unitary_calls == [1.0]

@@ -18,7 +18,7 @@ import fcslab
 from fcslab import dynamics as dynmod
 from fcslab import fcs as fcsmod
 from fcslab.checks import measure_distance, run_suites, two_time_reservoir_oracle
-from fcslab.dynamics import DEFAULT_QUAD_TOL, delta_q_flux, dyson_cocycle, flux_observables
+from fcslab.dynamics import DEFAULT_QUAD_TOL, delta_q_flux, dyson_cocycle
 from fcslab.fcs import operator_balance_check
 from fcslab.linalg import dagger, eig_hermitian, expm, expm_hermitian, tensor
 from fcslab.modular import modular_pair, relative_modular
@@ -63,7 +63,7 @@ def quad_vec_balance(scn, t, quad_tol=DEFAULT_QUAD_TOL):
     e = np.exp(-scn.beta * (w_res - w_res.min()))
     log_static = tensor(np.eye(scn.dim_sys), (v_res * np.log(e / e.sum())) @ dagger(v_res))
     log_flowed = scn.evolve(log_static, t)
-    phi_r = flux_observables(scn).phi_res
+    phi_r = scn.phi_res
     flux_int = 0.0
     if t != 0.0:
         flux_int, _ = quad_vec(lambda s: scn.evolve(phi_r, s), 0.0, t, epsabs=quad_tol, epsrel=1e-13)
@@ -180,8 +180,7 @@ class TestFluxQuadratures:
 
         monkeypatch.setattr(dynmod, "quad", recording)
         delta_q_flux(scn, 2.0)
-        fl = flux_observables(scn)
-        for f, phi in zip(integrands, (fl.phi_sys, fl.phi_res)):
+        for f, phi in zip(integrands, (scn.phi_sys, scn.phi_res)):
             for s in (0.0, 0.4, 1.3, 2.0, -0.9):
                 assert abs(f(s) - evolved_expectation(scn, phi, s)) <= 1e-13
 
@@ -198,7 +197,7 @@ class TestFluxQuadratures:
         operator_balance_check(scn, 1.5)
         (f,) = integrands
         v = scn._eig_coupled[1]
-        phi_r = flux_observables(scn).phi_res
+        phi_r = scn.phi_res
         for s in (0.0, 0.4, 1.5, -0.9):
             assert np.max(np.abs(v @ f(s) @ dagger(v) - scn.evolve(phi_r, s))) <= 1e-13
 
