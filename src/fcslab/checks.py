@@ -14,11 +14,12 @@ from typing import Callable
 import numpy as np
 
 from . import fcs as fcsmod
-from . import scenarios
 from .dynamics import DEFAULT_QUAD_TOL, Scenario, balance_check, delta_q_direct, delta_q_flux, dyson_cocycle, dyson_error_bound, exact_cocycle
 from .linalg import (
+    assert_hermitian,
     dagger,
     eig_hermitian,
+    eigenvalue_clusters,
     func_calc,
     hs_inner,
     hs_norm,
@@ -149,8 +150,10 @@ def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
     ms = modular_pair(rho_ref)
     rep, omega = standard_gns(rho_ref)
 
-    def rand_mat() -> np.ndarray:
-        return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    def rand_mat() -> np.ndarray:  # bitwise normal(size=(d, d)) + 1j * normal(size=(d, d))
+        out = np.empty((d, d), dtype=complex)
+        out.real, out.imag = rng.standard_normal((2, d, d))
+        return out
 
     worst = 0.0
     for _ in range(10):
@@ -198,9 +201,8 @@ def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
     for _ in range(10):
         a, x = rand_mat(), rand_mat()
         t = float(rng.uniform(-2, 2))
-        flowed = ms.delta_power(1j * t, a @ ms.delta_power(-1j * t, x))
-        multiplier = ms.ref_power(1j * t) @ a @ ms.ref_power(-1j * t)
-        worst = max(worst, hs_norm(flowed - multiplier @ x) / hs_norm(x))
+        fwd, back = ms.ref_power(1j * t), ms.ref_power(-1j * t)  # Delta^(+-it) X = fwd X back, back X fwd
+        worst = max(worst, hs_norm(fwd @ (a @ (back @ x @ fwd)) @ back - fwd @ a @ back @ x) / hs_norm(x))
     out.append(_result("modular_flow_stability", worst, 1e-9))
 
     # Equilibrium boundary condition from the modular operator.
@@ -275,32 +277,25 @@ def two_time_reservoir_oracle(scn: Scenario, t: float):
     """Reservoir FCS from the bare two-time protocol (independent route).
 
     Project onto clustered reservoir energy eigenspaces, evolve, project
-    again; atoms at (first - second) reservoir energy.  It holds one evolved
-    projector per reservoir level, n_proj complex d x d matrices; a ValueError
-    refuses them before anything is evolved when they would exceed
-    ``scenarios.MEMORY_BUDGET_BYTES``.
+    again; atoms at (first - second) reservoir energy.  In the basis
+    Q = 1 (x) V of the reservoir eigenvectors, with G = Q* U Q and R = Q* rho Q
+    zeroed between levels (the first measurement), the weight of the level
+    pair (j, k), tr(P_j rho P_j U P_k U*), sums Re((R G) * conj(G)) over the
+    rows of level j and the columns of level k: O(d^3) work, O(d^2) memory.
     """
-    dec = eig_hermitian(scn.h_res)
-    n_proj = len(dec.projectors)
-    estimate = n_proj * scn.dim**2 * 16
-    if estimate > scenarios.MEMORY_BUDGET_BYTES:
-        raise ValueError(
-            f"two-time oracle: {n_proj} evolved projectors of d = {scn.dim} need an "
-            f"estimated {estimate / 2**30:.3g} GiB, above the {scenarios.MEMORY_BUDGET_BYTES / 2**30:.3g} GiB budget"
-        )
-    i_sys = np.eye(scn.dim_sys)
-    u = scn.unitary_coupled(t)
-    # Row k is the evolved second projector u P_k u*, transposed and flattened,
-    # so tr(start P_k) over all k is one product with start.ravel().
-    evolved_t = np.empty((n_proj, scn.dim**2), dtype=complex)
-    for row, p in zip(evolved_t, dec.projectors):
-        row.reshape(scn.dim, scn.dim)[...] = (u @ tensor(i_sys, p) @ dagger(u)).T
-    wts = np.empty((n_proj, n_proj))
-    for row, p1 in zip(wts, dec.projectors):
-        p1f = tensor(i_sys, p1)
-        row[:] = (evolved_t @ (p1f @ scn.rho_init @ p1f).ravel()).real
-    locs = dec.eigenvalues[:, None] - dec.eigenvalues[None, :]
-    return AtomicMeasure.from_points(locs.ravel(), wts.ravel())
+    assert_hermitian(scn.h_res, name="reservoir Hamiltonian")
+    w, v = np.linalg.eigh(scn.h_res)
+    groups = eigenvalue_clusters(w)  # as eig_hermitian clusters them, each level the mean
+    levels = np.array([float(np.mean(w[g])) for g in groups])
+    label = np.tile(np.repeat(np.arange(len(groups)), [len(g) for g in groups]), scn.dim_sys)  # level of Q's columns
+    q = tensor(np.eye(scn.dim_sys), v)
+    g = dagger(q) @ scn.unitary_coupled(t) @ q
+    r = dagger(q) @ scn.rho_init @ q
+    r[label[:, None] != label[None, :]] = 0.0
+    prod = (r @ g) * g.conj()
+    pair = label[:, None] * len(groups) + label[None, :]
+    wts = np.bincount(pair.ravel(), weights=prod.real.ravel(), minlength=len(groups) ** 2)
+    return AtomicMeasure.from_points((levels[:, None] - levels[None, :]).ravel(), wts)
 
 
 def measure_distance(mu_a, mu_b) -> float:

@@ -204,14 +204,18 @@ def cone_membership(x: np.ndarray, tol: float = 1e-10) -> bool:
 
     The cone {A J A J Omega} closes to exactly the positive semidefinite
     matrices, so membership is Hermiticity plus positivity within ``tol``
-    (relative to max(1, ||x||)).  The scale is at least 1, so an eigenvalue
-    floor of -tol passes before ||x|| is computed.
+    (relative to max(1, ||x||)).  The scale is at least 1, so a Cholesky
+    factor of the Hermitian part plus tol accepts without an eigvalsh or ||x||.
     """
     assert_square(x)
     if not is_hermitian(x, tol):
         return False
-    w = np.linalg.eigvalsh((x + dagger(x)) / 2)
-    return bool(w[0] >= -tol or w[0] >= -tol * max(1.0, op_norm(x)))
+    h = (x + dagger(x)) / 2
+    try:
+        np.linalg.cholesky(h + tol * np.eye(len(h)))
+        return True
+    except np.linalg.LinAlgError:
+        return bool(np.linalg.eigvalsh(h)[0] >= -tol * max(1.0, op_norm(x)))
 
 
 # -- scenario-level vectors and Liouvilleans ---------------------------------

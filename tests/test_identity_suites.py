@@ -7,6 +7,7 @@ flux integrands by explicit Heisenberg evolution."""
 import ast
 import importlib
 import pkgutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import fcslab
 from fcslab import dynamics as dynmod
 from fcslab import fcs as fcsmod
 from fcslab.checks import measure_distance, run_suites, two_time_reservoir_oracle
-from fcslab.dynamics import DEFAULT_QUAD_TOL, delta_q_flux, dyson_cocycle
+from fcslab.dynamics import DEFAULT_QUAD_TOL, Scenario, delta_q_flux, dyson_cocycle
 from fcslab.fcs import operator_balance_check
 from fcslab.linalg import dagger, eig_hermitian, expm, expm_hermitian, tensor
 from fcslab.modular import modular_pair, relative_modular
@@ -81,6 +82,7 @@ SCENARIOS = {
     "random_2x3": lambda: random_scenario(np.random.default_rng(53), 2, 3),
     "random_3x4": lambda: random_scenario(np.random.default_rng(54), 3, 4),
     "chain4": lambda: chain_scenario(4, disorder=0.3, seed=1),
+    "chain4_clean": lambda: chain_scenario(4),  # degenerate reservoir levels
 }
 
 
@@ -130,6 +132,34 @@ class TestOracle:
     def test_matches_einsum_loop(self, case, t):
         scn = SCENARIOS[case]()
         assert measure_distance(two_time_reservoir_oracle(scn, t), einsum_loop_oracle(scn, t)) <= 1e-14
+
+    def test_reads_neither_free_basis_unitary_nor_sectors(self, monkeypatch):
+        def fail(*args):
+            pytest.fail("the oracle read the modular route's free-basis data")
+
+        scn = chain_scenario(4)
+        monkeypatch.setattr(Scenario, "unitary_in_free_basis", fail)
+        monkeypatch.setattr(Scenario, "_free_basis_sectors", property(fail))
+        assert measure_distance(two_time_reservoir_oracle(scn, 1.0), einsum_loop_oracle(scn, 1.0)) <= 1e-14
+
+    def test_first_measurement_dephases_a_correlated_state(self):
+        # every shipped rho_init is block diagonal in the reservoir levels, so
+        # only a correlated state sees the first projective measurement
+        scn = chain_scenario(3)
+        scn.__dict__["rho_init"] = random_density(scn.dim, np.random.default_rng(7))
+        assert measure_distance(two_time_reservoir_oracle(scn, 1.0), einsum_loop_oracle(scn, 1.0)) <= 1e-14
+
+    def test_peak_memory_is_a_few_d_by_d_arrays(self):
+        # a few complex d x d arrays: far below one per reservoir level (64 here)
+        scn = chain_scenario(6)
+        scn._eig_coupled, scn.rho_init  # the model's own caches, built before the count
+        tracemalloc.start()
+        try:
+            two_time_reservoir_oracle(scn, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 16 * scn.dim**2
 
 
 # -- modular caches ----------------------------------------------------------------

@@ -203,6 +203,23 @@ class TestNaturalCone:
             vec = a @ ms.omega @ dagger(a)  # A (J A J) reference
             assert cone_membership(vec, 1e-10)
 
+    def test_positive_input_needs_no_eigvalsh(self, rng, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: pytest.fail("eigvalsh called"))
+        ms = modular_pair(random_density(4, rng))
+        for _ in range(10):
+            a = rand_mat(rng, 4)
+            assert cone_membership(a @ ms.omega @ dagger(a), 1e-10)
+
+    @pytest.mark.parametrize("top", [1e-3, 0.5, 1.0])
+    def test_floor_is_minus_tol_up_to_unit_norm(self, rng, top):
+        # ||x|| = top <= 1, so the floor is -tol itself: a relative 1e-3 on
+        # either side of it decides
+        tol = 1e-10
+        q, _ = np.linalg.qr(rand_mat(rng, 5))
+        for factor, inside in ((1 + 1e-3, False), (1 - 1e-3, True)):
+            w = np.array([-tol * factor, 0.0, 0.1 * top, 0.2 * top, top])
+            assert cone_membership((q * w) @ dagger(q), tol) is inside
+
     def test_cone_is_exactly_psd(self, rng):
         # every PSD matrix arises as A (J A J) applied to the reference
         ms = modular_pair(random_density(3, rng))
