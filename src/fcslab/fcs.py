@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import DEFAULT_QUAD_TOL, QuadratureError, Scenario, check_flux_error
-from .linalg import dagger, eigenvalue_clusters, exp_complex, exp_i, gauss_kronrod, hs_inner, positive_sqrt, tensor
+from .linalg import dagger, eigenvalue_clusters, exp_complex, exp_i, gauss_kronrod, hs_inner, one_blas_thread, positive_sqrt, tensor
 from .modular import Liouvilleans, initial_vector, reservoir_weight_vector
 from .states import AtomicMeasure
 
@@ -414,26 +414,34 @@ def limit_sweep(
     once.  Each lam is one task, serial or on one of ``workers`` threads:
     ``scn.with_lam(lam)`` shares the free model of ``scn``, and its coupled
     eigendecomposition (and eigenvectors in the free eigenbasis) serve every t.
-    Rows are in grid order (lam-major, then t), so the output does not depend
-    on the worker count.
+
+    The whole sweep runs numpy's OpenBLAS on one thread (:func:`one_blas_thread`,
+    process-wide, restored on return or raise): the worker threads are the
+    sweep's only parallelism, so they do not oversubscribe the cores, and since
+    eigh's bits depend on the BLAS thread count, no output bit depends on the
+    caller's.  Where numpy's BLAS is not its bundled OpenBLAS the count cannot
+    be pinned, and the lam tasks run serially whatever ``workers`` is.  Rows are
+    in grid order (lam-major, then t), so the output does not depend on the
+    worker count.
     """
     if len(np.atleast_1d(t_grid)) == 0 or len(np.atleast_1d(lam_grid)) == 0:
         raise ValueError("grids must be nonempty")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if gamma_grid is None:
-        gamma_grid = default_gamma_grid(scn)
     lams = [float(lam) for lam in np.atleast_1d(lam_grid)]
     ts = [float(t) for t in np.atleast_1d(t_grid)]
-    limit_vals = np.array([system_char_limit(scn, g) for g in gamma_grid])
-    if workers == 1:
-        per_lam = [_sweep_lam(scn, lam, ts, gamma_grid, limit_vals) for lam in lams]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_sweep_lam, scn, lam, ts, gamma_grid, limit_vals) for lam in lams
-            ]
-            per_lam = [f.result() for f in futures]
+    with one_blas_thread() as pinned:
+        if gamma_grid is None:
+            gamma_grid = default_gamma_grid(scn)
+        limit_vals = np.array([system_char_limit(scn, g) for g in gamma_grid])
+        if workers == 1 or not pinned:
+            per_lam = [_sweep_lam(scn, lam, ts, gamma_grid, limit_vals) for lam in lams]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = [
+                    pool.submit(_sweep_lam, scn, lam, ts, gamma_grid, limit_vals) for lam in lams
+                ]
+                per_lam = [f.result() for f in futures]
     rows = [r for lam_rows in per_lam for r in lam_rows]
     worst = max(rows, key=lambda r: r.moment_gap)
     if worst.moment_gap > moment_tol:

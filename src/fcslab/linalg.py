@@ -4,13 +4,16 @@ Hamiltonians are diagonalized by :func:`eigh_blocks`, one invariant block at a
 time; measurements and the functional calculus use the clustered
 :func:`eig_hermitian`.  Roots, powers and unitary exponentials are assembled in
 an eigenbasis; only :func:`expm`, for matrices that are not Hermitian, is rational.
-:func:`gauss_kronrod` integrates the flux over time.  The library runs on numpy alone.
+:func:`gauss_kronrod` integrates the flux over time.  The library runs on numpy alone;
+:func:`one_blas_thread` pins numpy's bundled OpenBLAS through ctypes.
 """
 
 from __future__ import annotations
 
+import ctypes
 import heapq
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -407,3 +410,38 @@ def tensor(*ops: np.ndarray) -> np.ndarray:
     for b in ops[1:]:
         out = np.kron(out, np.asarray(b, dtype=complex))
     return out
+
+
+def _openblas_thread_controls():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    when numpy is built on another BLAS.  dlsym on numpy's core extension
+    searches the libraries it links, so the lookup needs no library path."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread; yield whether it is
+    pinned (False, and nothing changed, when numpy's BLAS is not its bundled
+    OpenBLAS).  The count read on entry is restored on every exit.  The count
+    is process-wide: it holds for every thread of the process while the block
+    runs, and two blocks running at once on different threads would restore
+    each other's counts."""
+    controls = _openblas_thread_controls()
+    if controls is None:
+        yield False
+        return
+    get, set_ = controls
+    before = get()
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(before)

@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -28,3 +30,19 @@ def scenario_factory():
         return random_scenario(np.random.default_rng(seed), d_sys, d_res, **kw)
 
     return make
+
+
+@pytest.fixture
+def openblas_threads():
+    """(get, set) of numpy's bundled OpenBLAS thread count, read through
+    ctypes apart from the library; the count is restored after the test."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        pytest.skip("numpy is not built on its bundled OpenBLAS")
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    before = get()
+    yield get, set_
+    set_(before)

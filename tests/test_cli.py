@@ -309,8 +309,9 @@ def test_non_finite_coupled_hamiltonian_exit_code(config_path, tmp_path, monkeyp
 
 
 def test_sweep_worker_invariance_where_blas_threads(tmp_path):
-    # d = 256: OpenBLAS runs its products and eigh on several threads here,
-    # which the d <= 16 invariance tests never reach
+    # d = 256: large enough that OpenBLAS, were the sweep not pinned to one
+    # BLAS thread, would run its products and eigh on several threads; the
+    # d <= 16 invariance tests never reach that size
     cfg = shipped_config("qubit_chain3")
     cfg["reservoir"].update(n=7, disorder=0.3, seed=5)
     path = tmp_path / "chain7.json"
@@ -361,7 +362,8 @@ def test_overflowing_time_is_a_numerical_error(argv, tmp_path, capsys):
 
 
 def test_sweep_worker_invariance_at_n8(tmp_path):
-    # d = 512, two parity sectors of A per lambda, BLAS threads in every product
+    # d = 512, two parity sectors of A per lambda, products large enough for
+    # BLAS threads were the sweep not pinned to one
     cfg = shipped_config("qubit_chain6")
     cfg["reservoir"]["n"] = 8
     path = tmp_path / "chain8.json"
@@ -373,5 +375,46 @@ def test_sweep_worker_invariance_at_n8(tmp_path):
             "sweep", "--config", str(path), "--t-grid", "0,10",
             "--lambda-grid", "0.1,0.2", "--workers", workers, "--out-dir", str(out),
         ]) == 0
+        outs.append(((out / "sweep.csv").read_bytes(), (out / "verdict.json").read_bytes()))
+    assert outs[0] == outs[1]
+
+
+def test_sweep_restores_the_blas_thread_count_after_a_numerical_error(
+    config_path, tmp_path, monkeypatch, openblas_threads
+):
+    from fcslab.dynamics import Scenario
+
+    def poisoned(self):
+        h = self.h_free + self.lam * self.v
+        h[0, 0] = np.nan
+        return h
+
+    get, set_ = openblas_threads
+    set_(2)
+    monkeypatch.setattr(Scenario, "h_coupled", property(poisoned))
+    assert main([
+        "sweep", "--config", config_path, "--t-grid", "0,1", "--lambda-grid", "0.2",
+        "--out-dir", str(tmp_path / "out"),
+    ]) == 3
+    assert get() == 2
+
+
+def test_sweep_bytes_do_not_depend_on_the_callers_blas_threads(tmp_path, openblas_threads):
+    # eigh's bits depend on the OpenBLAS thread count: at d = 512 the sweep
+    # once moved by up to 1.3e-15 between one thread and two
+    get, set_ = openblas_threads
+    cfg = shipped_config("qubit_chain6")
+    cfg["reservoir"]["n"] = 8
+    path = tmp_path / "chain8.json"
+    path.write_text(json.dumps(cfg))
+    outs = []
+    for threads in (1, 2):
+        set_(threads)
+        out = tmp_path / f"b{threads}"
+        assert main([
+            "sweep", "--config", str(path), "--t-grid", "0,10",
+            "--lambda-grid", "0.1,0.2", "--out-dir", str(out),
+        ]) == 0
+        assert get() == threads
         outs.append(((out / "sweep.csv").read_bytes(), (out / "verdict.json").read_bytes()))
     assert outs[0] == outs[1]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -528,6 +529,55 @@ class TestLimitSweep:
         expected = per_cell_sweep_rows(scn, t_grid, lam_grid, gam)
         assert len(sweep.rows) == len(expected) == 9
         for row, ref in zip(sweep.rows, expected):
+            for f in dataclasses.fields(SweepRow):
+                a, b = getattr(row, f.name), getattr(ref, f.name)
+                assert np.array_equal(a, b), (f.name, row.lam, row.t, a, b)
+                assert type(a) is type(b), f.name
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_sweep_runs_blas_on_one_thread_and_restores_it(self, openblas_threads, monkeypatch, workers):
+        get, set_ = openblas_threads
+        set_(2)
+        seen = []
+        sweep_cell = fcsmod._sweep_cell
+
+        def recording(*args):
+            seen.append(get())
+            return sweep_cell(*args)
+
+        monkeypatch.setattr(fcsmod, "_sweep_cell", recording)
+        limit_sweep(chain_scenario(3), np.array([0.0, 1.0]), np.array([0.1, 0.2, 0.3]), workers=workers)
+        assert seen == [1] * 6
+        assert get() == 2
+
+    def test_blas_thread_count_restored_after_a_quadrature_error(self, qubit_qubit, openblas_threads):
+        get, set_ = openblas_threads
+        set_(2)
+        t_grid, lam_grid = np.array([0.0, 1.0]), np.array([0.3])
+        gap = max(r.moment_gap for r in limit_sweep(qubit_qubit, t_grid, lam_grid).rows)
+        with pytest.raises(QuadratureError):
+            limit_sweep(qubit_qubit, t_grid, lam_grid, moment_tol=gap / 2)
+        assert get() == 2
+
+    def test_unpinnable_blas_runs_the_lambdas_serially(self, monkeypatch):
+        # a numpy on another BLAS: its thread count cannot be pinned, so the
+        # worker threads would make the bits depend on --workers
+        monkeypatch.setattr(linalg, "_openblas_thread_controls", lambda: None)
+        scn = chain_scenario(3, disorder=0.3, seed=2)
+        t_grid, lam_grid = np.array([0.0, 1.5, 4.0]), np.array([0.0, 0.2, 0.3])
+        expected = limit_sweep(scn, t_grid, lam_grid, workers=1).rows
+        threads = []
+        sweep_lam = fcsmod._sweep_lam
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return sweep_lam(*args)
+
+        monkeypatch.setattr(fcsmod, "_sweep_lam", recording)
+        rows = limit_sweep(scn, t_grid, lam_grid, workers=3).rows
+        assert threads == [threading.get_ident()] * 3
+        assert len(rows) == len(expected) == 9
+        for row, ref in zip(rows, expected):
             for f in dataclasses.fields(SweepRow):
                 a, b = getattr(row, f.name), getattr(ref, f.name)
                 assert np.array_equal(a, b), (f.name, row.lam, row.t, a, b)
