@@ -56,7 +56,6 @@ from .modular import (
     perturbed_gibbs_vector,
     relative_modular,
     reservoir_weight_vector,
-    standard_gns,
 )
 from .scenarios import (
     ConfigError,

@@ -30,12 +30,11 @@ from .linalg import (
 from .modular import (
     Liouvilleans,
     cone_membership,
+    equilibrium_modular,
     equilibrium_vector,
-    evolved_reservoir_weight,
-    modular_pair,
+    initial_modular,
     perturbed_gibbs_vector,
-    relative_modular,
-    standard_gns,
+    reservoir_modular,
 )
 from .states import AtomicMeasure, entropy, gibbs, gibbs_variational_check, kms_defect, measure, random_density, random_hermitian
 
@@ -146,9 +145,8 @@ def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
     out = []
     d = scn.dim
 
-    rho_ref = scn.rho_eq
-    ms = modular_pair(rho_ref)
-    rep, omega = standard_gns(rho_ref)
+    ms = equilibrium_modular(scn)  # every weight below from the eigh of H_S, H_R and rho_S
+    omega = ms.omega
 
     def rand_mat() -> np.ndarray:  # bitwise normal(size=(d, d)) + 1j * normal(size=(d, d))
         out = np.empty((d, d), dtype=complex)
@@ -158,8 +156,8 @@ def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
     worst = 0.0
     for _ in range(10):
         a = rand_mat()
-        lhs = hs_inner(omega, rep(a)(omega))
-        worst = max(worst, abs(lhs - np.trace(rho_ref @ a)))
+        lhs = hs_inner(omega, a @ omega)
+        worst = max(worst, abs(lhs - np.trace(scn.rho_eq @ a)))
     out.append(_result("gns_trace_agreement", worst, 1e-12))
 
     worst = 0.0
@@ -215,7 +213,7 @@ def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
     out.append(_result("kms_from_modular", worst, 1e-10))
 
     # Radon-Nikodym property of the relative modular operator.
-    rel = relative_modular(scn.rho_init, rho_ref)
+    rel = initial_modular(scn)
     worst = 0.0
     for _ in range(20):
         a = rand_mat()
@@ -256,9 +254,8 @@ def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
 
     t = 1.3
     gam = exact_cocycle(scn, t)
-    rel_t = relative_modular(evolved_reservoir_weight(scn, t),
-                             tensor(np.eye(scn.dim_sys), scn.rho_res))
-    conjugated = gam @ rel_t.rho_omega @ dagger(gam)
+    rel_t = reservoir_modular(scn, t)
+    conjugated = gam @ tensor(np.eye(scn.dim_sys), scn.rho_res) @ dagger(gam)
     worst = 0.0
     for _ in range(10):
         x = rand_mat()

@@ -231,8 +231,13 @@ class Scenario:
         return self.lam * 1j * (self.h_res_full @ self.v - self.v @ self.h_res_full)
 
     @cached_property
+    def v_norm(self) -> float:
+        """Operator norm of the coupling V: lam-free, so ``with_lam`` shares it once built."""
+        return op_norm(self.v)
+
+    @cached_property
     def energy_scale(self) -> float:
-        return max(1.0, op_norm(self.h_free) + abs(self.lam) * op_norm(self.v))
+        return max(1.0, op_norm(self.h_free) + abs(self.lam) * self.v_norm)
 
 
 _COUPLING_CACHES = ("h_coupled", "_eig_coupled", "_free_basis_sectors", "phi_sys", "phi_res", "energy_scale")
@@ -332,7 +337,7 @@ def dyson_error_bound(scn: Scenario, t: float, order: int) -> float:
 
     (|lam| ||V|| |t|)^(order+1) * exp(|lam| ||V|| |t|) / (order+1)!.
     """
-    return _dyson_tail(abs(scn.lam) * op_norm(scn.v) * abs(t), order)
+    return _dyson_tail(abs(scn.lam) * scn.v_norm * abs(t), order)
 
 
 def dyson_cocycle(
@@ -365,7 +370,7 @@ def dyson_cocycle(
         raise ValueError("order must be >= 0")
     if t == 0.0 or scn.lam == 0.0 or order == 0:
         return np.eye(scn.dim, dtype=complex)
-    x = abs(scn.lam) * op_norm(scn.v) * abs(t)
+    x = abs(scn.lam) * scn.v_norm * abs(t)
     floor = math.exp(x) * scn.dim * np.finfo(float).eps
     n_nodes = order + 1
     while floor <= quad_tol and _dyson_tail(x, n_nodes - 1) > floor:

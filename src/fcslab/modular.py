@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -35,28 +34,9 @@ from .linalg import (
     positive_sqrt,
     tensor,
 )
+from .states import gibbs_weights
 
 RANK_TOL = 1e-12
-
-
-def left_mult(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Left multiplication X -> a X: the representation of an observable."""
-
-    def act(x: np.ndarray) -> np.ndarray:
-        return a @ x
-
-    return act
-
-
-def standard_gns(rho: np.ndarray) -> tuple[Callable, np.ndarray]:
-    """Standard representation of a state: (left multiplication, rho^(1/2)).
-
-    The vector Omega = rho^(1/2) satisfies <Omega, pi(A) Omega> = tr(rho A);
-    pi is an exact homomorphism.  rho may be rank deficient (the vector is
-    then not separating, but the identity above still holds).
-    """
-    omega = positive_sqrt(rho)
-    return left_mult, omega
 
 
 def _weight_power(eig: tuple[np.ndarray, np.ndarray], alpha: complex) -> np.ndarray:
@@ -69,7 +49,7 @@ def _weight_power(eig: tuple[np.ndarray, np.ndarray], alpha: complex) -> np.ndar
     w, v = eig
     zero = w <= RANK_TOL
     if np.any(zero) and alpha.real <= 0:
-        raise RankDeficientError(f"power {alpha} of a singular weight (min eigenvalue {w[0]:.3e})")
+        raise RankDeficientError(f"power {alpha} of a singular weight (min eigenvalue {w.min():.3e})")
     powered = np.zeros(len(w), dtype=complex)
     powered[~zero] = w[~zero].astype(complex) ** alpha
     return (v * powered) @ dagger(v)
@@ -77,31 +57,39 @@ def _weight_power(eig: tuple[np.ndarray, np.ndarray], alpha: complex) -> np.ndar
 
 @dataclass(frozen=True, eq=False)
 class RelativeModular:
-    """Relative modular operator of a pair (eta, omega) of positive weights.
+    """Relative modular operator of a pair (eta, omega) of positive weights,
+    each given by its eigendecomposition (w, v): the weight is (v * w) v*.
 
     Acts on the standard representation space as X -> rho_eta X rho_omega^(-1)
     with fractional powers X -> rho_eta^a X rho_omega^(-a); positive and
-    self-adjoint in the trace inner product.  ``rho_eta`` may be a
-    non-normalized weight and may be rank deficient (powers then require
-    Re a > 0); ``rho_omega`` must be full rank.  Each weight is diagonalized
-    once, on first use.  For eta = omega this is the modular operator, see
-    :class:`ModularStructure`.
+    self-adjoint in the trace inner product.  eta may be non-normalized and
+    rank deficient (powers then require Re a > 0); omega must be full rank,
+    as an epsilon floor in its place would corrupt FCS atoms.  Both are
+    checked on construction, by each spectrum's minimum (a product spectrum
+    is not sorted).  For eta = omega this is :class:`ModularStructure`.
     """
 
-    rho_eta: np.ndarray
-    rho_omega: np.ndarray
+    eig_eta: tuple[np.ndarray, np.ndarray]
+    eig_omega: tuple[np.ndarray, np.ndarray]
+
+    def __post_init__(self):
+        w_eta, w_omega = self.eig_eta[0], self.eig_omega[0]
+        if w_eta.shape != w_omega.shape:
+            raise ValueError("weight dimensions differ")
+        if w_eta.min() < -RANK_TOL:
+            raise NotPositiveError(f"rho_eta is not positive: eigenvalue {w_eta.min():.3e}")
+        if w_omega.min() <= RANK_TOL:
+            raise RankDeficientError(f"rho_omega is not full rank: min eigenvalue {w_omega.min():.3e} <= {RANK_TOL:.1e}")
 
     @cached_property
-    def _eig_eta(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self.rho_eta)
-
-    @cached_property
-    def _eig_omega(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._eig_eta if self.rho_omega is self.rho_eta else np.linalg.eigh(self.rho_omega)
+    def rho_eta(self) -> np.ndarray:
+        w, v = self.eig_eta
+        return (v * w) @ dagger(v)
 
     @cached_property
     def _inv_omega(self) -> np.ndarray:
-        return np.linalg.inv(self.rho_omega)
+        w, v = self.eig_omega
+        return (v / w) @ dagger(v)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.rho_eta @ x @ self._inv_omega
@@ -109,13 +97,13 @@ class RelativeModular:
     def power(self, alpha: complex, x: np.ndarray) -> np.ndarray:
         if alpha == 0:
             return x.copy()
-        return _weight_power(self._eig_eta, alpha) @ x @ _weight_power(self._eig_omega, -alpha)
+        return _weight_power(self.eig_eta, alpha) @ x @ _weight_power(self.eig_omega, -alpha)
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class ModularStructure(RelativeModular):
     """Modular data of a full-rank positive reference in the standard rep:
-    the relative modular operator with eta = omega = ``rho_ref``.
+    the relative modular operator with eta = omega, both ``eig_ref``.
 
     Actions: conjugation J X = X*, modular operator Delta X = r X r^(-1),
     fractional powers Delta^a X = r^a X r^(-a), the star operator
@@ -123,8 +111,8 @@ class ModularStructure(RelativeModular):
     operator F = J Delta^(-1/2), which acts as X -> r^(1/2) X* r^(-1/2).
     """
 
-    def __init__(self, rho_ref: np.ndarray):
-        super().__init__(rho_eta=rho_ref, rho_omega=rho_ref)
+    def __init__(self, eig_ref: tuple[np.ndarray, np.ndarray]):
+        super().__init__(eig_eta=eig_ref, eig_omega=eig_ref)
 
     @property
     def rho_ref(self) -> np.ndarray:
@@ -139,14 +127,14 @@ class ModularStructure(RelativeModular):
     def _half_powers(self) -> dict:
         """rho_ref^(+-1/2), which star and commutant_star reuse; no other power
         is kept.  They are handed to every caller, so they are read-only."""
-        powers = {alpha: _weight_power(self._eig_eta, alpha) for alpha in (0.5, -0.5)}
+        powers = {alpha: _weight_power(self.eig_eta, alpha) for alpha in (0.5, -0.5)}
         for p in powers.values():
             p.setflags(write=False)
         return powers
 
     def ref_power(self, alpha: complex) -> np.ndarray:
         """Principal power rho_ref^alpha as a matrix."""
-        return self._half_powers[alpha] if alpha in (0.5, -0.5) else _weight_power(self._eig_eta, alpha)
+        return self._half_powers[alpha] if alpha in (0.5, -0.5) else _weight_power(self.eig_eta, alpha)
 
     def conjugation(self, x: np.ndarray) -> np.ndarray:
         """Modular conjugation J: the adjoint map (antiunitary, J^2 = 1)."""
@@ -167,36 +155,22 @@ class ModularStructure(RelativeModular):
         return self.conjugation(self.delta_power(-0.5, x))
 
 
-def _validated(rel: RelativeModular, eta: str, omega: str) -> RelativeModular:
-    """``rel`` once both weights are square and Hermitian, eta is positive and omega
-    is full rank, read from each weight's one eigh.  A rank-deficient omega has no
-    separating vector; an epsilon floor in its place would corrupt FCS atoms."""
-    for a, name in ((rel.rho_eta, eta), (rel.rho_omega, omega)):
-        assert_square(a, name)
-        assert_hermitian(a, name=name)
-    if rel.rho_eta.shape != rel.rho_omega.shape:
-        raise ValueError("weight dimensions differ")
-    w = rel._eig_eta[0][0]
-    if w < -RANK_TOL:
-        raise NotPositiveError(f"{eta} is not positive: eigenvalue {w:.3e}")
-    w = rel._eig_omega[0][0]
-    if w <= RANK_TOL:
-        raise RankDeficientError(f"{omega} is not full rank: min eigenvalue {w:.3e} <= {RANK_TOL:.1e}")
-    return rel
+def _eigh_weight(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of a weight given as a matrix, once it is square and Hermitian."""
+    assert_square(a, name)
+    assert_hermitian(a, name=name)
+    return np.linalg.eigh(a)
 
 
 def modular_pair(rho_ref: np.ndarray) -> ModularStructure:
-    """Modular structure of a full-rank positive reference."""
-    return _validated(ModularStructure(rho_ref), "reference", "reference")
+    """Modular structure of a full-rank positive reference matrix."""
+    return ModularStructure(_eigh_weight(rho_ref, "reference"))
 
 
 def relative_modular(rho_eta: np.ndarray, rho_omega: np.ndarray) -> RelativeModular:
-    """Relative modular operator for a weight eta against a full-rank omega.
-
-    Satisfies the Radon-Nikodym property
-    <Omega_omega, Delta_rel pi(A) Omega_omega> = tr(rho_eta A).
-    """
-    return _validated(RelativeModular(rho_eta=rho_eta, rho_omega=rho_omega), "rho_eta", "rho_omega")
+    """Relative modular operator of a weight matrix eta against a full-rank omega,
+    with <Omega_omega, Delta_rel pi(A) Omega_omega> = tr(rho_eta A) (Radon-Nikodym)."""
+    return RelativeModular(_eigh_weight(rho_eta, "rho_eta"), _eigh_weight(rho_omega, "rho_omega"))
 
 
 def cone_membership(x: np.ndarray, tol: float = 1e-10) -> bool:
@@ -240,10 +214,28 @@ def reservoir_weight_vector(scn: Scenario) -> np.ndarray:
     return tensor(np.eye(scn.dim_sys), scn.sqrt_rho_res)
 
 
-def evolved_reservoir_weight(scn: Scenario, t: float) -> np.ndarray:
-    """Weight operator of the reservoir state pulled back through the flow:
-    e^{itH} (1 (x) rho_res) e^{-itH} with the coupled H."""
-    return scn.evolve(tensor(np.eye(scn.dim_sys), scn.rho_res), t)
+def _with_reservoir(scn: Scenario, w_sys: np.ndarray, v_sys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v) of (system weight) (x) rho_res: (w_S (x) p_R, V_S (x) V_R), p_R and V_R from the eigh of h_res."""
+    return np.kron(w_sys, scn.gibbs_weights_res), tensor(v_sys, scn._eig_res[1])
+
+
+def equilibrium_modular(scn: Scenario) -> ModularStructure:
+    """Modular structure of rho_eq = rho_S,beta (x) rho_R, from the eigh of H_S and of H_R."""
+    w, v = scn._eig_sys
+    return ModularStructure(_with_reservoir(scn, gibbs_weights(w, scn.beta), v))
+
+
+def initial_modular(scn: Scenario) -> RelativeModular:
+    """Delta(rho_init | rho_eq), rho_init = rho_S (x) rho_R from the eigh of rho_S."""
+    return RelativeModular(_with_reservoir(scn, *np.linalg.eigh(scn.rho_sys)), equilibrium_modular(scn).eig_omega)
+
+
+def reservoir_modular(scn: Scenario, t: float) -> RelativeModular:
+    """Delta(flowed | static) of the reservoir weight 1 (x) rho_R: eta is its
+    pull-back e^{itH} (1 (x) rho_R) e^{-itH} through the coupled flow.  Both
+    spectra are 1 (x) p_R; the flowed eigenvectors are U(t) (1 (x) V_R)."""
+    w, v = _with_reservoir(scn, np.ones(scn.dim_sys), np.eye(scn.dim_sys))
+    return RelativeModular((w, scn.unitary_coupled(t) @ v), (w, v))
 
 
 @dataclass(frozen=True, eq=False)

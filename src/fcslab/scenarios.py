@@ -176,15 +176,22 @@ def _as_object(value, context: str) -> dict:
 
 
 def _number(value, field_name: str, positive: bool = False) -> float:
-    """A finite number (> 0 if ``positive``), or a ConfigError naming the field."""
+    """A finite number (> 0 if ``positive``) and not a bool, or a ConfigError naming the field."""
     try:
-        x = float(value)
+        x = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         x = math.nan
     if not math.isfinite(x) or (positive and x <= 0):
         kind = "finite positive" if positive else "finite"
         raise ConfigError(f"{field_name}: expected a {kind} number, got {value!r}")
     return x
+
+
+def _integer(value, field_name: str, minimum: int) -> int:
+    """An int that is not a bool and is >= ``minimum``, or a ConfigError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{field_name}: expected an integer >= {minimum}, got {value!r}")
+    return value
 
 
 def _check_hermitian_field(a: np.ndarray, field_name: str) -> np.ndarray:
@@ -197,9 +204,7 @@ def _check_hermitian_field(a: np.ndarray, field_name: str) -> np.ndarray:
 
 def _system_from_config(cfg: dict) -> tuple[np.ndarray, np.ndarray, float | None]:
     cfg = _as_object(cfg, "system")
-    dim = _require(cfg, "dim", "system")
-    if not isinstance(dim, int) or dim < 1:
-        raise ConfigError(f"system.dim: expected a positive integer, got {dim!r}")
+    dim = _integer(_require(cfg, "dim", "system"), "system.dim", 1)
     ham = _as_object(_require(cfg, "hamiltonian", "system"), "system.hamiltonian")
     if "matrix" in ham:
         h = _check_hermitian_field(pairs_to_matrix(ham["matrix"], "system.hamiltonian.matrix"),
@@ -252,15 +257,16 @@ def _reservoir_from_config(cfg: dict, dim_sys: int) -> tuple[np.ndarray, np.ndar
     preset = _require(cfg, "preset", "reservoir")
     if preset != "chain":
         raise ConfigError(f"reservoir.preset: unknown preset {preset!r}")
-    n = _require(cfg, "n", "reservoir")
-    if not isinstance(n, int):
-        raise ConfigError(f"reservoir.n: expected an integer, got {n!r}")
+    n = _integer(_require(cfg, "n", "reservoir"), "reservoir.n", 1)
     j_coupling = _number(cfg.get("coupling", 1.0), "reservoir.coupling")
     field = _number(cfg.get("field", 1.0), "reservoir.field")
     disorder = _number(cfg.get("disorder", 0.0), "reservoir.disorder")
+    if disorder != 0.0 and "seed" not in cfg:  # unseeded, it would draw new fields on every run
+        raise ConfigError("reservoir.seed: required when reservoir.disorder is nonzero")
+    seed = _integer(cfg["seed"], "reservoir.seed", 0) if "seed" in cfg else None
     try:
         _check_chain_size(dim_sys, n)
-        h, edge = build_chain_reservoir(n, j_coupling, field, seed=cfg.get("seed"), disorder=disorder)
+        h, edge = build_chain_reservoir(n, j_coupling, field, seed=seed, disorder=disorder)
     except ValueError as exc:
         raise ConfigError(f"reservoir: {exc}") from exc
     return h, edge

@@ -227,8 +227,8 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
 
 
 def test_rank_deficient_reference_is_a_numerical_failure(tmp_path, capsys):
-    # at beta = 40 the chain's thermal reference state has a smallest
-    # eigenvalue at roundoff: the config is valid, the modular suite cannot run
+    # at beta = 40 the chain's smallest thermal weight is 2.5e-73, below the
+    # rank tolerance: the config is valid, the modular suite cannot run
     cfg = shipped_config("qubit_chain3")
     cfg["beta"] = 40.0
     path = tmp_path / "cold.json"
@@ -266,6 +266,32 @@ def test_dyson_check_uses_the_configured_quad_tol(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["verify", "--config", str(path), "--suite", "fcs"]) == 0
     assert "all 15 checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("path, value", [
+    *((("reservoir", "seed"), seed) for seed in ("abc", 1.5, {"a": 1}, True, [1, 2], -1)),
+    (("reservoir", "seed"), None),  # none given: disorder alone would draw new fields every run
+    (("reservoir", "n"), True),
+    (("beta",), True),
+    (("system", "dim"), True),
+    (("coupling", "lambda"), False),
+])
+def test_config_integers_and_the_disorder_seed(tmp_path, capsys, path, value):
+    cfg = shipped_config("qubit_chain3")
+    cfg["reservoir"]["disorder"] = 0.3
+    cfg["reservoir"]["seed"] = 1
+    *parents, key = path
+    node = cfg
+    for name in parents:
+        node = node[name]
+    if value is None:
+        del node[key]
+    else:
+        node[key] = value
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(cfg))
+    assert main(["validate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {'.'.join(path)}: ")
 
 
 def test_nan_cluster_tol_is_a_config_error(tmp_path, capsys):

@@ -96,6 +96,16 @@ class TestWithLam:
         for name in ("h_free", "_eig_sys", "_eig_res", "gibbs_weights_res"):
             assert getattr(first, name) is getattr(second, name) is scn.__dict__[name], name
 
+    def test_the_coupling_norm_is_taken_once_per_model(self, monkeypatch):
+        scn = chain_scenario(3)
+        norms_of_v = []
+        norm = dynamics.op_norm
+        monkeypatch.setattr(dynamics, "op_norm", lambda a: norms_of_v.append(a is scn.v) or norm(a))
+        scn.energy_scale, dyson_error_bound(scn, 1.0, 4), dyson_cocycle(scn, 1.0, 4)
+        cell = scn.with_lam(0.3)  # made after the model holds the norm, as verify's uncoupled case is
+        cell.energy_scale, dyson_error_bound(cell, 1.0, 4), dyson_cocycle(cell, 1.0, 4)
+        assert sum(norms_of_v) == 1 and scn.v_norm == norm(scn.v)
+
     def test_cells_made_on_many_threads_match_serial_cells(self):
         # more threads than cores and a short switch interval, on a fresh model
         # whose free caches the first with_lam calls build concurrently

@@ -1,8 +1,9 @@
 """The identity suites' fast routes, pinned against the constructions they
 replace.  The references below are the earlier code of each route, kept as
 it was: scipy's matrix exponential at the Dyson nodes, the oracle's einsum
-per projector pair, the uncached modular inverses and half powers, and the
-flux integrands by explicit Heisenberg evolution."""
+per projector pair, and the flux integrands by explicit Heisenberg evolution.
+The modular weights, inverses and half powers are pinned, uncached, to their
+spectral formulas."""
 
 import ast
 import importlib
@@ -18,7 +19,7 @@ from scipy.integrate import quad_vec
 import fcslab
 from fcslab import dynamics as dynmod
 from fcslab import fcs as fcsmod
-from fcslab.checks import measure_distance, run_suites, two_time_reservoir_oracle
+from fcslab.checks import measure_distance, run_suites, suite_modular, two_time_reservoir_oracle
 from fcslab.dynamics import DEFAULT_QUAD_TOL, Scenario, delta_q_flux, dyson_cocycle
 from fcslab.fcs import operator_balance_check
 from fcslab.linalg import dagger, eig_hermitian, expm, expm_hermitian, tensor
@@ -172,7 +173,7 @@ class TestModularCaches:
         w, v = np.linalg.eigh(rho)
         for _ in range(3):
             x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-            assert np.array_equal(ms.delta(x), rho @ x @ np.linalg.inv(rho))
+            assert np.array_equal(ms.delta(x), ((v * w) @ dagger(v)) @ x @ ((v / w) @ dagger(v)))
             for alpha in (0.5, -0.5):
                 expected = ((v * w.astype(complex) ** alpha) @ dagger(v)) @ x @ (
                     (v * w.astype(complex) ** -alpha) @ dagger(v))
@@ -189,9 +190,22 @@ class TestModularCaches:
     def test_relative_apply_bitwise_uncached(self, rng):
         eta, omega = random_density(5, rng), random_density(5, rng)
         rel = relative_modular(eta, omega)
+        (w_eta, v_eta), (w_omega, v_omega) = np.linalg.eigh(eta), np.linalg.eigh(omega)
         for _ in range(3):
             x = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-            assert np.array_equal(rel.apply(x), eta @ x @ np.linalg.inv(omega))
+            expected = ((v_eta * w_eta) @ dagger(v_eta)) @ x @ ((v_omega / w_omega) @ dagger(v_omega))
+            assert np.array_equal(rel.apply(x), expected)
+
+    def test_suite_modular_diagonalises_nothing_at_size_d(self, monkeypatch):
+        # every weight comes from the eigh of H_S, H_R and rho_S; the one eigh
+        # of size d is the independent route positive_sqrt(gibbs(H_coupled))
+        scn = chain_scenario(3)
+        eigh_sizes, inv_sizes = [], []
+        eigh, inv = np.linalg.eigh, np.linalg.inv
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: eigh_sizes.append(len(a)) or eigh(a, *args))
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inv_sizes.append(len(a)) or inv(a))
+        suite_modular(scn)
+        assert eigh_sizes.count(scn.dim) == 1 and inv_sizes == []
 
 
 # -- flux quadratures in the coupled eigenbasis --------------------------------------

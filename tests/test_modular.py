@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fcslab.dynamics import exact_cocycle
+from fcslab.fcs import default_gamma_grid, fcs_at, reservoir_char
 from fcslab.linalg import (
     NotPositiveError,
     RankDeficientError,
@@ -15,16 +18,18 @@ from fcslab.modular import (
     Liouvilleans,
     RelativeModular,
     cone_membership,
+    equilibrium_modular,
     equilibrium_vector,
-    evolved_reservoir_weight,
+    initial_modular,
+    initial_vector,
     mixing_diagnostic,
     modular_pair,
     perturbed_gibbs_vector,
     relative_modular,
+    reservoir_modular,
     reservoir_weight_vector,
-    standard_gns,
 )
-from fcslab.scenarios import chain_scenario
+from fcslab.scenarios import chain_scenario, random_scenario
 from fcslab.states import gibbs, maximally_mixed, random_density
 
 
@@ -33,30 +38,27 @@ def rand_mat(rng, d):
 
 
 class TestStandardGns:
+    """The standard vector of a state is rho^(1/2); observables act on it by
+    left multiplication."""
+
     def test_identity_normalization(self, rng):
-        rho = random_density(4, rng)
-        rep, omega = standard_gns(rho)
+        omega = modular_pair(random_density(4, rng)).omega
         assert abs(hs_inner(omega, omega) - 1.0) <= 1e-12
 
     def test_pure_state_vector_is_projector(self, rng):
+        # a pure state is not faithful: it has no modular structure, but its
+        # vector rho^(1/2) is the projector itself
         psi = rng.normal(size=3)
         psi /= np.linalg.norm(psi)
         p = np.outer(psi, psi.conj())
-        _, omega = standard_gns(p)
-        assert np.allclose(omega, p, atol=1e-12)
+        assert np.allclose(positive_sqrt(p), p, atol=1e-12)
 
     def test_trace_agreement(self, rng):
         rho = random_density(4, rng)
-        rep, omega = standard_gns(rho)
+        omega = modular_pair(rho).omega
         for _ in range(20):
             a = rand_mat(rng, 4)
-            assert abs(hs_inner(omega, rep(a)(omega)) - np.trace(rho @ a)) <= 1e-12
-
-    def test_representation_homomorphism(self, rng):
-        rep, omega = standard_gns(random_density(3, rng))
-        a, b = rand_mat(rng, 3), rand_mat(rng, 3)
-        x = rand_mat(rng, 3)
-        assert np.allclose(rep(a @ b)(x), rep(a)(rep(b)(x)))
+            assert abs(hs_inner(omega, a @ omega) - np.trace(rho @ a)) <= 1e-12
 
 
 class TestModularStructure:
@@ -166,10 +168,21 @@ class TestRelativeModular:
         with pytest.raises(NotPositiveError, match="rho_eta"):
             relative_modular(np.diag([1.0, -0.5]).astype(complex), np.eye(2))
 
+    def test_product_spectra_are_read_by_their_minimum(self):
+        # a product spectrum is not sorted: its smallest weight need not come first
+        eye = np.eye(2, dtype=complex)
+        with pytest.raises(RankDeficientError, match="0.000e"):
+            RelativeModular((np.array([1.0, 0.5]), eye), (np.array([1.0, 0.0]), eye))
+        with pytest.raises(NotPositiveError, match="-5.000e-01"):
+            RelativeModular((np.array([1.0, -0.5]), eye), (np.array([1.0, 0.5]), eye))
+        rel = RelativeModular((np.array([1.0, 0.0]), eye), (np.array([1.0, 0.5]), eye))
+        with pytest.raises(RankDeficientError, match=r"min eigenvalue 0\.000e\+00"):
+            rel.power(-0.5, eye)
+
     def test_modular_structure_is_the_case_eta_equals_omega(self, rng):
         ms = modular_pair(random_density(4, rng))
         assert isinstance(ms, RelativeModular)
-        assert ms.rho_eta is ms.rho_omega is ms.rho_ref
+        assert ms.eig_eta is ms.eig_omega and ms.rho_ref is ms.rho_eta
         x = rand_mat(rng, 4)
         assert np.array_equal(ms.delta(x), ms.apply(x))
         for alpha in (0.5, -0.5, 0.3j, 1.2 - 0.7j):
@@ -292,7 +305,7 @@ class TestCocycle:
         t = 1.3
         gam = exact_cocycle(scn, t)
         static = tensor(np.eye(scn.dim_sys), scn.rho_res)
-        rel_t = relative_modular(evolved_reservoir_weight(scn, t), static)
+        rel_t = reservoir_modular(scn, t)
         conj_weight = gam @ static @ dagger(gam)
         for _ in range(10):
             x = rand_mat(rng, scn.dim)
@@ -306,6 +319,49 @@ class TestCocycle:
         gam = exact_cocycle(scn, 0.9)
         b, x = rand_mat(rng, scn.dim), rand_mat(rng, scn.dim)
         assert hs_norm(gam @ (x @ b) - (gam @ x) @ b) <= 1e-12 * hs_norm(x) * hs_norm(b)
+
+
+SCENARIO_CASES = {
+    "chain3": lambda: chain_scenario(3),
+    "chain4_disordered": lambda: chain_scenario(4, disorder=0.3, seed=1),
+    "random_3x4": lambda: random_scenario(np.random.default_rng(3), 3, 4),
+}
+
+
+class TestScenarioWeights:
+    """The weights of a Scenario, from the eigh of H_S, H_R and rho_S."""
+
+    @pytest.mark.parametrize("case", sorted(SCENARIO_CASES))
+    def test_weights_match_their_matrices(self, case):
+        scn = SCENARIO_CASES[case]()
+        t = 1.7
+        static = tensor(np.eye(scn.dim_sys), scn.rho_res)
+        rel_t = reservoir_modular(scn, t)
+        assert np.abs(equilibrium_modular(scn).rho_ref - scn.rho_eq).max() <= 1e-14
+        assert np.abs(initial_modular(scn).rho_eta - scn.rho_init).max() <= 1e-14
+        assert np.abs(rel_t.rho_eta - scn.evolve(static, t)).max() <= 1e-14
+        inv_static = np.linalg.inv(static)
+        assert np.abs(rel_t._inv_omega - inv_static).max() <= 1e-12 * np.abs(inv_static).max()
+
+    @pytest.mark.parametrize("case", sorted(SCENARIO_CASES))
+    def test_reservoir_fcs_from_the_relative_modular_operator(self, case):
+        # F(alpha) = <Omega, Delta(flowed | static)^alpha Omega> from the two
+        # spectra: with X = V_eta* Omega V_omega, sum_ij |X_ij|^2 (eta_i / omega_j)^alpha
+        scn = SCENARIO_CASES[case]()
+        t = 1.7
+        rel_t = reservoir_modular(scn, t)
+        (w_eta, v_eta), (w_omega, v_omega) = rel_t.eig_eta, rel_t.eig_omega
+        x2 = np.abs(dagger(v_eta) @ initial_vector(scn) @ v_omega) ** 2
+        ratio = (w_eta[:, None] / w_omega[None, :]).astype(complex)
+        gammas = default_gamma_grid(scn, 11)
+        alphas = np.concatenate([1j * gammas / scn.beta, -1j * gammas / scn.beta, [0.25, 0.5, 0.75, 1.0]])
+        spectral = np.array([np.sum(x2 * ratio**alpha) for alpha in alphas])
+        fa = fcs_at(scn, t)
+        assert np.max(np.abs(spectral - reservoir_char(fa, alphas))) <= 1e-12
+        # a random positive W in place of the true one is told apart
+        w_rand = np.random.default_rng(0).uniform(size=fa.weights.shape)
+        wrong = dataclasses.replace(fa, weights=w_rand / w_rand.sum())
+        assert np.max(np.abs(spectral - reservoir_char(wrong, alphas))) > 1e-3
 
 
 class TestMixingDiagnostic:
