@@ -138,6 +138,8 @@ def cmd_fcs(args) -> int:
         "mean_reservoir": res_res.mean,
         "moments_reservoir": [float(m) for m in res_res.moments],
         "moments_system": [float(m) for m in sys_res.moments],
+        "dropped_mass_reservoir": res_res.measure.dropped_mass,
+        "dropped_mass_system": sys_res.measure.dropped_mass,
         "dq_system": dq_s,
         "dq_reservoir": dq_r,
         "balance_residual": balance_check(scn, t),

@@ -7,16 +7,19 @@ import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import (
     NumericalError,
+    assemble_blocks,
     assert_hermitian,
     assert_square,
     bipartite_sectors,
     dagger,
     eigh_blocks,
+    eigh_each_block,
     exp_i,
     expm,
     gauss_kronrod,
@@ -34,6 +37,19 @@ class QuadratureError(NumericalError, RuntimeError):
     def __init__(self, message: str, achieved: float):
         super().__init__(message)
         self.achieved = achieved
+
+
+class FreeBasisSector(NamedTuple):
+    """One sector of the coupled eigenvectors in the free product eigenbasis:
+    ``a`` = A[rows, columns] (real where its imaginary part is zero), the
+    coupled eigenvalues ``w`` of its columns, and the positions (first,
+    second) of the rows that share a reservoir level.  A row (s, b) is the
+    free level s * d_R + b."""
+
+    rows: np.ndarray
+    w: np.ndarray
+    a: np.ndarray
+    pairs: tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,48 +164,84 @@ class Scenario:
         return tensor(self.rho_sys_thermal, self.rho_res)
 
     @cached_property
-    def _eig_coupled(self) -> tuple[np.ndarray, np.ndarray]:
-        """eigh of H_coupled, one invariant block at a time (``linalg.eigh_blocks``)."""
-        return eigh_blocks(self.h_coupled)
+    def _coupled_blocks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """eigh of H_coupled, one (indices, eigenvalues, eigenvectors) per
+        invariant block (``linalg.eigh_each_block``), real where H_coupled is."""
+        return eigh_each_block(self.h_coupled)
 
     @cached_property
-    def _free_basis_sectors(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    def _eig_coupled(self) -> tuple[np.ndarray, np.ndarray]:
+        """eigh of H_coupled as one d x d eigenvector matrix, assembled from
+        ``_coupled_blocks`` for the callers that need it dense (bitwise
+        ``linalg.eigh_blocks(h_coupled)``)."""
+        return assemble_blocks(self._coupled_blocks, complex)
+
+    @cached_property
+    def _free_basis_sectors(self) -> list[FreeBasisSector]:
         """The coupled eigenvectors in the free product eigenbasis,
-        A = (V_S (x) V_R)* v_c (applied factor by factor: V_R* on every system
-        slice, then V_S*), split into sectors: one (rows, columns, A[rows, columns])
-        per connected component of the bipartite graph of A's nonzero entries,
-        with no tolerance.  A is unitary, so each sector is square, and U~ is
-        zero outside the (rows, rows) blocks.  A block whose imaginary part is
-        zero is kept real."""
-        d_s, d_r, d = self.dim_sys, self.dim_res, self.dim
-        a = dagger(self._eig_res[1]) @ self._eig_coupled[1].reshape(d_s, d_r, d)
-        a = (dagger(self._eig_sys[1]) @ a.reshape(d_s, -1)).reshape(d, d)
-        sectors = bipartite_sectors(a != 0)
-        blocks = (a[np.ix_(rows, cols)] for rows, cols in sectors)
-        return [(rows, cols, blk if blk.imag.any() else blk.real.copy())
-                for (rows, cols), blk in zip(sectors, blocks)]
+        A = (V_S (x) V_R)* v_c, split into sectors: one per connected component
+        of the bipartite graph of A's nonzero entries, with no tolerance.  A is
+        unitary, so each sector is square, and U~ = (A e^{itw}) A* is zero
+        outside the (rows, rows) blocks.  A is built block by block of
+        H_coupled, each on the free levels it reaches
+        (:meth:`_free_basis_columns`), so its zeros outside the blocks are
+        never stored; blocks that reach a common free level are joined first."""
+        v_s, v_r = (v if v.imag.any() else v.real for _, v in (self._eig_sys, self._eig_res))
+        pieces = [self._free_basis_columns(v_s, v_r, *block) for block in self._coupled_blocks]
+        sectors = []
+        for rows, w, a in _join_shared_rows(pieces, self.dim):
+            for r, c in bipartite_sectors(a != 0):
+                blk = a[np.ix_(r, c)]
+                if np.iscomplexobj(blk) and not blk.imag.any():
+                    blk = blk.real.copy()
+                sectors.append(FreeBasisSector(rows[r], w[c], blk, self._shared_level_pairs(rows[r])))
+        return sectors
+
+    def _free_basis_columns(self, v_s, v_r, idx, w, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, w, A[rows, block]) for the block (idx, w, v) of H_coupled: its
+        columns of A are (V_S (x) V_R)*[:, idx] v, applied factor by factor
+        (V_R* on each system index, then V_S*) on the free levels they can reach,
+        in real arithmetic where v and the factors are real."""
+        d_r = self.dim_res
+        sys_of, res_of = np.divmod(idx, d_r)
+        reached = {}  # system index s -> (reservoir levels, V_R*[levels, r] v[(s, r)])
+        for s in range(self.dim_sys):
+            on_s = sys_of == s
+            if on_s.any():
+                r = res_of[on_s]
+                levels = np.flatnonzero((v_r[r] != 0).any(axis=0))
+                reached[s] = levels, dagger(v_r[np.ix_(r, levels)]) @ v[on_s]
+        rows, parts = [], []
+        for s2 in range(self.dim_sys):
+            terms = [(np.conj(v_s[s, s2]), *reached[s]) for s in reached if v_s[s, s2] != 0]
+            if not terms:
+                continue
+            levels = np.flatnonzero(np.bincount(np.concatenate([lv for _, lv, _ in terms]), minlength=d_r))
+            part = np.zeros((len(levels), v.shape[1]), dtype=np.result_type(v_s, *(x for *_, x in terms)))
+            for c, lv, x in terms:
+                part[np.searchsorted(levels, lv)] += c * x
+            rows.append(s2 * d_r + levels)
+            parts.append(part)
+        return np.concatenate(rows), w, np.concatenate(parts)
+
+    def _shared_level_pairs(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions (first, second), first < second, of the pairs of free levels
+        in ``rows`` with the same reservoir level: a level occurs at most d_S
+        times, so the pairs are the equal keys m = 1 .. d_S - 1 apart in sorted order."""
+        keys = rows % self.dim_res
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first, second = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
+        for m in range(1, self.dim_sys):
+            same = keys[m:] == keys[:-m]
+            first.append(order[:-m][same])
+            second.append(order[m:][same])
+        return np.concatenate(first), np.concatenate(second)
 
     def unitary_coupled(self, t: float) -> np.ndarray:
         """exp(i t H_coupled)."""
         w, u = self._eig_coupled
         return (u * exp_i(t * w)) @ dagger(u)
-
-    def unitary_in_free_basis(self, t: float) -> np.ndarray:
-        """exp(i t H_coupled) in the free product eigenbasis, U~ = (A e^{itw}) A*:
-        one product per sector of A, each placed in its (rows, rows) block; a
-        real block takes two real products, for the real and imaginary parts."""
-        w = self._eig_coupled[0]
-        u = np.zeros((self.dim, self.dim), dtype=complex)
-        for rows, cols, a in self._free_basis_sectors:
-            phase = exp_i(t * w[cols])
-            if np.iscomplexobj(a):
-                block = (a * phase) @ dagger(a)
-            else:
-                block = np.empty((len(rows), len(rows)), dtype=complex)
-                block.real = (a * phase.real) @ a.T
-                block.imag = (a * phase.imag) @ a.T
-            u[np.ix_(rows, rows)] = block
-        return u
 
     def unitary_free(self, t: float) -> np.ndarray:
         """exp(i t H_free) = e^{itH_S} (x) e^{itH_R}, from the two factor spectra."""
@@ -240,7 +292,36 @@ class Scenario:
         return max(1.0, op_norm(self.h_free) + abs(self.lam) * self.v_norm)
 
 
-_COUPLING_CACHES = ("h_coupled", "_eig_coupled", "_free_basis_sectors", "phi_sys", "phi_res", "energy_scale")
+_COUPLING_CACHES = (
+    "h_coupled", "_coupled_blocks", "_eig_coupled", "_free_basis_sectors", "phi_sys", "phi_res", "energy_scale",
+)
+
+
+def _join_shared_rows(pieces: list, d: int) -> list:
+    """The pieces (rows, w, a) of A, with those that share a row joined into
+    one, their columns side by side.  Each block of H_coupled is a union of
+    blocks of H_free, and so reaches free levels of its own, unless lam V
+    cancels an entry of H_free exactly."""
+    owner = np.full(d, -1)
+    groups = {}
+    for k, piece in enumerate(pieces):
+        hit = sorted(set(owner[piece[0]].tolist()) - {-1})
+        groups[k] = [p for h in hit for p in groups.pop(h)] + [piece]
+        for rows, _, _ in groups[k]:
+            owner[rows] = k
+    joined = []
+    for group in groups.values():
+        if len(group) == 1:
+            joined.append(group[0])
+            continue
+        rows = np.flatnonzero(np.bincount(np.concatenate([r for r, _, _ in group]), minlength=d))
+        a = np.zeros((len(rows), sum(x.shape[1] for _, _, x in group)), dtype=np.result_type(*(x for _, _, x in group)))
+        col = 0
+        for r, _, x in group:
+            a[np.searchsorted(rows, r), col:col + x.shape[1]] = x
+            col += x.shape[1]
+        joined.append((rows, np.concatenate([w for _, w, _ in group]), a))
+    return joined
 
 
 def _expectation_changes(scn: Scenario, t: float, observables: tuple) -> list[float]:

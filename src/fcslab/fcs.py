@@ -4,12 +4,13 @@ The system FCS is the two-time measurement distribution of the system energy
 change; the reservoir FCS is the spectral measure of (1/beta) log of the
 relative modular operator between the flowed and static reservoir weights,
 taken in the initial-state vector.  Both are atomic at finite size, and
-``fcs_at`` reads both for one (scenario, t) from one propagator; this
-module computes them, their characteristic functions on the complex strip
-0 <= Re(alpha) <= 1, and the identities tying the two routes together:
-the mean/flux identity, the operator-level balance between the modular log
-and the time-integrated flux, the half-line identity at Re(alpha) = 1/2,
-the strip growth bound, and the weak-coupling/long-time limit sweeps.
+``fcs_at`` reads both for one (scenario, t) from the sector blocks of one
+propagator; this module computes them, their characteristic functions on
+the complex strip 0 <= Re(alpha) <= 1, and the identities tying the two
+routes together: the mean/flux identity, the operator-level balance between
+the modular log and the time-integrated flux, the half-line identity at
+Re(alpha) = 1/2, the strip growth bound, and the weak-coupling/long-time
+limit sweeps.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import DEFAULT_QUAD_TOL, QuadratureError, Scenario, check_flux_error
+from .dynamics import DEFAULT_QUAD_TOL, FreeBasisSector, QuadratureError, Scenario, check_flux_error
 from .linalg import dagger, eigenvalue_clusters, exp_complex, exp_i, gauss_kronrod, hs_inner, one_blas_thread, positive_sqrt, tensor
 from .modular import Liouvilleans, initial_vector, reservoir_weight_vector
 from .states import AtomicMeasure
@@ -67,8 +68,9 @@ def default_gamma_grid(scn: Scenario, n: int = 41) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FcsAtTime:
-    """Both energy FCS of one (scenario, t), read from one U~ = exp(itH) in
-    the free product eigenbasis V_S (x) V_R.  Build it with :func:`fcs_at`.
+    """Both energy FCS of one (scenario, t), read from the sector blocks of
+    U~ = exp(itH) in the free product eigenbasis V_S (x) V_R, each formed
+    once.  Build it with :func:`fcs_at`.
 
     ``system_measure`` holds the merged atoms of the system two-time law (see
     :func:`system_fcs`).  The reservoir law is the spectral measure of the
@@ -121,52 +123,60 @@ class FcsAtTime:
 
 
 def fcs_at(scn: Scenario, t: float, cluster_tol: float | None = None) -> FcsAtTime:
-    """Both FCS of (scn, t) from one U~ = exp(itH) in the free eigenbasis,
-    formed here and not kept.  ``cluster_tol`` groups the system levels; the
-    reservoir atoms merge at MERGE_TOL."""
-    u_tilde = scn.unitary_in_free_basis(t)
-    system = _system_measure(scn, u_tilde, cluster_tol)
-    return FcsAtTime(scn, t, system, scn._eig_res[0], _reservoir_weights(scn, u_tilde))
+    """Both FCS of (scn, t), read from U~ = exp(itH) in the free eigenbasis
+    one sector block at a time; U~ is never formed whole.  ``cluster_tol``
+    groups the system levels; the reservoir atoms merge at MERGE_TOL.
 
-
-def _system_measure(scn: Scenario, u_tilde: np.ndarray, cluster_tol: float | None) -> AtomicMeasure:
-    """System FCS from U~.
-
-    In the free product eigenbasis the level projectors are diagonal blocks,
-    and the weight of the level pair (i, j) is
-    tr((sigma_ii (x) diag p) U~_ij U~_ij*), with sigma = V_S* rho_S V_S and
-    p the reservoir populations: O(d^2 d_S) work.
+    With sigma = V_S* rho_S V_S and p the reservoir populations, both weight
+    sets are sums over the columns (s, a) of U~ of p_b u* sigma u, where u
+    is the part of column (s, a) on the rows (., b) of one reservoir level b:
+    W[a, b] sums them (sigma = S~^2 turns |(S~ (x) 1) U~|^2 into this form),
+    and the system weight of the level pair (i, j) sums those with rows in
+    level i, columns in level j and sigma dephased between system levels.
+    U~ is zero outside the sectors' (rows, rows) blocks, so each sector's
+    block B gives its share: p_b sigma_ss |B|^2 row by row, plus
+    2 p_b Re(conj(B_1) sigma_12 B_2) for each pair of its rows that share
+    a reservoir level (none on a parity chain).
     """
+    d_r = scn.dim_res
     w_s, v_s = scn._eig_sys
     groups = eigenvalue_clusters(w_s, cluster_tol)
-    levels, starts = np.array([w_s[g].mean() for g in groups]), [g[0] for g in groups]
+    levels = np.array([w_s[g].mean() for g in groups])
+    level_of = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     sigma = dagger(v_s) @ scn.rho_sys @ v_s
-    u4 = u_tilde.reshape(scn.dim_sys, scn.dim_res, scn.dim_sys, scn.dim_res)
-    locs, wts = [], []
-    for lam_i, g in zip(levels, groups):
-        rows = u4[g[0]:g[-1] + 1]  # a view: rows (s, a) with s in level i; columns (s', b)
-        x_rows = np.tensordot(sigma[np.ix_(g, g)], rows, 1)
-        x_rows *= scn.gibbs_weights_res[:, None, None]
-        per_col = np.einsum("sacb,sacb->c", rows.conj(), x_rows).real
-        locs.extend(levels - lam_i)
-        wts.extend(np.add.reduceat(per_col, starts))
-    return AtomicMeasure.from_points(np.array(locs), np.array(wts))
+    p = scn.gibbs_weights_res
+    res_w, sys_w = np.zeros(d_r * d_r), np.zeros((len(levels), len(levels)))
+    for sector in scn._free_basis_sectors:
+        s, r = np.divmod(sector.rows, d_r)
+        re, im = _sector_unitary(sector, t)
+        first, second = sector.pairs
+        coherent = sigma[s[first], s[second]] != 0
+        first, second = first[coherent], second[coherent]
+        cross = 2 * p[r[first], None] * (
+            (re[first] - 1j * im[first]) * sigma[s[first], s[second], None] * (re[second] + 1j * im[second])
+        ).real
+        quad = re * re
+        quad += im * im
+        del re, im
+        quad *= (p[r] * sigma.real[s, s])[:, None]
+        same = level_of[s[first]] == level_of[s[second]]
+        np.add.at(quad, first[same], cross[same])  # sigma dephased between system levels
+        in_level = (level_of[s, None] == np.arange(len(levels))).astype(float)
+        sys_w += in_level.T @ quad @ in_level
+        np.add.at(quad, first[~same], cross[~same])
+        res_w += np.bincount((r * d_r + r[:, None]).ravel(), quad.ravel(), d_r * d_r)
+    system = AtomicMeasure.from_points(levels[None, :] - levels[:, None], sys_w)
+    return FcsAtTime(scn, t, system, scn._eig_res[0], res_w.reshape(d_r, d_r))
 
 
-def _reservoir_weights(scn: Scenario, u_tilde: np.ndarray) -> np.ndarray:
-    """W from U~.
-
-    In the free product eigenbasis the overlap matrix is
-    U~* (S~ (x) diag sqrt(p)), up to a rotation of the system factor that
-    keeps the Frobenius norm of each d_S x d_S block (a, b); S~ =
-    V_S* rho_S^(1/2) V_S.  With N = (S~ (x) 1) U~ and S~ Hermitian, the
-    overlap entry ((s, a), (s', b)) has modulus sqrt(p_b) |N_{(s', b), (s, a)}|.
-    """
-    d_s, d_r = scn.dim_sys, scn.dim_res
-    root = dagger(scn._eig_sys[1]) @ positive_sqrt(scn.rho_sys) @ scn._eig_sys[1]
-    n = (root @ u_tilde.reshape(d_s, -1)).reshape(d_s, d_r, d_s, d_r)
-    weights = (np.abs(n) ** 2).sum(axis=(0, 2)) * scn.gibbs_weights_res[:, None]
-    return weights.T
+def _sector_unitary(sector: FreeBasisSector, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of U~[rows, rows] = (a e^{itw}) a* for one
+    sector; a real block takes two real products."""
+    a, phase = sector.a, exp_i(t * sector.w)
+    if np.iscomplexobj(a):
+        block = (a * phase) @ dagger(a)
+        return block.real, block.imag
+    return (a * phase.real) @ a.T, (a * phase.imag) @ a.T
 
 
 def system_fcs(fa: FcsAtTime, gamma_grid: np.ndarray | None = None) -> FcsResult:
@@ -413,7 +423,8 @@ def limit_sweep(
     rule).  The limit law depends on neither lam nor t and is evaluated
     once.  Each lam is one task, serial or on one of ``workers`` threads:
     ``scn.with_lam(lam)`` shares the free model of ``scn``, and its coupled
-    eigendecomposition (and eigenvectors in the free eigenbasis) serve every t.
+    spectrum, kept in its invariant blocks, and the sectors of its eigenvectors
+    in the free eigenbasis serve every t.
 
     The whole sweep runs numpy's OpenBLAS on one thread (:func:`one_blas_thread`,
     process-wide, restored on return or raise): the worker threads are the

@@ -1,9 +1,10 @@
 """Dense complex linear algebra on square matrices, and the one quadrature.
 
-Hamiltonians are diagonalized by :func:`eigh_blocks`, one invariant block at a
-time; measurements and the functional calculus use the clustered
-:func:`eig_hermitian`.  Roots, powers and unitary exponentials are assembled in
-an eigenbasis; only :func:`expm`, for matrices that are not Hermitian, is rational.
+Hamiltonians are diagonalized one invariant block at a time
+(:func:`eigh_each_block`, assembled by :func:`eigh_blocks`); measurements and
+the functional calculus use the clustered :func:`eig_hermitian`.  Roots, powers
+and unitary exponentials are assembled in an eigenbasis; only :func:`expm`, for
+matrices that are not Hermitian, is rational.
 :func:`gauss_kronrod` integrates the flux over time.  The library runs on numpy alone;
 :func:`one_blas_thread` pins numpy's bundled OpenBLAS through ctypes.
 """
@@ -214,39 +215,55 @@ def _components(mask: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
-def eigh_blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh(a)`` of a Hermitian matrix, one invariant block at a time.
+def eigh_each_block(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(indices, eigenvalues, eigenvectors) of each invariant block of a Hermitian matrix.
 
-    The blocks are the connected components of the nonzero pattern of ``a``;
-    each is diagonalized by its own ``np.linalg.eigh`` (a conserved quantity
-    such as a spin-chain parity splits d^3 work into a sum of block cubes).
-    Eigenvalues come out ascending (stable sort, so ties keep block order)
-    and each eigenvector is exactly zero outside its block.  A complex matrix
-    whose imaginary part is all zero is diagonalized in real arithmetic (the
-    blocks reach ``np.linalg.eigh`` as float64, 2-3x faster) and its
-    eigenvectors come back complex-typed; a single block of a genuinely
-    complex matrix returns ``np.linalg.eigh(a)`` itself.  A non-finite entry
-    raises LinAlgError, which eigh alone does only for some inputs.
+    The blocks are the connected components of the nonzero pattern of ``a``,
+    in order of their smallest index; each is diagonalized by its own
+    ``np.linalg.eigh`` (a conserved quantity such as a spin-chain parity
+    splits d^3 work into a sum of block cubes), and a single block is passed
+    whole.  A complex matrix whose imaginary part is all zero is diagonalized
+    in real arithmetic (the blocks reach ``np.linalg.eigh`` as float64, 2-3x
+    faster) and its eigenvectors stay real.  A non-finite entry raises
+    LinAlgError, which eigh alone does only for some inputs.
     """
     assert_square(a)
     if not np.all(np.isfinite(a)):
         raise np.linalg.LinAlgError("matrix to diagonalize has a non-finite entry")
-    dtype = np.result_type(a.dtype, float)
     if np.iscomplexobj(a) and not a.imag.any():
         a = a.real
     blocks = _components(a != 0)
     if len(blocks) == 1:
-        w, v = np.linalg.eigh(a)
+        return [(blocks[0], *np.linalg.eigh(a))]
+    return [(idx, *np.linalg.eigh(a[np.ix_(idx, idx)])) for idx in blocks]
+
+
+def assemble_blocks(blocks: list, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v) of the whole matrix from :func:`eigh_each_block`'s blocks, as
+    ``np.linalg.eigh`` gives them: eigenvalues ascending (stable sort, so ties
+    keep block order), each eigenvector exactly zero outside its block, and
+    ``v`` of ``dtype``; a single block is returned as it is."""
+    if len(blocks) == 1:
+        _, w, v = blocks[0]
         return w, v.astype(dtype, copy=False)
-    w = np.empty(len(a))
-    v = np.zeros(a.shape, dtype=dtype)
+    n = sum(len(idx) for idx, _, _ in blocks)
+    w = np.empty(n)
+    v = np.zeros((n, n), dtype=dtype)
     col = 0
-    for idx in blocks:
+    for idx, w_k, v_k in blocks:
         cols = np.arange(col, col + len(idx))
-        w[cols], v[np.ix_(idx, cols)] = np.linalg.eigh(a[np.ix_(idx, idx)])
+        w[cols], v[np.ix_(idx, cols)] = w_k, v_k
         col += len(idx)
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order]
+
+
+def eigh_blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(a)`` of a Hermitian matrix, one invariant block at a
+    time (:func:`eigh_each_block`, then :func:`assemble_blocks`).  A complex
+    ``a`` gets complex-typed eigenvectors, real-valued when ``a`` is; a single
+    block of a genuinely complex matrix returns ``np.linalg.eigh(a)`` itself."""
+    return assemble_blocks(eigh_each_block(a), np.result_type(a.dtype, float))
 
 
 def bipartite_sectors(mask: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -67,11 +67,13 @@ class AtomicMeasure:
     Locations are strictly ascending; weights are nonnegative.  Construction
     through :meth:`from_points` merges points closer than its ``merge_tol``
     (weight-averaged location, so the first moment is preserved exactly) and
-    drops negligible weights.
+    drops negligible weights, whose total it records as ``dropped_mass``
+    (0.0 for a measure built directly).
     """
 
     locations: np.ndarray
     weights: np.ndarray
+    dropped_mass: float = 0.0
 
     @classmethod
     def from_points(
@@ -86,7 +88,8 @@ class AtomicMeasure:
         the gap to the previous point exceeds ``merge_tol``.  Each atom carries
         its cluster's total weight at the weighted-mean location (the first
         point's location for zero total weight); atoms of weight at most
-        ``drop_tol`` are dropped.  A non-finite location or weight raises
+        ``drop_tol`` are dropped, and their total weight is the measure's
+        ``dropped_mass``.  A non-finite location or weight raises
         NumericalError: NaN weights would otherwise be dropped silently."""
         locations = np.asarray(locations, dtype=float).ravel()
         weights = np.asarray(weights, dtype=float).ravel()
@@ -103,9 +106,10 @@ class AtomicMeasure:
         mass = np.add.reduceat(weights, starts)
         moment = np.add.reduceat(locations * weights, starts)
         keep = mass > drop_tol
+        dropped = float(mass[~keep].sum())
         mass, moment, first = mass[keep], moment[keep], locations[starts[keep]]
         mean = np.divide(moment, mass, out=first, where=mass > 0)
-        return cls(mean, mass)
+        return cls(mean, mass, dropped)
 
     def __len__(self) -> int:
         return len(self.locations)
@@ -211,20 +215,23 @@ def measure(
 
     Outcome weight at eigenvalue x is tr(rho P_x); the conditional post state
     is P_x rho P_x / tr(rho P_x).  Degenerate eigenvalues (clustered) yield a
-    single outcome.
+    single outcome; outcomes of weight at most WEIGHT_DROP_TOL are left out,
+    and their total is the outcome law's ``dropped_mass``.
     """
     assert_density(rho)
     if rho.shape != a.shape:
         raise ValueError(f"state dim {rho.shape[0]} != observable dim {a.shape[0]}")
     dec = eig_hermitian(a, cluster_tol)
-    locs, wts, posts = [], [], []
+    locs, wts, posts, dropped = [], [], [], 0.0
     for lam, p in zip(dec.eigenvalues, dec.projectors):
         w = float(np.trace(rho @ p).real)
         if w > WEIGHT_DROP_TOL:
             locs.append(lam)
             wts.append(w)
             posts.append(p @ rho @ p / w)
-    outcomes = AtomicMeasure(np.array(locs), np.array(wts))
+        else:
+            dropped += max(w, 0.0)
+    outcomes = AtomicMeasure(np.array(locs), np.array(wts), dropped)
     return MeasurementResult(outcomes=outcomes, post_states=posts)
 
 

@@ -100,6 +100,7 @@ def test_fcs_summary_balance(config_path, tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["balance_residual"] <= 1e-10
     assert summary["mean_identity_residual"] <= 1e-10
+    assert 0.0 <= summary["dropped_mass_system"] <= 1e-10 and 0.0 <= summary["dropped_mass_reservoir"] <= 1e-10
     char_lines = (out / "char.csv").read_text().strip().splitlines()
     assert char_lines[0] == "gamma,re,im,source"
     assert any(line.endswith("reservoir") for line in char_lines[1:])
@@ -108,19 +109,20 @@ def test_fcs_summary_balance(config_path, tmp_path):
 def test_fcs_forms_the_free_basis_unitary_once(tmp_path, monkeypatch):
     from pathlib import Path
 
-    from fcslab.dynamics import Scenario
+    from fcslab import fcs as fcsmod
 
     calls = []
-    unitary = Scenario.unitary_in_free_basis
+    sector_unitary = fcsmod._sector_unitary
 
-    def counting(self, t):
-        calls.append(t)
-        return unitary(self, t)
+    def counting(sector, t):
+        calls.append((len(sector.rows), t))
+        return sector_unitary(sector, t)
 
-    monkeypatch.setattr(Scenario, "unitary_in_free_basis", counting)
+    monkeypatch.setattr(fcsmod, "_sector_unitary", counting)
     config = Path(__file__).resolve().parent.parent / "configs" / "qubit_chain3.json"
     assert main(["fcs", "--config", str(config), "--t", "5.0", "--out-dir", str(tmp_path)]) == 0
-    assert calls == [5.0]  # one U~(t) feeds the system and the reservoir measure
+    # one U~(t), one block per parity sector, feeds the system and the reservoir measure
+    assert calls == [(8, 5.0), (8, 5.0)]
 
 
 def test_fcs_forms_u_t_twice(tmp_path, monkeypatch):

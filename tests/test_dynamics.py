@@ -20,7 +20,7 @@ from fcslab.dynamics import (
     dyson_error_bound,
     exact_cocycle,
 )
-from fcslab.fcs import fcs_at, system_char_limit
+from fcslab.fcs import _sector_unitary, fcs_at, system_char_limit
 from fcslab.linalg import dagger, exp_complex, expm_hermitian, op_norm, positive_sqrt, tensor
 from fcslab.modular import Liouvilleans, perturbed_gibbs_vector
 from fcslab.scenarios import chain_scenario, config_to_scenario, random_scenario
@@ -111,8 +111,11 @@ class TestWithLam:
         # whose free caches the first with_lam calls build concurrently
         lams = np.linspace(0.0, 0.4, 12)
 
-        def cell_unitary(scn, lam):
-            return scn.with_lam(lam).unitary_in_free_basis(1.0)
+        def cell_unitary(scn, lam):  # the sector blocks of U~(1.0), and the weights read from them
+            cell = scn.with_lam(lam)
+            blocks = [_sector_unitary(sec, 1.0) for sec in cell._free_basis_sectors]
+            fa = fcs_at(cell, 1.0)
+            return blocks, fa.weights, fa.system_measure.weights
 
         scn = chain_scenario(3, disorder=0.3, seed=4)
         interval = sys.getswitchinterval()
@@ -123,7 +126,7 @@ class TestWithLam:
         finally:
             sys.setswitchinterval(interval)
         serial = chain_scenario(3, disorder=0.3, seed=4)
-        assert all(np.array_equal(u, cell_unitary(serial, lam)) for u, lam in zip(threaded, lams))
+        assert all(same_bits(u, cell_unitary(serial, lam)) for u, lam in zip(threaded, lams))
 
     def test_rejects_non_finite_lam(self, qubit_qubit):
         with pytest.raises(ValueError, match="finite"):
@@ -154,6 +157,17 @@ def dense_free_basis_vectors(scn):
     return dagger(np.kron(scn._eig_sys[1], scn._eig_res[1])) @ scn._eig_coupled[1]
 
 
+def dense_free_basis_unitary(scn, t):
+    """U~ = exp(itH) in the free eigenbasis as one d x d product, (A e^{itw}) A*."""
+    a = dense_free_basis_vectors(scn)
+    return (a * exp_complex(1j * t * scn._eig_coupled[0])) @ dagger(a)
+
+
+def sector_block(sector, t):
+    re, im = _sector_unitary(sector, t)
+    return re + 1j * im
+
+
 def complex_parity_chain():
     """chain_scenario(3) plus a sx sy term on the first bond: h_res is complex
     and still conserves the parity, so A splits into two complex sectors."""
@@ -162,15 +176,45 @@ def complex_parity_chain():
     return Scenario(scn.h_sys, h_res, scn.v, scn.lam, scn.beta, scn.rho_sys)
 
 
-class TestFreeBasisSectors:
-    """U~ = exp(itH) in the free eigenbasis, formed one sector of A at a time."""
+def cancelling_coupling():
+    """lam V cancels every off-diagonal entry of 1 (x) H_R exactly, so H_coupled
+    is diagonal: each of its six one-level blocks reaches the free levels
+    another block reaches, and the blocks of one system level are joined."""
+    h_res = random_hermitian(3, np.random.default_rng(8)).real
+    hopping = h_res - np.diag(np.diag(h_res))
+    return Scenario(np.diag([0.0, 1.0]), h_res, tensor(np.eye(2), -hopping / 0.5), 0.5, 1.0, np.diag([0.3, 0.7]))
 
-    SCENARIOS = {
-        **{f"chain{n}-{dis}": (lambda n=n, dis=dis: chain_scenario(n, disorder=dis, seed=n))
-           for n in range(3, 7) for dis in (0.0, 0.3)},
-        "qutrit_chain2": lambda: config_to_scenario(shipped_config("qutrit_chain2")).scenario,
-        "complex_chain3": complex_parity_chain,
-    }
+
+SECTOR_SCENARIOS = {
+    **{f"chain{n}-{dis}": (lambda n=n, dis=dis: chain_scenario(n, disorder=dis, seed=n))
+       for n in range(3, 7) for dis in (0.0, 0.3)},
+    "qutrit_chain2": lambda: config_to_scenario(shipped_config("qutrit_chain2")).scenario,
+    "complex_chain3": complex_parity_chain,
+}
+
+
+class TestFreeBasisSectors:
+    """U~ = exp(itH) in the free eigenbasis, formed one sector of A at a time,
+    against the one d x d product of the dense A."""
+
+    SCENARIOS = SECTOR_SCENARIOS
+
+    @staticmethod
+    def assert_sectors_tile_the_dense_product(scn, times):
+        """The sector rows partition the free levels, each sector's columns are
+        orthonormal, and its block of U~ is the dense U~ there; the dense U~
+        is zero outside the sector blocks."""
+        sectors = scn._free_basis_sectors
+        assert np.array_equal(np.sort(np.concatenate([sec.rows for sec in sectors])), np.arange(scn.dim))
+        inside = np.zeros((scn.dim, scn.dim), dtype=bool)
+        for sec in sectors:
+            assert np.max(np.abs(dagger(sec.a) @ sec.a - np.eye(len(sec.w)))) <= 1e-13
+            inside[np.ix_(sec.rows, sec.rows)] = True
+        for t in times:
+            u = dense_free_basis_unitary(scn, t)
+            for sec in sectors:
+                assert np.max(np.abs(sector_block(sec, t) - u[np.ix_(sec.rows, sec.rows)])) <= 1e-13
+            assert np.max(np.abs(u[~inside]), initial=0.0) <= 1e-15
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_sector_product_matches_dense_product(self, name):
@@ -178,27 +222,31 @@ class TestFreeBasisSectors:
         sectors = scn._free_basis_sectors
         assert len(sectors) == 2
         a = dense_free_basis_vectors(scn)
-        w = scn._eig_coupled[0]
-        inside = np.zeros((scn.dim, scn.dim), dtype=bool)
-        for rows, cols, blk in sectors:
-            assert np.iscomplexobj(blk) == name.startswith("complex")
-            assert np.max(np.abs(a[np.ix_(rows, cols)] - blk)) <= 1e-14
-            inside[np.ix_(rows, rows)] = True
-        for t in (-1.3, 0.0, 2.1, 30.0):
-            u = scn.unitary_in_free_basis(t)
-            assert np.max(np.abs(u - (a * np.exp(1j * t * w)) @ dagger(a))) <= 1e-13
-            assert not u[~inside].any()
+        for sec in sectors:
+            assert np.iscomplexobj(sec.a) == name.startswith("complex")
+            cols = np.flatnonzero(np.any(a[sec.rows] != 0, axis=0))  # the dense A's columns on the sector
+            assert np.array_equal(scn._eig_coupled[0][cols], sec.w)
+            assert np.max(np.abs(a[np.ix_(sec.rows, cols)] - sec.a)) <= 1e-14
+        self.assert_sectors_tile_the_dense_product(scn, (-1.3, 0.0, 2.1, 30.0))
 
-    def test_one_sector_keeps_the_dense_product_bitwise(self):
+    def test_one_sector_is_the_whole_factored_product(self):
         scn = random_scenario(np.random.default_rng(7), 3, 4)
-        ((rows, cols, a),) = scn._free_basis_sectors
-        d_s, d_r, d = scn.dim_sys, scn.dim_res, scn.dim
-        factored = dagger(scn._eig_res[1]) @ scn._eig_coupled[1].reshape(d_s, d_r, d)
-        factored = (dagger(scn._eig_sys[1]) @ factored.reshape(d_s, -1)).reshape(d, d)
-        assert np.array_equal(a, factored) and np.array_equal(rows, np.arange(d))
-        w = scn._eig_coupled[0]
-        for t in (-1.3, 0.0, 2.1):
-            assert np.array_equal(scn.unitary_in_free_basis(t), (a * exp_complex(1j * t * w)) @ dagger(a))
+        (sec,) = scn._free_basis_sectors
+        assert np.array_equal(sec.rows, np.arange(scn.dim)) and np.array_equal(sec.w, scn._eig_coupled[0])
+        assert np.max(np.abs(sec.a - dense_free_basis_vectors(scn))) <= 1e-14
+        self.assert_sectors_tile_the_dense_product(scn, (-1.3, 0.0, 2.1))
+
+    def test_blocks_reaching_one_free_level_are_joined(self):
+        scn = cancelling_coupling()
+        assert len(scn._coupled_blocks) == 6
+        assert sorted(len(sec.rows) for sec in scn._free_basis_sectors) == [3, 3]
+        self.assert_sectors_tile_the_dense_product(scn, (-1.3, 0.0, 2.1))
+
+    @pytest.mark.parametrize("name", ["chain4-0.3", "qutrit_chain2"])
+    def test_uncoupled_sectors_tile_the_dense_product(self, name):
+        scn = self.SCENARIOS[name]().with_lam(0.0)
+        assert len(scn._free_basis_sectors) > 2
+        self.assert_sectors_tile_the_dense_product(scn, (-1.3, 2.1))
 
 
 class TestUnitModulusPhases:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,11 +29,12 @@ from fcslab.fcs import (
     system_char_limit,
     system_fcs,
 )
-from fcslab.linalg import eig_hermitian, eigh_blocks, positive_sqrt, tensor
+from fcslab.linalg import dagger, eig_hermitian, eigenvalue_clusters, eigh_blocks, positive_sqrt, tensor
 from fcslab.modular import initial_vector
 from fcslab.scenarios import chain_scenario, config_to_scenario, random_scenario
 from fcslab.states import AtomicMeasure, gibbs, random_density
 
+from test_dynamics import SECTOR_SCENARIOS, cancelling_coupling, dense_free_basis_unitary
 from test_scenarios import shipped_config
 
 
@@ -652,27 +654,35 @@ class TestLimitSweep:
 
 def count_diagonalizations(monkeypatch):
     """(shapes passed to np.linalg.eigh outside a block decomposition, shapes
-    passed to linalg.eigh_blocks), filled as the code under test runs.  The
-    decomposition is counted in every module that calls it."""
+    of the matrices decomposed block by block), filled as the code under test
+    runs.  A block decomposition, by linalg.eigh_blocks or by
+    linalg.eigh_each_block, counts once, in every module that calls it."""
     eigh_shapes, block_shapes, inside = [], [], []
-    eigh, blocks = np.linalg.eigh, linalg.eigh_blocks
+    eigh = np.linalg.eigh
 
     def counting_eigh(a, *args, **kw):
         if not inside:
             eigh_shapes.append(np.shape(a))
         return eigh(a, *args, **kw)
 
-    def counting_blocks(a):
-        block_shapes.append(np.shape(a))
-        inside.append(a)
-        try:
-            return blocks(a)
-        finally:
-            inside.pop()
+    def counting(decompose):
+        def counted(a):
+            if not inside:
+                block_shapes.append(np.shape(a))
+            inside.append(a)
+            try:
+                return decompose(a)
+            finally:
+                inside.pop()
+
+        return counted
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    for module in (linalg, states, dynamics):
-        monkeypatch.setattr(module, "eigh_blocks", counting_blocks)
+    for name in ("eigh_blocks", "eigh_each_block"):
+        counted = counting(getattr(linalg, name))
+        for module in (linalg, states, dynamics):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     return eigh_shapes, block_shapes
 
 
@@ -837,12 +847,9 @@ class TestFreeBasisWeights:
 
     def test_sweep_uses_one_coupled_eigh_per_lambda_and_no_unitary_coupled(self, monkeypatch):
         scn = chain_scenario(3)  # d = 16
-        unitary_calls, free_basis_calls = [], []
-        unitary, free_basis = Scenario.unitary_coupled, Scenario.unitary_in_free_basis
-
-        def counting_free_basis(self, t):
-            free_basis_calls.append(t)
-            return free_basis(self, t)
+        ts, lams = [0.0, 1.0, 2.0], [0.0, 0.2, 0.3]
+        unitary_calls, blocks_formed = [], []
+        unitary, sector_unitary = Scenario.unitary_coupled, fcsmod._sector_unitary
 
         def counting_unitary(self, t):
             unitary_calls.append(t)
@@ -850,35 +857,146 @@ class TestFreeBasisWeights:
 
         eigh_shapes, block_shapes = count_diagonalizations(monkeypatch)
         monkeypatch.setattr(Scenario, "unitary_coupled", counting_unitary)
-        monkeypatch.setattr(Scenario, "unitary_in_free_basis", counting_free_basis)
-        limit_sweep(scn, np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.2, 0.3]))
+        monkeypatch.setattr(fcsmod, "_sector_unitary", lambda sec, t: blocks_formed.append(t) or sector_unitary(sec, t))
+        limit_sweep(scn, np.array(ts), np.array(lams))
         # one reservoir block decomposition for the sweep and one coupled one
         # per lambda (besides the system's (2, 2) spectrum), and no joint eigh
-        # besides; one U~(t) per cell feeds both weight sets
+        # besides; one U~(t) per cell, one block per sector, feeds both weight sets
         joint_and_res = [s for s in block_shapes if s != (2, 2)]
         assert joint_and_res == [(8, 8)] + [(16, 16)] * 3 and (16, 16) not in eigh_shapes
-        assert (unitary_calls, free_basis_calls) == ([], [0.0, 1.0, 2.0] * 3)
+        sectors_per_cell = sum(len(scn.with_lam(lam)._free_basis_sectors) for lam in lams)
+        assert unitary_calls == [] and sorted(blocks_formed) == sorted(ts * sectors_per_cell)
         two_time_reservoir_oracle(scn, 1.0)  # the independent route keeps U(t)
         assert unitary_calls == [1.0]
+
+
+def dense_system_measure(scn, u_tilde, cluster_tol=None):
+    """Reference: the system FCS read from the whole U~, the weight of the
+    level pair (i, j) being tr((sigma_ii (x) diag p) U~_ij U~_ij*)."""
+    w_s, v_s = scn._eig_sys
+    groups = eigenvalue_clusters(w_s, cluster_tol)
+    levels, starts = np.array([w_s[g].mean() for g in groups]), [g[0] for g in groups]
+    sigma = dagger(v_s) @ scn.rho_sys @ v_s
+    u4 = u_tilde.reshape(scn.dim_sys, scn.dim_res, scn.dim_sys, scn.dim_res)
+    locs, wts = [], []
+    for lam_i, g in zip(levels, groups):
+        rows = u4[g[0]:g[-1] + 1]  # rows (s, a) with s in level i; columns (s', b)
+        x_rows = np.tensordot(sigma[np.ix_(g, g)], rows, 1)
+        x_rows *= scn.gibbs_weights_res[:, None, None]
+        per_col = np.einsum("sacb,sacb->c", rows.conj(), x_rows).real
+        locs.extend(levels - lam_i)
+        wts.extend(np.add.reduceat(per_col, starts))
+    return AtomicMeasure.from_points(np.array(locs), np.array(wts))
+
+
+def dense_reservoir_weights(scn, u_tilde):
+    """Reference: W read from the whole U~, W[a, b] = p_b sum over s, s' of
+    |N_{(s', b), (s, a)}|^2 with N = (S~ (x) 1) U~, S~ = V_S* rho_S^(1/2) V_S."""
+    d_s, d_r = scn.dim_sys, scn.dim_res
+    root = dagger(scn._eig_sys[1]) @ positive_sqrt(scn.rho_sys) @ scn._eig_sys[1]
+    n = (root @ u_tilde.reshape(d_s, -1)).reshape(d_s, d_r, d_s, d_r)
+    return ((np.abs(n) ** 2).sum(axis=(0, 2)) * scn.gibbs_weights_res[:, None]).T
+
+
+def coherent_chain4():
+    """chain_scenario(4) with a qubit state coherent between its levels: the
+    coherence pairs rows (0, b) and (1, b), which lie in different parity
+    sectors, so it adds nothing to either weight set."""
+    base = chain_scenario(4)
+    return Scenario(base.h_sys, base.h_res, base.v, base.lam, base.beta, random_density(2, np.random.default_rng(12)))
+
+
+class TestSectorReads:
+    """fcs_at reads both weight sets sector by sector; the dense readers of the
+    whole U~ it replaced are the reference.  Weights are sums of O(d)
+    products of unit-scale numbers: 1e-13 leaves d * eps room."""
+
+    CASES = {
+        **SECTOR_SCENARIOS,
+        "random_3x4": lambda: random_scenario(np.random.default_rng(3), 3, 4),
+        "random_3x4_uncoupled": lambda: random_scenario(np.random.default_rng(3), 3, 4).with_lam(0.0),
+        "chain4_uncoupled": lambda: chain_scenario(4).with_lam(0.0),
+        "coherent_chain4": coherent_chain4,
+        "degenerate_h_sys": degenerate_scenario,
+        "cancelling_coupling": cancelling_coupling,
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_weights_match_the_dense_readers(self, case):
+        scn = self.CASES[case]()
+        for t in (-1.3, 0.0, 2.1, 30.0):
+            u = dense_free_basis_unitary(scn, t)
+            fa = fcs_at(scn, t)
+            assert np.max(np.abs(fa.weights - dense_reservoir_weights(scn, u))) <= 1e-13
+            assert measure_distance(fa.system_measure, dense_system_measure(scn, u)) <= 1e-13
+
+    def test_coherences_inside_and_across_a_degenerate_level(self):
+        # H_S = diag(0, 1, 1): sigma = rho_S, coherent inside the level {1, 2},
+        # which the system weights keep, and across levels, which only W keeps
+        scn = degenerate_scenario()
+        (sector,) = scn._free_basis_sectors
+        first, second = sector.pairs
+        assert len(first) == scn.dim_res * 3  # d_R d_S (d_S - 1) / 2
+        systems = {tuple(sorted(x)) for x in zip(sector.rows[first] // scn.dim_res, sector.rows[second] // scn.dim_res)}
+        assert systems == {(0, 1), (0, 2), (1, 2)}
+        assert min(abs(scn.rho_sys[0, 1]), abs(scn.rho_sys[0, 2]), abs(scn.rho_sys[1, 2])) > 0.05
+
+    def test_parity_chain_sectors_have_no_shared_levels(self):
+        for sector in chain_scenario(4, disorder=0.3, seed=1)._free_basis_sectors:
+            assert all(len(x) == 0 for x in sector.pairs)
+
+    def test_dropped_mass_closes_the_weight_sum(self):
+        fa = fcs_at(chain_scenario(6), 30.0)
+        mu = fa.reservoir_measure
+        assert mu.dropped_mass > 0
+        assert abs(mu.mass + mu.dropped_mass - fa.weights.sum()) <= 1e-15
+
+
+class TestSweepPathHoldsNoDenseMatrix:
+    """The sweep reads the coupled spectrum in its blocks: neither the d x d
+    eigenvector matrix nor U(t), and no d x d array inside fcs_at."""
+
+    def test_sweep_reads_neither_dense_eigenvectors_nor_unitary(self, monkeypatch):
+        def fail(*args):
+            pytest.fail("the sweep read a d x d coupled matrix")
+
+        monkeypatch.setattr(Scenario, "_eig_coupled", property(fail))
+        monkeypatch.setattr(Scenario, "unitary_coupled", fail)
+        sweep = limit_sweep(chain_scenario(5), np.linspace(0.0, 30.0, 4), np.array([0.0, 0.2]))
+        assert len(sweep.rows) == 8 and [v["pass"] for v in sweep.verdicts()] == [False, True]
+
+    def test_fcs_at_peaks_below_one_complex_d_by_d_array(self):
+        # 3.0 d x d complex arrays when U~ was formed whole
+        scn = chain_scenario(6)
+        fcs_at(scn, 1.0)  # the per-lambda sectors, built before the count
+        tracemalloc.start()
+        try:
+            fcs_at(scn, 30.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * scn.dim**2
 
 
 class TestSuiteFcsSharing:
     def test_spectral_data_built_once_per_distinct_scenario_and_time(self, qubit_qubit, monkeypatch):
         built, unitaries = [], []
-        build, unitary = fcsmod.fcs_at, Scenario.unitary_in_free_basis
+        build, sector_unitary = fcsmod.fcs_at, fcsmod._sector_unitary
 
         def counting(scn, t, cluster_tol=None):
             built.append((scn.lam, t))
             return build(scn, t, cluster_tol)
 
         monkeypatch.setattr(fcsmod, "fcs_at", counting)
-        monkeypatch.setattr(Scenario, "unitary_in_free_basis", lambda self, t: unitaries.append(t) or unitary(self, t))
+        monkeypatch.setattr(fcsmod, "_sector_unitary", lambda sec, t: unitaries.append(t) or sector_unitary(sec, t))
         results = suite_fcs(qubit_qubit)
         assert all(r.passed for r in results)
         # the shared (scn, t = 1) build, then the lam = 0 and t = 0 variants
         assert built == [(0.2, 1.0), (0.0, 1.0), (0.2, 0.0)]
-        # one U~ per build: each trivial variant feeds both of its measures from one
-        assert unitaries == [1.0, 1.0, 0.0]
+        # one U~ per build, one block per sector: each trivial variant feeds
+        # both of its measures from one
+        n_coupled, n_uncoupled = (len(x._free_basis_sectors) for x in (qubit_qubit, qubit_qubit.with_lam(0.0)))
+        assert unitaries == [1.0] * n_coupled + [1.0] * n_uncoupled + [0.0] * n_coupled
 
     def test_half_line_forms_each_propagator_once(self, monkeypatch):
         from fcslab.linalg import hs_inner

@@ -139,7 +139,7 @@ class TestOracle:
             pytest.fail("the oracle read the modular route's free-basis data")
 
         scn = chain_scenario(4)
-        monkeypatch.setattr(Scenario, "unitary_in_free_basis", fail)
+        monkeypatch.setattr(fcsmod, "_sector_unitary", fail)
         monkeypatch.setattr(Scenario, "_free_basis_sectors", property(fail))
         assert measure_distance(two_time_reservoir_oracle(scn, 1.0), einsum_loop_oracle(scn, 1.0)) <= 1e-14
 

@@ -9,12 +9,14 @@ from fcslab.linalg import (
     NonHermitianError,
     NotPositiveError,
     SpectrumDomainError,
+    assemble_blocks,
     assert_hermitian,
     bipartite_sectors,
     dagger,
     eig_hermitian,
     eigenvalue_clusters,
     eigh_blocks,
+    eigh_each_block,
     exp_complex,
     exp_i,
     expm_hermitian,
@@ -145,6 +147,18 @@ class TestEighBlocks:
         assert v.dtype == complex and not v.imag.any()
         assert np.max(np.abs((v * w) @ dagger(v) - a)) <= 1e-12
         assert np.max(np.abs(w - np.linalg.eigvalsh(real))) <= 1e-12
+
+    def test_each_block_stays_real_and_assembles_bitwise(self, rng):
+        real, blocks = permuted_block_diagonal(rng, rng.normal(size=6), [1, 2, 3])
+        a = real.real.astype(complex)
+        each = eigh_each_block(a)
+        assert sorted(len(idx) for idx, _, _ in each) == [1, 2, 3]
+        assert all(w.dtype == v.dtype == np.dtype(float) for _, w, v in each)
+        for idx, w, v in each:  # each block's own eigenpairs
+            assert np.max(np.abs(a[np.ix_(idx, idx)] @ v - v * w)) <= 1e-12
+        w, v = assemble_blocks(each, complex)
+        w_ref, v_ref = eigh_blocks(a)
+        assert np.array_equal(w, w_ref) and v.dtype == v_ref.dtype and np.array_equal(v, v_ref)
 
     def test_one_eigh_per_block(self, rng, monkeypatch):
         a, _ = permuted_block_diagonal(rng, rng.normal(size=6), [1, 2, 3])

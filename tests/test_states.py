@@ -216,6 +216,23 @@ class TestAtomicMeasure:
         mu = AtomicMeasure.from_points(np.array([0.0, 5.0]), np.array([1.0, 1e-16]))
         assert len(mu) == 1
 
+    def test_dropped_mass_is_recorded(self):
+        # three sub-tolerance atoms, two of them one merged cluster still below
+        # WEIGHT_DROP_TOL; a cluster whose sum exceeds it is kept whole
+        locations = np.array([0.0, 1.0, 2.0, 2.0 + 1e-12, 3.0, 3.0 + 1e-12])
+        weights = np.array([1.0 - 1.2e-13, 5e-14, 2e-14, 3e-14, 6e-14, 6e-14])
+        mu = AtomicMeasure.from_points(locations, weights)
+        assert len(mu) == 2 and mu.weights[1] == 1.2e-13
+        assert mu.dropped_mass == 5e-14 + (2e-14 + 3e-14)
+        assert mu.mass + mu.dropped_mass == pytest.approx(weights.sum(), abs=1e-16)
+        assert AtomicMeasure.from_points(np.array([0.0]), np.array([1.0])).dropped_mass == 0.0
+        assert AtomicMeasure(np.array([0.0]), np.array([1.0])).dropped_mass == 0.0
+
+    def test_measurement_records_its_dropped_outcomes(self):
+        rho = np.diag([1.0 - 4e-14, 4e-14]).astype(complex)
+        outcomes = measure(rho, SZ).outcomes
+        assert len(outcomes) == 1 and outcomes.dropped_mass == pytest.approx(4e-14, rel=1e-6)
+
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError, match="negative"):
             AtomicMeasure.from_points(np.array([0.0]), np.array([-0.5]))
