@@ -13,13 +13,12 @@ import numpy as np
 
 from .linalg import (
     NumericalError,
-    assemble_blocks,
+    _components,
     assert_hermitian,
     assert_square,
-    bipartite_sectors,
     dagger,
     eigh_blocks,
-    eigh_each_block,
+    eigh_finite,
     exp_i,
     expm,
     gauss_kronrod,
@@ -40,11 +39,11 @@ class QuadratureError(NumericalError, RuntimeError):
 
 
 class FreeBasisSector(NamedTuple):
-    """One sector of the coupled eigenvectors in the free product eigenbasis:
-    ``a`` = A[rows, columns] (real where its imaginary part is zero), the
-    coupled eigenvalues ``w`` of its columns, and the positions (first,
-    second) of the rows that share a reservoir level.  A row (s, b) is the
-    free level s * d_R + b."""
+    """One sector of H_coupled in the free product eigenbasis: its free levels
+    ``rows`` (a row (s, b) is the free level s * d_R + b), the eigenvalues
+    ``w`` and eigenvectors ``a`` of its block, which is A's block on the
+    sector (real where the block is), and the positions (first, second) of
+    the rows that share a reservoir level."""
 
     rows: np.ndarray
     w: np.ndarray
@@ -164,65 +163,48 @@ class Scenario:
         return tensor(self.rho_sys_thermal, self.rho_res)
 
     @cached_property
-    def _coupled_blocks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """eigh of H_coupled, one (indices, eigenvalues, eigenvectors) per
-        invariant block (``linalg.eigh_each_block``), real where H_coupled is."""
-        return eigh_each_block(self.h_coupled)
+    def _eig_coupled(self) -> tuple[np.ndarray, np.ndarray]:
+        """eigh of H_coupled as one d x d eigenvector matrix, one invariant block
+        at a time (``linalg.eigh_blocks``), for the callers that need it dense."""
+        return eigh_blocks(self.h_coupled)
 
     @cached_property
-    def _eig_coupled(self) -> tuple[np.ndarray, np.ndarray]:
-        """eigh of H_coupled as one d x d eigenvector matrix, assembled from
-        ``_coupled_blocks`` for the callers that need it dense (bitwise
-        ``linalg.eigh_blocks(h_coupled)``)."""
-        return assemble_blocks(self._coupled_blocks, complex)
+    def _free_basis_coupling(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """V~ = (V_S (x) V_R)* V (V_S (x) V_R), the coupling in the free product
+        eigenbasis, split into the connected components of its nonzero pattern
+        with no tolerance: one (rows, e_s + e_r, V~[rows, rows]) per sector.
+        V~ is the sum of (V_S* E_ij V_S) (x) (V_R* B_ij V_R) over the nonzero
+        d_R x d_R blocks B_ij of V, real where V and the factors are; on a
+        parity chain V_R is block diagonal by parity, so the zeros across
+        sectors are exact.  lam-free: every ``with_lam`` cell shares it."""
+        (e_s, v_s), (e_r, v_r) = self._eig_sys, self._eig_res
+        v_s, v_r = (v if v.imag.any() else v.real for v in (v_s, v_r))
+        d_s, d_r = self.dim_sys, self.dim_res
+        b = self.v.reshape(d_s, d_r, d_s, d_r)
+        if not b.imag.any():
+            b = b.real
+        v_tilde = np.zeros((d_s, d_r, d_s, d_r), dtype=np.result_type(v_s, v_r, b))
+        for i, j in zip(*np.nonzero(b.any(axis=(1, 3)))):
+            c = dagger(v_r) @ b[i, :, j] @ v_r
+            coef = np.outer(v_s[i].conj(), v_s[j])  # V_S* E_ij V_S
+            for k, l in zip(*np.nonzero(coef)):
+                v_tilde[k, :, l] += coef[k, l] * c
+        v_tilde = v_tilde.reshape(self.dim, self.dim)
+        e = np.add.outer(e_s, e_r).ravel()
+        return [(rows, e[rows], v_tilde[np.ix_(rows, rows)]) for rows in _components(v_tilde != 0)]
 
     @cached_property
     def _free_basis_sectors(self) -> list[FreeBasisSector]:
         """The coupled eigenvectors in the free product eigenbasis,
-        A = (V_S (x) V_R)* v_c, split into sectors: one per connected component
-        of the bipartite graph of A's nonzero entries, with no tolerance.  A is
-        unitary, so each sector is square, and U~ = (A e^{itw}) A* is zero
-        outside the (rows, rows) blocks.  A is built block by block of
-        H_coupled, each on the free levels it reaches
-        (:meth:`_free_basis_columns`), so its zeros outside the blocks are
-        never stored; blocks that reach a common free level are joined first."""
-        v_s, v_r = (v if v.imag.any() else v.real for _, v in (self._eig_sys, self._eig_res))
-        pieces = [self._free_basis_columns(v_s, v_r, *block) for block in self._coupled_blocks]
-        sectors = []
-        for rows, w, a in _join_shared_rows(pieces, self.dim):
-            for r, c in bipartite_sectors(a != 0):
-                blk = a[np.ix_(r, c)]
-                if np.iscomplexobj(blk) and not blk.imag.any():
-                    blk = blk.real.copy()
-                sectors.append(FreeBasisSector(rows[r], w[c], blk, self._shared_level_pairs(rows[r])))
-        return sectors
-
-    def _free_basis_columns(self, v_s, v_r, idx, w, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, w, A[rows, block]) for the block (idx, w, v) of H_coupled: its
-        columns of A are (V_S (x) V_R)*[:, idx] v, applied factor by factor
-        (V_R* on each system index, then V_S*) on the free levels they can reach,
-        in real arithmetic where v and the factors are real."""
-        d_r = self.dim_res
-        sys_of, res_of = np.divmod(idx, d_r)
-        reached = {}  # system index s -> (reservoir levels, V_R*[levels, r] v[(s, r)])
-        for s in range(self.dim_sys):
-            on_s = sys_of == s
-            if on_s.any():
-                r = res_of[on_s]
-                levels = np.flatnonzero((v_r[r] != 0).any(axis=0))
-                reached[s] = levels, dagger(v_r[np.ix_(r, levels)]) @ v[on_s]
-        rows, parts = [], []
-        for s2 in range(self.dim_sys):
-            terms = [(np.conj(v_s[s, s2]), *reached[s]) for s in reached if v_s[s, s2] != 0]
-            if not terms:
-                continue
-            levels = np.flatnonzero(np.bincount(np.concatenate([lv for _, lv, _ in terms]), minlength=d_r))
-            part = np.zeros((len(levels), v.shape[1]), dtype=np.result_type(v_s, *(x for *_, x in terms)))
-            for c, lv, x in terms:
-                part[np.searchsorted(levels, lv)] += c * x
-            rows.append(s2 * d_r + levels)
-            parts.append(part)
-        return np.concatenate(rows), w, np.concatenate(parts)
+        A = (V_S (x) V_R)* v_c, one sector at a time: H_coupled there is
+        H~ = diag(e_s + e_r) + lam V~, and one eigh of its block on each
+        sector of :attr:`_free_basis_coupling` gives that sector's eigenvalues
+        and its block of A.  A is zero outside the sectors' (rows, rows)
+        blocks, and so is U~ = (A e^{itw}) A*."""
+        return [
+            FreeBasisSector(rows, *eigh_finite(np.diag(e) + self.lam * v), self._shared_level_pairs(rows))
+            for rows, e, v in self._free_basis_coupling
+        ]
 
     def _shared_level_pairs(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positions (first, second), first < second, of the pairs of free levels
@@ -261,10 +243,10 @@ class Scenario:
         """This model at coupling ``lam``: the fields and every lam-free cache
         are shared by reference (the arrays are read-only), not re-validated;
         the caches every coupling reads are built first, so a sweep decomposes
-        H_S and H_R once.  ``_COUPLING_CACHES`` are not inherited."""
+        H_S and H_R and builds V~ once.  ``_COUPLING_CACHES`` are not inherited."""
         if not math.isfinite(lam):
             raise ValueError("lam must be finite")
-        self.h_free, self._eig_sys, self.gibbs_weights_res  # built once, before the copy shares them
+        self._free_basis_coupling, self.gibbs_weights_res  # built once, before the copy shares them
         cell = copy.copy(self)
         object.__setattr__(cell, "lam", lam)
         for name in _COUPLING_CACHES:
@@ -293,35 +275,8 @@ class Scenario:
 
 
 _COUPLING_CACHES = (
-    "h_coupled", "_coupled_blocks", "_eig_coupled", "_free_basis_sectors", "phi_sys", "phi_res", "energy_scale",
+    "h_coupled", "_eig_coupled", "_free_basis_sectors", "phi_sys", "phi_res", "energy_scale",
 )
-
-
-def _join_shared_rows(pieces: list, d: int) -> list:
-    """The pieces (rows, w, a) of A, with those that share a row joined into
-    one, their columns side by side.  Each block of H_coupled is a union of
-    blocks of H_free, and so reaches free levels of its own, unless lam V
-    cancels an entry of H_free exactly."""
-    owner = np.full(d, -1)
-    groups = {}
-    for k, piece in enumerate(pieces):
-        hit = sorted(set(owner[piece[0]].tolist()) - {-1})
-        groups[k] = [p for h in hit for p in groups.pop(h)] + [piece]
-        for rows, _, _ in groups[k]:
-            owner[rows] = k
-    joined = []
-    for group in groups.values():
-        if len(group) == 1:
-            joined.append(group[0])
-            continue
-        rows = np.flatnonzero(np.bincount(np.concatenate([r for r, _, _ in group]), minlength=d))
-        a = np.zeros((len(rows), sum(x.shape[1] for _, _, x in group)), dtype=np.result_type(*(x for _, _, x in group)))
-        col = 0
-        for r, _, x in group:
-            a[np.searchsorted(rows, r), col:col + x.shape[1]] = x
-            col += x.shape[1]
-        joined.append((rows, np.concatenate([w for _, w, _ in group]), a))
-    return joined
 
 
 def _expectation_changes(scn: Scenario, t: float, observables: tuple) -> list[float]:

@@ -133,8 +133,10 @@ def fcs_at(scn: Scenario, t: float, cluster_tol: float | None = None) -> FcsAtTi
     W[a, b] sums them (sigma = S~^2 turns |(S~ (x) 1) U~|^2 into this form),
     and the system weight of the level pair (i, j) sums those with rows in
     level i, columns in level j and sigma dephased between system levels.
-    U~ is zero outside the sectors' (rows, rows) blocks, so each sector's
-    block B gives its share: p_b sigma_ss |B|^2 row by row, plus
+    U~ is zero outside the sectors' (rows, rows) blocks (each sector's
+    eigenvectors come from one eigh of H_coupled written in the free
+    eigenbasis, ``Scenario._free_basis_sectors``), so each sector's block B
+    gives its share: p_b sigma_ss |B|^2 row by row, plus
     2 p_b Re(conj(B_1) sigma_12 B_2) for each pair of its rows that share
     a reservoir level (none on a parity chain).
     """
@@ -422,9 +424,9 @@ def limit_sweep(
     QuadratureError reports that cell (the derivative route is a trapezoid
     rule).  The limit law depends on neither lam nor t and is evaluated
     once.  Each lam is one task, serial or on one of ``workers`` threads:
-    ``scn.with_lam(lam)`` shares the free model of ``scn``, and its coupled
-    spectrum, kept in its invariant blocks, and the sectors of its eigenvectors
-    in the free eigenbasis serve every t.
+    ``scn.with_lam(lam)`` shares the free model of ``scn`` and its coupling in
+    the free eigenbasis, split into sectors, and the eigh of each sector at
+    lam serves every t.
 
     The whole sweep runs numpy's OpenBLAS on one thread (:func:`one_blas_thread`,
     process-wide, restored on return or raise): the worker threads are the

@@ -1,8 +1,11 @@
 """Dense complex linear algebra on square matrices, and the one quadrature.
 
 Hamiltonians are diagonalized one invariant block at a time
-(:func:`eigh_each_block`, assembled by :func:`eigh_blocks`); measurements and
-the functional calculus use the clustered :func:`eig_hermitian`.  Roots, powers
+(:func:`eigh_each_block`, assembled by :func:`eigh_blocks`), each block by
+:func:`eigh_finite`, which refuses a non-finite entry; the blocks are the
+connected components of the exact nonzero pattern (:func:`_components`), also
+for the sectors of the coupling in the free eigenbasis.  Measurements and the
+functional calculus use the clustered :func:`eig_hermitian`.  Roots, powers
 and unitary exponentials are assembled in an eigenbasis; only :func:`expm`, for
 matrices that are not Hermitian, is rational.
 :func:`gauss_kronrod` integrates the flux over time.  The library runs on numpy alone;
@@ -215,27 +218,33 @@ def _components(mask: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
+def eigh_finite(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(a)``, but a non-finite entry raises LinAlgError, which
+    eigh alone does only for some inputs."""
+    if not np.all(np.isfinite(a)):
+        raise np.linalg.LinAlgError("matrix to diagonalize has a non-finite entry")
+    return np.linalg.eigh(a)
+
+
 def eigh_each_block(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(indices, eigenvalues, eigenvectors) of each invariant block of a Hermitian matrix.
 
     The blocks are the connected components of the nonzero pattern of ``a``,
     in order of their smallest index; each is diagonalized by its own
-    ``np.linalg.eigh`` (a conserved quantity such as a spin-chain parity
+    :func:`eigh_finite` (a conserved quantity such as a spin-chain parity
     splits d^3 work into a sum of block cubes), and a single block is passed
     whole.  A complex matrix whose imaginary part is all zero is diagonalized
     in real arithmetic (the blocks reach ``np.linalg.eigh`` as float64, 2-3x
-    faster) and its eigenvectors stay real.  A non-finite entry raises
-    LinAlgError, which eigh alone does only for some inputs.
+    faster) and its eigenvectors stay real.  A non-finite entry is nonzero, so
+    it lies in a block, and raises LinAlgError there.
     """
     assert_square(a)
-    if not np.all(np.isfinite(a)):
-        raise np.linalg.LinAlgError("matrix to diagonalize has a non-finite entry")
     if np.iscomplexobj(a) and not a.imag.any():
         a = a.real
     blocks = _components(a != 0)
     if len(blocks) == 1:
-        return [(blocks[0], *np.linalg.eigh(a))]
-    return [(idx, *np.linalg.eigh(a[np.ix_(idx, idx)])) for idx in blocks]
+        return [(blocks[0], *eigh_finite(a))]
+    return [(idx, *eigh_finite(a[np.ix_(idx, idx)])) for idx in blocks]
 
 
 def assemble_blocks(blocks: list, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -264,16 +273,6 @@ def eigh_blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``a`` gets complex-typed eigenvectors, real-valued when ``a`` is; a single
     block of a genuinely complex matrix returns ``np.linalg.eigh(a)`` itself."""
     return assemble_blocks(eigh_each_block(a), np.result_type(a.dtype, float))
-
-
-def bipartite_sectors(mask: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(rows, columns) of each connected component of the bipartite graph
-    whose edges are the True entries of the rectangular ``mask``, in order of
-    their smallest row; an empty row or column is a component of its own."""
-    n_rows = mask.shape[0]
-    adj = np.zeros((n_rows + mask.shape[1],) * 2, dtype=bool)
-    adj[:n_rows, n_rows:] = mask
-    return [(c[c < n_rows], c[c >= n_rows] - n_rows) for c in _components(adj)]
 
 
 def func_calc(

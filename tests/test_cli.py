@@ -318,17 +318,26 @@ def test_lapack_failure_exit_code(config_path, monkeypatch, capsys):
     assert err == "numerical error: Eigenvalues did not converge\n"
 
 
-def test_non_finite_coupled_hamiltonian_exit_code(config_path, tmp_path, monkeypatch, capsys):
-    # eigh alone returns NaNs without raising for some such inputs; the block
-    # decomposition of H_coupled refuses them as a numerical failure
+def poison_free_basis_coupling(monkeypatch):
+    """Put a NaN into the first sector block of the coupling in the free
+    eigenbasis, which every sweep cell diagonalizes."""
     from fcslab.dynamics import Scenario
 
-    def poisoned(self):
-        h = self.h_free + self.lam * self.v
-        h[0, 0] = np.nan
-        return h
+    build = Scenario.__dict__["_free_basis_coupling"].func
 
-    monkeypatch.setattr(Scenario, "h_coupled", property(poisoned))
+    def poisoned(self):
+        (rows, e, v), *rest = build(self)
+        v = v.copy()
+        v[0, 0] = np.nan
+        return [(rows, e, v), *rest]
+
+    monkeypatch.setattr(Scenario, "_free_basis_coupling", property(poisoned))
+
+
+def test_non_finite_coupled_hamiltonian_exit_code(config_path, tmp_path, monkeypatch, capsys):
+    # eigh alone returns NaNs without raising for some such inputs; the
+    # diagonalization of each sector refuses them as a numerical failure
+    poison_free_basis_coupling(monkeypatch)
     assert main([
         "sweep", "--config", config_path, "--t-grid", "0,1", "--lambda-grid", "0.2",
         "--out-dir", str(tmp_path / "out"),
@@ -410,16 +419,9 @@ def test_sweep_worker_invariance_at_n8(tmp_path):
 def test_sweep_restores_the_blas_thread_count_after_a_numerical_error(
     config_path, tmp_path, monkeypatch, openblas_threads
 ):
-    from fcslab.dynamics import Scenario
-
-    def poisoned(self):
-        h = self.h_free + self.lam * self.v
-        h[0, 0] = np.nan
-        return h
-
     get, set_ = openblas_threads
     set_(2)
-    monkeypatch.setattr(Scenario, "h_coupled", property(poisoned))
+    poison_free_basis_coupling(monkeypatch)
     assert main([
         "sweep", "--config", config_path, "--t-grid", "0,1", "--lambda-grid", "0.2",
         "--out-dir", str(tmp_path / "out"),

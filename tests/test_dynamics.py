@@ -93,7 +93,7 @@ class TestWithLam:
     def test_the_free_spectra_are_built_once_per_model(self):
         scn = chain_scenario(3)
         first, second = scn.with_lam(0.1), scn.with_lam(0.3)
-        for name in ("h_free", "_eig_sys", "_eig_res", "gibbs_weights_res"):
+        for name in ("_free_basis_coupling", "_eig_sys", "_eig_res", "gibbs_weights_res"):
             assert getattr(first, name) is getattr(second, name) is scn.__dict__[name], name
 
     def test_the_coupling_norm_is_taken_once_per_model(self, monkeypatch):
@@ -157,6 +157,12 @@ def dense_free_basis_vectors(scn):
     return dagger(np.kron(scn._eig_sys[1], scn._eig_res[1])) @ scn._eig_coupled[1]
 
 
+def dense_free_basis_hamiltonian(scn):
+    """H~ = (V_S (x) V_R)* H_coupled (V_S (x) V_R) as one d x d product."""
+    w_free = np.kron(scn._eig_sys[1], scn._eig_res[1])
+    return dagger(w_free) @ scn.h_coupled @ w_free
+
+
 def dense_free_basis_unitary(scn, t):
     """U~ = exp(itH) in the free eigenbasis as one d x d product, (A e^{itw}) A*."""
     a = dense_free_basis_vectors(scn)
@@ -178,8 +184,8 @@ def complex_parity_chain():
 
 def cancelling_coupling():
     """lam V cancels every off-diagonal entry of 1 (x) H_R exactly, so H_coupled
-    is diagonal: each of its six one-level blocks reaches the free levels
-    another block reaches, and the blocks of one system level are joined."""
+    is diagonal, with six one-level blocks; in the free eigenbasis V~ couples
+    the levels of one system level, so the sectors are the two of size 3."""
     h_res = random_hermitian(3, np.random.default_rng(8)).real
     hopping = h_res - np.diag(np.diag(h_res))
     return Scenario(np.diag([0.0, 1.0]), h_res, tensor(np.eye(2), -hopping / 0.5), 0.5, 1.0, np.diag([0.3, 0.7]))
@@ -203,9 +209,13 @@ class TestFreeBasisSectors:
     def assert_sectors_tile_the_dense_product(scn, times):
         """The sector rows partition the free levels, each sector's columns are
         orthonormal, and its block of U~ is the dense U~ there; the dense U~
-        is zero outside the sector blocks."""
+        is zero outside the sector blocks.  The sectors and the dense U~ come
+        from two diagonalizations of H, so their phases drift apart by |t|
+        times the largest gap between the two spectra."""
         sectors = scn._free_basis_sectors
         assert np.array_equal(np.sort(np.concatenate([sec.rows for sec in sectors])), np.arange(scn.dim))
+        gap = np.max(np.abs(np.sort(np.concatenate([sec.w for sec in sectors])) - scn._eig_coupled[0]))
+        assert gap <= 1e-13
         inside = np.zeros((scn.dim, scn.dim), dtype=bool)
         for sec in sectors:
             assert np.max(np.abs(dagger(sec.a) @ sec.a - np.eye(len(sec.w)))) <= 1e-13
@@ -213,7 +223,7 @@ class TestFreeBasisSectors:
         for t in times:
             u = dense_free_basis_unitary(scn, t)
             for sec in sectors:
-                assert np.max(np.abs(sector_block(sec, t) - u[np.ix_(sec.rows, sec.rows)])) <= 1e-13
+                assert np.max(np.abs(sector_block(sec, t) - u[np.ix_(sec.rows, sec.rows)])) <= 1e-13 + abs(t) * gap
             assert np.max(np.abs(u[~inside]), initial=0.0) <= 1e-15
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -222,30 +232,33 @@ class TestFreeBasisSectors:
         sectors = scn._free_basis_sectors
         assert len(sectors) == 2
         a = dense_free_basis_vectors(scn)
+        h_tilde = dense_free_basis_hamiltonian(scn)
         for sec in sectors:
             assert np.iscomplexobj(sec.a) == name.startswith("complex")
             cols = np.flatnonzero(np.any(a[sec.rows] != 0, axis=0))  # the dense A's columns on the sector
-            assert np.array_equal(scn._eig_coupled[0][cols], sec.w)
-            assert np.max(np.abs(a[np.ix_(sec.rows, cols)] - sec.a)) <= 1e-14
+            assert np.max(np.abs(scn._eig_coupled[0][cols] - sec.w)) <= 1e-13  # two diagonalizations of one H
+            assert np.max(np.abs(h_tilde[np.ix_(sec.rows, sec.rows)] @ sec.a - sec.a * sec.w)) <= 1e-13
         self.assert_sectors_tile_the_dense_product(scn, (-1.3, 0.0, 2.1, 30.0))
 
     def test_one_sector_is_the_whole_factored_product(self):
         scn = random_scenario(np.random.default_rng(7), 3, 4)
         (sec,) = scn._free_basis_sectors
-        assert np.array_equal(sec.rows, np.arange(scn.dim)) and np.array_equal(sec.w, scn._eig_coupled[0])
-        assert np.max(np.abs(sec.a - dense_free_basis_vectors(scn))) <= 1e-14
+        assert np.array_equal(sec.rows, np.arange(scn.dim))
+        assert np.max(np.abs(dense_free_basis_hamiltonian(scn) @ sec.a - sec.a * sec.w)) <= 1e-13
         self.assert_sectors_tile_the_dense_product(scn, (-1.3, 0.0, 2.1))
 
     def test_blocks_reaching_one_free_level_are_joined(self):
         scn = cancelling_coupling()
-        assert len(scn._coupled_blocks) == 6
         assert sorted(len(sec.rows) for sec in scn._free_basis_sectors) == [3, 3]
         self.assert_sectors_tile_the_dense_product(scn, (-1.3, 0.0, 2.1))
 
     @pytest.mark.parametrize("name", ["chain4-0.3", "qutrit_chain2"])
     def test_uncoupled_sectors_tile_the_dense_product(self, name):
-        scn = self.SCENARIOS[name]().with_lam(0.0)
-        assert len(scn._free_basis_sectors) > 2
+        coupled = self.SCENARIOS[name]()
+        scn = coupled.with_lam(0.0)
+        assert [sec.rows.tolist() for sec in scn._free_basis_sectors] == [
+            sec.rows.tolist() for sec in coupled._free_basis_sectors
+        ]
         self.assert_sectors_tile_the_dense_product(scn, (-1.3, 2.1))
 
 

@@ -706,11 +706,12 @@ class TestReservoirSpectrum:
         # one block decomposition of h_res only: the sweep reads the thermal
         # populations from it and needs no root of rho_res; no SVD of a
         # reservoir-sized or joint matrix, because every Hermiticity check
-        # passes cheaply.  The parity blocks of h_res and of H_coupled are
-        # counted apart, as one block decomposition of each matrix (the (2, 2)
-        # ones are the system's spectrum).
-        assert (8, 8) not in eigh_shapes and (4, 4) not in eigh_shapes
-        assert block_shapes.count((8, 8)) == 1 and block_shapes.count((16, 16)) == 1
+        # passes cheaply.  The parity blocks of h_res are counted as one block
+        # decomposition (the (2, 2) ones are the system's spectrum); the only
+        # plain eigh calls are the two (d/2, d/2) sectors of the coupling, and
+        # nothing of size d is diagonalized.
+        assert eigh_shapes == [(8, 8)] * 2
+        assert block_shapes.count((8, 8)) == 1 and (16, 16) not in block_shapes
         assert [s for s in two_norm_shapes if s in ((8, 8), (16, 16))] == []
 
     @pytest.mark.parametrize("which", ["qubit_qubit", "chain3", "random"])
@@ -859,11 +860,11 @@ class TestFreeBasisWeights:
         monkeypatch.setattr(Scenario, "unitary_coupled", counting_unitary)
         monkeypatch.setattr(fcsmod, "_sector_unitary", lambda sec, t: blocks_formed.append(t) or sector_unitary(sec, t))
         limit_sweep(scn, np.array(ts), np.array(lams))
-        # one reservoir block decomposition for the sweep and one coupled one
-        # per lambda (besides the system's (2, 2) spectrum), and no joint eigh
-        # besides; one U~(t) per cell, one block per sector, feeds both weight sets
-        joint_and_res = [s for s in block_shapes if s != (2, 2)]
-        assert joint_and_res == [(8, 8)] + [(16, 16)] * 3 and (16, 16) not in eigh_shapes
+        # one reservoir block decomposition for the sweep (besides the system's
+        # (2, 2) spectrum), one eigh per sector per lambda, and none of size d;
+        # one U~(t) per cell, one block per sector, feeds both weight sets
+        assert [s for s in block_shapes if s != (2, 2)] == [(8, 8)]
+        assert eigh_shapes == [(8, 8)] * 2 * len(lams)
         sectors_per_cell = sum(len(scn.with_lam(lam)._free_basis_sectors) for lam in lams)
         assert unitary_calls == [] and sorted(blocks_formed) == sorted(ts * sectors_per_cell)
         two_time_reservoir_oracle(scn, 1.0)  # the independent route keeps U(t)
@@ -953,14 +954,17 @@ class TestSectorReads:
 
 
 class TestSweepPathHoldsNoDenseMatrix:
-    """The sweep reads the coupled spectrum in its blocks: neither the d x d
-    eigenvector matrix nor U(t), and no d x d array inside fcs_at."""
+    """The sweep reads the coupled spectrum in its sectors: neither a d x d
+    model matrix, nor the d x d eigenvector matrix, nor U(t), and no d x d
+    array inside fcs_at."""
 
     def test_sweep_reads_neither_dense_eigenvectors_nor_unitary(self, monkeypatch):
+        # nor any d x d model matrix: the sectors come from the factor spectra and V
         def fail(*args):
-            pytest.fail("the sweep read a d x d coupled matrix")
+            pytest.fail("the sweep read a d x d coupled or model matrix")
 
-        monkeypatch.setattr(Scenario, "_eig_coupled", property(fail))
+        for name in ("h_coupled", "h_free", "h_sys_full", "h_res_full", "_eig_coupled"):
+            monkeypatch.setattr(Scenario, name, property(fail))
         monkeypatch.setattr(Scenario, "unitary_coupled", fail)
         sweep = limit_sweep(chain_scenario(5), np.linspace(0.0, 30.0, 4), np.array([0.0, 0.2]))
         assert len(sweep.rows) == 8 and [v["pass"] for v in sweep.verdicts()] == [False, True]

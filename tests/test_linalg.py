@@ -11,7 +11,6 @@ from fcslab.linalg import (
     SpectrumDomainError,
     assemble_blocks,
     assert_hermitian,
-    bipartite_sectors,
     dagger,
     eig_hermitian,
     eigenvalue_clusters,
@@ -194,17 +193,6 @@ class TestEighBlocks:
         monkeypatch.setattr(np.linalg, "eigh", lambda b: shapes.append(b.shape) or eigh(b))
         scn._eig_coupled
         assert shapes == [(scn.dim // 2, scn.dim // 2)] * 2
-
-
-class TestBipartiteSectors:
-    def test_rectangular_blocks_and_empty_lines(self):
-        mask = np.zeros((5, 4), dtype=bool)
-        mask[np.ix_([0, 3], [1, 2])] = True
-        mask[np.ix_([1, 4], [0])] = True
-        sectors = bipartite_sectors(mask)
-        assert [(r.tolist(), c.tolist()) for r, c in sectors] == [
-            ([0, 3], [1, 2]), ([1, 4], [0]), ([2], []), ([], [3])
-        ]
 
 
 class TestExpI:
