@@ -23,6 +23,7 @@ from .linalg import (
     expm,
     gauss_kronrod,
     op_norm,
+    rayleigh_quotients,
     tensor,
 )
 from .states import assert_density, gibbs_weights
@@ -164,21 +165,23 @@ class Scenario:
 
     @cached_property
     def _eig_coupled(self) -> tuple[np.ndarray, np.ndarray]:
-        """eigh of H_coupled as one d x d eigenvector matrix, one invariant block
-        at a time (``linalg.eigh_blocks``), for the callers that need it dense."""
-        return eigh_blocks(self.h_coupled)
+        """eigh of H_coupled as one d x d eigenvector matrix by ``linalg.eigh_blocks``,
+        for the callers that need it dense; the eigenvalues are refined to
+        their rounding by ``linalg.rayleigh_quotients``, as the sectors' are."""
+        w, v = eigh_blocks(self.h_coupled)
+        return rayleigh_quotients(self.h_coupled, v), v
 
     @cached_property
     def _free_basis_coupling(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """V~ = (V_S (x) V_R)* V (V_S (x) V_R), the coupling in the free product
         eigenbasis, split into the connected components of its nonzero pattern
-        with no tolerance: one (rows, e_s + e_r, V~[rows, rows]) per sector.
+        with no tolerance: one (rows, e_s + e_r, V~[rows, rows]) per sector, the
+        levels refined by ``linalg.rayleigh_quotients``.
         V~ is the sum of (V_S* E_ij V_S) (x) (V_R* B_ij V_R) over the nonzero
         d_R x d_R blocks B_ij of V, real where V and the factors are; on a
         parity chain V_R is block diagonal by parity, so the zeros across
         sectors are exact.  lam-free: every ``with_lam`` cell shares it."""
-        (e_s, v_s), (e_r, v_r) = self._eig_sys, self._eig_res
-        v_s, v_r = (v if v.imag.any() else v.real for v in (v_s, v_r))
+        v_s, v_r = (v if v.imag.any() else v.real for _, v in (self._eig_sys, self._eig_res))
         d_s, d_r = self.dim_sys, self.dim_res
         b = self.v.reshape(d_s, d_r, d_s, d_r)
         if not b.imag.any():
@@ -190,7 +193,7 @@ class Scenario:
             for k, l in zip(*np.nonzero(coef)):
                 v_tilde[k, :, l] += coef[k, l] * c
         v_tilde = v_tilde.reshape(self.dim, self.dim)
-        e = np.add.outer(e_s, e_r).ravel()
+        e = np.add.outer(rayleigh_quotients(self.h_sys, v_s), rayleigh_quotients(self.h_res, v_r)).ravel()
         return [(rows, e[rows], v_tilde[np.ix_(rows, rows)]) for rows in _components(v_tilde != 0)]
 
     @cached_property
@@ -198,13 +201,18 @@ class Scenario:
         """The coupled eigenvectors in the free product eigenbasis,
         A = (V_S (x) V_R)* v_c, one sector at a time: H_coupled there is
         H~ = diag(e_s + e_r) + lam V~, and one eigh of its block on each
-        sector of :attr:`_free_basis_coupling` gives that sector's eigenvalues
-        and its block of A.  A is zero outside the sectors' (rows, rows)
-        blocks, and so is U~ = (A e^{itw}) A*."""
-        return [
-            FreeBasisSector(rows, *eigh_finite(np.diag(e) + self.lam * v), self._shared_level_pairs(rows))
-            for rows, e, v in self._free_basis_coupling
-        ]
+        sector of :attr:`_free_basis_coupling` gives that sector's block of A.
+        Its eigenvalues are the columns' Rayleigh quotients, with the free
+        part, most of ||H||, summed in extended precision, so they agree with
+        ``_eig_coupled``'s to rounding.  U~ = (A e^{itw}) A* is zero outside
+        the sectors' (rows, rows) blocks, as A is."""
+        sectors = []
+        for rows, e, v in self._free_basis_coupling:
+            a = eigh_finite(np.diag(e) + self.lam * v)[1]
+            p = np.abs(a.astype(np.clongdouble if np.iscomplexobj(a) else np.longdouble)) ** 2
+            w = (e @ p + self.lam * np.einsum("ik,ik->k", a.conj(), v @ a).real) / p.sum(axis=0)
+            sectors.append(FreeBasisSector(rows, w.astype(float), a, self._shared_level_pairs(rows)))
+        return sectors
 
     def _shared_level_pairs(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positions (first, second), first < second, of the pairs of free levels

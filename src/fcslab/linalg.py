@@ -1,13 +1,14 @@
 """Dense complex linear algebra on square matrices, and the one quadrature.
 
 Hamiltonians are diagonalized one invariant block at a time
-(:func:`eigh_each_block`, assembled by :func:`eigh_blocks`), each block by
-:func:`eigh_finite`, which refuses a non-finite entry; the blocks are the
-connected components of the exact nonzero pattern (:func:`_components`), also
-for the sectors of the coupling in the free eigenbasis.  Measurements and the
-functional calculus use the clustered :func:`eig_hermitian`.  Roots, powers
-and unitary exponentials are assembled in an eigenbasis; only :func:`expm`, for
-matrices that are not Hermitian, is rational.
+(:func:`eigh_blocks`), each block by :func:`eigh_finite`, which refuses a
+non-finite entry; the blocks are the connected components of the exact
+nonzero pattern (:func:`_components`), also for the sectors of the coupling
+in the free eigenbasis, and :func:`rayleigh_quotients` refines eigenvalues in
+extended precision.  Measurements and the functional calculus use the
+clustered :func:`eig_hermitian`.  Roots, powers and unitary exponentials are
+assembled in an eigenbasis; only :func:`expm`, for matrices that are not
+Hermitian, is rational.
 :func:`gauss_kronrod` integrates the flux over time.  The library runs on numpy alone;
 :func:`one_blas_thread` pins numpy's bundled OpenBLAS through ctypes.
 """
@@ -226,53 +227,45 @@ def eigh_finite(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(a)
 
 
-def eigh_each_block(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(indices, eigenvalues, eigenvectors) of each invariant block of a Hermitian matrix.
-
-    The blocks are the connected components of the nonzero pattern of ``a``,
-    in order of their smallest index; each is diagonalized by its own
-    :func:`eigh_finite` (a conserved quantity such as a spin-chain parity
-    splits d^3 work into a sum of block cubes), and a single block is passed
-    whole.  A complex matrix whose imaginary part is all zero is diagonalized
-    in real arithmetic (the blocks reach ``np.linalg.eigh`` as float64, 2-3x
-    faster) and its eigenvectors stay real.  A non-finite entry is nonzero, so
-    it lies in a block, and raises LinAlgError there.
-    """
+def eigh_blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(a)`` of a Hermitian matrix, one :func:`eigh_finite` per
+    connected component of its nonzero pattern (a conserved quantity such as
+    a spin-chain parity splits d^3 work into a sum of block cubes): ascending
+    eigenvalues (stable sort, so ties keep block order), each eigenvector
+    exactly zero outside its block.  A complex ``a`` with zero imaginary part
+    is diagonalized in float64, 2-3x faster, into real-valued complex
+    eigenvectors; a single block is passed whole."""
     assert_square(a)
+    dtype = np.result_type(a.dtype, float)
     if np.iscomplexobj(a) and not a.imag.any():
         a = a.real
     blocks = _components(a != 0)
     if len(blocks) == 1:
-        return [(blocks[0], *eigh_finite(a))]
-    return [(idx, *eigh_finite(a[np.ix_(idx, idx)])) for idx in blocks]
-
-
-def assemble_blocks(blocks: list, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """(w, v) of the whole matrix from :func:`eigh_each_block`'s blocks, as
-    ``np.linalg.eigh`` gives them: eigenvalues ascending (stable sort, so ties
-    keep block order), each eigenvector exactly zero outside its block, and
-    ``v`` of ``dtype``; a single block is returned as it is."""
-    if len(blocks) == 1:
-        _, w, v = blocks[0]
+        w, v = eigh_finite(a)
         return w, v.astype(dtype, copy=False)
-    n = sum(len(idx) for idx, _, _ in blocks)
-    w = np.empty(n)
-    v = np.zeros((n, n), dtype=dtype)
+    w = np.empty(len(a))
+    v = np.zeros(a.shape, dtype=dtype)
     col = 0
-    for idx, w_k, v_k in blocks:
+    for idx in blocks:
         cols = np.arange(col, col + len(idx))
-        w[cols], v[np.ix_(idx, cols)] = w_k, v_k
+        w[cols], v[np.ix_(idx, cols)] = eigh_finite(a[np.ix_(idx, idx)])
         col += len(idx)
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order]
 
 
-def eigh_blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh(a)`` of a Hermitian matrix, one invariant block at a
-    time (:func:`eigh_each_block`, then :func:`assemble_blocks`).  A complex
-    ``a`` gets complex-typed eigenvectors, real-valued when ``a`` is; a single
-    block of a genuinely complex matrix returns ``np.linalg.eigh(a)`` itself."""
-    return assemble_blocks(eigh_each_block(a), np.result_type(a.dtype, float))
+def rayleigh_quotients(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v_k* a v_k / v_k* v_k for each column v_k of ``v``, summed in numpy's
+    extended precision (np.longdouble: a 64-bit mantissa on x86) over the
+    nonzero entries of ``a``, one row at a time.  For eigh's eigenvectors the
+    quotient errs by the square of the residual, so it is the eigenvalue to
+    its rounding, where eigh's own errs by a few eps ||a||."""
+    v = v.astype(np.clongdouble if np.iscomplexobj(a) or np.iscomplexobj(v) else np.longdouble)
+    q = np.zeros(v.shape[1], dtype=v.dtype)
+    for i, row in enumerate(a):
+        nz = np.flatnonzero(row)
+        q += v[i].conj() * (row[nz] @ v[nz])
+    return (q / np.einsum("ik,ik->k", v.conj(), v)).real.astype(float)
 
 
 def func_calc(

@@ -655,8 +655,8 @@ class TestLimitSweep:
 def count_diagonalizations(monkeypatch):
     """(shapes passed to np.linalg.eigh outside a block decomposition, shapes
     of the matrices decomposed block by block), filled as the code under test
-    runs.  A block decomposition, by linalg.eigh_blocks or by
-    linalg.eigh_each_block, counts once, in every module that calls it."""
+    runs.  A block decomposition by linalg.eigh_blocks counts once, in every
+    module that calls it."""
     eigh_shapes, block_shapes, inside = [], [], []
     eigh = np.linalg.eigh
 
@@ -678,11 +678,9 @@ def count_diagonalizations(monkeypatch):
         return counted
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    for name in ("eigh_blocks", "eigh_each_block"):
-        counted = counting(getattr(linalg, name))
-        for module in (linalg, states, dynamics):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
+    counted = counting(linalg.eigh_blocks)
+    for module in (linalg, states, dynamics):
+        monkeypatch.setattr(module, "eigh_blocks", counted)
     return eigh_shapes, block_shapes
 
 
