@@ -168,7 +168,7 @@ class Scenario:
         """eigh of H_coupled as one d x d eigenvector matrix by ``linalg.eigh_blocks``,
         for the callers that need it dense; the eigenvalues are refined to
         their rounding by ``linalg.rayleigh_quotients``, as the sectors' are."""
-        w, v = eigh_blocks(self.h_coupled)
+        v = eigh_blocks(self.h_coupled)[1]
         return rayleigh_quotients(self.h_coupled, v), v
 
     @cached_property
@@ -209,7 +209,8 @@ class Scenario:
         sectors = []
         for rows, e, v in self._free_basis_coupling:
             a = eigh_finite(np.diag(e) + self.lam * v)[1]
-            p = np.abs(a.astype(np.clongdouble if np.iscomplexobj(a) else np.longdouble)) ** 2
+            x = a.astype(np.clongdouble if np.iscomplexobj(a) else np.longdouble)
+            p = (x.conj() * x).real
             w = (e @ p + self.lam * np.einsum("ik,ik->k", a.conj(), v @ a).real) / p.sum(axis=0)
             sectors.append(FreeBasisSector(rows, w.astype(float), a, self._shared_level_pairs(rows)))
         return sectors

@@ -257,15 +257,23 @@ def eigh_blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def rayleigh_quotients(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """v_k* a v_k / v_k* v_k for each column v_k of ``v``, summed in numpy's
     extended precision (np.longdouble: a 64-bit mantissa on x86) over the
-    nonzero entries of ``a``, one row at a time.  For eigh's eigenvectors the
-    quotient errs by the square of the residual, so it is the eigenvalue to
-    its rounding, where eigh's own errs by a few eps ||a||."""
-    v = v.astype(np.clongdouble if np.iscomplexobj(a) or np.iscomplexobj(v) else np.longdouble)
-    q = np.zeros(v.shape[1], dtype=v.dtype)
-    for i, row in enumerate(a):
-        nz = np.flatnonzero(row)
-        q += v[i].conj() * (row[nz] @ v[nz])
-    return (q / np.einsum("ik,ik->k", v.conj(), v)).real.astype(float)
+    nonzero entries of each invariant block of ``a`` (in real arithmetic
+    where the imaginary parts are zero), in chunks of 2^18 terms.  For eigh's
+    eigenvectors the quotient errs by the square of the residual, so it is the
+    eigenvalue to its rounding, where eigh's own errs by a few eps ||a||."""
+    a, v = (x.real if np.iscomplexobj(x) and not x.imag.any() else x for x in (a, v))
+    ext = np.clongdouble if np.iscomplexobj(a) or np.iscomplexobj(v) else np.longdouble
+    q, norm = np.zeros(v.shape[1], dtype=ext), np.zeros(v.shape[1], dtype=ext)
+    for idx in _components(a != 0):
+        cols = np.flatnonzero(np.any(v[idx] != 0, axis=0))
+        x = v[np.ix_(idx, cols)].astype(ext)
+        norm[cols] += np.einsum("ik,ik->k", x.conj(), x)
+        r, c = np.nonzero(a[np.ix_(idx, idx)])
+        step = 2**18 // max(len(cols), 1) + 1
+        for s in range(0, len(r), step):
+            rs, cs = r[s:s + step], c[s:s + step]
+            q[cols] += (x[rs].conj() * a[idx[rs], idx[cs]][:, None] * x[cs]).sum(axis=0)
+    return (q / norm).real.astype(float)
 
 
 def func_calc(
