@@ -176,8 +176,7 @@ class Scenario:
         """V~ = (V_S (x) V_R)* V (V_S (x) V_R), the coupling in the free product
         eigenbasis, split into the connected components of its nonzero pattern
         with no tolerance: one (rows, e_s + e_r, V~[rows, rows]) per sector, the
-        levels refined by ``linalg.rayleigh_quotients``.
-        V~ is the sum of (V_S* E_ij V_S) (x) (V_R* B_ij V_R) over the nonzero
+        levels by ``linalg.rayleigh_quotients``.  V~ is the sum of (V_S* E_ij V_S) (x) (V_R* B_ij V_R) over the nonzero
         d_R x d_R blocks B_ij of V, real where V and the factors are; on a
         parity chain V_R is block diagonal by parity, so the zeros across
         sectors are exact.  lam-free: every ``with_lam`` cell shares it."""
@@ -201,11 +200,10 @@ class Scenario:
         """The coupled eigenvectors in the free product eigenbasis,
         A = (V_S (x) V_R)* v_c, one sector at a time: H_coupled there is
         H~ = diag(e_s + e_r) + lam V~, and one eigh of its block on each
-        sector of :attr:`_free_basis_coupling` gives that sector's block of A.
-        Its eigenvalues are the columns' Rayleigh quotients, with the free
-        part, most of ||H||, summed in extended precision, so they agree with
-        ``_eig_coupled``'s to rounding.  U~ = (A e^{itw}) A* is zero outside
-        the sectors' (rows, rows) blocks, as A is."""
+        sector of :attr:`_free_basis_coupling` gives that sector's block of A,
+        and w is its columns' Rayleigh quotients, the free part, most of ||H||,
+        summed in extended precision.  U~ = (A e^{itw}) A* is zero outside the
+        sectors' (rows, rows) blocks, as A is."""
         sectors = []
         for rows, e, v in self._free_basis_coupling:
             a = eigh_finite(np.diag(e) + self.lam * v)[1]

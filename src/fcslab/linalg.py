@@ -234,19 +234,13 @@ def eigh_blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvalues (stable sort, so ties keep block order), each eigenvector
     exactly zero outside its block.  A complex ``a`` with zero imaginary part
     is diagonalized in float64, 2-3x faster, into real-valued complex
-    eigenvectors; a single block is passed whole."""
+    eigenvectors."""
     assert_square(a)
-    dtype = np.result_type(a.dtype, float)
+    w, v = np.empty(len(a)), np.zeros(a.shape, dtype=np.result_type(a.dtype, float))
     if np.iscomplexobj(a) and not a.imag.any():
         a = a.real
-    blocks = _components(a != 0)
-    if len(blocks) == 1:
-        w, v = eigh_finite(a)
-        return w, v.astype(dtype, copy=False)
-    w = np.empty(len(a))
-    v = np.zeros(a.shape, dtype=dtype)
     col = 0
-    for idx in blocks:
+    for idx in _components(a != 0):
         cols = np.arange(col, col + len(idx))
         w[cols], v[np.ix_(idx, cols)] = eigh_finite(a[np.ix_(idx, idx)])
         col += len(idx)
@@ -257,10 +251,9 @@ def eigh_blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def rayleigh_quotients(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """v_k* a v_k / v_k* v_k for each column v_k of ``v``, summed in numpy's
     extended precision (np.longdouble: a 64-bit mantissa on x86) over the
-    nonzero entries of each invariant block of ``a`` (in real arithmetic
-    where the imaginary parts are zero), in chunks of 2^18 terms.  For eigh's
-    eigenvectors the quotient errs by the square of the residual, so it is the
-    eigenvalue to its rounding, where eigh's own errs by a few eps ||a||."""
+    nonzero entries of each invariant block of ``a``, 2^18 terms at a time.
+    For eigh's eigenvectors this is the eigenvalue to its rounding (the error
+    is the residual squared), where eigh's own errs by a few eps ||a||."""
     a, v = (x.real if np.iscomplexobj(x) and not x.imag.any() else x for x in (a, v))
     ext = np.clongdouble if np.iscomplexobj(a) or np.iscomplexobj(v) else np.longdouble
     q, norm = np.zeros(v.shape[1], dtype=ext), np.zeros(v.shape[1], dtype=ext)
