@@ -213,7 +213,7 @@ def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
     out.append(_result("kms_from_modular", worst, 1e-10))
 
     # Radon-Nikodym property of the relative modular operator.
-    rel = initial_modular(scn)
+    rel = initial_modular(scn, ms)
     worst = 0.0
     for _ in range(20):
         a = rand_mat()

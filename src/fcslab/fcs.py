@@ -10,7 +10,9 @@ the complex strip 0 <= Re(alpha) <= 1, and the identities tying the two
 routes together: the mean/flux identity, the operator-level balance between
 the modular log and the time-integrated flux, the half-line identity at
 Re(alpha) = 1/2, the strip growth bound, and the weak-coupling/long-time
-limit sweeps.
+limit sweeps.  A sweep cell reads the reservoir characteristic function, mean
+and moments from the d_R^2 unmerged atoms, the weight matrix W; only ``fcs``
+and ``verify`` merge them.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .modular import Liouvilleans, initial_vector, reservoir_weight_vector
 from .states import AtomicMeasure
 
 N_MOMENTS = 4
-# Largest accepted gap between the atom and contour routes to the moments.
+# Largest accepted gap between an atom route to the moments (over W, or the
+# merged atoms in verify) and the contour route.
 MOMENT_TOL = 1e-6
 
 
@@ -79,8 +82,10 @@ class FcsAtTime:
     exp(beta (e_j - e_i)) over pairs of product levels i = (s, a),
     j = (s', b), e_i = w_res[a], with weights |<u_i, Omega v_j>|^2.  Every
     (s, s') gives the same location w_res[b] - w_res[a], so the measure has
-    d_R^2 atoms, the matrix W[a, b] of weights summed over s and s'; the
-    atoms merged at MERGE_TOL are ``reservoir_measure``.
+    d_R^2 atoms, the matrix W[a, b] of weights summed over s and s'.  The
+    atoms merged at MERGE_TOL are ``reservoir_measure``, which ``fcs`` and
+    ``verify`` read; the sweep reads W itself, through ``char`` and
+    ``exact_moments``, and drops no mass.
 
     The strip function F(alpha) = sum_ab W_ab exp(alpha beta (w_b - w_a)) is
     the bilinear form e(-alpha)^T W e(alpha), e(alpha)_b =
@@ -107,6 +112,15 @@ class FcsAtTime:
         x = np.multiply.outer(alpha * self.scn.beta, self.levels - (self.levels[0] + self.levels[-1]) / 2)
         vals = ((exp_complex(-x) @ self.weights) * exp_complex(x)).sum(axis=-1)
         return complex(vals) if vals.ndim == 0 else vals
+
+    def exact_moments(self) -> np.ndarray:
+        """Moments 1..N_MOMENTS of the unmerged atoms: sum_ab W_ab (w_b - w_a)^k."""
+        term = self.weights.copy()
+        out = np.empty(N_MOMENTS)
+        for k in range(N_MOMENTS):
+            term *= self.locations
+            out[k] = term.sum()
+        return out
 
     def contour_moments(self) -> np.ndarray:
         """Moments from the derivatives of F at 0 by a 64-node trapezoid rule (see derivative_moments)."""
@@ -341,7 +355,13 @@ def derivative_moments(fa: FcsAtTime) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One (lam, t) cell of a limit sweep."""
+    """One (lam, t) cell of a limit sweep.
+
+    ``distance`` is the sup over the gamma grid of |chi_R - chi_limit|;
+    ``mean_res`` and ``moments_res`` (orders 1..N_MOMENTS) are the exact sums
+    over the unmerged reservoir atoms W, and ``moment_gap`` is their largest
+    distance from the contour moments.  ``mean_sys`` is the system FCS mean.
+    """
 
     lam: float
     t: float
@@ -385,18 +405,16 @@ def _sweep_cell(
     cell: Scenario, t: float, gamma_grid: np.ndarray, limit_vals: np.ndarray
 ) -> SweepRow:
     fa = fcs_at(cell, t)
-    res = reservoir_fcs(fa, gamma_grid)
-    fcs_vals = np.array([val for _, val in res.char_samples])
-    distance = float(np.max(np.abs(fcs_vals - limit_vals)))
-    gap = float(np.max(np.abs(fa.contour_moments() - res.moments)))
+    fcs_vals = reservoir_char(fa, 1j * gamma_grid / cell.beta)
+    moments = fa.exact_moments()
     return SweepRow(
         lam=cell.lam,
         t=t,
-        distance=distance,
-        mean_res=res.mean,
+        distance=float(np.max(np.abs(fcs_vals - limit_vals))),
+        mean_res=float(moments[0]),
         mean_sys=fa.system_measure.mean,
-        moments_res=res.moments,
-        moment_gap=gap,
+        moments_res=moments,
+        moment_gap=float(np.max(np.abs(fa.contour_moments() - moments))),
     )
 
 
@@ -418,15 +436,17 @@ def limit_sweep(
     """Sweep the FCS over a (lam, t) grid against the decoupled limit law.
 
     Each cell records the sup-over-gamma distance between the reservoir
-    characteristic function and the limit law, both FCS means, and the
-    reservoir moments (atom route), cross-checked against the derivative
-    route within ``moment_tol``; if the largest gap of the sweep exceeds it,
-    QuadratureError reports that cell (the derivative route is a trapezoid
-    rule).  The limit law depends on neither lam nor t and is evaluated
-    once.  Each lam is one task, serial or on one of ``workers`` threads:
-    ``scn.with_lam(lam)`` shares the free model of ``scn`` and its coupling in
-    the free eigenbasis, split into sectors, and the eigh of each sector at
-    lam serves every t.
+    characteristic function F(i gamma / beta) and the limit law, both FCS
+    means, and the reservoir moments: the characteristic function and the
+    moments come from W (``FcsAtTime.char`` and ``exact_moments``), so no
+    reservoir atom is merged.  The exact moments are cross-checked against
+    the derivative route within ``moment_tol``; if the largest gap of the
+    sweep exceeds it, QuadratureError reports that cell (the derivative
+    route is a trapezoid rule).  The limit law depends on neither lam nor t
+    and is evaluated once.  Each lam is one task, serial or on one of
+    ``workers`` threads: ``scn.with_lam(lam)`` shares the free model of
+    ``scn`` and its coupling in the free eigenbasis, split into sectors, and
+    the eigh of each sector at lam serves every t.
 
     The whole sweep runs numpy's OpenBLAS on one thread (:func:`one_blas_thread`,
     process-wide, restored on return or raise): the worker threads are the

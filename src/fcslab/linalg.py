@@ -104,11 +104,13 @@ def exp_complex(z) -> np.ndarray:
 def is_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
     """Whether ||a - a*|| <= rtol * max(1, ||a||) in the operator norm.
 
-    ||.|| <= ||.||_HS and the scale is >= 1, so ||a - a*||_HS <= rtol passes
-    without an SVD.  NaN and Inf fail it; op_norm then raises LinAlgError
-    or returns NaN, which fails the comparison, so they never pass."""
+    An exactly zero defect passes with no norm at all (a norm is two
+    BLAS calls, which wake OpenBLAS's idle threads); ||.|| <= ||.||_HS and
+    the scale is >= 1, so ||a - a*||_HS <= rtol passes without an SVD.  NaN
+    and Inf fail it; op_norm then raises LinAlgError or returns NaN, which
+    fails the comparison, so they never pass."""
     defect = a - dagger(a)
-    return hs_norm(defect) <= rtol or op_norm(defect) <= rtol * max(1.0, op_norm(a))
+    return not defect.any() or hs_norm(defect) <= rtol or op_norm(defect) <= rtol * max(1.0, op_norm(a))
 
 
 def assert_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL, name: str = "operator") -> None:

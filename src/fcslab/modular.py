@@ -225,9 +225,13 @@ def equilibrium_modular(scn: Scenario) -> ModularStructure:
     return ModularStructure(_with_reservoir(scn, gibbs_weights(w, scn.beta), v))
 
 
-def initial_modular(scn: Scenario) -> RelativeModular:
-    """Delta(rho_init | rho_eq), rho_init = rho_S (x) rho_R from the eigh of rho_S."""
-    return RelativeModular(_with_reservoir(scn, *np.linalg.eigh(scn.rho_sys)), equilibrium_modular(scn).eig_omega)
+def initial_modular(scn: Scenario, eq: ModularStructure) -> RelativeModular:
+    """Delta(rho_init | rho_eq), rho_init = rho_S (x) rho_R from the eigh of
+    rho_S, against ``eq = equilibrium_modular(scn)``, whose rho_eq^(-1) it
+    shares."""
+    rel = RelativeModular(_with_reservoir(scn, *np.linalg.eigh(scn.rho_sys)), eq.eig_omega)
+    rel.__dict__["_inv_omega"] = eq._inv_omega  # the cached_property's slot
+    return rel
 
 
 def reservoir_modular(scn: Scenario, t: float) -> RelativeModular:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fcslab.cli import main
-from fcslab.fcs import fcs_at
+from fcslab.fcs import FcsAtTime, fcs_at
 from fcslab.linalg import NotPositiveError, positive_sqrt
 from fcslab.scenarios import RunConfig, matrix_to_pairs, parse_config, scenario_to_config
 
@@ -396,6 +396,16 @@ def test_overflowing_time_is_a_numerical_error(argv, tmp_path, capsys):
         rc = main([argv[0], "--config", str(cfg), *argv[1:], "--out-dir", str(tmp_path / "out")])
     assert rc == 3
     assert capsys.readouterr().err == "numerical error: atom with a non-finite location or weight\n"
+
+
+def test_sweep_moment_defect_exit_code(config_path, tmp_path, monkeypatch, capsys):
+    exact = FcsAtTime.exact_moments
+    monkeypatch.setattr(FcsAtTime, "exact_moments", lambda fa: exact(fa) + [0.0, 0.0, 1e-5, 0.0])
+    assert main([
+        "sweep", "--config", config_path, "--t-grid", "0,1", "--lambda-grid", "0.2",
+        "--out-dir", str(tmp_path / "out"),
+    ]) == 3
+    assert "numerical error: moment routes disagree" in capsys.readouterr().err
 
 
 def test_sweep_worker_invariance_at_n8(tmp_path):

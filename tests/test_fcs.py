@@ -14,7 +14,7 @@ from fcslab import dynamics, linalg, states
 from fcslab.dynamics import DEFAULT_QUAD_TOL, QuadratureError, Scenario, delta_q_direct, delta_q_flux, exact_cocycle
 from fcslab import fcs as fcsmod
 from fcslab.fcs import (
-    FcsResult,
+    FcsAtTime,
     SweepRow,
     default_gamma_grid,
     derivative_moments,
@@ -497,25 +497,26 @@ class TestMoments:
 
 
 def per_cell_sweep_rows(scn, t_grid, lam_grid, gamma_grid):
-    """The per-cell sweep loop: a with_lam and a limit law for every (lam, t)."""
+    """The per-cell sweep loop: a with_lam and a limit law for every (lam, t),
+    the reservoir columns read from W (chi_R on the strip's imaginary axis,
+    the exact moments of the unmerged atoms)."""
     rows = []
     for lam in lam_grid:
         for t in t_grid:
             cell = scn.with_lam(float(lam))
             data = fcs_at(cell, float(t))
-            mu = AtomicMeasure.from_points(data.locations, data.weights)
-            res = FcsResult.from_measure(mu, gamma_grid)
+            moments = data.exact_moments()
             sys = system_fcs(fcs_at(cell, float(t)), gamma_grid=gamma_grid)
             limit_vals = np.array([system_char_limit(cell, g) for g in gamma_grid])
-            fcs_vals = np.array([val for _, val in res.char_samples])
+            fcs_vals = reservoir_char(data, 1j * gamma_grid / cell.beta)
             rows.append(SweepRow(
                 lam=float(lam),
                 t=float(t),
                 distance=float(np.max(np.abs(fcs_vals - limit_vals))),
-                mean_res=res.mean,
+                mean_res=float(moments[0]),
                 mean_sys=sys.mean,
-                moments_res=res.moments,
-                moment_gap=float(np.max(np.abs(data.contour_moments() - res.moments))),
+                moments_res=moments,
+                moment_gap=float(np.max(np.abs(data.contour_moments() - moments))),
             ))
     return rows
 
@@ -650,6 +651,62 @@ class TestLimitSweep:
     def test_rejects_empty_grid(self, qubit_qubit):
         with pytest.raises(ValueError, match="nonempty"):
             limit_sweep(qubit_qubit, np.array([]), np.array([0.1]))
+
+
+W_ROUTE_SCENARIOS = {
+    "chain6": lambda: chain_scenario(6),
+    "chain5-0.3": lambda: chain_scenario(5, disorder=0.3, seed=1),
+}
+
+
+class TestSweepReadsW:
+    """The sweep reads chi_R, the mean and the moments from W, the d_R^2
+    unmerged atoms; the merged atoms serve fcs and verify."""
+
+    @pytest.mark.parametrize("which", sorted(W_ROUTE_SCENARIOS))
+    def test_w_route_against_the_merged_atoms(self, which):
+        scn = W_ROUTE_SCENARIOS[which]()
+        gam = default_gamma_grid(scn)
+        for t in (1.7, 9.0, 30.0):
+            fa = fcs_at(scn, t)
+            merged = fa.reservoir_measure
+            chi_w = reservoir_char(fa, 1j * gam / scn.beta)
+            # merging keeps each cluster's first moment, so chi moves by the dropped mass
+            assert np.max(np.abs(chi_w - merged.char(gam))) <= merged.dropped_mass + 1e-14, t
+            # the merged mean misses this by up to 1.8e-12
+            assert abs(fa.exact_moments()[0] - delta_q_direct(scn, t)[1]) <= 1e-13, t
+
+    def test_exact_moments_sum_over_w(self, qubit_qubit):
+        fa = fcs_at(qubit_qubit, 1.3)
+        x, w = fa.locations.ravel(), fa.weights.ravel()
+        expected = [math.fsum(w * x**k) for k in range(1, 5)]
+        assert np.allclose(fa.exact_moments(), expected, rtol=1e-14, atol=1e-16)
+
+    def test_sweep_merges_no_reservoir_atoms(self, monkeypatch):
+        def fail(*args):
+            pytest.fail("the sweep merged the reservoir atoms or evaluated chi on merged atoms")
+
+        monkeypatch.setattr(fcsmod, "reservoir_fcs", fail)
+        monkeypatch.setattr(FcsAtTime, "reservoir_measure", property(fail))
+        monkeypatch.setattr(AtomicMeasure, "char", fail)
+        sweep = limit_sweep(chain_scenario(6), np.linspace(0.0, 30.0, 4), np.array([0.0, 0.2]))
+        assert len(sweep.rows) == 8 and [v["pass"] for v in sweep.verdicts()] == [False, True]
+
+    @pytest.mark.parametrize("defect", ["k3_plus_1e-5", "transposed_locations"])
+    def test_a_defect_in_the_exact_moments_fails_the_sweep(self, monkeypatch, defect):
+        # both routes read W, but moment_gap still catches a fault in the sums over W
+        if defect == "k3_plus_1e-5":
+            exact = FcsAtTime.exact_moments
+            monkeypatch.setattr(FcsAtTime, "exact_moments", lambda fa: exact(fa) + [0.0, 0.0, 1e-5, 0.0])
+        else:
+            monkeypatch.setattr(
+                FcsAtTime, "exact_moments",
+                lambda fa: np.array([(fa.weights * fa.locations.T**k).sum() for k in range(1, 5)]),
+            )
+        with pytest.raises(QuadratureError, match="moment routes disagree") as exc:
+            limit_sweep(chain_scenario(6), np.array([0.0, 9.0]), np.array([0.2]))
+        if defect == "k3_plus_1e-5":
+            assert exc.value.achieved == pytest.approx(1e-5, rel=1e-3)
 
 
 def count_diagonalizations(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fcslab import linalg
 from fcslab.linalg import (
     NonHermitianError,
     NotPositiveError,
@@ -428,6 +429,25 @@ class TestHermiticityRule:
         for factor in FACTORS:
             a = near_threshold(5, 4, 20.0, factor, 0.0, 1e-12)
             assert two_svd_hermitian(a, 1e-12) is (factor < 1)
+
+    def test_exactly_hermitian_takes_no_norm(self, monkeypatch):
+        # each norm is two BLAS calls that wake OpenBLAS's idle threads
+        a = random_hermitian(512, np.random.default_rng(7), scale=10.0)
+        perturbed = a.copy()
+        perturbed[3, 5] += 1e-14
+        defect = perturbed - dagger(perturbed)
+        norm_rule = hs_norm(defect) <= 1e-12 or op_norm(defect) <= 1e-12 * max(1.0, op_norm(perturbed))
+        assert norm_rule is two_svd_hermitian(perturbed, 1e-12) is True
+
+        def fail(*args):
+            pytest.fail("a norm was taken of an exactly Hermitian matrix")
+
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "hs_norm", fail)
+            m.setattr(linalg, "op_norm", fail)
+            assert is_hermitian(a) is True
+            assert_hermitian(a)
+        assert is_hermitian(perturbed) is norm_rule
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)])

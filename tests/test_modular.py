@@ -1,8 +1,10 @@
 import dataclasses
+from functools import cached_property
 
 import numpy as np
 import pytest
 
+from fcslab.checks import suite_modular
 from fcslab.dynamics import exact_cocycle
 from fcslab.fcs import default_gamma_grid, fcs_at, reservoir_char
 from fcslab.linalg import (
@@ -338,10 +340,36 @@ class TestScenarioWeights:
         static = tensor(np.eye(scn.dim_sys), scn.rho_res)
         rel_t = reservoir_modular(scn, t)
         assert np.abs(equilibrium_modular(scn).rho_ref - scn.rho_eq).max() <= 1e-14
-        assert np.abs(initial_modular(scn).rho_eta - scn.rho_init).max() <= 1e-14
+        assert np.abs(initial_modular(scn, equilibrium_modular(scn)).rho_eta - scn.rho_init).max() <= 1e-14
         assert np.abs(rel_t.rho_eta - scn.evolve(static, t)).max() <= 1e-14
         inv_static = np.linalg.inv(static)
         assert np.abs(rel_t._inv_omega - inv_static).max() <= 1e-12 * np.abs(inv_static).max()
+
+    @pytest.mark.parametrize("case", sorted(SCENARIO_CASES))
+    def test_initial_modular_shares_the_equilibrium_inverse(self, case):
+        scn = SCENARIO_CASES[case]()
+        eq = equilibrium_modular(scn)
+        shared = initial_modular(scn, eq)
+        assert shared._inv_omega is eq._inv_omega
+        # the same bits as an operator that forms its own inverse
+        own = RelativeModular(shared.eig_eta, equilibrium_modular(scn).eig_omega)
+        assert np.array_equal(shared._inv_omega, own._inv_omega)
+
+    def test_suite_modular_forms_the_equilibrium_inverse_once(self, monkeypatch):
+        scn = chain_scenario(3)
+        w_eq = equilibrium_modular(scn).eig_omega[0]
+        formed = []
+        inverse = RelativeModular._inv_omega.func
+
+        def recording(self):
+            formed.append(np.array_equal(self.eig_omega[0], w_eq))
+            return inverse(self)
+
+        prop = cached_property(recording)
+        prop.__set_name__(RelativeModular, "_inv_omega")
+        monkeypatch.setattr(RelativeModular, "_inv_omega", prop)
+        assert all(r.passed for r in suite_modular(scn))
+        assert formed.count(True) == 1  # rho_eq^(-1); the other is (1 (x) rho_R)^(-1)
 
     @pytest.mark.parametrize("case", sorted(SCENARIO_CASES))
     def test_reservoir_fcs_from_the_relative_modular_operator(self, case):
