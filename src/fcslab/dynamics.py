@@ -176,11 +176,13 @@ class Scenario:
         """V~ = (V_S (x) V_R)* V (V_S (x) V_R), the coupling in the free product
         eigenbasis, split into the connected components of its nonzero pattern
         with no tolerance: one (rows, e_s + e_r, V~[rows, rows]) per sector, the
-        levels by ``linalg.rayleigh_quotients``.  V~ is the sum of (V_S* E_ij V_S) (x) (V_R* B_ij V_R) over the nonzero
+        levels by ``linalg.rayleigh_quotients``, taken before V~ is allocated so
+        that their temporaries do not stack on it.  V~ is the sum of (V_S* E_ij V_S) (x) (V_R* B_ij V_R) over the nonzero
         d_R x d_R blocks B_ij of V, real where V and the factors are; on a
         parity chain V_R is block diagonal by parity, so the zeros across
         sectors are exact.  lam-free: every ``with_lam`` cell shares it."""
         v_s, v_r = (v if v.imag.any() else v.real for _, v in (self._eig_sys, self._eig_res))
+        e = np.add.outer(rayleigh_quotients(self.h_sys, v_s), rayleigh_quotients(self.h_res, v_r)).ravel()
         d_s, d_r = self.dim_sys, self.dim_res
         b = self.v.reshape(d_s, d_r, d_s, d_r)
         if not b.imag.any():
@@ -192,7 +194,6 @@ class Scenario:
             for k, l in zip(*np.nonzero(coef)):
                 v_tilde[k, :, l] += coef[k, l] * c
         v_tilde = v_tilde.reshape(self.dim, self.dim)
-        e = np.add.outer(rayleigh_quotients(self.h_sys, v_s), rayleigh_quotients(self.h_res, v_r)).ravel()
         return [(rows, e[rows], v_tilde[np.ix_(rows, rows)]) for rows in _components(v_tilde != 0)]
 
     @cached_property

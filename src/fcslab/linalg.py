@@ -104,22 +104,36 @@ def exp_complex(z) -> np.ndarray:
 def is_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
     """Whether ||a - a*|| <= rtol * max(1, ||a||) in the operator norm.
 
-    An exactly zero defect passes with no norm at all (a norm is two
-    BLAS calls, which wake OpenBLAS's idle threads); ||.|| <= ||.||_HS and
-    the scale is >= 1, so ||a - a*||_HS <= rtol passes without an SVD.  NaN
-    and Inf fail it; op_norm then raises LinAlgError or returns NaN, which
-    fails the comparison, so they never pass."""
+    An input equal to its adjoint entry by entry, every entry finite, passes
+    with no norm (a norm is two BLAS calls, which wake OpenBLAS's idle
+    threads) and no d x d temporary: rows are compared with the matching
+    columns about 2^15 entries at a time.  A non-finite entry fails, with no
+    norm either.  Otherwise ||.|| <= ||.||_HS and the scale is >= 1, so
+    ||a - a*||_HS <= rtol passes without an SVD, and the operator norms
+    decide the rest."""
+    rows = max(1, 2**15 // max(a.shape[-1], 1))
+    if all(np.array_equal(a[s:s + rows], a[:, s:s + rows].T.conj()) and np.isfinite(a[s:s + rows]).all()
+           for s in range(0, len(a), rows)):
+        return True
+    if not np.isfinite(a).all():
+        return False
     defect = a - dagger(a)
-    return not defect.any() or hs_norm(defect) <= rtol or op_norm(defect) <= rtol * max(1.0, op_norm(a))
+    return hs_norm(defect) <= rtol or op_norm(defect) <= rtol * max(1.0, op_norm(a))
 
 
 def assert_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL, name: str = "operator") -> None:
-    """Raise NonHermitianError unless :func:`is_hermitian`."""
-    if not is_hermitian(a, rtol):
-        raise NonHermitianError(
-            f"{name} is not Hermitian: asymmetry norm {op_norm(a - dagger(a)):.3e} exceeds "
-            f"{rtol:.1e} * {max(1.0, op_norm(a)):.3e}"
-        )
+    """Raise NonHermitianError unless :func:`is_hermitian`, naming the first
+    non-finite entry if there is one, else the asymmetry norm."""
+    if is_hermitian(a, rtol):
+        return
+    bad = np.argwhere(~np.isfinite(a))
+    if len(bad):
+        i, j = bad[0]
+        raise NonHermitianError(f"{name} is not Hermitian: non-finite entry {a[i, j]} at ({i}, {j})")
+    raise NonHermitianError(
+        f"{name} is not Hermitian: asymmetry norm {op_norm(a - dagger(a)):.3e} exceeds "
+        f"{rtol:.1e} * {max(1.0, op_norm(a)):.3e}"
+    )
 
 
 def assert_square(a: np.ndarray, name: str = "operator") -> None:
@@ -253,9 +267,11 @@ def eigh_blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def rayleigh_quotients(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """v_k* a v_k / v_k* v_k for each column v_k of ``v``, summed in numpy's
     extended precision (np.longdouble: a 64-bit mantissa on x86) over the
-    nonzero entries of each invariant block of ``a``, 2^18 terms at a time.
-    For eigh's eigenvectors this is the eigenvalue to its rounding (the error
-    is the residual squared), where eigh's own errs by a few eps ||a||."""
+    nonzero entries of each invariant block of ``a``, 2^16 terms at a time
+    with the products formed in place: a chunk holds two extended-precision
+    temporaries of 2^16 terms at any size.  For eigh's eigenvectors this is
+    the eigenvalue to its rounding (the error is the residual squared), where
+    eigh's own errs by a few eps ||a||."""
     a, v = (x.real if np.iscomplexobj(x) and not x.imag.any() else x for x in (a, v))
     ext = np.clongdouble if np.iscomplexobj(a) or np.iscomplexobj(v) else np.longdouble
     q, norm = np.zeros(v.shape[1], dtype=ext), np.zeros(v.shape[1], dtype=ext)
@@ -264,10 +280,14 @@ def rayleigh_quotients(a: np.ndarray, v: np.ndarray) -> np.ndarray:
         x = v[np.ix_(idx, cols)].astype(ext)
         norm[cols] += np.einsum("ik,ik->k", x.conj(), x)
         r, c = np.nonzero(a[np.ix_(idx, idx)])
-        step = 2**18 // max(len(cols), 1) + 1
+        step = 2**16 // max(len(cols), 1) + 1
         for s in range(0, len(r), step):
             rs, cs = r[s:s + step], c[s:s + step]
-            q[cols] += (x[rs].conj() * a[idx[rs], idx[cs]][:, None] * x[cs]).sum(axis=0)
+            terms = x[rs]
+            np.conjugate(terms, out=terms)
+            terms *= a[idx[rs], idx[cs]][:, None]
+            terms *= x[cs]
+            q[cols] += terms.sum(axis=0)
     return (q / norm).real.astype(float)
 
 

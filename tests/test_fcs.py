@@ -1036,6 +1036,30 @@ class TestSweepPathHoldsNoDenseMatrix:
             tracemalloc.stop()
         assert peak < 16 * scn.dim**2
 
+    def test_is_hermitian_peaks_below_a_quarter_complex_d_by_d_array(self):
+        # 2 d x d complex arrays when the defect a - a* was formed whole
+        a = states.random_hermitian(512, np.random.default_rng(7), scale=10.0)
+        tracemalloc.start()
+        try:
+            assert linalg.is_hermitian(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * len(a) ** 2 / 4
+
+    def test_rayleigh_quotients_peak_within_the_chunk_budget(self):
+        # two extended-precision temporaries of 2^16 terms each, and the
+        # block's vectors; 2^18-term chunks and out-of-place products took 4.4 MiB
+        scn = chain_scenario(8)
+        v_r = scn._eig_res[1]
+        tracemalloc.start()
+        try:
+            linalg.rayleigh_quotients(scn.h_res, v_r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**16 * np.dtype(np.longdouble).itemsize
+
 
 class TestSuiteFcsSharing:
     def test_spectral_data_built_once_per_distinct_scenario_and_time(self, qubit_qubit, monkeypatch):
