@@ -14,6 +14,7 @@ import numpy as np
 from .linalg import (
     NumericalError,
     _components,
+    _real_if_exact,
     assert_hermitian,
     assert_square,
     dagger,
@@ -52,34 +53,110 @@ class FreeBasisSector(NamedTuple):
     pairs: tuple[np.ndarray, np.ndarray]
 
 
+def _read_only(a) -> np.ndarray:
+    """A read-only complex copy of ``a``."""
+    arr = np.array(a, dtype=complex)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
+class Coupling:
+    """The coupling V = sum_k A_k (x) B_k on C^d_S (x) C^d_R, held as its
+    Kronecker terms (A_k, B_k), read-only.  ``matrix`` is V as one d x d
+    array, built from the terms on its first read; a coupling given as that
+    matrix (:meth:`of_matrix`) keeps it, and its terms are its nonzero
+    d_R x d_R blocks E_ij (x) B_ij, as views.  ``with_lam`` cells share the
+    one object, so the matrix, once built, is shared too."""
+
+    terms: tuple[tuple[np.ndarray, np.ndarray], ...]
+    dims: tuple[int, int]
+
+    @classmethod
+    def of_factors(cls, terms, d_s: int, d_r: int) -> "Coupling":
+        """The coupling sum_k A_k (x) B_k, each factor validated on its own:
+        A_k square of size d_S, B_k of size d_R, each finite and Hermitian, so
+        that A_k (x) B_k is Hermitian (ValueError or NonHermitianError)."""
+        terms = tuple((_read_only(a), _read_only(b)) for a, b in terms)
+        for k, term in enumerate(terms):
+            for factor, which, dim, size in zip(term, ("system", "reservoir"), ("d_S", "d_R"), (d_s, d_r)):
+                name = f"coupling term {k} {which} factor"
+                assert_square(factor, name)
+                if len(factor) != size:
+                    raise ValueError(f"{name} has dimension {len(factor)}, not {dim} = {size}")
+                assert_hermitian(factor, name=name)
+        return cls(terms, (d_s, d_r))
+
+    @classmethod
+    def of_matrix(cls, v, d_s: int, d_r: int) -> "Coupling":
+        """The coupling given as a Hermitian d x d matrix, stored once."""
+        v = _read_only(v)
+        d = d_s * d_r
+        if v.shape != (d, d):
+            raise ValueError(f"coupling dimension {v.shape} != (d_S*d_R, d_S*d_R) = {(d, d)}")
+        assert_hermitian(v, name="v")
+        blocks = v.reshape(d_s, d_r, d_s, d_r)
+        terms = []
+        for i, j in zip(*np.nonzero(blocks.any(axis=(1, 3)))):
+            unit = np.zeros((d_s, d_s))
+            unit[i, j] = 1.0
+            terms.append((unit, blocks[i, :, j]))
+        coupling = cls(tuple(terms), (d_s, d_r))
+        coupling.__dict__["matrix"] = v
+        return coupling
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        d = self.dims[0] * self.dims[1]
+        v = np.zeros((d, d), dtype=complex)
+        for a, b in self.terms:
+            v += np.kron(a, b)
+        v.setflags(write=False)
+        return v
+
+
+def _term_sum(terms, s_i, s_j, r_i, r_j) -> np.ndarray:
+    """sum_k A_k[s_i, s_j] B_k[r_i, r_j] over the terms (A_k, B_k), in their
+    order, broadcast over the index arrays: the entries of sum_k A_k (x) B_k
+    at the levels (s_i, r_i), (s_j, r_j)."""
+    dtype = np.result_type(float, *(x for term in terms for x in term))
+    total = np.zeros(np.broadcast(s_i, s_j, r_i, r_j).shape, dtype=dtype)
+    for a, b in terms:
+        total += a[s_i, s_j] * b[r_i, r_j]
+    return total
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Scenario:
     """A confined system+reservoir model.
 
     Fields: the system Hamiltonian ``h_sys`` (dim d_S), reservoir Hamiltonian
-    ``h_res`` (dim d_R), Hermitian coupling ``v`` on the product space,
+    ``h_res`` (dim d_R), the Hermitian ``coupling`` V on the product space,
     coupling strength ``lam``, inverse temperature ``beta > 0``, and the
     system's initial state ``rho_sys``.  The reservoir starts in its thermal
-    state at ``beta``.  Instances are immutable; derived matrices are cached.
+    state at ``beta``.  The constructor takes V as ``v``: a d x d matrix, or
+    a tuple of its Kronecker terms ((A_1, B_1), ...), V = sum_k A_k (x) B_k,
+    as the chain presets give it (see :class:`Coupling`).  V is held in that
+    one form; ``v`` is the d x d matrix, built on first read by the dense
+    callers (``h_coupled``, the fluxes, ``v_norm``, Dyson, ``Liouvilleans``,
+    configs) and never by the sweep.  Instances are immutable; derived
+    matrices are cached.
     """
 
     h_sys: np.ndarray
     h_res: np.ndarray
-    v: np.ndarray
+    coupling: Coupling
     lam: float
     beta: float
     rho_sys: np.ndarray
 
-    def __post_init__(self):
-        for name in ("h_sys", "h_res", "v", "rho_sys"):
-            arr = np.array(getattr(self, name), dtype=complex)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    def __init__(self, h_sys, h_res, v, lam: float, beta: float, rho_sys):
+        for name, value in (("h_sys", h_sys), ("h_res", h_res), ("rho_sys", rho_sys)):
+            object.__setattr__(self, name, _read_only(value))
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "beta", beta)
         assert_square(self.h_sys, "h_sys")
         assert_square(self.h_res, "h_res")
-        d = self.h_sys.shape[0] * self.h_res.shape[0]
-        if self.v.shape != (d, d):
-            raise ValueError(f"coupling dimension {self.v.shape} != (d_S*d_R, d_S*d_R) = {(d, d)}")
         if self.rho_sys.shape != self.h_sys.shape:
             raise ValueError("rho_sys dimension does not match h_sys")
         if not (math.isfinite(self.beta) and self.beta > 0):
@@ -88,8 +165,14 @@ class Scenario:
             raise ValueError("lam must be finite")
         assert_hermitian(self.h_sys, name="h_sys")
         assert_hermitian(self.h_res, name="h_res")
-        assert_hermitian(self.v, name="v")
+        build = Coupling.of_factors if isinstance(v, tuple) else Coupling.of_matrix
+        object.__setattr__(self, "coupling", build(v, len(self.h_sys), len(self.h_res)))
         assert_density(self.rho_sys, name="rho_sys")
+
+    @property
+    def v(self) -> np.ndarray:
+        """The coupling V as a d x d matrix, built once per model on first read."""
+        return self.coupling.matrix
 
     @property
     def dim_sys(self) -> int:
@@ -176,25 +259,28 @@ class Scenario:
         """V~ = (V_S (x) V_R)* V (V_S (x) V_R), the coupling in the free product
         eigenbasis, split into the connected components of its nonzero pattern
         with no tolerance: one (rows, e_s + e_r, V~[rows, rows]) per sector, the
-        levels by ``linalg.rayleigh_quotients``, taken before V~ is allocated so
-        that their temporaries do not stack on it.  V~ is the sum of (V_S* E_ij V_S) (x) (V_R* B_ij V_R) over the nonzero
-        d_R x d_R blocks B_ij of V, real where V and the factors are; on a
-        parity chain V_R is block diagonal by parity, so the zeros across
-        sectors are exact.  lam-free: every ``with_lam`` cell shares it."""
-        v_s, v_r = (v if v.imag.any() else v.real for _, v in (self._eig_sys, self._eig_res))
+        levels by ``linalg.rayleigh_quotients``.  V~ is never formed: each
+        Kronecker term A_k (x) B_k of V (:class:`Coupling`, for a matrix V its
+        blocks) gives A~_k = V_S* A_k V_S and B~_k = V_R* B_k V_R, real where
+        the factors are, and V~ = sum_k A~_k (x) B~_k.  The pattern is taken
+        one d_R x d_R block of V~ at a time into one d x d boolean array, and
+        each sector's block is sum_k A~_k[s_i, s_j] B~_k[r_i, r_j] at its levels
+        (s, r).  On a parity chain V_R is block diagonal by parity, so the zeros
+        across sectors are exact.  lam-free: every ``with_lam`` cell shares it."""
+        v_s, v_r = (_real_if_exact(v) for _, v in (self._eig_sys, self._eig_res))
         e = np.add.outer(rayleigh_quotients(self.h_sys, v_s), rayleigh_quotients(self.h_res, v_r)).ravel()
+        terms = [(dagger(v_s) @ _real_if_exact(a) @ v_s, dagger(v_r) @ _real_if_exact(b) @ v_r)
+                 for a, b in self.coupling.terms]
         d_s, d_r = self.dim_sys, self.dim_res
-        b = self.v.reshape(d_s, d_r, d_s, d_r)
-        if not b.imag.any():
-            b = b.real
-        v_tilde = np.zeros((d_s, d_r, d_s, d_r), dtype=np.result_type(v_s, v_r, b))
-        for i, j in zip(*np.nonzero(b.any(axis=(1, 3)))):
-            c = dagger(v_r) @ b[i, :, j] @ v_r
-            coef = np.outer(v_s[i].conj(), v_s[j])  # V_S* E_ij V_S
-            for k, l in zip(*np.nonzero(coef)):
-                v_tilde[k, :, l] += coef[k, l] * c
-        v_tilde = v_tilde.reshape(self.dim, self.dim)
-        return [(rows, e[rows], v_tilde[np.ix_(rows, rows)]) for rows in _components(v_tilde != 0)]
+        levels = np.arange(d_r)
+        pattern = np.empty((d_s, d_r, d_s, d_r), dtype=bool)
+        for i, j in np.ndindex(d_s, d_s):
+            pattern[i, :, j] = _term_sum(terms, i, j, levels[:, None], levels) != 0
+        sectors = []
+        for rows in _components(pattern.reshape(self.dim, self.dim)):
+            s, r = np.divmod(rows, d_r)
+            sectors.append((rows, e[rows], _term_sum(terms, s[:, None], s, r[:, None], r)))
+        return sectors
 
     @cached_property
     def _free_basis_sectors(self) -> list[FreeBasisSector]:
@@ -203,14 +289,20 @@ class Scenario:
         H~ = diag(e_s + e_r) + lam V~, and one eigh of its block on each
         sector of :attr:`_free_basis_coupling` gives that sector's block of A,
         and w is its columns' Rayleigh quotients, the free part, most of ||H||,
-        summed in extended precision.  U~ = (A e^{itw}) A* is zero outside the
-        sectors' (rows, rows) blocks, as A is."""
+        summed in extended precision about 2^16 terms at a time, each column's
+        sums in row order.  U~ = (A e^{itw}) A* is zero outside the sectors'
+        (rows, rows) blocks, as A is."""
         sectors = []
         for rows, e, v in self._free_basis_coupling:
             a = eigh_finite(np.diag(e) + self.lam * v)[1]
-            x = a.astype(np.clongdouble if np.iscomplexobj(a) else np.longdouble)
-            p = (x.conj() * x).real
-            w = (e @ p + self.lam * np.einsum("ik,ik->k", a.conj(), v @ a).real) / p.sum(axis=0)
+            ext = np.clongdouble if np.iscomplexobj(a) else np.longdouble
+            free_and_norm = np.vstack((e, np.ones(len(e))))
+            sums = np.empty((2, len(e)), dtype=np.longdouble)
+            step = max(1, 2**16 // len(e))
+            for c in range(0, len(e), step):
+                x = a[:, c:c + step].astype(ext)
+                sums[:, c:c + step] = free_and_norm @ (x.conj() * x).real
+            w = (sums[0] + self.lam * np.einsum("ik,ik->k", a.conj(), v @ a).real) / sums[1]
             sectors.append(FreeBasisSector(rows, w.astype(float), a, self._shared_level_pairs(rows)))
         return sectors
 

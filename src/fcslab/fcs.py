@@ -109,16 +109,23 @@ class FcsAtTime:
         return AtomicMeasure.from_points(self.locations, self.weights)
 
     def char(self, alpha: complex | np.ndarray) -> complex | np.ndarray:
-        x = np.multiply.outer(alpha * self.scn.beta, self.levels - (self.levels[0] + self.levels[-1]) / 2)
-        vals = ((exp_complex(-x) @ self.weights) * exp_complex(x)).sum(axis=-1)
+        """F at each alpha.  The exponentials are a (d_R, k) complex array e,
+        and W^T e is one real product over its float64 view (real and imaginary
+        parts side by side), so W is never cast to complex."""
+        alpha = np.asarray(alpha, dtype=complex)
+        x = np.multiply.outer(self.levels - (self.levels[0] + self.levels[-1]) / 2, alpha.ravel() * self.scn.beta)
+        e = exp_complex(-x)
+        vals = ((self.weights.T @ e.view(np.float64)).view(np.complex128) * exp_complex(x)).sum(axis=0)
+        vals = vals.reshape(alpha.shape)
         return complex(vals) if vals.ndim == 0 else vals
 
     def exact_moments(self) -> np.ndarray:
         """Moments 1..N_MOMENTS of the unmerged atoms: sum_ab W_ab (w_b - w_a)^k."""
+        locations = self.locations
         term = self.weights.copy()
         out = np.empty(N_MOMENTS)
         for k in range(N_MOMENTS):
-            term *= self.locations
+            term *= locations
             out[k] = term.sum()
         return out
 

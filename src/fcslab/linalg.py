@@ -219,20 +219,26 @@ def eig_hermitian(a: np.ndarray, cluster_tol: float | None = None) -> SpectralDe
 
 
 def _components(mask: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of the graph whose adjacency is
-    the symmetrized boolean matrix ``mask``, in order of their smallest index,
-    by breadth-first search over whole frontiers."""
-    adj = mask | mask.T
-    label = np.full(len(adj), -1)
+    """Index sets of the connected components of the graph with an edge (i, j)
+    wherever ``mask[i, j]`` or ``mask[j, i]``, in order of their smallest
+    index, by breadth-first search over whole frontiers, reading the rows and
+    the columns of the frontier: no symmetrized copy of ``mask`` is made."""
+    label = np.full(len(mask), -1)
     blocks = []
     while (unseen := np.flatnonzero(label < 0)).size:
         frontier = unseen[:1]
         label[frontier] = len(blocks)
         while frontier.size:
-            frontier = np.flatnonzero(adj[frontier].any(axis=0) & (label < 0))
+            linked = mask[frontier].any(axis=0) | mask[:, frontier].any(axis=1)
+            frontier = np.flatnonzero(linked & (label < 0))
             label[frontier] = len(blocks)
         blocks.append(np.flatnonzero(label == len(blocks)))
     return blocks
+
+
+def _real_if_exact(a: np.ndarray) -> np.ndarray:
+    """The real part of a complex array whose imaginary part is exactly zero, else ``a``."""
+    return a.real if np.iscomplexobj(a) and not a.imag.any() else a
 
 
 def eigh_finite(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,8 +259,7 @@ def eigh_blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvectors."""
     assert_square(a)
     w, v = np.empty(len(a)), np.zeros(a.shape, dtype=np.result_type(a.dtype, float))
-    if np.iscomplexobj(a) and not a.imag.any():
-        a = a.real
+    a = _real_if_exact(a)
     col = 0
     for idx in _components(a != 0):
         cols = np.arange(col, col + len(idx))
@@ -272,7 +277,7 @@ def rayleigh_quotients(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     temporaries of 2^16 terms at any size.  For eigh's eigenvectors this is
     the eigenvalue to its rounding (the error is the residual squared), where
     eigh's own errs by a few eps ||a||."""
-    a, v = (x.real if np.iscomplexobj(x) and not x.imag.any() else x for x in (a, v))
+    a, v = _real_if_exact(a), _real_if_exact(v)
     ext = np.clongdouble if np.iscomplexobj(a) or np.iscomplexobj(v) else np.longdouble
     q, norm = np.zeros(v.shape[1], dtype=ext), np.zeros(v.shape[1], dtype=ext)
     for idx in _components(a != 0):

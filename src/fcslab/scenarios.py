@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import DEFAULT_QUAD_TOL, Scenario
-from .linalg import NonHermitianError, assert_hermitian, tensor
+from .linalg import NonHermitianError, assert_hermitian
 from .states import gibbs, maximally_mixed, random_density, random_hermitian
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -287,7 +287,7 @@ def _coupling_from_config(cfg: dict, dim_sys: int, dim_res: int, edge: np.ndarra
         raise ConfigError(f"coupling.preset: unknown preset {preset!r}")
     if edge is None:
         edge = hopping_operator(dim_res)
-    return tensor(hopping_operator(dim_sys), edge)
+    return ((hopping_operator(dim_sys), edge),)
 
 
 def config_to_scenario(cfg: dict) -> RunConfig:
@@ -377,6 +377,6 @@ def chain_scenario(
     _check_chain_size(2, n)
     h_sys = ladder_hamiltonian(2)
     h_res, edge = build_chain_reservoir(n, j_coupling, field, seed=seed, disorder=disorder)
-    v = tensor(SIGMA_X, edge)
+    v = ((SIGMA_X, edge),)
     rho_sys = np.diag([0.0, 1.0] if excited else [1.0, 0.0]).astype(complex)
     return Scenario(h_sys=h_sys, h_res=h_res, v=v, lam=lam, beta=beta, rho_sys=rho_sys)

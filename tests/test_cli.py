@@ -318,6 +318,30 @@ def test_lapack_failure_exit_code(config_path, monkeypatch, capsys):
     assert err == "numerical error: Eigenvalues did not converge\n"
 
 
+@pytest.mark.parametrize("defect", ["non_hermitian", "wrong_size"])
+def test_bad_coupling_factor_exits_as_config_error(defect, tmp_path, monkeypatch, capsys):
+    # the edge_hopping preset passes its factors unchecked; Scenario validates each
+    from fcslab import scenarios
+
+    if defect == "non_hermitian":
+        monkeypatch.setattr(scenarios, "hopping_operator", lambda dim: np.triu(np.ones((dim, dim)), 1))
+        expected = "coupling term 0 system factor is not Hermitian"
+    else:
+        build = scenarios.build_chain_reservoir
+
+        def clipped_edge(*args, **kwargs):
+            h, edge = build(*args, **kwargs)
+            return h, edge[:-1, :-1]
+
+        monkeypatch.setattr(scenarios, "build_chain_reservoir", clipped_edge)
+        expected = "coupling term 0 reservoir factor has dimension 7, not d_R = 8"
+    path = tmp_path / "chain3.json"
+    path.write_text(json.dumps(shipped_config("qubit_chain3")))
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and expected in err
+
+
 def poison_free_basis_coupling(monkeypatch):
     """Put a NaN into the first sector block of the coupling in the free
     eigenbasis, which every sweep cell diagonalizes."""

@@ -21,7 +21,7 @@ from fcslab.dynamics import (
     exact_cocycle,
 )
 from fcslab.fcs import _sector_unitary, fcs_at, system_char_limit
-from fcslab.linalg import dagger, exp_complex, expm_hermitian, op_norm, positive_sqrt, tensor
+from fcslab.linalg import NonHermitianError, dagger, exp_complex, expm_hermitian, op_norm, positive_sqrt, tensor
 from fcslab.modular import Liouvilleans, perturbed_gibbs_vector
 from fcslab.scenarios import chain_scenario, config_to_scenario, random_scenario
 from fcslab.states import gibbs, random_hermitian
@@ -56,6 +56,61 @@ class TestScenario:
     def test_inputs_frozen(self, qubit_qubit):
         with pytest.raises(ValueError):
             qubit_qubit.h_sys[0, 0] = 5.0
+        for a, b in chain_scenario(2).coupling.terms + qubit_qubit.coupling.terms:
+            with pytest.raises(ValueError):
+                b[0, 0] = 5.0
+
+
+class TestCouplingTerms:
+    """V held as its Kronecker terms (A_k, B_k): the chain's one term, or the
+    nonzero d_R x d_R blocks of a matrix V, through one term loop."""
+
+    @pytest.mark.parametrize("n, disorder", [(4, 0.0), (5, 0.3)])
+    def test_factored_and_matrix_couplings_agree_bitwise(self, n, disorder):
+        factored = chain_scenario(n, disorder=disorder, seed=2)
+        (term,) = factored.coupling.terms
+        dense = Scenario(factored.h_sys, factored.h_res, tensor(*term), factored.lam, factored.beta, factored.rho_sys)
+        assert len(dense.coupling.terms) == 2  # the blocks (0, 1) and (1, 0), as views of V
+        assert all(np.shares_memory(b, dense.v) for _, b in dense.coupling.terms)
+        assert same_bits(factored._free_basis_coupling, dense._free_basis_coupling)
+        for t in (0.0, 2.5, 30.0):
+            f, g = fcs_at(factored, t), fcs_at(dense, t)
+            assert same_bits(f.weights, g.weights), t
+            assert same_bits(f.system_measure.weights, g.system_measure.weights), t
+        assert "matrix" not in vars(factored.coupling)
+        assert same_bits(factored.v, dense.v) and factored.with_lam(0.3).v is factored.v
+
+    def test_a_sum_of_terms_is_its_matrix(self):
+        # complex factors and a complex system eigenbasis: the sectors and
+        # weights of sum_k A_k (x) B_k match those of the matrix it stands for
+        rng = np.random.default_rng(14)
+        h_sys, h_res = random_hermitian(2, rng), random_hermitian(4, rng)
+        terms = ((SX, random_hermitian(4, rng)), (SY, random_hermitian(4, rng)), (SZ, np.eye(4)))
+        factored = Scenario(h_sys, h_res, terms, 0.3, 1.2, np.diag([0.4, 0.6]))
+        assert np.array_equal(factored.v, sum(np.kron(a, b) for a, b in terms))
+        dense = Scenario(h_sys, h_res, factored.v.copy(), 0.3, 1.2, np.diag([0.4, 0.6]))
+        for (rows, e, v), (rows_d, e_d, v_d) in zip(factored._free_basis_coupling, dense._free_basis_coupling,
+                                                    strict=True):
+            assert np.array_equal(rows, rows_d) and np.array_equal(e, e_d)
+            assert np.max(np.abs(v - v_d)) <= 1e-14
+        f, g = fcs_at(factored, 2.0), fcs_at(dense, 2.0)
+        assert np.max(np.abs(f.weights - g.weights)) <= 1e-14
+
+    def test_no_terms_is_no_coupling(self):
+        scn = Scenario(SZ, np.diag([0.0, 0.5, 2.0]), (), 0.4, 1.0, np.diag([0.2, 0.8]))
+        assert [len(rows) for rows, _, _ in scn._free_basis_coupling] == [1] * 6
+        assert not scn.v.any() and scn.v.shape == (6, 6)
+
+    def test_each_factor_is_validated(self):
+        rho = np.eye(2) / 2
+        with pytest.raises(ValueError, match="coupling term 0 reservoir factor has dimension 4, not d_R = 2"):
+            Scenario(SZ, SZ, ((SX, np.eye(4)),), 0.1, 1.0, rho)
+        with pytest.raises(ValueError, match="coupling term 1 system factor must be a square matrix"):
+            Scenario(SZ, SZ, ((SX, SZ), (SX[:1], SZ)), 0.1, 1.0, rho)
+        with pytest.raises(NonHermitianError, match="coupling term 1 system factor is not Hermitian"):
+            Scenario(SZ, SZ, ((SX, SZ), (np.triu(np.ones((2, 2))), SX)), 0.1, 1.0, rho)
+        with pytest.raises(NonHermitianError, match="reservoir factor is not Hermitian: non-finite"):
+            Scenario(SZ, SZ, ((SX, np.diag([1.0, np.nan])),), 0.1, 1.0, rho)
 
 
 def same_bits(a, b) -> bool:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import threading
 import tracemalloc
@@ -31,7 +32,7 @@ from fcslab.fcs import (
 )
 from fcslab.linalg import dagger, eig_hermitian, eigenvalue_clusters, eigh_blocks, positive_sqrt, tensor
 from fcslab.modular import initial_vector
-from fcslab.scenarios import chain_scenario, config_to_scenario, random_scenario
+from fcslab.scenarios import chain_scenario, config_to_scenario, parse_config, random_scenario
 from fcslab.states import AtomicMeasure, gibbs, random_density
 
 from test_dynamics import SECTOR_SCENARIOS, cancelling_coupling, dense_free_basis_unitary
@@ -333,6 +334,26 @@ class TestReservoirChar:
         assert vals.shape == alphas.shape
         scalar = np.array([[reservoir_char(fcs_at(scn, 1.3), a) for a in row] for row in alphas])
         assert np.max(np.abs(vals - scalar)) <= 1e-14
+
+    def test_real_and_scalar_alpha_give_the_complex_values(self, scenario_factory):
+        # W^T e runs over e's float64 view, which is right only for a complex e
+        fa = fcs_at(scenario_factory(65, d_sys=2, d_res=5), 1.1)
+        real = np.array([[0.0, 0.25], [0.5, 1.0]])
+        vals = fa.char(real)
+        assert vals.dtype == complex and vals.shape == real.shape
+        assert np.array_equal(vals, fa.char(real.astype(complex)))
+        assert isinstance(fa.char(0.5), complex) and fa.char(0.5) == vals[1, 0]
+        ref = per_atom_char(fa.locations.ravel(), fa.weights.ravel(), fa.scn.beta, real.ravel())
+        assert np.max(np.abs(vals.ravel() - ref)) <= 1e-13
+
+    def test_conjugate_symmetry_is_exact(self, scenario_factory):
+        # W is real and exp_i(-theta) is bitwise conj(exp_i(theta)), so the real
+        # product and the sum give conjugate bits: char_conjugate_symmetry is 0.0
+        for scn in (scenario_factory(62), chain_scenario(5, disorder=0.3, seed=3)):
+            fa = fcs_at(scn, 1.0)
+            gammas = np.linspace(-3.0, 3.0, 13)
+            plus = reservoir_char(fa, 1j * gammas / scn.beta)
+            assert np.array_equal(np.conjugate(plus), reservoir_char(fa, -1j * gammas / scn.beta))
 
     def test_array_with_one_point_off_strip_raises(self, qubit_qubit):
         with pytest.raises(ValueError, match="strip"):
@@ -1018,11 +1039,49 @@ class TestSweepPathHoldsNoDenseMatrix:
         def fail(*args):
             pytest.fail("the sweep read a d x d coupled or model matrix")
 
-        for name in ("h_coupled", "h_free", "h_sys_full", "h_res_full", "_eig_coupled"):
+        for name in ("h_coupled", "h_free", "h_sys_full", "h_res_full", "_eig_coupled", "v"):
             monkeypatch.setattr(Scenario, name, property(fail))
         monkeypatch.setattr(Scenario, "unitary_coupled", fail)
-        sweep = limit_sweep(chain_scenario(5), np.linspace(0.0, 30.0, 4), np.array([0.0, 0.2]))
+        scn = chain_scenario(5)
+        sweep = limit_sweep(scn, np.linspace(0.0, 30.0, 4), np.array([0.0, 0.2]))
         assert len(sweep.rows) == 8 and [v["pass"] for v in sweep.verdicts()] == [False, True]
+        assert "matrix" not in vars(scn.coupling)  # V stays its one Kronecker term
+
+    def test_parse_config_and_sweep_hold_no_d_by_d_coupling(self, tmp_path):
+        # the sweep_t_chain8 config (d = 512) and a 2-time sweep: 7.6 MiB;
+        # 11.7 MiB in parse_config alone when V was built as a d x d matrix and
+        # copied, and V~ formed whole
+        cfg = shipped_config("qubit_chain6")
+        cfg["reservoir"]["n"] = 8
+        path = tmp_path / "chain8.json"
+        path.write_text(json.dumps(cfg))
+        tracemalloc.start()
+        try:
+            scn = parse_config(path).scenario
+            limit_sweep(scn, np.array([0.0, 30.0]), np.array([0.2]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9.5 * 2**20
+
+    def test_sector_rayleigh_quotients_in_column_chunks(self):
+        # m = 512: three m x m extended-precision temporaries took 16 MiB
+        scn = chain_scenario(9)
+        scn._free_basis_coupling
+        tracemalloc.start()
+        try:
+            sectors = scn._free_basis_sectors
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = max(len(sec.rows) for sec in sectors)
+        assert m == 512 and peak < 5 * 8 * m**2
+        # each column's sums keep their order, so w is bitwise the unchunked quotient
+        for sec, (rows, e, v) in zip(sectors, scn._free_basis_coupling):
+            x = sec.a.astype(np.longdouble)
+            p = (x * x).real
+            w = (e @ p + scn.lam * np.einsum("ik,ik->k", sec.a, v @ sec.a)) / p.sum(axis=0)
+            assert np.array_equal(sec.w, w.astype(float))
 
     def test_fcs_at_peaks_below_one_complex_d_by_d_array(self):
         # 3.0 d x d complex arrays when U~ was formed whole
