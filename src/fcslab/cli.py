@@ -6,7 +6,7 @@ rule missed its tolerance, a LAPACK routine did not converge, or a computed
 state is not positive or not of full rank).  Outputs are CSV (measures,
 characteristic functions, sweep tables) and JSON (reports, verdicts);
 identical inputs and seeds give byte-identical outputs regardless of worker
-count.
+count and of the caller's BLAS thread count.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ EXIT_NUMERICAL = 3
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """Parse 'a,b,c' as explicit points or 'lo:hi:n' as a linspace of
-    finite points; argparse names the argument of a bad grid."""
+    """Parse 'a,b,c' as explicit points or 'lo:hi:n' as a linspace of at
+    least one finite point; argparse names the argument of a bad grid."""
     try:
         if ":" in text:
             parts = text.split(":")
@@ -44,6 +44,8 @@ def _parse_grid(text: str) -> np.ndarray:
             grid = np.array([float(x) for x in text.split(",")])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"grid {text!r}: {exc}") from None
+    if grid.size == 0:
+        raise argparse.ArgumentTypeError(f"grid {text!r} has no points")
     if not np.all(np.isfinite(grid)):
         raise argparse.ArgumentTypeError(f"grid {text!r} has a non-finite point")
     return grid
@@ -57,6 +59,17 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
     return value
+
+
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``.  A text that
+    is no integer gets argparse's "invalid integer value" error."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{value} is below {minimum}")
+        return value
+    return integer
 
 
 def _write_json(path: Path, payload) -> None:
@@ -154,10 +167,8 @@ def cmd_sweep(args) -> int:
     run = parse_config(args.config)
     scn = run.scenario
     out_dir = Path(args.out_dir)
-    gamma_grid = args.gamma_grid if args.gamma_grid is not None else fcsmod.default_gamma_grid(scn)
-
     sweep = fcsmod.limit_sweep(
-        scn, args.t_grid, args.lambda_grid, gamma_grid=gamma_grid, workers=args.workers
+        scn, args.t_grid, args.lambda_grid, gamma_grid=args.gamma_grid, workers=args.workers
     )
     rows = [
         [r.lam, r.t, r.distance, r.mean_res, r.mean_sys, *(float(m) for m in r.moments_res[1:4])]
@@ -189,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--config", required=True)
     p_ver.add_argument("--suite", default="all",
                        choices=["all", *SUITE_BUILDERS])
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=_int_at_least(0), default=0)
     p_ver.add_argument("--out-dir", default=None)
     p_ver.set_defaults(func=cmd_verify)
 
@@ -205,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--t-grid", type=_parse_grid, required=True)
     p_sw.add_argument("--lambda-grid", type=_parse_grid, required=True)
     p_sw.add_argument("--gamma-grid", type=_parse_grid, default=None)
-    p_sw.add_argument("--workers", type=int, default=1)
+    p_sw.add_argument("--workers", type=_int_at_least(1), default=1)
     p_sw.add_argument("--out-dir", required=True)
     p_sw.set_defaults(func=cmd_sweep)
 

@@ -1,14 +1,16 @@
 import json
+import re
+import shlex
 
 import numpy as np
 import pytest
 
-from fcslab.cli import main
+from fcslab.cli import build_parser, main
 from fcslab.fcs import FcsAtTime, fcs_at
 from fcslab.linalg import NotPositiveError, positive_sqrt
 from fcslab.scenarios import RunConfig, matrix_to_pairs, parse_config, scenario_to_config
 
-from test_scenarios import shipped_config
+from test_scenarios import ROOT, shipped_config
 
 
 @pytest.fixture
@@ -198,6 +200,18 @@ def test_sweep_worker_invariance(config_path, tmp_path):
         ]) == 0
         outs.append((out / "sweep.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_readme_commands_parse():
+    # an example that drifts from the CLI fails here, not in a user's shell:
+    # each `fcslab ...` line of the README's sh blocks, continuations joined
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("fcslab ")]
+    assert {argv[0] for argv in commands} == {"validate", "verify", "fcs", "sweep"}
+    for argv in commands:
+        args = build_parser().parse_args(argv)
+        assert (ROOT / args.config).is_file(), argv
 
 
 def test_sweep_uncoupled_verdict(config_path, tmp_path):
@@ -397,9 +411,18 @@ def test_sweep_worker_invariance_where_blas_threads(tmp_path):
     (["fcs", "--t", "nan"], "--t"),
     (["fcs", "--t=-inf"], "--t"),
     (["fcs", "--t", "1.0", "--gamma-grid", "inf"], "--gamma-grid"),
+    (["sweep", "--t-grid", "1:2:0", "--lambda-grid", "0.2"], "--t-grid"),
+    (["sweep", "--t-grid", "0,1", "--lambda-grid", "0.2:0.3:0"], "--lambda-grid"),
+    (["sweep", "--t-grid", "0,1", "--lambda-grid", "0.2", "--gamma-grid", "1:2:0"], "--gamma-grid"),
+    (["fcs", "--t", "1.0", "--gamma-grid", "1:2:0"], "--gamma-grid"),
+    (["sweep", "--t-grid", "0,1", "--lambda-grid", "0.2", "--workers", "0"], "--workers"),
+    (["sweep", "--t-grid", "0,1", "--lambda-grid", "0.2", "--workers", "two"], "--workers"),
+    (["verify", "--seed", "-1"], "--seed"),
+    (["verify", "--seed", "1.5"], "--seed"),
 ])
 def test_non_finite_grid_or_time_is_a_usage_error(argv, flag, tmp_path, capsys):
-    # these once exited 0 with NaN distances, all-zero means or empty measures
+    # these once exited 0 with NaN distances, all-zero means or empty measures,
+    # or exited 2 with an error from numpy or the library that named no flag
     cfg = tmp_path / "chain3.json"
     cfg.write_text(json.dumps(shipped_config("qubit_chain3")))
     out = tmp_path / "out"

@@ -35,7 +35,7 @@ RUNS = {
         for cfg in ("qubit_qubit", "qubit_chain3", "qubit_chain6", "qutrit_chain2")
     },
     "fcs_qubit_chain3": ("qubit_chain3", ["fcs", "--t", "5.0"]),
-    "sweep_qubit_chain6": ("qubit_chain6", [*SWEEP_T, "--workers", "4"]),
+    "sweep_qubit_chain6": ("qubit_chain6", SWEEP_T),
     "sweep_t_chain8": ((8, 0.0), [*SWEEP_T, "--workers", "1"]),
     "scan_lambda_chain7_w2": ((7, 0.3), ["sweep", "--t-grid", "0,10", "--lambda-grid", "0.05:0.35:7", "--workers", "2"]),
 }
