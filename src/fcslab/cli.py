@@ -5,8 +5,11 @@ Exit codes: 0 success (all checks passed), 1 at least one check failed,
 rule missed its tolerance, a LAPACK routine did not converge, or a computed
 state is not positive or not of full rank).  Outputs are CSV (measures,
 characteristic functions, sweep tables) and JSON (reports, verdicts);
-identical inputs and seeds give byte-identical outputs regardless of worker
-count and of the caller's BLAS thread count.
+identical inputs and seeds give byte-identical outputs regardless of the
+sweep's worker count.  Only ``sweep`` pins numpy's BLAS to one thread, so
+only its outputs are also independent of the caller's BLAS thread count;
+``verify`` and ``fcs`` run on the caller's BLAS threads, and a ``verify``
+residual can move in its last bits with their count.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ import numpy as np
 from .linalg import (
     NumericalError,
     _components,
-    _real_if_exact,
     assert_hermitian,
     assert_square,
     dagger,
@@ -54,8 +53,13 @@ class FreeBasisSector(NamedTuple):
 
 
 def _read_only(a) -> np.ndarray:
-    """A read-only complex copy of ``a``."""
-    arr = np.array(a, dtype=complex)
+    """A read-only copy of ``a``: complex where an entry has a nonzero
+    imaginary part, else float64, so real model data runs real products."""
+    arr = np.asarray(a)
+    if np.iscomplexobj(arr) and arr.imag.any():
+        arr = np.array(arr, dtype=complex)
+    else:
+        arr = np.array(arr.real, dtype=float)
     arr.setflags(write=False)
     return arr
 
@@ -108,7 +112,7 @@ class Coupling:
     @cached_property
     def matrix(self) -> np.ndarray:
         d = self.dims[0] * self.dims[1]
-        v = np.zeros((d, d), dtype=complex)
+        v = np.zeros((d, d), dtype=np.result_type(float, *(x for term in self.terms for x in term)))
         for a, b in self.terms:
             v += np.kron(a, b)
         v.setflags(write=False)
@@ -267,10 +271,9 @@ class Scenario:
         each sector's block is sum_k A~_k[s_i, s_j] B~_k[r_i, r_j] at its levels
         (s, r).  On a parity chain V_R is block diagonal by parity, so the zeros
         across sectors are exact.  lam-free: every ``with_lam`` cell shares it."""
-        v_s, v_r = (_real_if_exact(v) for _, v in (self._eig_sys, self._eig_res))
+        v_s, v_r = self._eig_sys[1], self._eig_res[1]
         e = np.add.outer(rayleigh_quotients(self.h_sys, v_s), rayleigh_quotients(self.h_res, v_r)).ravel()
-        terms = [(dagger(v_s) @ _real_if_exact(a) @ v_s, dagger(v_r) @ _real_if_exact(b) @ v_r)
-                 for a, b in self.coupling.terms]
+        terms = [(dagger(v_s) @ a @ v_s, dagger(v_r) @ b @ v_r) for a, b in self.coupling.terms]
         d_s, d_r = self.dim_sys, self.dim_res
         levels = np.arange(d_r)
         pattern = np.empty((d_s, d_r, d_s, d_r), dtype=bool)
@@ -295,14 +298,16 @@ class Scenario:
         sectors = []
         for rows, e, v in self._free_basis_coupling:
             a = eigh_finite(np.diag(e) + self.lam * v)[1]
-            ext = np.clongdouble if np.iscomplexobj(a) else np.longdouble
+            is_complex = np.iscomplexobj(a)
             free_and_norm = np.vstack((e, np.ones(len(e))))
             sums = np.empty((2, len(e)), dtype=np.longdouble)
             step = max(1, 2**16 // len(e))
             for c in range(0, len(e), step):
-                x = a[:, c:c + step].astype(ext)
-                sums[:, c:c + step] = free_and_norm @ (x.conj() * x).real
-            w = (sums[0] + self.lam * np.einsum("ik,ik->k", a.conj(), v @ a).real) / sums[1]
+                x = a[:, c:c + step].astype(np.clongdouble if is_complex else np.longdouble)
+                x = (x.conj() * x).real if is_complex else np.multiply(x, x, out=x)  # a real chunk: in place
+                sums[:, c:c + step] = free_and_norm @ x
+            del x  # not held into the next sector's eigh
+            w = (sums[0] + self.lam * np.einsum("ik,ik->k", a.conj() if is_complex else a, v @ a).real) / sums[1]
             sectors.append(FreeBasisSector(rows, w.astype(float), a, self._shared_level_pairs(rows)))
         return sectors
 

@@ -159,47 +159,59 @@ def fcs_at(scn: Scenario, t: float, cluster_tol: float | None = None) -> FcsAtTi
     eigenbasis, ``Scenario._free_basis_sectors``), so each sector's block B
     gives its share: p_b sigma_ss |B|^2 row by row, plus
     2 p_b Re(conj(B_1) sigma_12 B_2) for each pair of its rows that share
-    a reservoir level (none on a parity chain).
+    a reservoir level (none on a parity chain).  So only the rows with
+    sigma_ss != 0 or in such a coherent pair are formed, with every column:
+    a positive sigma has no coherence on a row whose sigma_ss is 0, so the
+    rows left out carry zero weight (half of them for an excited qubit), and
+    a full-rank rho_S forms them all.
     """
     d_r = scn.dim_res
     w_s, v_s = scn._eig_sys
     groups = eigenvalue_clusters(w_s, cluster_tol)
     levels = np.array([w_s[g].mean() for g in groups])
     level_of = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    in_level = (level_of[:, None] == np.arange(len(levels))).astype(float)
     sigma = dagger(v_s) @ scn.rho_sys @ v_s
     p = scn.gibbs_weights_res
     res_w, sys_w = np.zeros(d_r * d_r), np.zeros((len(levels), len(levels)))
     for sector in scn._free_basis_sectors:
         s, r = np.divmod(sector.rows, d_r)
-        re, im = _sector_unitary(sector, t)
         first, second = sector.pairs
         coherent = sigma[s[first], s[second]] != 0
         first, second = first[coherent], second[coherent]
-        cross = 2 * p[r[first], None] * (
-            (re[first] - 1j * im[first]) * sigma[s[first], s[second], None] * (re[second] + 1j * im[second])
+        weighed = sigma.real[s, s] != 0
+        weighed[first] = weighed[second] = True
+        keep = slice(None) if weighed.all() else np.flatnonzero(weighed)
+        re, im = _sector_unitary(sector, t, keep)
+        at = np.cumsum(weighed) - 1  # a sector position's row in re and im
+        first, second = at[first], at[second]
+        s_k, r_k = s[keep], r[keep]
+        cross = 2 * p[r_k[first], None] * (
+            (re[first] - 1j * im[first]) * sigma[s_k[first], s_k[second], None] * (re[second] + 1j * im[second])
         ).real
         quad = re * re
         quad += im * im
         del re, im
-        quad *= (p[r] * sigma.real[s, s])[:, None]
-        same = level_of[s[first]] == level_of[s[second]]
+        quad *= (p[r_k] * sigma.real[s_k, s_k])[:, None]
+        same = level_of[s_k[first]] == level_of[s_k[second]]
         np.add.at(quad, first[same], cross[same])  # sigma dephased between system levels
-        in_level = (level_of[s, None] == np.arange(len(levels))).astype(float)
-        sys_w += in_level.T @ quad @ in_level
+        sys_w += in_level[s_k].T @ quad @ in_level[s]
         np.add.at(quad, first[~same], cross[~same])
-        res_w += np.bincount((r * d_r + r[:, None]).ravel(), quad.ravel(), d_r * d_r)
+        res_w += np.bincount((r * d_r + r_k[:, None]).ravel(), quad.ravel(), d_r * d_r)
     system = AtomicMeasure.from_points(levels[None, :] - levels[:, None], sys_w)
     return FcsAtTime(scn, t, system, scn._eig_res[0], res_w.reshape(d_r, d_r))
 
 
-def _sector_unitary(sector: FreeBasisSector, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of U~[rows, rows] = (a e^{itw}) a* for one
-    sector; a real block takes two real products."""
+def _sector_unitary(sector: FreeBasisSector, t: float, keep=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the rows ``keep`` (sector positions, by
+    default all) of U~[rows, rows] = (a e^{itw}) a* for one sector, every
+    column kept; a real block takes two real products."""
     a, phase = sector.a, exp_i(t * sector.w)
+    left = a[keep]
     if np.iscomplexobj(a):
-        block = (a * phase) @ dagger(a)
+        block = (left * phase) @ dagger(a)
         return block.real, block.imag
-    return (a * phase.real) @ a.T, (a * phase.imag) @ a.T
+    return (left * phase.real) @ a.T, (left * phase.imag) @ a.T
 
 
 def system_fcs(fa: FcsAtTime, gamma_grid: np.ndarray | None = None) -> FcsResult:

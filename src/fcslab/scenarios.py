@@ -18,7 +18,6 @@ from .states import gibbs, maximally_mixed, random_density, random_hermitian
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-SIGMA_XX = np.kron(SIGMA_X, SIGMA_X)
 
 MAX_CHAIN_SITES = 12
 DEFAULT_CLUSTER_TOL = 1e-9
@@ -63,13 +62,14 @@ def build_chain_reservoir(
 
     H_R = j_coupling * sum sx_i sx_{i+1} + sum h_i sz_i with site fields
     h_i = field + disorder * xi_i, xi_i standard normal from ``seed``
-    (bit-for-bit reproducible).  Returns (H_R, B_edge) where B_edge is sx on
-    the first site, the operator through which couplings V = A (x) B_edge
-    enter.  The site count is capped: the joint space and its matrix
-    operations grow as 4^n.
+    (bit-for-bit reproducible).  Returns (H_R, B_edge), both float64, where
+    B_edge is sx on the first site, the operator through which couplings
+    V = A (x) B_edge enter; their bit-flip entries are set in place, with
+    no Kronecker product.  The site count is capped: the joint space and
+    its matrix operations grow as 4^n.
     """
     if not 1 <= n <= MAX_CHAIN_SITES:
-        mem = (2 ** (2 * n)) * 16 / 1e9
+        mem = (2 ** (2 * n)) * 8 / 1e9
         raise ValueError(
             f"chain size n={n} outside [1, {MAX_CHAIN_SITES}] "
             f"(a single reservoir matrix alone would take ~{mem:.1f} GB)"
@@ -84,10 +84,13 @@ def build_chain_reservoir(
     diag = np.zeros(dim)
     for i in range(n):  # site by site: spins @ fields would sum in another order and move bits
         diag += fields[i] * spins[:, i]
-    h = np.diag(diag.astype(complex))
-    for i in range(n - 1):  # one Kronecker product 1 (x) sx sx (x) 1 per bond
-        h += j_coupling * np.kron(np.kron(np.eye(2**i), SIGMA_XX), np.eye(2 ** (n - i - 2)))
-    return h, np.kron(SIGMA_X, np.eye(dim // 2))
+    h = np.diag(diag)
+    k = np.arange(dim)
+    for i in range(n - 1):  # sx_i sx_{i+1} flips bits n-1-i and n-2-i: one entry per row, no other bond's
+        h[k, k ^ (3 << (n - i - 2))] += j_coupling
+    edge = np.zeros((dim, dim))
+    edge[k, k ^ (dim // 2)] = 1.0  # sx on site 0 flips the leading bit
+    return h, edge
 
 
 def ladder_hamiltonian(dim: int) -> np.ndarray:

@@ -116,9 +116,9 @@ def test_fcs_forms_the_free_basis_unitary_once(tmp_path, monkeypatch):
     calls = []
     sector_unitary = fcsmod._sector_unitary
 
-    def counting(sector, t):
+    def counting(sector, t, *rows):
         calls.append((len(sector.rows), t))
-        return sector_unitary(sector, t)
+        return sector_unitary(sector, t, *rows)
 
     monkeypatch.setattr(fcsmod, "_sector_unitary", counting)
     config = Path(__file__).resolve().parent.parent / "configs" / "qubit_chain3.json"

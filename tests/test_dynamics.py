@@ -61,6 +61,18 @@ class TestScenario:
                 b[0, 0] = 5.0
 
 
+    def test_real_data_is_held_real(self):
+        # every array of a real model, from a preset or a config, is float64;
+        # complex storage is kept for a model with a complex entry
+        for scn in (chain_scenario(4, disorder=0.3, seed=1), config_to_scenario(shipped_config("qubit_chain3")).scenario):
+            arrays = [scn.h_sys, scn.h_res, scn.rho_sys, *(x for term in scn.coupling.terms for x in term), scn._eig_res[1]]
+            arrays += [v for _, _, v in scn._free_basis_coupling] + [sec.a for sec in scn._free_basis_sectors]
+            assert [x.dtype for x in arrays] == [np.float64] * len(arrays)
+        scn = random_scenario(np.random.default_rng(2), 2, 3)
+        arrays = [scn.h_sys, scn.h_res, scn.rho_sys, scn.v, scn._eig_res[1]] + [sec.a for sec in scn._free_basis_sectors]
+        assert [x.dtype for x in arrays] == [np.complex128] * len(arrays)
+
+
 class TestCouplingTerms:
     """V held as its Kronecker terms (A_k, B_k): the chain's one term, or the
     nonzero d_R x d_R blocks of a matrix V, through one term loop."""

@@ -934,7 +934,7 @@ class TestFreeBasisWeights:
 
         eigh_shapes, block_shapes = count_diagonalizations(monkeypatch)
         monkeypatch.setattr(Scenario, "unitary_coupled", counting_unitary)
-        monkeypatch.setattr(fcsmod, "_sector_unitary", lambda sec, t: blocks_formed.append(t) or sector_unitary(sec, t))
+        monkeypatch.setattr(fcsmod, "_sector_unitary", lambda sec, t, *rows: blocks_formed.append(t) or sector_unitary(sec, t, *rows))
         limit_sweep(scn, np.array(ts), np.array(lams))
         # one reservoir block decomposition for the sweep (besides the system's
         # (2, 2) spectrum), one eigh per sector per lambda, and none of size d;
@@ -983,6 +983,32 @@ def coherent_chain4():
     return Scenario(base.h_sys, base.h_res, base.v, base.lam, base.beta, random_density(2, np.random.default_rng(12)))
 
 
+def full_row_weights(scn, t):
+    """Reference: W and the level-pair system weights read sector by sector
+    with every row of each sector's U~ block formed, each block built here as
+    (a e^{itw}) a*."""
+    d_r = scn.dim_res
+    w_s, v_s = scn._eig_sys
+    groups = eigenvalue_clusters(w_s)
+    level_of = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    sigma = dagger(v_s) @ scn.rho_sys @ v_s
+    p = scn.gibbs_weights_res
+    res_w, sys_w = np.zeros((d_r, d_r)), np.zeros((len(groups), len(groups)))
+    for sector in scn._free_basis_sectors:
+        s, r = np.divmod(sector.rows, d_r)
+        u = (sector.a * np.exp(1j * t * sector.w)) @ sector.a.conj().T
+        x = np.abs(u) ** 2 * (p[r] * sigma[s, s].real)[:, None]
+        for i, j in zip(*sector.pairs):  # 2 Re(conj(u_i) sigma_ij u_j) counts (i, j) and (j, i)
+            cross = 2 * p[r[i]] * (u[i].conj() * sigma[s[i], s[j]] * u[j]).real
+            np.add.at(res_w, (r, r[i]), cross)
+            if level_of[s[i]] == level_of[s[j]]:  # sigma dephased between system levels
+                np.add.at(sys_w, (level_of[s[i]], level_of[s]), cross)
+        np.add.at(res_w, (r[None, :], r[:, None]), x)
+        np.add.at(sys_w, (level_of[s[:, None]], level_of[s[None, :]]), x)
+    levels = np.array([w_s[g].mean() for g in groups])
+    return res_w, AtomicMeasure.from_points(levels[None, :] - levels[:, None], sys_w)
+
+
 class TestSectorReads:
     """fcs_at reads both weight sets sector by sector; the dense readers of the
     whole U~ it replaced are the reference.  Weights are sums of O(d)
@@ -1006,6 +1032,41 @@ class TestSectorReads:
             fa = fcs_at(scn, t)
             assert np.max(np.abs(fa.weights - dense_reservoir_weights(scn, u))) <= 1e-13
             assert measure_distance(fa.system_measure, dense_system_measure(scn, u)) <= 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["pure_2", "rank1_3", "rank2_3", "coherent_3"]),
+           st.sampled_from([2, 3, 4]), st.floats(-5.0, 30.0))
+    def test_only_the_weighed_rows_are_formed(self, seed, state, d_res, t):
+        # H_S diagonal in a random order, so V_S permutes and sigma is rho_S
+        # permuted, exactly: its zero rows are exact zeros
+        rng = np.random.default_rng(seed)
+        d_sys = int(state[-1])
+        base = random_scenario(rng, d_sys, d_res)
+        support = rng.permutation(d_sys)[: {"pure": 1, "rank1": 1, "rank2": 2, "coherent": 2}[state.split("_")[0]]]
+        if state.startswith("coherent"):
+            psi = np.zeros(d_sys, dtype=complex)
+            psi[support] = rng.normal(size=2) + 1j * rng.normal(size=2)
+            rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        else:
+            rho = np.zeros((d_sys, d_sys))
+            rho[support, support] = rng.dirichlet(np.ones(len(support)))
+        scn = Scenario(np.diag(rng.permutation(np.linspace(-1.0, 1.0, d_sys))), base.h_res, base.v, base.lam, base.beta, rho)
+        formed = []
+        sector_unitary = fcsmod._sector_unitary
+
+        def counting(sector, t, *rows):
+            re, im = sector_unitary(sector, t, *rows)
+            formed.append(re.shape)
+            return re, im
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fcsmod, "_sector_unitary", counting)
+            fa = fcs_at(scn, t)
+        # one sector (a random coupling joins every level), with the support's rows and every column
+        assert formed == [(len(support) * d_res, d_sys * d_res)]
+        w_ref, system_ref = full_row_weights(scn, t)
+        assert np.max(np.abs(fa.weights - w_ref)) <= 1e-14
+        assert measure_distance(fa.system_measure, system_ref) <= 1e-14
 
     def test_coherences_inside_and_across_a_degenerate_level(self):
         # H_S = diag(0, 1, 1): sigma = rho_S, coherent inside the level {1, 2},
@@ -1048,9 +1109,11 @@ class TestSweepPathHoldsNoDenseMatrix:
         assert "matrix" not in vars(scn.coupling)  # V stays its one Kronecker term
 
     def test_parse_config_and_sweep_hold_no_d_by_d_coupling(self, tmp_path):
-        # the sweep_t_chain8 config (d = 512) and a 2-time sweep: 7.6 MiB;
-        # 11.7 MiB in parse_config alone when V was built as a d x d matrix and
-        # copied, and V~ formed whole
+        # the sweep_t_chain8 config (d = 512) and a 2-time sweep: 5.3 MiB;
+        # 7.6 MiB with the real chain held complex, every row of U~ formed and
+        # each sector's extended-precision chunk held into the next; 11.7 MiB
+        # in parse_config alone when V was built as a d x d matrix and copied,
+        # and V~ formed whole
         cfg = shipped_config("qubit_chain6")
         cfg["reservoir"]["n"] = 8
         path = tmp_path / "chain8.json"
@@ -1058,11 +1121,15 @@ class TestSweepPathHoldsNoDenseMatrix:
         tracemalloc.start()
         try:
             scn = parse_config(path).scenario
+            held = tracemalloc.get_traced_memory()[0]
             limit_sweep(scn, np.array([0.0, 30.0]), np.array([0.2]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 9.5 * 2**20
+        # after parsing: H_R and the edge factor, two float64 d_R x d_R arrays
+        # (1.0 MiB), and small objects; 2.0 MiB when both were held complex
+        assert held < 2.5 * 8 * scn.dim_res**2
+        assert peak < 6.5 * 2**20
 
     def test_sector_rayleigh_quotients_in_column_chunks(self):
         # m = 512: three m x m extended-precision temporaries took 16 MiB
@@ -1130,7 +1197,7 @@ class TestSuiteFcsSharing:
             return build(scn, t, cluster_tol)
 
         monkeypatch.setattr(fcsmod, "fcs_at", counting)
-        monkeypatch.setattr(fcsmod, "_sector_unitary", lambda sec, t: unitaries.append(t) or sector_unitary(sec, t))
+        monkeypatch.setattr(fcsmod, "_sector_unitary", lambda sec, t, *rows: unitaries.append(t) or sector_unitary(sec, t, *rows))
         results = suite_fcs(qubit_qubit)
         assert all(r.passed for r in results)
         # the shared (scn, t = 1) build, then the lam = 0 and t = 0 variants
