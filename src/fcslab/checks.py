@@ -3,13 +3,14 @@
 Each check evaluates one operator-algebraic identity numerically and records
 the residual against its tolerance.  The suites drive the ``verify`` command
 and the acceptance tests; every check is a two-route computation (the
-identity's two sides are built independently).
+identity's two sides are built independently).  ``CHECKS`` holds each
+check's name and tolerance, in the order the report lists them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,8 +55,64 @@ class CheckResult:
         return rec
 
 
-def _result(name: str, residual: float, tol: float) -> CheckResult:
-    return CheckResult(check_name=name, residual=float(residual), tolerance=float(tol))
+class Check(NamedTuple):
+    tol: float | Callable[[Scenario, float, float], float]  # a number, or tol(scn, quad_tol, t)
+    inner_tol: float | None = None  # a check's own bound: cone membership, or |x| of the one atom at 0
+
+
+CHECKS: dict[str, Check] = {
+    "cstar_identity": Check(1e-10),
+    "spectral_reconstruction": Check(1e-12),
+    "spectral_mapping": Check(1e-9),
+    "calculus_homomorphism": Check(1e-10),
+    "entropy_bounds": Check(1e-12),
+    "gibbs_variational_inequality": Check(1e-10),
+    "gibbs_variational_equality": Check(1e-10),
+    "kms_defect_at_thermal": Check(1e-10),
+    "measurement_normalization": Check(1e-12),
+    "post_state_validity": Check(1e-12),
+    "gns_trace_agreement": Check(1e-12),
+    "conjugation_antiunitary": Check(1e-10),
+    "modular_identities": Check(1e-10),
+    "vacuum_invariance": Check(1e-10),
+    "star_operator_action": Check(1e-10),
+    "conjugated_commutant": Check(1e-10),
+    "modular_flow_stability": Check(1e-9),
+    "kms_from_modular": Check(1e-10),
+    "radon_nikodym": Check(1e-10),
+    "cone_generation": Check(0.5, inner_tol=1e-10),  # residual 0 or 1
+    "coupled_liouvillean_formula": Check(1e-12),
+    "free_liouvillean_kills_equilibrium": Check(1e-10),
+    "coupled_liouvillean_kills_vector": Check(1e-10),
+    "perturbed_vector_is_coupled_gibbs": Check(1e-10),
+    "cone_preserved_by_flow": Check(0.5, inner_tol=1e-10),  # residual 0 or 1
+    "cocycle_conjugation": Check(1e-10),
+    "reservoir_fcs_two_route": Check(1e-10),
+    "probability_mass": Check(1e-10),
+    "mean_identity": Check(lambda scn, quad_tol, t: quad_tol + 1e-8),
+    "exchange_balance": Check(lambda scn, quad_tol, t: 1e-10 * scn.energy_scale),
+    "flux_vs_direct": Check(lambda scn, quad_tol, t: quad_tol + 1e-10),
+    "operator_balance": Check(lambda scn, quad_tol, t: quad_tol * scn.beta * scn.energy_scale * max(t, 1.0) + 1e-8),
+    "half_line_identity": Check(1e-8),
+    "strip_growth_bound": Check(1e-12),
+    "char_conjugate_symmetry": Check(1e-12),
+    "moment_consistency": Check(lambda scn, quad_tol, t: fcsmod.MOMENT_TOL),
+    "system_delta_uncoupled": Check(1e-12, inner_tol=1e-12),
+    "reservoir_delta_uncoupled": Check(1e-12, inner_tol=1e-12),
+    "system_delta_instant": Check(1e-12, inner_tol=1e-12),
+    "reservoir_delta_instant": Check(1e-12, inner_tol=1e-12),
+    "dyson_truncation_bound": Check(1e-12),
+}
+
+
+def tolerance(name: str, *at) -> float:
+    """Check ``name``'s tolerance; a scenario-dependent row reads at = (scn, quad_tol, t)."""
+    tol = CHECKS[name].tol
+    return tol(*at) if callable(tol) else tol
+
+
+def _result(name: str, residual: float, *at) -> CheckResult:
+    return CheckResult(check_name=name, residual=float(residual), tolerance=float(tolerance(name, *at)))
 
 
 # -- operator suite -----------------------------------------------------------
@@ -71,14 +128,14 @@ def suite_operator(scn: Scenario, seed: int = 0) -> list[CheckResult]:
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         n2 = op_norm(g) ** 2
         worst = max(worst, abs(op_norm(dagger(g) @ g) - n2) / max(n2, 1e-30))
-    out.append(_result("cstar_identity", worst, 1e-10))
+    out.append(_result("cstar_identity", worst))
 
     worst = 0.0
     for _ in range(20):
         a = random_hermitian(int(rng.integers(2, 7)), rng)
         dec = eig_hermitian(a)
         worst = max(worst, op_norm(dec.reconstruct() - a) / max(op_norm(a), 1e-30))
-    out.append(_result("spectral_reconstruction", worst, 1e-12))
+    out.append(_result("spectral_reconstruction", worst))
 
     worst = 0.0
     for _ in range(20):
@@ -87,7 +144,7 @@ def suite_operator(scn: Scenario, seed: int = 0) -> list[CheckResult]:
         mapped = np.sort(np.linalg.eigvalsh(func_calc(a, poly)))
         direct = np.sort([poly(x) for x in np.linalg.eigvalsh(a)])
         worst = max(worst, float(np.max(np.abs(mapped - direct))))
-    out.append(_result("spectral_mapping", worst, 1e-9))
+    out.append(_result("spectral_mapping", worst))
 
     worst = 0.0
     for _ in range(20):
@@ -97,7 +154,7 @@ def suite_operator(scn: Scenario, seed: int = 0) -> list[CheckResult]:
         prod = func_calc(a, lambda x: f(x) * g2(x))
         split = func_calc(a, f) @ func_calc(a, g2)
         worst = max(worst, op_norm(prod - split))
-    out.append(_result("calculus_homomorphism", worst, 1e-10))
+    out.append(_result("calculus_homomorphism", worst))
 
     return out
 
@@ -114,25 +171,25 @@ def suite_states(scn: Scenario, seed: int = 0) -> list[CheckResult]:
     for _ in range(25):
         s = entropy(random_density(d, rng))
         worst = max(worst, max(-s, s - np.log(d)))
-    out.append(_result("entropy_bounds", worst, 1e-12))
+    out.append(_result("entropy_bounds", worst))
 
     rep = gibbs_variational_check(scn.h_sys, scn.beta, trials=50, rng_seed=seed)
-    out.append(_result("gibbs_variational_inequality", max(rep.max_violation, 0.0), 1e-10))
-    out.append(_result("gibbs_variational_equality", abs(rep.equality_gap), 1e-10))
+    out.append(_result("gibbs_variational_inequality", max(rep.max_violation, 0.0)))
+    out.append(_result("gibbs_variational_equality", abs(rep.equality_gap)))
 
     rho_b = scn.rho_sys_thermal
     pairs = [
         (random_hermitian(d, rng) + 0j, random_hermitian(d, rng) + 0j) for _ in range(100)
     ]
-    out.append(_result("kms_defect_at_thermal", kms_defect(rho_b, scn.h_sys, scn.beta, pairs), 1e-10))
+    out.append(_result("kms_defect_at_thermal", kms_defect(rho_b, scn.h_sys, scn.beta, pairs)))
 
     res = measure(scn.rho_sys, scn.h_sys)
-    out.append(_result("measurement_normalization", abs(res.outcomes.mass - 1.0), 1e-12))
+    out.append(_result("measurement_normalization", abs(res.outcomes.mass - 1.0)))
     worst = 0.0
     for post in res.post_states:
         w = np.linalg.eigvalsh(post)
         worst = max(worst, max(-float(w[0]), abs(float(np.trace(post).real) - 1.0)))
-    out.append(_result("post_state_validity", worst, 1e-12))
+    out.append(_result("post_state_validity", worst))
 
     return out
 
@@ -158,14 +215,14 @@ def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
         a = rand_mat()
         lhs = hs_inner(omega, a @ omega)
         worst = max(worst, abs(lhs - np.einsum("ij,ji->", scn.rho_eq, a)))  # tr(rho_eq a), O(d^2)
-    out.append(_result("gns_trace_agreement", worst, 1e-12))
+    out.append(_result("gns_trace_agreement", worst))
 
     worst = 0.0
     for _ in range(10):
         x, y = rand_mat(), rand_mat()
         worst = max(worst, abs(hs_inner(ms.conjugation(x), ms.conjugation(y)) - hs_inner(y, x)))
         worst = max(worst, hs_norm(ms.conjugation(ms.conjugation(x)) - x))
-    out.append(_result("conjugation_antiunitary", worst, 1e-10))
+    out.append(_result("conjugation_antiunitary", worst))
 
     worst = 0.0
     for _ in range(10):
@@ -174,15 +231,15 @@ def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
         worst = max(worst, hs_norm(ms.commutant_star(ms.star(x)) - ms.delta(x)) / hs_norm(x))
         lhs = ms.conjugation(ms.delta_power(0.5, ms.conjugation(x)))
         worst = max(worst, hs_norm(lhs - ms.delta_power(-0.5, x)) / hs_norm(x))
-    out.append(_result("modular_identities", worst, 1e-10))
+    out.append(_result("modular_identities", worst))
 
-    out.append(_result("vacuum_invariance", hs_norm(ms.delta(omega) - omega), 1e-10))
+    out.append(_result("vacuum_invariance", hs_norm(ms.delta(omega) - omega)))
 
     worst = 0.0
     for _ in range(50):
         a = rand_mat()
         worst = max(worst, hs_norm(ms.star(a @ omega) - dagger(a) @ omega) / hs_norm(a))
-    out.append(_result("star_operator_action", worst, 1e-10))
+    out.append(_result("star_operator_action", worst))
 
     # Conjugated observables commute with the algebra (they act from the right).
     worst = 0.0
@@ -192,7 +249,7 @@ def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
         lhs = jaj(b @ x)
         rhs = b @ jaj(x)
         worst = max(worst, hs_norm(lhs - rhs) / hs_norm(x))
-    out.append(_result("conjugated_commutant", worst, 1e-10))
+    out.append(_result("conjugated_commutant", worst))
 
     # Modular flow keeps observables acting from the left.
     worst = 0.0
@@ -201,7 +258,7 @@ def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
         t = float(rng.uniform(-2, 2))
         fwd, back = ms.ref_power(1j * t), ms.ref_power(-1j * t)  # Delta^(+-it) X = fwd X back, back X fwd
         worst = max(worst, hs_norm(fwd @ (a @ (back @ x @ fwd)) @ back - fwd @ a @ back @ x) / hs_norm(x))
-    out.append(_result("modular_flow_stability", worst, 1e-9))
+    out.append(_result("modular_flow_stability", worst))
 
     # Equilibrium boundary condition from the modular operator.
     worst = 0.0
@@ -210,7 +267,7 @@ def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
         lhs = hs_inner(omega, a @ ms.delta(b @ omega))
         rhs = hs_inner(omega, b @ (a @ omega))
         worst = max(worst, abs(lhs - rhs))
-    out.append(_result("kms_from_modular", worst, 1e-10))
+    out.append(_result("kms_from_modular", worst))
 
     # Radon-Nikodym property of the relative modular operator.
     rel = initial_modular(scn, ms)
@@ -219,38 +276,37 @@ def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
         a = rand_mat()
         lhs = hs_inner(omega, rel.apply(a @ omega))
         worst = max(worst, abs(lhs - np.einsum("ij,ji->", scn.rho_init, a)))  # tr(rho_init a), O(d^2)
-    out.append(_result("radon_nikodym", worst, 1e-10))
+    out.append(_result("radon_nikodym", worst))
 
     # Natural cone: generated vectors are positive semidefinite matrices.
     ok = True
     for _ in range(20):
         a = rand_mat()
         vec = a @ omega @ dagger(a)  # A J A J applied to the reference vector
-        ok = ok and cone_membership(vec, 1e-10)
-    out.append(_result("cone_generation", 0.0 if ok else 1.0, 0.5))
+        ok = ok and cone_membership(vec, CHECKS["cone_generation"].inner_tol)
+    out.append(_result("cone_generation", 0.0 if ok else 1.0))
 
     lv = Liouvilleans(scn)
     worst = 0.0
     for _ in range(10):
         x = rand_mat()
         worst = max(worst, hs_norm(lv.coupled(x) - lv.coupled_decomposed(x)) / hs_norm(x))
-    out.append(_result("coupled_liouvillean_formula", worst, 1e-12))
+    out.append(_result("coupled_liouvillean_formula", worst))
 
-    out.append(_result("free_liouvillean_kills_equilibrium",
-                       hs_norm(lv.free(equilibrium_vector(scn))), 1e-10))
+    out.append(_result("free_liouvillean_kills_equilibrium", hs_norm(lv.free(equilibrium_vector(scn)))))
 
     omega_lam = perturbed_gibbs_vector(scn)
-    out.append(_result("coupled_liouvillean_kills_vector", hs_norm(lv.coupled(omega_lam)), 1e-10))
+    out.append(_result("coupled_liouvillean_kills_vector", hs_norm(lv.coupled(omega_lam))))
     out.append(_result("perturbed_vector_is_coupled_gibbs",
-                       hs_norm(omega_lam - positive_sqrt(gibbs(scn.h_coupled, scn.beta))), 1e-10))
+                       hs_norm(omega_lam - positive_sqrt(gibbs(scn.h_coupled, scn.beta)))))
 
     ok = True
     for _ in range(20):
         a = rand_mat()
         vec = a @ omega @ dagger(a)
         t = float(rng.uniform(-3, 3))
-        ok = ok and cone_membership(scn.evolve(vec, t), 1e-10)
-    out.append(_result("cone_preserved_by_flow", 0.0 if ok else 1.0, 0.5))
+        ok = ok and cone_membership(scn.evolve(vec, t), CHECKS["cone_preserved_by_flow"].inner_tol)
+    out.append(_result("cone_preserved_by_flow", 0.0 if ok else 1.0))
 
     t = 1.3
     gam = exact_cocycle(scn, t)
@@ -262,7 +318,7 @@ def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
         lhs = rel_t.apply(x)
         rhs = conjugated @ x @ rel_t._inv_omega  # the cached inverse apply uses
         worst = max(worst, hs_norm(lhs - rhs) / hs_norm(x))
-    out.append(_result("cocycle_conjugation", worst, 1e-10))
+    out.append(_result("cocycle_conjugation", worst))
 
     return out
 
@@ -309,59 +365,51 @@ def measure_distance(mu_a, mu_b) -> float:
 
 def suite_fcs(scn: Scenario, seed: int = 0, t: float = 1.0, quad_tol: float = DEFAULT_QUAD_TOL) -> list[CheckResult]:
     out = []
+    at = (scn, quad_tol, t)  # the scenario-dependent tolerances' arguments
 
     fa = fcsmod.fcs_at(scn, t)  # every (scn, t) check below reads it
     res_modular = fcsmod.reservoir_fcs(fa)
     mu_modular = res_modular.measure
     mu_oracle = two_time_reservoir_oracle(scn, t)
-    out.append(_result("reservoir_fcs_two_route", measure_distance(mu_modular, mu_oracle), 1e-10))
+    out.append(_result("reservoir_fcs_two_route", measure_distance(mu_modular, mu_oracle)))
 
-    out.append(_result("probability_mass", abs(mu_modular.mass - 1.0), 1e-10))
+    out.append(_result("probability_mass", abs(mu_modular.mass - 1.0)))
 
     dq_flux = delta_q_flux(scn, t, quad_tol)  # shared by mean_identity and flux_vs_direct
-    out.append(_result("mean_identity", fcsmod.mean_identity_check(fa, dq_flux[1]), quad_tol + 1e-8))
+    out.append(_result("mean_identity", fcsmod.mean_identity_check(fa, dq_flux[1]), *at))
 
-    out.append(_result("exchange_balance", balance_check(scn, t), 1e-10 * scn.energy_scale))
+    out.append(_result("exchange_balance", balance_check(scn, t), *at))
 
     dq_direct = delta_q_direct(scn, t)
     out.append(_result("flux_vs_direct",
-                       max(abs(dq_direct[0] - dq_flux[0]), abs(dq_direct[1] - dq_flux[1])),
-                       quad_tol + 1e-10))
+                       max(abs(dq_direct[0] - dq_flux[0]), abs(dq_direct[1] - dq_flux[1])), *at))
 
-    out.append(_result("operator_balance", fcsmod.operator_balance_check(scn, t, quad_tol),
-                       quad_tol * scn.beta * scn.energy_scale * max(t, 1.0) + 1e-8))
+    out.append(_result("operator_balance", fcsmod.operator_balance_check(scn, t, quad_tol), *at))
 
-    out.append(_result("half_line_identity", fcsmod.half_line_identity_check(fa, (-1.0, 0.0, 0.7)), 1e-8))
+    out.append(_result("half_line_identity", fcsmod.half_line_identity_check(fa, (-1.0, 0.0, 0.7))))
 
     grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) + 1j * np.array([0.0, -1.0, 2.0, 0.5, 0.0])
-    out.append(_result("strip_growth_bound", max(fcsmod.strip_bounds_check(fa, grid), 0.0), 1e-12))
+    out.append(_result("strip_growth_bound", max(fcsmod.strip_bounds_check(fa, grid), 0.0)))
 
     gammas = fcsmod.default_gamma_grid(scn, 11)
     plus = fcsmod.reservoir_char(fa, 1j * gammas / scn.beta)
     minus = fcsmod.reservoir_char(fa, -1j * gammas / scn.beta)
-    out.append(_result("char_conjugate_symmetry", np.max(np.abs(np.conjugate(plus) - minus)), 1e-12))
+    out.append(_result("char_conjugate_symmetry", np.max(np.abs(np.conjugate(plus) - minus))))
 
     deriv_moments = fcsmod.derivative_moments(fa)
-    out.append(_result("moment_consistency",
-                       float(np.max(np.abs(res_modular.moments - deriv_moments))), fcsmod.MOMENT_TOL))
+    out.append(_result("moment_consistency", float(np.max(np.abs(res_modular.moments - deriv_moments))), *at))
 
-    trivial_cases = (
-        ("uncoupled", scn.with_lam(0.0), t),
-        ("instant", scn, 0.0),
-    )
-    for name, variant, tt in trivial_cases:
+    for name, variant, tt in (("uncoupled", scn.with_lam(0.0), t), ("instant", scn, 0.0)):
         fa_variant = fcsmod.fcs_at(variant, tt)
-        for label, mu in (
-            (f"system_delta_{name}", fcsmod.system_fcs(fa_variant).measure),
-            (f"reservoir_delta_{name}", fcsmod.reservoir_fcs(fa_variant).measure),
-        ):
-            is_point_mass = len(mu) == 1 and abs(mu.locations[0]) < 1e-12
-            out.append(_result(label, abs(mu.mass - 1.0) if is_point_mass else 1.0, 1e-12))
+        for label, mu in ((f"system_delta_{name}", fcsmod.system_fcs(fa_variant).measure),
+                          (f"reservoir_delta_{name}", fcsmod.reservoir_fcs(fa_variant).measure)):
+            is_point_mass = len(mu) == 1 and abs(mu.locations[0]) < CHECKS[label].inner_tol
+            out.append(_result(label, abs(mu.mass - 1.0) if is_point_mass else 1.0))
 
     k = 4
     err = op_norm(dyson_cocycle(scn, min(t, 1.0), k, quad_tol) - exact_cocycle(scn, min(t, 1.0)))
     bound = dyson_error_bound(scn, min(t, 1.0), k) + quad_tol
-    out.append(_result("dyson_truncation_bound", max(err - bound, 0.0), 1e-12))
+    out.append(_result("dyson_truncation_bound", max(err - bound, 0.0)))
 
     return out
 

@@ -450,7 +450,6 @@ def limit_sweep(
     lam_grid: np.ndarray,
     gamma_grid: np.ndarray | None = None,
     workers: int = 1,
-    moment_tol: float = MOMENT_TOL,
 ) -> SweepResult:
     """Sweep the FCS over a (lam, t) grid against the decoupled limit law.
 
@@ -459,7 +458,7 @@ def limit_sweep(
     means, and the reservoir moments: the characteristic function and the
     moments come from W (``FcsAtTime.char`` and ``exact_moments``), so no
     reservoir atom is merged.  The exact moments are cross-checked against
-    the derivative route within ``moment_tol``; if the largest gap of the
+    the derivative route within ``MOMENT_TOL``; if the largest gap of the
     sweep exceeds it, QuadratureError reports that cell (the derivative
     route is a trapezoid rule).  The limit law depends on neither lam nor t
     and is evaluated once.  Each lam is one task, serial or on one of
@@ -496,10 +495,10 @@ def limit_sweep(
                 per_lam = [f.result() for f in futures]
     rows = [r for lam_rows in per_lam for r in lam_rows]
     worst = max(rows, key=lambda r: r.moment_gap)
-    if worst.moment_gap > moment_tol:
+    if worst.moment_gap > MOMENT_TOL:
         raise QuadratureError(
             f"moment routes disagree at (lam={worst.lam}, t={worst.t}): "
-            f"gap {worst.moment_gap:.3e} > {moment_tol:.1e}",
+            f"gap {worst.moment_gap:.3e} > {MOMENT_TOL:.1e}",
             achieved=worst.moment_gap,
         )
     return SweepResult(rows=rows, gamma_grid=np.asarray(gamma_grid))

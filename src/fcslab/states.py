@@ -29,16 +29,16 @@ MERGE_TOL = 1e-8
 WEIGHT_DROP_TOL = 1e-13
 
 
-def assert_density(rho: np.ndarray, tol: float = DENSITY_TOL, name: str = "state") -> None:
+def assert_density(rho: np.ndarray, name: str = "state") -> None:
     """Validate Hermiticity, positivity (the floor positive_sqrt accepts) and
-    unit trace (within tol)."""
+    unit trace (within DENSITY_TOL)."""
     assert_square(rho, name)
     assert_hermitian(rho, name=name)
     w = np.linalg.eigvalsh(rho)
     if w[0] < positivity_floor(w):
         raise ValueError(f"{name} has negative eigenvalue {w[0]:.3e}")
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > DENSITY_TOL:
         raise ValueError(f"{name} has trace {tr!r}, expected 1")
 
 

@@ -53,6 +53,7 @@ def test_pairs_alternate_and_metrics_summarize(tmp_path):
     assert rss["parent_quartiles"] == pytest.approx([50.6, 50.62])
     assert run_s["change_better_in"] == 0 and not run_s["gain"] and run_s["within_bound"]
     assert setup["change_better_in"] == 0 and not setup["gain"]  # ties count for neither side
+    assert rss["sign_test_p"] == 2 / 1024 and setup["sign_test_p"] == 1.0
     assert result["operations"] == {"parent": {"attempted": 30, "failed": 0}, "change": {"attempted": 30, "failed": 1}}
 
 
@@ -66,6 +67,18 @@ def test_a_gain_needs_nine_pairs_in_ten_and_a_median_gap_past_the_parent_spread(
     assert summarize(parent, [x + 0.6 for x in parent], "higher", 0.1)["gain"]
     worse = summarize(parent, [x * 1.2 for x in parent], "lower", 0.1)
     assert not worse["within_bound"] and summarize(parent, [x * 1.05 for x in parent], "lower", 0.1)["within_bound"]
+
+
+def test_sign_test_p_values_by_hand():
+    p = bench_pair.sign_test_p
+    assert p(10, 0) == p(0, 10) == 2 / 1024
+    assert p(9, 1) == 22 / 1024  # 2 (C(10,0) + C(10,1)) / 2^10
+    assert p(8, 2) == 112 / 1024  # 2 (1 + 10 + 45) / 2^10
+    assert p(5, 5) == p(0, 0) == 1.0  # a tail past half is capped; no untied pair proves nothing
+    assert p(3, 0) == 2 / 8  # ties dropped: 3 of 10 pairs untied
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
+    nine = [x - 0.6 for x in parent[:9]] + [parent[9] + 0.1]
+    assert bench_pair.summarize(parent, nine, "lower", 0.1)["sign_test_p"] == 22 / 1024
 
 
 def test_trees_of_different_kinds_are_refused(tmp_path, capsys):
@@ -95,4 +108,5 @@ def test_out_file_keeps_other_workloads(tmp_path, monkeypatch, capsys):
         assert bench_pair.main(argv) == 0
     doc = json.loads(out.read_text())
     assert sorted(doc["workloads"]) == ["sweep_t_chain8", "verify_chain6"] and "protocol" in doc
-    assert "sweep_t_chain8 peak_rss_mb: parent 50.6" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "sweep_t_chain8 peak_rss_mb: parent 50.6" in out and "(sign test p = 0.25)" in out

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad_vec
 
-from fcslab.checks import measure_distance, suite_fcs, two_time_reservoir_oracle
+from fcslab.checks import CHECKS, measure_distance, suite_fcs, tolerance, two_time_reservoir_oracle
 from fcslab import dynamics, linalg, states
 from fcslab.dynamics import DEFAULT_QUAD_TOL, QuadratureError, Scenario, delta_q_direct, delta_q_flux, exact_cocycle
 from fcslab import fcs as fcsmod
@@ -406,8 +406,7 @@ class TestIdentities:
         # the upper reservoir populations e^{-beta (w - w_min)} underflow to
         # 0 at beta = 300; log rho_res must not be taken of them
         scn = chain_scenario(3, beta=300.0)
-        tol = DEFAULT_QUAD_TOL * scn.beta * scn.energy_scale + 1e-8  # the fcs suite's tolerance at t = 1
-        assert operator_balance_check(scn, 1.0) <= tol
+        assert operator_balance_check(scn, 1.0) <= tolerance("operator_balance", scn, DEFAULT_QUAD_TOL, 1.0)
 
     def test_half_line_reduction_at_origin(self, qubit_qubit):
         from fcslab.linalg import hs_inner, tensor, positive_sqrt
@@ -574,13 +573,14 @@ class TestLimitSweep:
         assert seen == [1] * 6
         assert get() == 2
 
-    def test_blas_thread_count_restored_after_a_quadrature_error(self, qubit_qubit, openblas_threads):
+    def test_blas_thread_count_restored_after_a_quadrature_error(self, qubit_qubit, openblas_threads, monkeypatch):
         get, set_ = openblas_threads
         set_(2)
         t_grid, lam_grid = np.array([0.0, 1.0]), np.array([0.3])
         gap = max(r.moment_gap for r in limit_sweep(qubit_qubit, t_grid, lam_grid).rows)
+        monkeypatch.setattr(fcsmod, "MOMENT_TOL", gap / 2)
         with pytest.raises(QuadratureError):
-            limit_sweep(qubit_qubit, t_grid, lam_grid, moment_tol=gap / 2)
+            limit_sweep(qubit_qubit, t_grid, lam_grid)
         assert get() == 2
 
     def test_unpinnable_blas_runs_the_lambdas_serially(self, monkeypatch):
@@ -620,12 +620,13 @@ class TestLimitSweep:
         assert len(sweep.rows) == 12
         assert calls == [0.0, 0.1, 0.2]
 
-    def test_moment_gap_above_tol_is_a_quadrature_error(self, qubit_qubit):
+    def test_moment_gap_above_tol_is_a_quadrature_error(self, qubit_qubit, monkeypatch):
         t_grid, lam_grid = np.array([0.0, 1.0]), np.array([0.3])
         gap = max(r.moment_gap for r in limit_sweep(qubit_qubit, t_grid, lam_grid).rows)
         assert gap > 0.0
+        monkeypatch.setattr(fcsmod, "MOMENT_TOL", gap / 2)
         with pytest.raises(QuadratureError, match="moment routes disagree") as exc:
-            limit_sweep(qubit_qubit, t_grid, lam_grid, moment_tol=gap / 2)
+            limit_sweep(qubit_qubit, t_grid, lam_grid)
         assert exc.value.achieved == gap
 
     def test_uncoupled_column_is_baseline(self, qubit_qubit):
@@ -655,7 +656,7 @@ class TestLimitSweep:
     def test_moment_consistency_enforced(self, qubit_qubit):
         sweep = limit_sweep(qubit_qubit, np.array([0.0, 1.0]), np.array([0.0, 0.3]))
         for row in sweep.rows:
-            assert row.moment_gap <= 1e-6
+            assert row.moment_gap <= tolerance("moment_consistency", qubit_qubit, DEFAULT_QUAD_TOL, row.t)
 
     def test_verdicts(self):
         scn = chain_scenario(3)
@@ -822,18 +823,18 @@ class TestFcsInvariants:
         scn = random_scenario(np.random.default_rng(seed), d_sys, d_res)
         fa = fcs_at(scn, t)
         res = reservoir_fcs(fcs_at(scn, t))
-        assert abs(res.measure.mass - 1.0) <= 1e-10
+        assert abs(res.measure.mass - 1.0) <= tolerance("probability_mass")
         gammas = default_gamma_grid(scn, 11)
         plus = reservoir_char(fa, 1j * gammas / scn.beta)
         minus = reservoir_char(fa, -1j * gammas / scn.beta)
-        assert np.max(np.abs(np.conjugate(plus) - minus)) <= 1e-12
-        assert abs(res.mean - delta_q_direct(scn, t)[1]) <= DEFAULT_QUAD_TOL + 1e-8
+        assert np.max(np.abs(np.conjugate(plus) - minus)) <= tolerance("char_conjugate_symmetry")
+        assert abs(res.mean - delta_q_direct(scn, t)[1]) <= tolerance("mean_identity", scn, DEFAULT_QUAD_TOL, t)
         grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) + 1j * np.array([0.0, -1.0, 2.0, 0.5, 0.0])
-        assert strip_bounds_check(fa, grid) <= 1e-12
+        assert strip_bounds_check(fa, grid) <= tolerance("strip_growth_bound")
         for variant, tt in ((scn.with_lam(0.0), t), (scn, 0.0)):
             for mu in (system_fcs(fcs_at(variant, tt)).measure, reservoir_fcs(fcs_at(variant, tt)).measure):
-                assert len(mu) == 1 and abs(mu.locations[0]) < 1e-12
-                assert abs(mu.mass - 1.0) <= 1e-12
+                assert len(mu) == 1 and abs(mu.locations[0]) < CHECKS["system_delta_uncoupled"].inner_tol
+                assert abs(mu.mass - 1.0) <= tolerance("system_delta_uncoupled")
 
 
 # -- FCS weights in the free eigenbasis ------------------------------------------

@@ -7,6 +7,7 @@ spectral formulas."""
 
 import ast
 import importlib
+import json
 import pkgutil
 import tracemalloc
 from pathlib import Path
@@ -19,7 +20,7 @@ from scipy.integrate import quad_vec
 import fcslab
 from fcslab import dynamics as dynmod
 from fcslab import fcs as fcsmod
-from fcslab.checks import measure_distance, run_suites, suite_modular, two_time_reservoir_oracle
+from fcslab.checks import CHECKS, _result, measure_distance, run_suites, suite_modular, tolerance, two_time_reservoir_oracle
 from fcslab.dynamics import DEFAULT_QUAD_TOL, Scenario, delta_q_flux, dyson_cocycle
 from fcslab.fcs import operator_balance_check
 from fcslab.linalg import dagger, eig_hermitian, expm, expm_hermitian, tensor
@@ -298,3 +299,32 @@ def test_suites_run_with_scipy_expm_disabled(qubit_qubit, monkeypatch):
                 monkeypatch.setattr(mod, name, refuse)
     results = run_suites(qubit_qubit, "all")
     assert len(results) == 41 and all(r.passed for r in results)
+
+
+# -- the table of checks -----------------------------------------------------------
+
+
+def test_suites_report_the_table_in_order(qubit_qubit):
+    records = run_suites(qubit_qubit, "all")
+    assert [r.check_name for r in records] == list(CHECKS)
+    for r in records:
+        assert r.tolerance == tolerance(r.check_name, qubit_qubit, DEFAULT_QUAD_TOL, 1.0), r.check_name
+    assert [name for name, check in CHECKS.items() if check.inner_tol is not None] == [
+        "cone_generation", "cone_preserved_by_flow",
+        "system_delta_uncoupled", "reservoir_delta_uncoupled", "system_delta_instant", "reservoir_delta_instant",
+    ]
+
+
+def test_scenario_rows_resolve_to_the_reference_tolerances():
+    run = parse_config(ROOT / "configs" / "qubit_chain6.json")
+    report = json.loads((ROOT / "tests" / "reference" / "verify_qubit_chain6" / "verify_report.json").read_text())
+    recorded = {r["check_name"]: r["tolerance"] for r in report}
+    scenario_rows = [name for name, check in CHECKS.items() if callable(check.tol)]
+    assert scenario_rows == ["mean_identity", "exchange_balance", "flux_vs_direct", "operator_balance", "moment_consistency"]
+    for name in scenario_rows:
+        assert tolerance(name, run.scenario, run.quad_tol, 1.0) == recorded[name], name
+
+
+def test_a_check_missing_from_the_table_is_an_error():
+    with pytest.raises(KeyError, match="no_such_check"):
+        _result("no_such_check", 0.0)

@@ -15,9 +15,11 @@ verdicts.  ``gain``: the change is better in at least 9 of 10 pairs (ties
 count for neither side) and the medians differ, in the change's favour, by
 more than the parent's quartile spread.  ``within bound``: the change's
 median is no worse than the parent's by more than the metric's bound in
-BENCHMARK.json, a fraction of the parent's median.  Failed operations are
-summed per side.  With ``--out`` the workload's entry is written into that
-JSON file, beside the entries of other workloads already there.
+BENCHMARK.json, a fraction of the parent's median.  It also prints the exact
+two-sided sign-test p-value of the pairs the change wins against those it
+loses, ties dropped.  Failed operations are summed per side.  With
+``--out`` the workload's entry is written into that JSON file, beside the
+entries of other workloads already there.
 
 The two trees must be of one kind: two git checkouts, or two plain copies.
 A checkout and a copy are refused: one such comparison read a 13.5% run_s
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import random
 import statistics
@@ -71,18 +74,26 @@ def quartiles(xs: list[float]) -> list[float]:
     return statistics.quantiles(xs, n=4)[::2] if len(xs) > 1 else [xs[0], xs[0]]
 
 
+def sign_test_p(wins: int, losses: int) -> float:
+    """Exact two-sided sign-test p-value of ``wins`` against ``losses``."""
+    n = wins + losses
+    return min(1.0, 2 * sum(math.comb(n, i) for i in range(min(wins, losses) + 1)) / 2**n)
+
+
 def summarize(parent: list[float], change: list[float], better: str, bound: float) -> dict:
-    """Medians, quartiles, pairs won by the change and the two verdicts of
-    one metric over paired runs (``parent[k]`` and ``change[k]`` are pair k)."""
+    """Medians, quartiles, pairs won by the change, the sign-test p-value and
+    the two verdicts of one metric over paired runs (``parent[k]`` and
+    ``change[k]`` are pair k)."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change, strict=True))
+    losses = sum(sign * (p - c) < 0 for p, c in zip(parent, change))
     p_med, c_med = statistics.median(parent), statistics.median(change)
     p_q = quartiles(parent)
     return {
         "parent": parent, "change": change,
         "parent_median": p_med, "change_median": c_med,
         "parent_quartiles": p_q, "change_quartiles": quartiles(change),
-        "change_better_in": wins, "pairs": len(parent),
+        "change_better_in": wins, "pairs": len(parent), "sign_test_p": sign_test_p(wins, losses),
         "gain": wins >= WIN_SHARE * len(parent) and sign * (p_med - c_med) > p_q[1] - p_q[0],
         "within_bound": sign * (c_med - p_med) <= bound * abs(p_med),
     }
@@ -124,7 +135,7 @@ def report_lines(workload: str, result: dict) -> list[str]:
         lines.append(
             f"{workload} {name}: parent {m['parent_median']:.6g} [{p1:.6g}, {p3:.6g}] -> "
             f"change {m['change_median']:.6g} [{c1:.6g}, {c3:.6g}] {m['unit']}, "
-            f"change better in {m['change_better_in']}/{m['pairs']}, "
+            f"change better in {m['change_better_in']}/{m['pairs']} (sign test p = {m['sign_test_p']:.3g}), "
             f"gain {'yes' if m['gain'] else 'no'}, within bound {'yes' if m['within_bound'] else 'NO'}"
         )
     ops = result["operations"]
