@@ -24,6 +24,7 @@ from .linalg import (
     gauss_kronrod,
     op_norm,
     rayleigh_quotients,
+    real_or_complex,
     tensor,
 )
 from .states import assert_density, gibbs_weights
@@ -52,18 +53,6 @@ class FreeBasisSector(NamedTuple):
     pairs: tuple[np.ndarray, np.ndarray]
 
 
-def _read_only(a) -> np.ndarray:
-    """A read-only copy of ``a``: complex where an entry has a nonzero
-    imaginary part, else float64, so real model data runs real products."""
-    arr = np.asarray(a)
-    if np.iscomplexobj(arr) and arr.imag.any():
-        arr = np.array(arr, dtype=complex)
-    else:
-        arr = np.array(arr.real, dtype=float)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class Coupling:
     """The coupling V = sum_k A_k (x) B_k on C^d_S (x) C^d_R, held as its
@@ -81,7 +70,7 @@ class Coupling:
         """The coupling sum_k A_k (x) B_k, each factor validated on its own:
         A_k square of size d_S, B_k of size d_R, each finite and Hermitian, so
         that A_k (x) B_k is Hermitian (ValueError or NonHermitianError)."""
-        terms = tuple((_read_only(a), _read_only(b)) for a, b in terms)
+        terms = tuple((real_or_complex(a), real_or_complex(b)) for a, b in terms)
         for k, term in enumerate(terms):
             for factor, which, dim, size in zip(term, ("system", "reservoir"), ("d_S", "d_R"), (d_s, d_r)):
                 name = f"coupling term {k} {which} factor"
@@ -94,7 +83,7 @@ class Coupling:
     @classmethod
     def of_matrix(cls, v, d_s: int, d_r: int) -> "Coupling":
         """The coupling given as a Hermitian d x d matrix, stored once."""
-        v = _read_only(v)
+        v = real_or_complex(v)
         d = d_s * d_r
         if v.shape != (d, d):
             raise ValueError(f"coupling dimension {v.shape} != (d_S*d_R, d_S*d_R) = {(d, d)}")
@@ -156,7 +145,7 @@ class Scenario:
 
     def __init__(self, h_sys, h_res, v, lam: float, beta: float, rho_sys):
         for name, value in (("h_sys", h_sys), ("h_res", h_res), ("rho_sys", rho_sys)):
-            object.__setattr__(self, name, _read_only(value))
+            object.__setattr__(self, name, real_or_complex(value))
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "beta", beta)
         assert_square(self.h_sys, "h_sys")
@@ -376,7 +365,11 @@ class Scenario:
 
     @cached_property
     def energy_scale(self) -> float:
-        return max(1.0, op_norm(self.h_free) + abs(self.lam) * self.v_norm)
+        """max(1, ||H_free|| + |lam| ||V||), with ||H_free|| exactly max(|e_S,max + e_R,max|,
+        |e_S,min + e_R,min|) from the factor spectra: H_free's spectrum is every sum e_S + e_R."""
+        (e_s, _), (e_r, _) = self._eig_sys, self._eig_res
+        h_free_norm = max(abs(e_s[-1] + e_r[-1]), abs(e_s[0] + e_r[0]))
+        return float(max(1.0, h_free_norm + abs(self.lam) * self.v_norm))
 
 
 _COUPLING_CACHES = (

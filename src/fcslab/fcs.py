@@ -350,11 +350,10 @@ def half_line_identity_check(fa: FcsAtTime, s_grid: np.ndarray) -> float:
     return max(residual(float(s)) for s in np.atleast_1d(s_grid))
 
 
-def strip_bounds_check(fa: FcsAtTime, alpha_grid: np.ndarray) -> float:
+def strip_bounds_check(fa: FcsAtTime, alpha_grid: np.ndarray, tol: float) -> float:
     """Largest violation of |F(alpha)| <= 1 + (d_S - 1) Re(alpha) + tol on a
-    strip grid and of F(1) <= d_S + tol, with tol = 1e-10 for roundoff; the
+    strip grid and of F(1) <= d_S + tol, tol the slack for roundoff; the
     bounds hold where it is <= 0."""
-    tol = 1e-10
     grid = np.atleast_1d(_in_strip(alpha_grid))
     d_s = fa.scn.dim_sys
     bound = 1.0 + (d_s - 1) * grid.real + tol

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra on square matrices, and the one quadrature.
+"""Dense linear algebra on square matrices, real or complex, and the one quadrature.
 
 Hamiltonians are diagonalized one invariant block at a time
 (:func:`eigh_blocks`), each block by :func:`eigh_finite`, which refuses a
@@ -9,13 +9,15 @@ extended precision.  Measurements and the functional calculus use the
 clustered :func:`eig_hermitian`.  Roots, powers and unitary exponentials are
 assembled in an eigenbasis; only :func:`expm`, for matrices that are not
 Hermitian, is rational.
-:func:`gauss_kronrod` integrates the flux over time.  The library runs on numpy alone;
+:func:`real_or_complex` decides once whether model data is real.  :func:`gauss_kronrod`
+integrates the flux over time.  The library runs on numpy alone;
 :func:`one_blas_thread` pins numpy's bundled OpenBLAS through ctypes.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import heapq
 import sys
 from contextlib import contextmanager
@@ -53,6 +55,16 @@ class SpectrumDomainError(NumericalError, ValueError):
 
 class RankDeficientError(NumericalError, ValueError):
     """An operator required to be full rank is (numerically) singular."""
+
+
+def real_or_complex(a) -> np.ndarray:
+    """A read-only copy of ``a``: complex128 if an entry has a nonzero imaginary part,
+    else float64.  The one dtype rule for model data, run where it enters (``Scenario``
+    fields, config matrices); nothing downstream casts real data to complex or back."""
+    a = np.asarray(a)
+    out = np.array(a, dtype=complex) if np.iscomplexobj(a) and a.imag.any() else np.array(a.real, dtype=float)
+    out.setflags(write=False)
+    return out
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -236,11 +248,6 @@ def _components(mask: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
-def _real_if_exact(a: np.ndarray) -> np.ndarray:
-    """The real part of a complex array whose imaginary part is exactly zero, else ``a``."""
-    return a.real if np.iscomplexobj(a) and not a.imag.any() else a
-
-
 def eigh_finite(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.linalg.eigh(a)``, but a non-finite entry raises LinAlgError, which
     eigh alone does only for some inputs."""
@@ -254,12 +261,10 @@ def eigh_blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     connected component of its nonzero pattern (a conserved quantity such as
     a spin-chain parity splits d^3 work into a sum of block cubes): ascending
     eigenvalues (stable sort, so ties keep block order), each eigenvector
-    exactly zero outside its block.  A complex ``a`` with zero imaginary part
-    is diagonalized in float64, 2-3x faster, into real-valued complex
-    eigenvectors."""
+    exactly zero outside its block.  Real in, real out: a float64 ``a`` has
+    float64 eigenvectors, a complex one complex eigenvectors."""
     assert_square(a)
     w, v = np.empty(len(a)), np.zeros(a.shape, dtype=np.result_type(a.dtype, float))
-    a = _real_if_exact(a)
     col = 0
     for idx in _components(a != 0):
         cols = np.arange(col, col + len(idx))
@@ -276,8 +281,7 @@ def rayleigh_quotients(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     with the products formed in place: a chunk holds two extended-precision
     temporaries of 2^16 terms at any size.  For eigh's eigenvectors this is
     the eigenvalue to its rounding (the error is the residual squared), where
-    eigh's own errs by a few eps ||a||."""
-    a, v = _real_if_exact(a), _real_if_exact(v)
+    eigh's own errs by a few eps ||a||.  Real ``a`` and ``v`` give real sums."""
     ext = np.clongdouble if np.iscomplexobj(a) or np.iscomplexobj(v) else np.longdouble
     q, norm = np.zeros(v.shape[1], dtype=ext), np.zeros(v.shape[1], dtype=ext)
     for idx in _components(a != 0):
@@ -442,11 +446,9 @@ def gauss_kronrod(f, a: float, b: float, epsabs: float, epsrel: float, limit: in
 
 
 def tensor(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product in (system (x) reservoir) order."""
-    out = np.asarray(ops[0], dtype=complex)
-    for b in ops[1:]:
-        out = np.kron(out, np.asarray(b, dtype=complex))
-    return out
+    """Kronecker product in (system (x) reservoir) order, in its factors'
+    common dtype: real factors give a real product."""
+    return functools.reduce(np.kron, ops)
 
 
 def _openblas_thread_controls():

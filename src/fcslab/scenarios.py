@@ -12,18 +12,16 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import DEFAULT_QUAD_TOL, Scenario
-from .linalg import NonHermitianError, assert_hermitian
+from .linalg import NonHermitianError, assert_hermitian, real_or_complex
 from .states import gibbs, maximally_mixed, random_density, random_hermitian
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 MAX_CHAIN_SITES = 12
 DEFAULT_CLUSTER_TOL = 1e-9
-# A dense Scenario and one FCS cell hold about this many complex d x d
-# matrices at once (coupling, Hamiltonians, eigenvectors, U(t), temporaries);
-# a config whose estimate exceeds the budget is refused before any is built.
+# A dense Scenario and one FCS cell hold about this many d x d matrices at once (coupling,
+# Hamiltonians, eigenvectors, U(t), temporaries), budgeted as complex, the worst case; a
+# config whose estimate exceeds the budget is refused before any is built.
 DENSE_MATRICES = 12
 MEMORY_BUDGET_BYTES = 4 * 2**30
 
@@ -95,12 +93,12 @@ def build_chain_reservoir(
 
 def ladder_hamiltonian(dim: int) -> np.ndarray:
     """diag(0, 1, ..., dim-1): equally spaced levels."""
-    return np.diag(np.arange(dim, dtype=complex))
+    return np.diag(np.arange(dim, dtype=float))
 
 
 def hopping_operator(dim: int) -> np.ndarray:
     """Nearest-level flip sum |k><k+1| + |k+1><k| (sx for dim = 2)."""
-    a = np.zeros((dim, dim), dtype=complex)
+    a = np.zeros((dim, dim))
     for k in range(dim - 1):
         a[k, k + 1] = a[k + 1, k] = 1.0
     return a
@@ -139,11 +137,12 @@ def random_scenario(
 
 
 def matrix_to_pairs(a: np.ndarray) -> list:
-    """Serialize a complex matrix as row-major [re, im] pairs."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(a, dtype=complex)]
+    """Serialize a real or complex matrix as row-major [re, im] pairs."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(a)]
 
 
 def pairs_to_matrix(rows: list, field_name: str) -> np.ndarray:
+    """A config's [re, im] pairs as a read-only ``linalg.real_or_complex`` array, or a ConfigError naming the field."""
     try:
         arr = np.asarray(rows, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -154,7 +153,7 @@ def pairs_to_matrix(rows: list, field_name: str) -> np.ndarray:
         )
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{field_name}: matrix has a non-finite entry")
-    return arr[:, :, 0] + 1j * arr[:, :, 1]
+    return real_or_complex(arr[:, :, 0] + 1j * arr[:, :, 1])
 
 
 @dataclass(frozen=True)
@@ -381,5 +380,5 @@ def chain_scenario(
     h_sys = ladder_hamiltonian(2)
     h_res, edge = build_chain_reservoir(n, j_coupling, field, seed=seed, disorder=disorder)
     v = ((SIGMA_X, edge),)
-    rho_sys = np.diag([0.0, 1.0] if excited else [1.0, 0.0]).astype(complex)
+    rho_sys = np.diag([0.0, 1.0] if excited else [1.0, 0.0])
     return Scenario(h_sys=h_sys, h_res=h_res, v=v, lam=lam, beta=beta, rho_sys=rho_sys)

@@ -43,7 +43,7 @@ def assert_density(rho: np.ndarray, name: str = "state") -> None:
 
 
 def maximally_mixed(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex) / dim
+    return np.eye(dim) / dim
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from fcslab import Scenario
-from fcslab.scenarios import SIGMA_X, SIGMA_Y, SIGMA_Z, random_scenario
+from fcslab.scenarios import SIGMA_X, random_scenario
 
-PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
+SIGMA_Y = np.array([[0, -1j], [1j, 0]])
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
 @pytest.fixture

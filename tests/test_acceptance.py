@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from fcslab.checks import CHECKS
 from fcslab.dynamics import (
     balance_check,
     delta_q_flux,
@@ -117,7 +118,7 @@ def test_criterion_6_strip_bounds(scenario_suite):
     )
     worst = -np.inf
     for scn, t in scenario_suite:
-        worst = max(worst, strip_bounds_check(fcs_at(scn, t), grid))
+        worst = max(worst, strip_bounds_check(fcs_at(scn, t), grid, CHECKS["strip_growth_bound"].inner_tol))
     _verdict(6, "strip growth bounds", worst <= 0.0, f"(max violation {worst:.2e})")
 
 

@@ -22,7 +22,7 @@ from fcslab.dynamics import (
 )
 from fcslab.fcs import _sector_unitary, fcs_at, system_char_limit
 from fcslab.linalg import NonHermitianError, dagger, exp_complex, expm_hermitian, op_norm, positive_sqrt, tensor
-from fcslab.modular import Liouvilleans, perturbed_gibbs_vector
+from fcslab.modular import Liouvilleans, equilibrium_modular, initial_modular, perturbed_gibbs_vector
 from fcslab.scenarios import chain_scenario, config_to_scenario, random_scenario
 from fcslab.states import gibbs, random_hermitian
 
@@ -71,6 +71,22 @@ class TestScenario:
         scn = random_scenario(np.random.default_rng(2), 2, 3)
         arrays = [scn.h_sys, scn.h_res, scn.rho_sys, scn.v, scn._eig_res[1]] + [sec.a for sec in scn._free_basis_sectors]
         assert [x.dtype for x in arrays] == [np.complex128] * len(arrays)
+
+    @staticmethod
+    def dense_arrays(scn):
+        """The dense model matrices verify and fcs read, and the modular weights' eigenvectors."""
+        eq = equilibrium_modular(scn)
+        return [scn.h_sys_full, scn.h_res_full, scn.h_free, scn.h_coupled, scn.rho_init, scn.rho_eq,
+                scn._eig_coupled[1], eq.eig_omega[1], initial_modular(scn, eq).eig_eta[1]]
+
+    @pytest.mark.parametrize("source", ["chain_scenario", "qubit_qubit", "qubit_chain3", "qutrit_chain2"])
+    def test_the_dense_route_of_a_real_model_is_real(self, source):
+        scn = chain_scenario(3) if source == "chain_scenario" else config_to_scenario(shipped_config(source)).scenario
+        assert [x.dtype for x in self.dense_arrays(scn)] == [np.float64] * 9
+
+    def test_the_dense_route_of_a_complex_model_is_complex(self):
+        scn = random_scenario(np.random.default_rng(3), 2, 4)
+        assert [x.dtype for x in self.dense_arrays(scn)] == [np.complex128] * 9
 
 
 class TestCouplingTerms:

@@ -479,28 +479,31 @@ class TestFirstLawOfAverages:
         assert abs(res.mean - dq_s) > 1e-6
 
 
+STRIP_SLACK = CHECKS["strip_growth_bound"].inner_tol
+
+
 class TestStripBounds:
     def test_bound_holds_on_grid(self, scenario_factory):
         scn = scenario_factory(81, d_sys=2, d_res=8)
         grid = np.array(
             [a + 1j * b for a in np.linspace(0, 1, 5) for b in np.linspace(-2, 2, 5)]
         )
-        assert strip_bounds_check(fcs_at(scn, 2.0), grid) <= 0.0
+        assert strip_bounds_check(fcs_at(scn, 2.0), grid, STRIP_SLACK) <= 0.0
 
     def test_value_at_zero_saturates(self, qubit_qubit):
         fa = fcs_at(qubit_qubit, 1.0)
-        assert strip_bounds_check(fa, np.array([0.0])) <= 0.0
+        assert strip_bounds_check(fa, np.array([0.0]), STRIP_SLACK) <= 0.0
         # |F(0)| = 1 exactly: slack equals the tolerance only
-        assert 1.0 + 1e-10 - abs(fa.char(0.0)) <= 1e-9
+        assert 1.0 + STRIP_SLACK - abs(fa.char(0.0)) <= 1e-9
 
     def test_uncoupled_at_one(self, qubit_qubit):
         fa = fcs_at(qubit_qubit.with_lam(0.0), 3.0)
         assert abs(fa.char(1.0).real - 1.0) <= 1e-10
-        assert strip_bounds_check(fa, np.array([1.0])) <= 0.0
+        assert strip_bounds_check(fa, np.array([1.0]), STRIP_SLACK) <= 0.0
 
     def test_rejects_off_strip_grid(self, qubit_qubit):
         with pytest.raises(ValueError, match="strip"):
-            strip_bounds_check(fcs_at(qubit_qubit, 1.0), np.array([-0.2]))
+            strip_bounds_check(fcs_at(qubit_qubit, 1.0), np.array([-0.2]), STRIP_SLACK)
 
 
 class TestMoments:
@@ -830,7 +833,7 @@ class TestFcsInvariants:
         assert np.max(np.abs(np.conjugate(plus) - minus)) <= tolerance("char_conjugate_symmetry")
         assert abs(res.mean - delta_q_direct(scn, t)[1]) <= tolerance("mean_identity", scn, DEFAULT_QUAD_TOL, t)
         grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) + 1j * np.array([0.0, -1.0, 2.0, 0.5, 0.0])
-        assert strip_bounds_check(fa, grid) <= tolerance("strip_growth_bound")
+        assert strip_bounds_check(fa, grid, STRIP_SLACK) <= tolerance("strip_growth_bound")
         for variant, tt in ((scn.with_lam(0.0), t), (scn, 0.0)):
             for mu in (system_fcs(fcs_at(variant, tt)).measure, reservoir_fcs(fcs_at(variant, tt)).measure):
                 assert len(mu) == 1 and abs(mu.locations[0]) < CHECKS["system_delta_uncoupled"].inner_tol

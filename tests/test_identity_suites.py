@@ -310,7 +310,7 @@ def test_suites_report_the_table_in_order(qubit_qubit):
     for r in records:
         assert r.tolerance == tolerance(r.check_name, qubit_qubit, DEFAULT_QUAD_TOL, 1.0), r.check_name
     assert [name for name, check in CHECKS.items() if check.inner_tol is not None] == [
-        "cone_generation", "cone_preserved_by_flow",
+        "cone_generation", "cone_preserved_by_flow", "strip_growth_bound",
         "system_delta_uncoupled", "reservoir_delta_uncoupled", "system_delta_instant", "reservoir_delta_instant",
     ]
 

@@ -133,32 +133,28 @@ class TestEighBlocks:
         assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
 
     @pytest.mark.parametrize("sizes", [[1, 2, 3], [5]])
-    def test_real_valued_complex_blocks_reach_eigh_as_float64(self, rng, sizes, monkeypatch):
+    def test_blocks_reach_eigh_in_the_input_dtype(self, rng, sizes, monkeypatch):
         d = sum(sizes)
-        real, _ = permuted_block_diagonal(rng, rng.normal(size=d), sizes)
-        real = real.real
-        a = real.astype(complex)
+        real = permuted_block_diagonal(rng, rng.normal(size=d), sizes)[0].real
         dtypes = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda b: dtypes.append(b.dtype) or eigh(b))
-        w, v = eigh_blocks(a)
-        assert dtypes == [np.dtype(float)] * len(sizes)
-        assert v.dtype == complex and not v.imag.any()
-        assert np.max(np.abs((v * w) @ dagger(v) - a)) <= 1e-12
-        assert np.max(np.abs(w - np.linalg.eigvalsh(real))) <= 1e-12
+        for a in (real, real.astype(complex)):  # a complex-typed real matrix is diagonalized as complex
+            dtypes.clear()
+            w, v = eigh_blocks(a)
+            assert dtypes == [a.dtype] * len(sizes) and v.dtype == a.dtype and w.dtype == np.dtype(float)
+            assert np.max(np.abs((v * w) @ dagger(v) - a)) <= 1e-12
+            assert np.max(np.abs(w - np.linalg.eigvalsh(real))) <= 1e-12
 
     def test_each_block_stays_real_and_assembles_bitwise(self, rng):
         real, blocks = permuted_block_diagonal(rng, rng.normal(size=6), [1, 2, 3])
-        a = real.real.astype(complex)
+        a = real.real
         w, v = eigh_blocks(a)
-        w_real, v_real = eigh_blocks(a.real)
-        assert v.dtype == np.dtype(complex) and v_real.dtype == np.dtype(float)
-        assert np.array_equal(w, w_real) and np.array_equal(v, v_real)
-        for idx in blocks:  # each block's own eigenpairs
+        assert v.dtype == np.dtype(float)
+        for idx in blocks:  # each block's own eigh, bitwise
             cols = np.flatnonzero(np.any(v[idx] != 0, axis=0))
-            assert len(cols) == len(idx)
-            v_k = v[np.ix_(idx, cols)]
-            assert np.max(np.abs(a[np.ix_(idx, idx)] @ v_k - v_k * w[cols])) <= 1e-12
+            w_k, v_k = np.linalg.eigh(a[np.ix_(idx, idx)])
+            assert np.array_equal(w[cols], w_k) and np.array_equal(v[np.ix_(idx, cols)], v_k)
 
     def test_one_eigh_per_block(self, rng, monkeypatch):
         a, _ = permuted_block_diagonal(rng, rng.normal(size=6), [1, 2, 3])
@@ -317,6 +313,13 @@ class TestTensorPartialTrace:
     def test_tensor_spectra_multiply(self):
         w = np.sort(np.linalg.eigvalsh(tensor(SX, SX)))
         assert np.allclose(w, [-1, -1, 1, 1])
+
+    def test_tensor_keeps_its_factors_dtype(self):
+        sx, sy = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0, -1j], [1j, 0]])
+        real = tensor(sx, np.eye(2), sx)
+        assert real.dtype == np.dtype(float) and np.array_equal(real, np.kron(np.kron(sx, np.eye(2)), sx))
+        mixed = tensor(sx, sy, np.eye(2))
+        assert mixed.dtype == np.dtype(complex) and np.array_equal(mixed, np.kron(np.kron(sx, sy), np.eye(2)))
 
 
 class TestNormSpectralCheck:

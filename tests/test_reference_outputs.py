@@ -5,8 +5,9 @@ Each run writes its outputs afresh and compares them field by field, with
 tolerances and pass flags, CSV headers, row counts and text fields exactly;
 every other number to an absolute 1e-13; a verify residual only against its
 own tolerance, since it is roundoff.  A change that moves a value past this
-rewrites the reference files (``python tests/test_reference_outputs.py``) and
-names each moved file and field in CHANGES.md.
+rewrites the reference files of the runs it moves
+(``python tests/test_reference_outputs.py NAME ...``; with no name, every run)
+and names each moved file and field in CHANGES.md.
 """
 
 import importlib.util
@@ -83,9 +84,30 @@ def test_outputs_match_reference(name, tmp_path, capsys):
                 assert value == ref, (file, field)
 
 
-if __name__ == "__main__":
-    # rewrite every reference file from the working tree's code
+def rewrite(names: list[str]) -> None:
+    """Rewrite the reference files of the named runs (every run if none is
+    named) from the working tree's code; an unknown name rewrites nothing."""
+    unknown = [name for name in names if name not in RUNS]
+    if unknown:
+        sys.exit(f"unknown run {', '.join(unknown)}; the runs are {', '.join(RUNS)}")
     with tempfile.TemporaryDirectory() as tmp:
-        for name in RUNS:
+        for name in names or RUNS:
             if run(name, REFERENCE / name, Path(tmp)) != 0:
                 sys.exit(f"{name} exited non-zero")
+
+
+def test_rewrite_runs_only_the_named_runs(monkeypatch):
+    ran = []
+    monkeypatch.setattr(sys.modules[__name__], "run", lambda name, out_dir, tmp_dir: ran.append(name) or 0)
+    rewrite(["verify_qubit_chain3", "fcs_qubit_chain3"])
+    assert ran == ["verify_qubit_chain3", "fcs_qubit_chain3"]
+    ran.clear()
+    rewrite([])
+    assert ran == list(RUNS)
+    with pytest.raises(SystemExit, match="unknown run no_such_run"):
+        rewrite(["verify_qubit_chain3", "no_such_run"])
+    assert ran == list(RUNS)
+
+
+if __name__ == "__main__":
+    rewrite(sys.argv[1:])

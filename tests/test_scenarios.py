@@ -6,11 +6,11 @@ import pytest
 
 from fcslab import scenarios
 from fcslab.linalg import tensor
+from fcslab.states import gibbs
 from fcslab.scenarios import (
     ConfigError,
     RunConfig,
     SIGMA_X,
-    SIGMA_Z,
     build_chain_reservoir,
     chain_scenario,
     config_to_scenario,
@@ -21,6 +21,7 @@ from fcslab.scenarios import (
 
 
 ROOT = Path(__file__).resolve().parent.parent
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
 def shipped_config(name: str) -> dict:
@@ -36,11 +37,11 @@ def nfold_chain_reservoir(n, j_coupling, field, seed=None, disorder=0.0):
         fields = fields + disorder * np.random.default_rng(seed).standard_normal(n)
 
     def site_op(op, site):
-        mats = [np.eye(2, dtype=complex)] * n
+        mats = [np.eye(2)] * n
         mats[site] = op
         return tensor(*mats)
 
-    h = np.zeros((2**n, 2**n), dtype=complex)
+    h = np.zeros((2**n, 2**n))
     for i in range(n):
         h += fields[i] * site_op(SIGMA_Z, i)
     for i in range(n - 1):
@@ -81,10 +82,9 @@ class TestChainReservoir:
                 for field in (0.5, -0.5):
                     h, edge = build_chain_reservoir(n, j_coupling, field, seed=seed, disorder=disorder)
                     h_ref, edge_ref = nfold_chain_reservoir(n, j_coupling, field, seed=seed, disorder=disorder)
-                    # the chain is real: float64, and its complex cast is exact
-                    assert h.dtype == edge.dtype == np.float64
-                    assert h.astype(complex).tobytes() == h_ref.tobytes()
-                    assert edge.astype(complex).tobytes() == edge_ref.tobytes()
+                    # the chain is real: float64, as the real site-operator build is
+                    assert h.dtype == edge.dtype == h_ref.dtype == edge_ref.dtype == np.float64
+                    assert h.tobytes() == h_ref.tobytes() and edge.tobytes() == edge_ref.tobytes()
 
 
 class TestConfig:
@@ -96,6 +96,18 @@ class TestConfig:
         assert run.scenario.dim == 4
         assert run.scenario.lam == 0.2
         assert run.cluster_tol == 1e-9 and run.quad_tol == 1e-8
+
+    def test_a_real_matrix_hamiltonian_reaches_the_thermal_preset_real(self, monkeypatch):
+        # the config door decides the dtype: states.gibbs runs before any Scenario exists
+        dtypes = []
+        monkeypatch.setattr(scenarios, "gibbs", lambda h, beta: dtypes.append(h.dtype) or gibbs(h, beta))
+        cfg = shipped_config("qubit_qubit")
+        cfg["system"]["initial_state"] = {"preset": "thermal"}
+        ladder = config_to_scenario(cfg).scenario.rho_sys
+        cfg["system"]["hamiltonian"] = {"matrix": matrix_to_pairs(np.diag([0.0, 1.0]))}
+        matrix = config_to_scenario(cfg).scenario.rho_sys
+        assert dtypes == [np.dtype(float)] * 2
+        assert matrix.dtype == ladder.dtype == np.dtype(float) and matrix.tobytes() == ladder.tobytes()
 
     def test_lambda_omitted_warns_and_defaults(self):
         cfg = shipped_config("qubit_qubit")
