@@ -197,7 +197,17 @@ def suite_states(scn: Scenario, seed: int = 0) -> list[CheckResult]:
 # -- modular suite ------------------------------------------------------------
 
 
+def _worst(residuals) -> float:
+    """The largest of a check's residuals, in order, from 0.0."""
+    worst = 0.0
+    for r in residuals:
+        worst = max(worst, r)
+    return worst
+
+
 def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
+    """The modular checks.  Each probe loop is a generator that draws its own
+    probes, so they die with it, before the next check draws."""
     rng = np.random.default_rng(seed)
     out = []
     d = scn.dim
@@ -210,115 +220,113 @@ def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
         out.real, out.imag = rng.standard_normal((2, d, d))
         return out
 
-    worst = 0.0
-    for _ in range(10):
-        a = rand_mat()
-        lhs = hs_inner(omega, a @ omega)
-        worst = max(worst, abs(lhs - np.einsum("ij,ji->", scn.rho_eq, a)))  # tr(rho_eq a), O(d^2)
-    out.append(_result("gns_trace_agreement", worst))
+    def gns_trace_agreement():
+        for _ in range(10):
+            a = rand_mat()
+            lhs = hs_inner(omega, a @ omega)
+            yield abs(lhs - np.einsum("ij,ji->", scn.rho_eq, a))  # tr(rho_eq a), O(d^2)
+    out.append(_result("gns_trace_agreement", _worst(gns_trace_agreement())))
 
-    worst = 0.0
-    for _ in range(10):
-        x, y = rand_mat(), rand_mat()
-        worst = max(worst, abs(hs_inner(ms.conjugation(x), ms.conjugation(y)) - hs_inner(y, x)))
-        worst = max(worst, hs_norm(ms.conjugation(ms.conjugation(x)) - x))
-    out.append(_result("conjugation_antiunitary", worst))
+    def conjugation_antiunitary():
+        for _ in range(10):
+            x, y = rand_mat(), rand_mat()
+            yield abs(hs_inner(ms.conjugation(x), ms.conjugation(y)) - hs_inner(y, x))
+            yield hs_norm(ms.conjugation(ms.conjugation(x)) - x)
+    out.append(_result("conjugation_antiunitary", _worst(conjugation_antiunitary())))
 
-    worst = 0.0
-    for _ in range(10):
-        x = rand_mat()
-        # Delta = F S and Delta^(-1/2) = J Delta^(1/2) J, as maps.
-        worst = max(worst, hs_norm(ms.commutant_star(ms.star(x)) - ms.delta(x)) / hs_norm(x))
-        lhs = ms.conjugation(ms.delta_power(0.5, ms.conjugation(x)))
-        worst = max(worst, hs_norm(lhs - ms.delta_power(-0.5, x)) / hs_norm(x))
-    out.append(_result("modular_identities", worst))
+    def modular_identities():
+        for _ in range(10):
+            x = rand_mat()
+            # Delta = F S and Delta^(-1/2) = J Delta^(1/2) J, as maps.
+            yield hs_norm(ms.commutant_star(ms.star(x)) - ms.delta(x)) / hs_norm(x)
+            lhs = ms.conjugation(ms.delta_power(0.5, ms.conjugation(x)))
+            yield hs_norm(lhs - ms.delta_power(-0.5, x)) / hs_norm(x)
+    out.append(_result("modular_identities", _worst(modular_identities())))
 
     out.append(_result("vacuum_invariance", hs_norm(ms.delta(omega) - omega)))
 
-    worst = 0.0
-    for _ in range(50):
-        a = rand_mat()
-        worst = max(worst, hs_norm(ms.star(a @ omega) - dagger(a) @ omega) / hs_norm(a))
-    out.append(_result("star_operator_action", worst))
+    def star_operator_action():
+        for _ in range(50):
+            a = rand_mat()
+            yield hs_norm(ms.star(a @ omega) - dagger(a) @ omega) / hs_norm(a)
+    out.append(_result("star_operator_action", _worst(star_operator_action())))
 
-    # Conjugated observables commute with the algebra (they act from the right).
-    worst = 0.0
-    for _ in range(10):
-        a, b, x = rand_mat(), rand_mat(), rand_mat()
-        jaj = lambda y: ms.conjugation(a @ ms.conjugation(y))
-        lhs = jaj(b @ x)
-        rhs = b @ jaj(x)
-        worst = max(worst, hs_norm(lhs - rhs) / hs_norm(x))
-    out.append(_result("conjugated_commutant", worst))
+    def conjugated_commutant():  # conjugated observables commute with the algebra (they act from the right)
+        for _ in range(10):
+            a, b, x = rand_mat(), rand_mat(), rand_mat()
+            jaj = lambda y: ms.conjugation(a @ ms.conjugation(y))
+            lhs = jaj(b @ x)
+            rhs = b @ jaj(x)
+            yield hs_norm(lhs - rhs) / hs_norm(x)
+    out.append(_result("conjugated_commutant", _worst(conjugated_commutant())))
 
-    # Modular flow keeps observables acting from the left.
-    worst = 0.0
-    for _ in range(10):
-        a, x = rand_mat(), rand_mat()
-        t = float(rng.uniform(-2, 2))
-        fwd, back = ms.ref_power(1j * t), ms.ref_power(-1j * t)  # Delta^(+-it) X = fwd X back, back X fwd
-        worst = max(worst, hs_norm(fwd @ (a @ (back @ x @ fwd)) @ back - fwd @ a @ back @ x) / hs_norm(x))
-    out.append(_result("modular_flow_stability", worst))
+    def modular_flow_stability():  # modular flow keeps observables acting from the left
+        for _ in range(10):
+            a, x = rand_mat(), rand_mat()
+            t = float(rng.uniform(-2, 2))
+            fwd, back = ms.ref_power(1j * t), ms.ref_power(-1j * t)  # Delta^(+-it) X = fwd X back, back X fwd
+            yield hs_norm(fwd @ (a @ (back @ x @ fwd)) @ back - fwd @ a @ back @ x) / hs_norm(x)
+    out.append(_result("modular_flow_stability", _worst(modular_flow_stability())))
 
-    # Equilibrium boundary condition from the modular operator.
-    worst = 0.0
-    for _ in range(20):
-        a, b = rand_mat(), rand_mat()
-        lhs = hs_inner(omega, a @ ms.delta(b @ omega))
-        rhs = hs_inner(omega, b @ (a @ omega))
-        worst = max(worst, abs(lhs - rhs))
-    out.append(_result("kms_from_modular", worst))
+    def kms_from_modular():  # equilibrium boundary condition from the modular operator
+        for _ in range(20):
+            a, b = rand_mat(), rand_mat()
+            lhs = hs_inner(omega, a @ ms.delta(b @ omega))
+            rhs = hs_inner(omega, b @ (a @ omega))
+            yield abs(lhs - rhs)
+    out.append(_result("kms_from_modular", _worst(kms_from_modular())))
 
-    # Radon-Nikodym property of the relative modular operator.
-    rel = initial_modular(scn, ms)
-    worst = 0.0
-    for _ in range(20):
-        a = rand_mat()
-        lhs = hs_inner(omega, rel.apply(a @ omega))
-        worst = max(worst, abs(lhs - np.einsum("ij,ji->", scn.rho_init, a)))  # tr(rho_init a), O(d^2)
-    out.append(_result("radon_nikodym", worst))
+    def radon_nikodym():  # Radon-Nikodym property of the relative modular operator
+        rel = initial_modular(scn, ms)
+        for _ in range(20):
+            a = rand_mat()
+            lhs = hs_inner(omega, rel.apply(a @ omega))
+            yield abs(lhs - np.einsum("ij,ji->", scn.rho_init, a))  # tr(rho_init a), O(d^2)
+    out.append(_result("radon_nikodym", _worst(radon_nikodym())))
 
-    # Natural cone: generated vectors are positive semidefinite matrices.
-    ok = True
-    for _ in range(20):
-        a = rand_mat()
-        vec = a @ omega @ dagger(a)  # A J A J applied to the reference vector
-        ok = ok and cone_membership(vec, CHECKS["cone_generation"].inner_tol)
-    out.append(_result("cone_generation", 0.0 if ok else 1.0))
+    def cone_generation():  # natural cone: generated vectors are positive semidefinite matrices
+        for _ in range(20):
+            a = rand_mat()
+            vec = a @ omega @ dagger(a)  # A J A J applied to the reference vector
+            yield 0.0 if cone_membership(vec, CHECKS["cone_generation"].inner_tol) else 1.0
+    out.append(_result("cone_generation", _worst(cone_generation())))
 
     lv = Liouvilleans(scn)
-    worst = 0.0
-    for _ in range(10):
-        x = rand_mat()
-        worst = max(worst, hs_norm(lv.coupled(x) - lv.coupled_decomposed(x)) / hs_norm(x))
-    out.append(_result("coupled_liouvillean_formula", worst))
+
+    def coupled_liouvillean_formula():
+        for _ in range(10):
+            x = rand_mat()
+            yield hs_norm(lv.coupled(x) - lv.coupled_decomposed(x)) / hs_norm(x)
+    out.append(_result("coupled_liouvillean_formula", _worst(coupled_liouvillean_formula())))
 
     out.append(_result("free_liouvillean_kills_equilibrium", hs_norm(lv.free(equilibrium_vector(scn)))))
 
-    omega_lam = perturbed_gibbs_vector(scn)
-    out.append(_result("coupled_liouvillean_kills_vector", hs_norm(lv.coupled(omega_lam))))
-    out.append(_result("perturbed_vector_is_coupled_gibbs",
-                       hs_norm(omega_lam - positive_sqrt(gibbs(scn.h_coupled, scn.beta)))))
+    def perturbed_vector():
+        omega_lam = perturbed_gibbs_vector(scn)
+        return (hs_norm(lv.coupled(omega_lam)),
+                hs_norm(omega_lam - positive_sqrt(gibbs(scn.h_coupled, scn.beta))))
+    kills, is_gibbs = perturbed_vector()
+    out.append(_result("coupled_liouvillean_kills_vector", kills))
+    out.append(_result("perturbed_vector_is_coupled_gibbs", is_gibbs))
 
-    ok = True
-    for _ in range(20):
-        a = rand_mat()
-        vec = a @ omega @ dagger(a)
-        t = float(rng.uniform(-3, 3))
-        ok = ok and cone_membership(scn.evolve(vec, t), CHECKS["cone_preserved_by_flow"].inner_tol)
-    out.append(_result("cone_preserved_by_flow", 0.0 if ok else 1.0))
+    def cone_preserved_by_flow():
+        for _ in range(20):
+            a = rand_mat()
+            vec = a @ omega @ dagger(a)
+            t = float(rng.uniform(-3, 3))
+            yield 0.0 if cone_membership(scn.evolve(vec, t), CHECKS["cone_preserved_by_flow"].inner_tol) else 1.0
+    out.append(_result("cone_preserved_by_flow", _worst(cone_preserved_by_flow())))
 
-    t = 1.3
-    gam = exact_cocycle(scn, t)
-    rel_t = reservoir_modular(scn, t)
-    conjugated = gam @ tensor(np.eye(scn.dim_sys), scn.rho_res) @ dagger(gam)
-    worst = 0.0
-    for _ in range(10):
-        x = rand_mat()
-        lhs = rel_t.apply(x)
-        rhs = conjugated @ x @ rel_t._inv_omega  # the cached inverse apply uses
-        worst = max(worst, hs_norm(lhs - rhs) / hs_norm(x))
-    out.append(_result("cocycle_conjugation", worst))
+    def cocycle_conjugation(t: float = 1.3):
+        gam = exact_cocycle(scn, t)
+        rel_t = reservoir_modular(scn, t)
+        conjugated = gam @ tensor(np.eye(scn.dim_sys), scn.rho_res) @ dagger(gam)
+        for _ in range(10):
+            x = rand_mat()
+            lhs = rel_t.apply(x)
+            rhs = conjugated @ x @ rel_t._inv_omega  # the cached inverse apply uses
+            yield hs_norm(lhs - rhs) / hs_norm(x)
+    out.append(_result("cocycle_conjugation", _worst(cocycle_conjugation())))
 
     return out
 
@@ -368,8 +376,7 @@ def suite_fcs(scn: Scenario, seed: int = 0, t: float = 1.0, quad_tol: float = DE
     at = (scn, quad_tol, t)  # the scenario-dependent tolerances' arguments
 
     fa = fcsmod.fcs_at(scn, t)  # every (scn, t) check below reads it
-    res_modular = fcsmod.reservoir_fcs(fa)
-    mu_modular = res_modular.measure
+    mu_modular = fa.reservoir_measure
     mu_oracle = two_time_reservoir_oracle(scn, t)
     out.append(_result("reservoir_fcs_two_route", measure_distance(mu_modular, mu_oracle)))
 
@@ -398,7 +405,7 @@ def suite_fcs(scn: Scenario, seed: int = 0, t: float = 1.0, quad_tol: float = DE
     out.append(_result("char_conjugate_symmetry", np.max(np.abs(np.conjugate(plus) - minus))))
 
     deriv_moments = fcsmod.derivative_moments(fa)
-    out.append(_result("moment_consistency", float(np.max(np.abs(res_modular.moments - deriv_moments))), *at))
+    out.append(_result("moment_consistency", float(np.max(np.abs(fcsmod.atom_moments(mu_modular) - deriv_moments))), *at))
 
     for name, variant, tt in (("uncoupled", scn.with_lam(0.0), t), ("instant", scn, 0.0)):
         fa_variant = fcsmod.fcs_at(variant, tt)

@@ -51,10 +51,14 @@ class FcsResult:
 
     @classmethod
     def from_measure(cls, mu: AtomicMeasure, gamma_grid: np.ndarray) -> "FcsResult":
-        moments = np.array([mu.moment(k) for k in range(1, N_MOMENTS + 1)])
         values = mu.char(gamma_grid)
         samples = [(float(g), complex(val)) for g, val in zip(gamma_grid, np.atleast_1d(values))]
-        return cls(measure=mu, mean=mu.mean, moments=moments, char_samples=samples)
+        return cls(measure=mu, mean=mu.mean, moments=atom_moments(mu), char_samples=samples)
+
+
+def atom_moments(mu: AtomicMeasure) -> np.ndarray:
+    """Moments 1..N_MOMENTS of the atoms of mu."""
+    return np.array([mu.moment(k) for k in range(1, N_MOMENTS + 1)])
 
 
 def default_gamma_grid(scn: Scenario, n: int = 41) -> np.ndarray:

@@ -396,20 +396,29 @@ def _norm(x) -> float:
     return float(np.linalg.norm(x) if isinstance(x, np.ndarray) else abs(x))
 
 
+def _gk21_sums(f, c: float, h: float):
+    """The K21, G10 and |f| sums of the rule over the nodes c + h x, in scipy's order."""
+    s_k, s_g, s_abs = 0.0, 0.0, 0.0
+    for i, (x, v) in enumerate(zip(_GK21_X, _GK21_K)):
+        value = f(c + h * x)
+        s_k += v * value
+        s_abs += v * abs(value)
+        if i % 2:
+            s_g += _GK21_G[i // 2] * value
+    return s_k, s_g, s_abs
+
+
 def _gk21(f, a: float, b: float):
     """(integral, error, rounding error) of f over [a, b] by one 21-point rule with
-    QUADPACK's error estimate; f is called at one node at a time, summed in scipy's order."""
+    QUADPACK's error estimate, summed in scipy's order.  The estimate needs
+    sum |f_i - I/2|, known only once the whole rule is, so f is called twice
+    at each node, in the same order, and no value is kept past its sums:
+    at most two values of f are alive at once."""
     c, h = 0.5 * (a + b), 0.5 * (b - a)
-    values, s_k, s_g, s_abs, s_dabs = [], 0.0, 0.0, 0.0, 0.0
-    for i, (x, v) in enumerate(zip(_GK21_X, _GK21_K)):
-        values.append(f(c + h * x))
-        s_k += v * values[-1]
-        s_abs += v * abs(values[-1])
-        if i % 2:
-            s_g += _GK21_G[i // 2] * values[-1]
-    y0 = s_k / 2.0
-    for v, ff in zip(_GK21_K, values):
-        s_dabs += v * abs(ff - y0)
+    s_k, s_g, s_abs = _gk21_sums(f, c, h)
+    y0, s_dabs = s_k / 2.0, 0.0
+    for x, v in zip(_GK21_X, _GK21_K):
+        s_dabs += v * abs(f(c + h * x) - y0)
     err, dabs = _norm((s_k - s_g) * h), _norm(s_dabs * h)
     if dabs != 0 and err != 0:
         err = dabs * min(1.0, (200 * err / dabs) ** 1.5)
@@ -424,7 +433,9 @@ def gauss_kronrod(f, a: float, b: float, epsabs: float, epsrel: float, limit: in
     loop of ``scipy.integrate.quad_vec`` on the 21-point rule.  Each round bisects the
     largest-error intervals until the rest could meet the tolerance; after it the loop stops
     if the summed error is below max(epsabs, epsrel * ||I||) / 8 or the summed rounding
-    error, or is not finite, or at ``limit`` intervals."""
+    error, or is not finite, or at ``limit`` intervals.  f is called twice at each of
+    the 21 nodes of an interval (see _gk21), so it must return the same value at the
+    same point; no node value is kept, and the memory is a few arrays of f's size."""
     total, err, rnd = _gk21(f, a, b)
     heap = [(-err, a, b, total)]
     while len(heap) < limit:

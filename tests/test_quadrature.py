@@ -7,6 +7,8 @@ import json
 import os
 import subprocess
 import sys
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from fcslab import dynamics as dynmod
 from fcslab import fcs as fcsmod
 from fcslab.dynamics import QuadratureError, delta_q_flux
 from fcslab.fcs import operator_balance_check
-from fcslab.linalg import _gk21, gauss_kronrod
+from fcslab.linalg import _GK21_G, _GK21_K, _GK21_X, _gk21, _norm, gauss_kronrod
 from fcslab.scenarios import chain_scenario, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,6 +30,7 @@ SCENARIOS = {
     "qubit_qubit": lambda: parse_config(ROOT / "configs" / "qubit_qubit.json").scenario,
     "chain4": lambda: chain_scenario(4, disorder=0.3, seed=1),
 }
+FLUX_KINDS = ("flux_sys", "flux_res", "balance")
 
 
 def counted(f):
@@ -56,7 +59,7 @@ def recorded_integrands(scn):
             run()
         finally:
             setattr(mod, name, original)
-    return dict(zip(("flux_sys", "flux_res", "balance"), found))
+    return dict(zip(FLUX_KINDS, found))
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +77,7 @@ def test_matches_scipy_quad_vec(integrands, case, kind, t, tol):
     ref, ref_err, info = quad_vec(integrands[case][kind], 0.0, t, epsabs=tol, epsrel=1e-13,
                                   full_output=True)
     assert np.max(np.abs(np.asarray(value) - ref)) <= 1e-13
-    assert f.evals == info.neval
+    assert f.evals == 2 * info.neval  # each node twice: see _gk21
     assert abs(err - ref_err) <= 1e-3 * ref_err
 
 
@@ -107,7 +110,7 @@ def test_many_bisections_match_scipy_quad_vec(kind, tol):
     f = counted(KINKS[kind])
     value, err = gauss_kronrod(f, 0.0, 1.0, tol, 0.0)
     ref, ref_err, info = quad_vec(KINKS[kind], 0.0, 1.0, epsabs=tol, epsrel=0.0, full_output=True)
-    assert f.evals == info.neval > 63
+    assert f.evals == 2 * info.neval > 126
     assert np.max(np.abs(np.asarray(value) - ref)) <= 1e-15
     assert abs(err - ref_err) <= 1e-3 * ref_err
 
@@ -118,7 +121,7 @@ def test_limit_stops_the_loop_short_of_the_tolerance():
     _, ref_err, info = quad_vec(lambda s: abs(s - 0.3), 0.0, 1.0, epsabs=1e-14, epsrel=1e-14,
                                 limit=5, full_output=True)
     assert err > 1e-14 and not info.success
-    assert f.evals == info.neval
+    assert f.evals == 2 * info.neval
     assert abs(value - 0.29) <= err and abs(err - ref_err) <= 1e-3 * ref_err
 
 
@@ -126,7 +129,85 @@ def test_nan_integrand_stops_after_the_first_bisection():
     f = counted(lambda s: float("nan"))
     value, err = gauss_kronrod(f, 0.0, 1.0, 1e-8, 1e-8)
     assert np.isnan(value) and np.isnan(err)
-    assert f.evals == 63
+    assert f.evals == 126
+
+
+# -- the 21-point rule keeps no node values ----------------------------------------------
+
+
+def stored_values_gk21(f, a, b):
+    """The rule as it was when it kept all 21 node values for the |f - I/2| sum:
+    the reference for the two-pass _gk21."""
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    values, s_k, s_g, s_abs, s_dabs = [], 0.0, 0.0, 0.0, 0.0
+    for i, (x, v) in enumerate(zip(_GK21_X, _GK21_K)):
+        values.append(f(c + h * x))
+        s_k += v * values[-1]
+        s_abs += v * abs(values[-1])
+        if i % 2:
+            s_g += _GK21_G[i // 2] * values[-1]
+    y0 = s_k / 2.0
+    for v, ff in zip(_GK21_K, values):
+        s_dabs += v * abs(ff - y0)
+    err, dabs = _norm((s_k - s_g) * h), _norm(s_dabs * h)
+    if dabs != 0 and err != 0:
+        err = dabs * min(1.0, (200 * err / dabs) ** 1.5)
+    round_err = _norm(50 * sys.float_info.epsilon * h * s_abs)
+    if round_err > sys.float_info.min:
+        err = max(err, round_err)
+    return h * s_k, err, round_err
+
+
+def same_bits(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (0.0, 20.0), (0.3, 0.7)])
+def test_rule_is_bitwise_the_stored_values_rule(integrands, interval):
+    flux = [integrands[case][kind] for case in sorted(SCENARIOS) for kind in FLUX_KINDS]
+    for f in flux + [KINKS[kind] for kind in sorted(KINKS)]:
+        got, ref = _gk21(f, *interval), stored_values_gk21(f, *interval)
+        assert all(same_bits(x, y) for x, y in zip(got, ref))
+
+
+def counting_points(f, points):
+    def g(s):
+        points[s] += 1
+        return f(s)
+
+    return g
+
+
+@pytest.mark.parametrize("source, kind", [("kinks", kind) for kind in sorted(KINKS)]
+                         + [(case, kind) for case in sorted(SCENARIOS) for kind in FLUX_KINDS])
+def test_each_scipy_point_is_evaluated_exactly_twice(integrands, source, kind):
+    f, t, epsrel = (KINKS[kind], 1.0, 0.0) if source == "kinks" else (integrands[source][kind], 20.0, 1e-13)
+    ours, theirs = Counter(), Counter()
+    gauss_kronrod(counting_points(f, ours), 0.0, t, 1e-10, epsrel)
+    quad_vec(counting_points(f, theirs), 0.0, t, epsabs=1e-10, epsrel=epsrel)
+    assert sum(theirs.values()) >= 63
+    assert ours == Counter({s: 2 * n for s, n in theirs.items()})
+
+
+def test_at_most_two_integrand_values_are_alive(integrands):
+    f = integrands["chain4"]["balance"]
+    live, most = 0, 0
+
+    def released():
+        nonlocal live
+        live -= 1
+
+    def tracked(s):
+        nonlocal live, most
+        value = np.array(f(s))
+        live += 1
+        most = max(most, live)
+        weakref.finalize(value, released)
+        return value
+
+    gauss_kronrod(tracked, 0.0, 20.0, 1e-12, 1e-13)
+    assert live == 0 and most <= 2
 
 
 @pytest.mark.parametrize("mod, name, run", [
