@@ -4,7 +4,10 @@ Each check evaluates one operator-algebraic identity numerically and records
 the residual against its tolerance.  The suites drive the ``verify`` command
 and the acceptance tests; every check is a two-route computation (the
 identity's two sides are built independently).  ``CHECKS`` holds each
-check's name and tolerance, in the order the report lists them.
+check's name and tolerance, in the order the report lists them.  Each probe
+loop is a local generator, named after its check, that yields one residual
+per draw; ``linalg._max_residual`` reduces these and every other maximum of
+terms, so a NaN anywhere is the residual, and one that is not finite fails.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 from . import fcs as fcsmod
 from .dynamics import DEFAULT_QUAD_TOL, Scenario, balance_check, delta_q_direct, delta_q_flux, dyson_cocycle, dyson_error_bound, exact_cocycle
 from .linalg import (
+    _max_residual,
     assert_hermitian,
     dagger,
     eig_hermitian,
@@ -47,11 +51,16 @@ class CheckResult:
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.tolerance
+        """A residual passes when it is finite and within the tolerance."""
+        return bool(np.isfinite(self.residual)) and self.residual <= self.tolerance
 
     def as_record(self) -> dict:
+        """The report row; a residual that is not finite is written as None
+        (JSON null), since strict JSON has no NaN or Infinity."""
         rec = asdict(self)
         rec["pass"] = self.passed
+        if not np.isfinite(self.residual):
+            rec["residual"] = None
         return rec
 
 
@@ -122,39 +131,39 @@ def suite_operator(scn: Scenario, seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
 
-    worst = 0.0
-    for _ in range(200):
-        d = int(rng.integers(2, 9))
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        n2 = op_norm(g) ** 2
-        worst = max(worst, abs(op_norm(dagger(g) @ g) - n2) / max(n2, 1e-30))
-    out.append(_result("cstar_identity", worst))
+    def cstar_identity():
+        for _ in range(200):
+            d = int(rng.integers(2, 9))
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            n2 = op_norm(g) ** 2
+            yield abs(op_norm(dagger(g) @ g) - n2) / max(n2, 1e-30)
+    out.append(_result("cstar_identity", _max_residual(cstar_identity())))
 
-    worst = 0.0
-    for _ in range(20):
-        a = random_hermitian(int(rng.integers(2, 7)), rng)
-        dec = eig_hermitian(a)
-        worst = max(worst, op_norm(dec.reconstruct() - a) / max(op_norm(a), 1e-30))
-    out.append(_result("spectral_reconstruction", worst))
+    def spectral_reconstruction():
+        for _ in range(20):
+            a = random_hermitian(int(rng.integers(2, 7)), rng)
+            dec = eig_hermitian(a)
+            yield op_norm(dec.reconstruct() - a) / max(op_norm(a), 1e-30)
+    out.append(_result("spectral_reconstruction", _max_residual(spectral_reconstruction())))
 
-    worst = 0.0
-    for _ in range(20):
-        a = random_hermitian(4, rng)
+    def spectral_mapping():
         poly = lambda x: 2.0 * x**3 - x + 0.25
-        mapped = np.sort(np.linalg.eigvalsh(func_calc(a, poly)))
-        direct = np.sort([poly(x) for x in np.linalg.eigvalsh(a)])
-        worst = max(worst, float(np.max(np.abs(mapped - direct))))
-    out.append(_result("spectral_mapping", worst))
+        for _ in range(20):
+            a = random_hermitian(4, rng)
+            mapped = np.sort(np.linalg.eigvalsh(func_calc(a, poly)))
+            direct = np.sort([poly(x) for x in np.linalg.eigvalsh(a)])
+            yield float(np.max(np.abs(mapped - direct)))
+    out.append(_result("spectral_mapping", _max_residual(spectral_mapping())))
 
-    worst = 0.0
-    for _ in range(20):
-        a = random_hermitian(5, rng)
+    def calculus_homomorphism():
         f = lambda x: x**2 + 1.0
         g2 = lambda x: np.exp(0.3 * x)
-        prod = func_calc(a, lambda x: f(x) * g2(x))
-        split = func_calc(a, f) @ func_calc(a, g2)
-        worst = max(worst, op_norm(prod - split))
-    out.append(_result("calculus_homomorphism", worst))
+        for _ in range(20):
+            a = random_hermitian(5, rng)
+            prod = func_calc(a, lambda x: f(x) * g2(x))
+            split = func_calc(a, f) @ func_calc(a, g2)
+            yield op_norm(prod - split)
+    out.append(_result("calculus_homomorphism", _max_residual(calculus_homomorphism())))
 
     return out
 
@@ -167,14 +176,15 @@ def suite_states(scn: Scenario, seed: int = 0) -> list[CheckResult]:
     out = []
     d = scn.dim_sys
 
-    worst = 0.0
-    for _ in range(25):
-        s = entropy(random_density(d, rng))
-        worst = max(worst, max(-s, s - np.log(d)))
-    out.append(_result("entropy_bounds", worst))
+    def entropy_bounds():
+        for _ in range(25):
+            s = entropy(random_density(d, rng))
+            yield -s
+            yield s - np.log(d)
+    out.append(_result("entropy_bounds", _max_residual(entropy_bounds())))
 
     rep = gibbs_variational_check(scn.h_sys, scn.beta, trials=50, rng_seed=seed)
-    out.append(_result("gibbs_variational_inequality", max(rep.max_violation, 0.0)))
+    out.append(_result("gibbs_variational_inequality", _max_residual((rep.max_violation,))))
     out.append(_result("gibbs_variational_equality", abs(rep.equality_gap)))
 
     rho_b = scn.rho_sys_thermal
@@ -185,24 +195,17 @@ def suite_states(scn: Scenario, seed: int = 0) -> list[CheckResult]:
 
     res = measure(scn.rho_sys, scn.h_sys)
     out.append(_result("measurement_normalization", abs(res.outcomes.mass - 1.0)))
-    worst = 0.0
-    for post in res.post_states:
-        w = np.linalg.eigvalsh(post)
-        worst = max(worst, max(-float(w[0]), abs(float(np.trace(post).real) - 1.0)))
-    out.append(_result("post_state_validity", worst))
+
+    def post_state_validity():
+        for post in res.post_states:
+            yield -float(np.linalg.eigvalsh(post)[0])
+            yield abs(float(np.trace(post).real) - 1.0)
+    out.append(_result("post_state_validity", _max_residual(post_state_validity())))
 
     return out
 
 
 # -- modular suite ------------------------------------------------------------
-
-
-def _worst(residuals) -> float:
-    """The largest of a check's residuals, in order, from 0.0."""
-    worst = 0.0
-    for r in residuals:
-        worst = max(worst, r)
-    return worst
 
 
 def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
@@ -225,14 +228,14 @@ def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
             a = rand_mat()
             lhs = hs_inner(omega, a @ omega)
             yield abs(lhs - np.einsum("ij,ji->", scn.rho_eq, a))  # tr(rho_eq a), O(d^2)
-    out.append(_result("gns_trace_agreement", _worst(gns_trace_agreement())))
+    out.append(_result("gns_trace_agreement", _max_residual(gns_trace_agreement())))
 
     def conjugation_antiunitary():
         for _ in range(10):
             x, y = rand_mat(), rand_mat()
             yield abs(hs_inner(ms.conjugation(x), ms.conjugation(y)) - hs_inner(y, x))
             yield hs_norm(ms.conjugation(ms.conjugation(x)) - x)
-    out.append(_result("conjugation_antiunitary", _worst(conjugation_antiunitary())))
+    out.append(_result("conjugation_antiunitary", _max_residual(conjugation_antiunitary())))
 
     def modular_identities():
         for _ in range(10):
@@ -241,7 +244,7 @@ def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
             yield hs_norm(ms.commutant_star(ms.star(x)) - ms.delta(x)) / hs_norm(x)
             lhs = ms.conjugation(ms.delta_power(0.5, ms.conjugation(x)))
             yield hs_norm(lhs - ms.delta_power(-0.5, x)) / hs_norm(x)
-    out.append(_result("modular_identities", _worst(modular_identities())))
+    out.append(_result("modular_identities", _max_residual(modular_identities())))
 
     out.append(_result("vacuum_invariance", hs_norm(ms.delta(omega) - omega)))
 
@@ -249,7 +252,7 @@ def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
         for _ in range(50):
             a = rand_mat()
             yield hs_norm(ms.star(a @ omega) - dagger(a) @ omega) / hs_norm(a)
-    out.append(_result("star_operator_action", _worst(star_operator_action())))
+    out.append(_result("star_operator_action", _max_residual(star_operator_action())))
 
     def conjugated_commutant():  # conjugated observables commute with the algebra (they act from the right)
         for _ in range(10):
@@ -258,7 +261,7 @@ def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
             lhs = jaj(b @ x)
             rhs = b @ jaj(x)
             yield hs_norm(lhs - rhs) / hs_norm(x)
-    out.append(_result("conjugated_commutant", _worst(conjugated_commutant())))
+    out.append(_result("conjugated_commutant", _max_residual(conjugated_commutant())))
 
     def modular_flow_stability():  # modular flow keeps observables acting from the left
         for _ in range(10):
@@ -266,7 +269,7 @@ def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
             t = float(rng.uniform(-2, 2))
             fwd, back = ms.ref_power(1j * t), ms.ref_power(-1j * t)  # Delta^(+-it) X = fwd X back, back X fwd
             yield hs_norm(fwd @ (a @ (back @ x @ fwd)) @ back - fwd @ a @ back @ x) / hs_norm(x)
-    out.append(_result("modular_flow_stability", _worst(modular_flow_stability())))
+    out.append(_result("modular_flow_stability", _max_residual(modular_flow_stability())))
 
     def kms_from_modular():  # equilibrium boundary condition from the modular operator
         for _ in range(20):
@@ -274,7 +277,7 @@ def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
             lhs = hs_inner(omega, a @ ms.delta(b @ omega))
             rhs = hs_inner(omega, b @ (a @ omega))
             yield abs(lhs - rhs)
-    out.append(_result("kms_from_modular", _worst(kms_from_modular())))
+    out.append(_result("kms_from_modular", _max_residual(kms_from_modular())))
 
     def radon_nikodym():  # Radon-Nikodym property of the relative modular operator
         rel = initial_modular(scn, ms)
@@ -282,14 +285,14 @@ def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
             a = rand_mat()
             lhs = hs_inner(omega, rel.apply(a @ omega))
             yield abs(lhs - np.einsum("ij,ji->", scn.rho_init, a))  # tr(rho_init a), O(d^2)
-    out.append(_result("radon_nikodym", _worst(radon_nikodym())))
+    out.append(_result("radon_nikodym", _max_residual(radon_nikodym())))
 
     def cone_generation():  # natural cone: generated vectors are positive semidefinite matrices
         for _ in range(20):
             a = rand_mat()
             vec = a @ omega @ dagger(a)  # A J A J applied to the reference vector
             yield 0.0 if cone_membership(vec, CHECKS["cone_generation"].inner_tol) else 1.0
-    out.append(_result("cone_generation", _worst(cone_generation())))
+    out.append(_result("cone_generation", _max_residual(cone_generation())))
 
     lv = Liouvilleans(scn)
 
@@ -297,7 +300,7 @@ def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
         for _ in range(10):
             x = rand_mat()
             yield hs_norm(lv.coupled(x) - lv.coupled_decomposed(x)) / hs_norm(x)
-    out.append(_result("coupled_liouvillean_formula", _worst(coupled_liouvillean_formula())))
+    out.append(_result("coupled_liouvillean_formula", _max_residual(coupled_liouvillean_formula())))
 
     out.append(_result("free_liouvillean_kills_equilibrium", hs_norm(lv.free(equilibrium_vector(scn)))))
 
@@ -315,7 +318,7 @@ def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
             vec = a @ omega @ dagger(a)
             t = float(rng.uniform(-3, 3))
             yield 0.0 if cone_membership(scn.evolve(vec, t), CHECKS["cone_preserved_by_flow"].inner_tol) else 1.0
-    out.append(_result("cone_preserved_by_flow", _worst(cone_preserved_by_flow())))
+    out.append(_result("cone_preserved_by_flow", _max_residual(cone_preserved_by_flow())))
 
     def cocycle_conjugation(t: float = 1.3):
         gam = exact_cocycle(scn, t)
@@ -326,7 +329,7 @@ def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
             lhs = rel_t.apply(x)
             rhs = conjugated @ x @ rel_t._inv_omega  # the cached inverse apply uses
             yield hs_norm(lhs - rhs) / hs_norm(x)
-    out.append(_result("cocycle_conjugation", _worst(cocycle_conjugation())))
+    out.append(_result("cocycle_conjugation", _max_residual(cocycle_conjugation())))
 
     return out
 
@@ -365,10 +368,10 @@ def measure_distance(mu_a, mu_b) -> float:
         return float("inf")
     if len(mu_a) == 0:
         return 0.0
-    return max(
+    return _max_residual((
         float(np.max(np.abs(mu_a.locations - mu_b.locations))),
         float(np.max(np.abs(mu_a.weights - mu_b.weights))),
-    )
+    ))
 
 
 def suite_fcs(scn: Scenario, seed: int = 0, t: float = 1.0, quad_tol: float = DEFAULT_QUAD_TOL) -> list[CheckResult]:
@@ -389,7 +392,7 @@ def suite_fcs(scn: Scenario, seed: int = 0, t: float = 1.0, quad_tol: float = DE
 
     dq_direct = delta_q_direct(scn, t)
     out.append(_result("flux_vs_direct",
-                       max(abs(dq_direct[0] - dq_flux[0]), abs(dq_direct[1] - dq_flux[1])), *at))
+                       _max_residual(abs(direct - flux) for direct, flux in zip(dq_direct, dq_flux)), *at))
 
     out.append(_result("operator_balance", fcsmod.operator_balance_check(scn, t, quad_tol), *at))
 
@@ -397,7 +400,7 @@ def suite_fcs(scn: Scenario, seed: int = 0, t: float = 1.0, quad_tol: float = DE
 
     grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) + 1j * np.array([0.0, -1.0, 2.0, 0.5, 0.0])
     violation = fcsmod.strip_bounds_check(fa, grid, CHECKS["strip_growth_bound"].inner_tol)
-    out.append(_result("strip_growth_bound", max(violation, 0.0)))
+    out.append(_result("strip_growth_bound", _max_residual((violation,))))
 
     gammas = fcsmod.default_gamma_grid(scn, 11)
     plus = fcsmod.reservoir_char(fa, 1j * gammas / scn.beta)
@@ -417,7 +420,7 @@ def suite_fcs(scn: Scenario, seed: int = 0, t: float = 1.0, quad_tol: float = DE
     k = 4
     err = op_norm(dyson_cocycle(scn, min(t, 1.0), k, quad_tol) - exact_cocycle(scn, min(t, 1.0)))
     bound = dyson_error_bound(scn, min(t, 1.0), k) + quad_tol
-    out.append(_result("dyson_truncation_bound", max(err - bound, 0.0)))
+    out.append(_result("dyson_truncation_bound", _max_residual((err - bound,))))
 
     return out
 

@@ -1,15 +1,19 @@
 """Command-line surface: validate / verify / fcs / sweep.
 
-Exit codes: 0 success (all checks passed), 1 at least one check failed,
-2 usage, config or I/O error, 3 numerical failure (a quadrature or contour
-rule missed its tolerance, a LAPACK routine did not converge, or a computed
-state is not positive or not of full rank).  Outputs are CSV (measures,
-characteristic functions, sweep tables) and JSON (reports, verdicts);
-identical inputs and seeds give byte-identical outputs regardless of the
-sweep's worker count.  Only ``sweep`` pins numpy's BLAS to one thread, so
-only its outputs are also independent of the caller's BLAS thread count;
-``verify`` and ``fcs`` run on the caller's BLAS threads, and a ``verify``
-residual can move in its last bits with their count.
+Exit codes: 0 success (all checks passed), 1 at least one check failed
+(a residual above its tolerance, or a NaN or infinite one, which
+``verify_report.json`` records as null), 2 usage, config or I/O error,
+3 numerical failure (a quadrature or contour rule missed its tolerance, a
+sweep's moment routes disagree or their gap is NaN, a LAPACK routine did
+not converge, a computed state is not positive or not of full rank, or a
+JSON output would hold a NaN or an infinity, which strict JSON cannot; that
+file is then not written).  Outputs are CSV (measures, characteristic
+functions, sweep tables) and JSON (reports, verdicts); identical inputs and
+seeds give byte-identical outputs regardless of the sweep's worker count.
+Only ``sweep`` pins numpy's BLAS to one thread, so only its outputs are also
+independent of the caller's BLAS thread count; ``verify`` and ``fcs`` run on
+the caller's BLAS threads, and a ``verify`` residual can move in its last
+bits with their count.
 """
 
 from __future__ import annotations
@@ -76,10 +80,12 @@ def _int_at_least(minimum: int):
 
 
 def _write_json(path: Path, payload) -> None:
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # a NaN or an infinity, which strict JSON cannot hold
+        raise NumericalError(f"{path.name}: {exc}") from None
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path.write_text(text + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:

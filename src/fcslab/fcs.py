@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import DEFAULT_QUAD_TOL, FreeBasisSector, QuadratureError, Scenario, check_flux_error
-from .linalg import dagger, eigenvalue_clusters, exp_complex, exp_i, gauss_kronrod, hs_inner, one_blas_thread, positive_sqrt, tensor
+from .linalg import _max_residual, dagger, eigenvalue_clusters, exp_complex, exp_i, gauss_kronrod, hs_inner, one_blas_thread, positive_sqrt, tensor
 from .modular import Liouvilleans, initial_vector, reservoir_weight_vector
 from .states import AtomicMeasure
 
@@ -338,7 +338,8 @@ def half_line_identity_check(fa: FcsAtTime, s_grid: np.ndarray) -> float:
     rotation and Omega_hat = (rho_S^(1/2) (x) 1) Omega dresses the initial
     vector with the square root of the system state.  U(t) is formed once
     for the grid, U(beta s) and 1 (x) e^{-i beta s H_R} once per s.  F is
-    evaluated one s at a time: an array call sums in another order.
+    evaluated one s at a time: an array call sums in another order.  The
+    result is NaN if the residual at any s is NaN.
     """
     scn = fa.scn
     omega_hat = tensor(positive_sqrt(scn.rho_sys), np.eye(scn.dim_res)) @ initial_vector(scn)
@@ -351,18 +352,22 @@ def half_line_identity_check(fa: FcsAtTime, s_grid: np.ndarray) -> float:
         ket = u @ (left @ omega_eta @ right) @ dagger(u)
         return abs(fa.char(0.5 + 1j * s) - hs_inner(left @ omega_hat @ right, ket))
 
-    return max(residual(float(s)) for s in np.atleast_1d(s_grid))
+    grid = np.atleast_1d(s_grid)
+    if grid.size == 0:
+        raise ValueError("s_grid has no points")
+    return _max_residual(residual(float(s)) for s in grid)
 
 
 def strip_bounds_check(fa: FcsAtTime, alpha_grid: np.ndarray, tol: float) -> float:
     """Largest violation of |F(alpha)| <= 1 + (d_S - 1) Re(alpha) + tol on a
     strip grid and of F(1) <= d_S + tol, tol the slack for roundoff; the
-    bounds hold where it is <= 0."""
+    bounds hold where it is <= 0.  It is negative when every bound holds with
+    room, and NaN if any violation is NaN."""
     grid = np.atleast_1d(_in_strip(alpha_grid))
     d_s = fa.scn.dim_sys
     bound = 1.0 + (d_s - 1) * grid.real + tol
     vals = np.abs(fa.char(grid))
-    return max(float(np.max(vals - bound, initial=-math.inf)), fa.char(1.0).real - (d_s + tol))
+    return float(np.max(np.append(vals - bound, fa.char(1.0).real - (d_s + tol))))
 
 
 def derivative_moments(fa: FcsAtTime) -> np.ndarray:
@@ -462,8 +467,8 @@ def limit_sweep(
     moments come from W (``FcsAtTime.char`` and ``exact_moments``), so no
     reservoir atom is merged.  The exact moments are cross-checked against
     the derivative route within ``MOMENT_TOL``; if the largest gap of the
-    sweep exceeds it, QuadratureError reports that cell (the derivative
-    route is a trapezoid rule).  The limit law depends on neither lam nor t
+    sweep exceeds it, or any gap is NaN, QuadratureError reports that cell
+    (the derivative route is a trapezoid rule).  The limit law depends on neither lam nor t
     and is evaluated once.  Each lam is one task, serial or on one of
     ``workers`` threads: ``scn.with_lam(lam)`` shares the free model of
     ``scn`` and its coupling in the free eigenbasis, split into sectors, and
@@ -497,11 +502,12 @@ def limit_sweep(
                 ]
                 per_lam = [f.result() for f in futures]
     rows = [r for lam_rows in per_lam for r in lam_rows]
-    worst = max(rows, key=lambda r: r.moment_gap)
-    if worst.moment_gap > MOMENT_TOL:
+    gap = _max_residual(r.moment_gap for r in rows)
+    if not gap <= MOMENT_TOL:
+        worst = next(r for r in rows if r.moment_gap == gap or math.isnan(r.moment_gap))
         raise QuadratureError(
             f"moment routes disagree at (lam={worst.lam}, t={worst.t}): "
-            f"gap {worst.moment_gap:.3e} > {MOMENT_TOL:.1e}",
-            achieved=worst.moment_gap,
+            f"gap {gap:.3e}, tolerance {MOMENT_TOL:.1e}",
+            achieved=gap,
         )
     return SweepResult(rows=rows, gamma_grid=np.asarray(gamma_grid))

@@ -248,6 +248,19 @@ def _components(mask: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
+def _max_residual(residuals) -> float:
+    """The largest of ``residuals``, reduced from 0.0 in order: bitwise what
+    ``max`` returns on finite residuals, signed zeros included, and NaN if any
+    residual is NaN, wherever it stands (``max`` keeps or drops a NaN by its
+    position).  Every residual is read, so a generator draws all its probes.
+    Every check residual that is a maximum is reduced here."""
+    worst = 0.0
+    for r in residuals:
+        if worst == worst and not r <= worst:  # r > worst, or r is NaN
+            worst = r
+    return worst
+
+
 def eigh_finite(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.linalg.eigh(a)``, but a non-finite entry raises LinAlgError, which
     eigh alone does only for some inputs."""

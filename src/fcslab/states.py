@@ -11,6 +11,7 @@ import numpy.random  # noqa: F401 - numpy loads it lazily; load it with the pack
 
 from .linalg import (
     NumericalError,
+    _max_residual,
     assert_hermitian,
     assert_square,
     cluster_starts,
@@ -160,7 +161,11 @@ def entropy(rho: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class VariationalReport:
-    """Outcome of the Gibbs variational test log tr(e^A) = max(tr(rho A) + S)."""
+    """Outcome of the Gibbs variational test log tr(e^A) = max(tr(rho A) + S).
+
+    ``max_violation`` is the largest of tr(nu A) + S(nu) - log tr(e^A) over
+    the trial states, NaN if any of them is NaN; ``equality_gap`` is that
+    difference at the thermal state."""
 
     max_violation: float
     equality_gap: float
@@ -188,7 +193,7 @@ def gibbs_variational_check(
 
     violations = [functional(random_density(h.shape[0], rng)) - log_z for _ in range(trials)]
     gap = functional(gibbs(h, beta)) - log_z
-    return VariationalReport(max_violation=max(violations), equality_gap=gap, trials=trials)
+    return VariationalReport(max_violation=float(np.max(violations)), equality_gap=gap, trials=trials)
 
 
 @dataclass(frozen=True)
@@ -246,7 +251,7 @@ def kms_defect(
     Returns max over pairs (A, B) of
     |tr(rho A e^{-beta h} B e^{beta h}) - tr(rho B A)|.
     The defect vanishes exactly when rho is the thermal state of h at
-    inverse temperature beta.
+    inverse temperature beta.  It is NaN if the defect of any pair is NaN.
     """
     if not pairs:
         raise ValueError("at least one (A, B) pair is required")
@@ -257,9 +262,7 @@ def kms_defect(
     h0 = h - np.eye(h.shape[0]) * ((w[0] + w[-1]) / 2)
     em = expm_hermitian(h0, -beta)
     ep = expm_hermitian(h0, beta)
-    worst = 0.0
-    for a, b in pairs:
-        lhs = complex(np.trace(rho @ a @ em @ b @ ep))
-        rhs = complex(np.trace(rho @ b @ a))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    return _max_residual(
+        abs(complex(np.trace(rho @ a @ em @ b @ ep)) - complex(np.trace(rho @ b @ a)))
+        for a, b in pairs
+    )

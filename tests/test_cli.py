@@ -5,6 +5,7 @@ import shlex
 import numpy as np
 import pytest
 
+from fcslab import checks, cli
 from fcslab.cli import build_parser, main
 from fcslab.fcs import FcsAtTime, fcs_at
 from fcslab.linalg import NotPositiveError, positive_sqrt
@@ -453,6 +454,41 @@ def test_sweep_moment_defect_exit_code(config_path, tmp_path, monkeypatch, capsy
         "--out-dir", str(tmp_path / "out"),
     ]) == 3
     assert "numerical error: moment routes disagree" in capsys.readouterr().err
+
+
+def test_sweep_nan_moment_gap_exit_code(config_path, tmp_path, monkeypatch, capsys):
+    exact = FcsAtTime.exact_moments
+    monkeypatch.setattr(FcsAtTime, "exact_moments", lambda fa: exact(fa) + [0.0, 0.0, np.nan, 0.0])
+    assert main([
+        "sweep", "--config", config_path, "--t-grid", "0,1", "--lambda-grid", "0.2",
+        "--out-dir", str(tmp_path / "out"),
+    ]) == 3
+    assert "numerical error: moment routes disagree at (lam=0.2, t=0.0): gap nan" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_infinite_residual_is_null_in_a_strict_report(config_path, tmp_path, monkeypatch, capsys):
+    # measure_distance is inf when the two routes' atom counts differ
+    monkeypatch.setattr(checks, "measure_distance", lambda mu_a, mu_b: float("inf"))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", config_path, "--suite", "fcs", "--out-dir", str(out)]) == 1
+    assert "[FAIL] reservoir_fcs_two_route: residual inf" in capsys.readouterr().out
+    report = json.loads((out / "verify_report.json").read_text(), parse_constant=refuse_constant)
+    failed = [rec for rec in report if not rec["pass"]]
+    assert failed == [{"check_name": "reservoir_fcs_two_route", "pass": False, "residual": None,
+                       "tolerance": 1e-10}]
+
+
+def test_non_finite_summary_value_is_a_numerical_error(config_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "balance_check", lambda scn, t: float("nan"))
+    out = tmp_path / "out"
+    assert main(["fcs", "--config", config_path, "--t", "1.0", "--out-dir", str(out)]) == 3
+    assert "numerical error: summary.json: Out of range float values" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["char.csv", "measures.csv"]
 
 
 def test_sweep_worker_invariance_at_n8(tmp_path):

@@ -632,6 +632,15 @@ class TestLimitSweep:
             limit_sweep(qubit_qubit, t_grid, lam_grid)
         assert exc.value.achieved == gap
 
+    @pytest.mark.parametrize("cell", [(0.1, 0.0), (0.1, 2.0), (0.3, 2.0)], ids=["first", "middle", "last"])
+    def test_a_nan_moment_gap_names_its_cell(self, qubit_qubit, monkeypatch, cell):
+        exact = FcsAtTime.exact_moments
+        monkeypatch.setattr(FcsAtTime, "exact_moments",
+                            lambda fa: exact(fa) * (np.nan if (fa.scn.lam, fa.t) == cell else 1.0))
+        with pytest.raises(QuadratureError, match=rf"at \(lam={cell[0]}, t={cell[1]}\): gap nan") as exc:
+            limit_sweep(qubit_qubit, np.array([0.0, 1.0, 2.0]), np.array([0.1, 0.3]))
+        assert np.isnan(exc.value.achieved)
+
     def test_uncoupled_column_is_baseline(self, qubit_qubit):
         gam = default_gamma_grid(qubit_qubit, 11)
         sweep = limit_sweep(qubit_qubit, np.array([0.0, 1.0, 2.0]), np.array([0.0]),

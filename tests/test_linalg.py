@@ -363,6 +363,40 @@ def test_numerical_errors_share_one_base():
     assert issubclass(NumericalError, ArithmeticError) and not issubclass(NonHermitianError, NumericalError)
 
 
+# -- the one reducer of check residuals ------------------------------------------
+
+RESIDUALS = st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([0.0, -0.0])),
+                     max_size=12)
+
+
+class TestMaxResidual:
+    @settings(max_examples=200, deadline=None)
+    @given(RESIDUALS)
+    def test_finite_is_bitwise_the_sequential_max_from_zero(self, residuals):
+        expected = 0.0
+        for r in residuals:
+            expected = max(expected, r)
+        assert np.float64(linalg._max_residual(residuals)).tobytes() == np.float64(expected).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(RESIDUALS, st.integers(min_value=0), st.sampled_from([float("nan"), np.float64("nan")]))
+    def test_a_nan_anywhere_is_nan(self, residuals, at, nan):
+        residuals.insert(at % (len(residuals) + 1), nan)
+        assert np.isnan(linalg._max_residual(residuals))
+        assert np.isnan(linalg._max_residual(iter(residuals)))
+
+    def test_reads_every_residual_after_a_nan(self):
+        seen = []
+
+        def residuals():
+            for r in (0.1, float("nan"), 0.2):
+                seen.append(r)
+                yield r
+
+        assert np.isnan(linalg._max_residual(residuals())) and len(seen) == 3
+        assert linalg._max_residual(()) == 0.0
+
+
 # -- the Hermiticity rule against the two-SVD reference -------------------------
 
 

@@ -72,6 +72,7 @@ def test_largest_move_per_field(tmp_path):
     ({"sweep": SWEEP + "0.2,10.0,0.5,-0.4\n"}, "values"),
     ({"measures": MEASURES.replace("0.0,0.55,system", "0.0,0.55,reservoir")}, "which: 'system' -> 'reservoir'"),
     ({"summary": dict(SUMMARY, mean_system=float("nan"))}, "mean_system"),
+    ({"report": [dict(REPORT[0], residual=None), REPORT[1]]}, "residual[cstar_identity]: 1e-15 -> None"),
 ])
 def test_changes_that_are_not_moves_are_flagged(tmp_path, capsys, changed, needle):
     parent, change = write_outputs(tmp_path / "a"), write_outputs(tmp_path / "b", **changed)

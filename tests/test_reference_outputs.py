@@ -4,10 +4,11 @@ Each run writes its outputs afresh and compares them field by field, with
 ``tools/output_diff.py``'s reading of the files: verify check names, order,
 tolerances and pass flags, CSV headers, row counts and text fields exactly;
 every other number to an absolute 1e-13; a verify residual only against its
-own tolerance, since it is roundoff.  A change that moves a value past this
-rewrites the reference files of the runs it moves
-(``python tests/test_reference_outputs.py NAME ...``; with no name, every run)
-and names each moved file and field in CHANGES.md.
+own tolerance, since it is roundoff, and a null residual (one that is not
+finite) as failing.  A change that moves a value past this rewrites the
+reference files of the runs it moves (``python tests/test_reference_outputs.py
+NAME ...``; with no name, every run) and names each moved file and field in
+CHANGES.md.
 """
 
 import importlib.util
@@ -75,7 +76,7 @@ def test_outputs_match_reference(name, tmp_path, capsys):
         assert [field for field, _ in leaves] == [field for field, _ in leaves_ref], file
         if file == "verify_report.json":
             for (check, tol, passed), (_, residual) in zip(fixed, leaves):
-                assert (residual <= tol) is passed, check
+                assert (residual is not None and residual <= tol) is passed, check  # null: not finite, failed
             continue
         for (field, ref), (_, value) in zip(leaves_ref, leaves):
             if output_diff._is_number(ref) and output_diff._is_number(value):
