@@ -24,12 +24,12 @@ from fcslab import (
     Liouvilleans,
     cone_membership,
     gibbs,
+    modular_pair,
     perturbed_gibbs_vector,
     positive_sqrt,
     relative_modular,
 )
 from fcslab.linalg import dagger, hs_inner, hs_norm
-from fcslab.modular import equilibrium_modular
 from fcslab.scenarios import random_scenario
 from fcslab.states import random_density
 
@@ -37,7 +37,7 @@ rng = np.random.default_rng(7)
 scn = random_scenario(rng, dim_sys=2, dim_res=3, lam=0.4)
 d = scn.dim
 
-ms = equilibrium_modular(scn)  # from the eigh of H_S and of H_R
+ms = modular_pair(scn.rho_eq)  # dense, in the standard basis of scn.evolve and relative_modular
 omega = ms.omega
 rand = lambda: rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
 

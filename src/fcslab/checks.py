@@ -210,24 +210,40 @@ def suite_states(scn: Scenario, seed: int = 0) -> list[CheckResult]:
 
 def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
     """The modular checks.  Each probe loop is a generator that draws its own
-    probes, so they die with it, before the next check draws."""
+    probes, so they die with it, before the next check draws.
+
+    The checks from ``gns_trace_agreement`` to ``cone_generation`` run in
+    the free product eigenbasis Q = V_S (x) V_R, where the weights of
+    ``equilibrium_modular`` and ``initial_modular`` act in O(d^2) and
+    O(d_S d^2).  Their probes are drawn there: X -> Q* X Q is unitary on the
+    matrices, and the complex Ginibre law of ``rand_mat`` (iid standard
+    normal real and imaginary parts) is invariant under it, so each probe
+    keeps its law, and each check its probe count and tolerance.  The dense
+    states they compare against, ``scn.rho_eq`` and ``scn.rho_init``, keep
+    their own builds and are moved by Q once.  ``conjugation_antiunitary``
+    and ``conjugated_commutant`` read no weight, so no basis.  The checks
+    from ``coupled_liouvillean_formula`` on read the coupled dynamics and
+    run in the standard basis."""
     rng = np.random.default_rng(seed)
     out = []
     d = scn.dim
 
-    ms = equilibrium_modular(scn)  # every weight below from the eigh of H_S, H_R and rho_S
+    ms = equilibrium_modular(scn)  # in Q's basis, from the spectra of H_S and H_R
     omega = ms.omega
 
-    def rand_mat() -> np.ndarray:  # bitwise normal(size=(d, d)) + 1j * normal(size=(d, d))
-        out = np.empty((d, d), dtype=complex)
-        out.real, out.imag = rng.standard_normal((2, d, d))
-        return out
+    def rand_mat() -> np.ndarray:  # 2 d^2 iid standard normals, as (re, im) pairs
+        return rng.standard_normal((d, 2 * d)).view(complex)
+
+    def in_free_basis(dense: np.ndarray) -> np.ndarray:  # Q* dense Q
+        q = tensor(scn._eig_sys[1], scn._eig_res[1])
+        return dagger(q) @ dense @ q
 
     def gns_trace_agreement():
+        rho_eq = in_free_basis(scn.rho_eq)
         for _ in range(10):
             a = rand_mat()
-            lhs = hs_inner(omega, a @ omega)
-            yield abs(lhs - np.einsum("ij,ji->", scn.rho_eq, a))  # tr(rho_eq a), O(d^2)
+            lhs = hs_inner(omega, ms.vector_of(a))
+            yield abs(lhs - np.einsum("ij,ji->", rho_eq, a))  # tr(rho_eq a), O(d^2)
     out.append(_result("gns_trace_agreement", _max_residual(gns_trace_agreement())))
 
     def conjugation_antiunitary():
@@ -251,7 +267,7 @@ def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
     def star_operator_action():
         for _ in range(50):
             a = rand_mat()
-            yield hs_norm(ms.star(a @ omega) - dagger(a) @ omega) / hs_norm(a)
+            yield hs_norm(ms.star(ms.vector_of(a)) - ms.vector_of(dagger(a))) / hs_norm(a)
     out.append(_result("star_operator_action", _max_residual(star_operator_action())))
 
     def conjugated_commutant():  # conjugated observables commute with the algebra (they act from the right)
@@ -267,30 +283,31 @@ def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
         for _ in range(10):
             a, x = rand_mat(), rand_mat()
             t = float(rng.uniform(-2, 2))
-            fwd, back = ms.ref_power(1j * t), ms.ref_power(-1j * t)  # Delta^(+-it) X = fwd X back, back X fwd
-            yield hs_norm(fwd @ (a @ (back @ x @ fwd)) @ back - fwd @ a @ back @ x) / hs_norm(x)
+            flowed = ms.delta_power(1j * t, a)  # sigma_t(a) = Delta^(it) a Delta^(-it), as a matrix
+            yield hs_norm(ms.delta_power(1j * t, a @ ms.delta_power(-1j * t, x)) - flowed @ x) / hs_norm(x)
     out.append(_result("modular_flow_stability", _max_residual(modular_flow_stability())))
 
-    def kms_from_modular():  # equilibrium boundary condition from the modular operator
+    def kms_from_modular():  # equilibrium boundary condition from the modular operator, O(d^2)
         for _ in range(20):
             a, b = rand_mat(), rand_mat()
-            lhs = hs_inner(omega, a @ ms.delta(b @ omega))
-            rhs = hs_inner(omega, b @ (a @ omega))
+            lhs = hs_inner(ms.vector_of(dagger(a)), ms.delta(ms.vector_of(b)))  # <Omega, a Delta b Omega>
+            rhs = hs_inner(ms.vector_of(dagger(b)), ms.vector_of(a))  # <Omega, b a Omega>
             yield abs(lhs - rhs)
     out.append(_result("kms_from_modular", _max_residual(kms_from_modular())))
 
     def radon_nikodym():  # Radon-Nikodym property of the relative modular operator
         rel = initial_modular(scn, ms)
+        rho_init = in_free_basis(scn.rho_init)
         for _ in range(20):
             a = rand_mat()
-            lhs = hs_inner(omega, rel.apply(a @ omega))
-            yield abs(lhs - np.einsum("ij,ji->", scn.rho_init, a))  # tr(rho_init a), O(d^2)
+            lhs = hs_inner(omega, rel.apply(ms.vector_of(a)))
+            yield abs(lhs - np.einsum("ij,ji->", rho_init, a))  # tr(rho_init a), O(d^2)
     out.append(_result("radon_nikodym", _max_residual(radon_nikodym())))
 
     def cone_generation():  # natural cone: generated vectors are positive semidefinite matrices
         for _ in range(20):
             a = rand_mat()
-            vec = a @ omega @ dagger(a)  # A J A J applied to the reference vector
+            vec = ms.vector_of(a) @ dagger(a)  # A J A J applied to the reference vector
             yield 0.0 if cone_membership(vec, CHECKS["cone_generation"].inner_tol) else 1.0
     out.append(_result("cone_generation", _max_residual(cone_generation())))
 
@@ -313,9 +330,10 @@ def suite_modular(scn: Scenario, seed: int = 0) -> list[CheckResult]:
     out.append(_result("perturbed_vector_is_coupled_gibbs", is_gibbs))
 
     def cone_preserved_by_flow():
+        omega_eq = equilibrium_vector(scn)  # in the standard basis, as scn.evolve
         for _ in range(20):
             a = rand_mat()
-            vec = a @ omega @ dagger(a)
+            vec = a @ omega_eq @ dagger(a)
             t = float(rng.uniform(-3, 3))
             yield 0.0 if cone_membership(scn.evolve(vec, t), CHECKS["cone_preserved_by_flow"].inner_tol) else 1.0
     out.append(_result("cone_preserved_by_flow", _max_residual(cone_preserved_by_flow())))

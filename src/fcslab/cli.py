@@ -5,11 +5,13 @@ Exit codes: 0 success (all checks passed), 1 at least one check failed
 ``verify_report.json`` records as null), 2 usage, config or I/O error,
 3 numerical failure (a quadrature or contour rule missed its tolerance, a
 sweep's moment routes disagree or their gap is NaN, a LAPACK routine did
-not converge, a computed state is not positive or not of full rank, or a
-JSON output would hold a NaN or an infinity, which strict JSON cannot; that
-file is then not written).  Outputs are CSV (measures, characteristic
-functions, sweep tables) and JSON (reports, verdicts); identical inputs and
-seeds give byte-identical outputs regardless of the sweep's worker count.
+not converge, a computed state is not positive or not of full rank, or an
+output would hold a NaN or an infinity, which strict JSON cannot and a CSV
+number column should not).  A command renders all its outputs before it
+writes any, so it writes all of them or none.  Outputs are CSV (measures,
+characteristic functions, sweep tables) and JSON (reports, verdicts);
+identical inputs and seeds give byte-identical outputs regardless of the
+sweep's worker count.
 Only ``sweep`` pins numpy's BLAS to one thread, so only its outputs are also
 independent of the caller's BLAS thread count; ``verify`` and ``fcs`` run on
 the caller's BLAS threads, and a ``verify`` residual can move in its last
@@ -79,21 +81,29 @@ def _int_at_least(minimum: int):
     return integer
 
 
-def _write_json(path: Path, payload) -> None:
+def _json_text(name: str, payload) -> str:
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:  # a NaN or an infinity, which strict JSON cannot hold
-        raise NumericalError(f"{path.name}: {exc}") from None
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text + "\n")
+        raise NumericalError(f"{name}: {exc}") from None
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
+def _csv_text(name: str, header: list[str], rows: list[list]) -> str:
+    lines = [",".join(header)]
+    for row in rows:
+        bad = [x for x in row if isinstance(x, float) and not math.isfinite(x)]
+        if bad:
+            raise NumericalError(f"{name}: non-finite value {bad[0]!r} in row {len(lines)}")
+        lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def _write_all(out_dir: Path, texts: dict[str, str]) -> None:
+    """Write each rendered output; rendering all of them first refuses a
+    non-finite value before any file is written."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out_dir / name).write_text(text)
 
 
 def cmd_validate(args) -> int:
@@ -115,7 +125,7 @@ def cmd_verify(args) -> int:
         status = "pass" if r.passed else "FAIL"
         print(f"[{status}] {r.check_name}: residual {r.residual:.3e} (tol {r.tolerance:.1e})")
     if args.out_dir:
-        _write_json(Path(args.out_dir) / "verify_report.json", records)
+        _write_all(Path(args.out_dir), {"verify_report.json": _json_text("verify_report.json", records)})
     failed = [r for r in results if not r.passed]
     if failed:
         print(f"{len(failed)} of {len(results)} checks failed", file=sys.stderr)
@@ -142,14 +152,12 @@ def cmd_fcs(args) -> int:
         [float(x), float(w), "reservoir"]
         for x, w in zip(res_res.measure.locations, res_res.measure.weights)
     ]
-    _write_csv(out_dir / "measures.csv", ["location", "weight", "which"], rows)
 
     char_rows = []
     for (g, val), kind in [(s, "system") for s in sys_res.char_samples] + [
         (s, "reservoir") for s in res_res.char_samples
     ]:
         char_rows.append([float(g), float(val.real), float(val.imag), kind])
-    _write_csv(out_dir / "char.csv", ["gamma", "re", "im", "source"], char_rows)
 
     dq_s, dq_r = delta_q_direct(scn, t)
     summary = {
@@ -167,7 +175,11 @@ def cmd_fcs(args) -> int:
         "balance_residual": balance_check(scn, t),
         "mean_identity_residual": abs(res_res.mean - dq_r),
     }
-    _write_json(out_dir / "summary.json", summary)
+    _write_all(out_dir, {
+        "measures.csv": _csv_text("measures.csv", ["location", "weight", "which"], rows),
+        "char.csv": _csv_text("char.csv", ["gamma", "re", "im", "source"], char_rows),
+        "summary.json": _json_text("summary.json", summary),
+    })
     print(f"wrote {out_dir}/measures.csv, char.csv, summary.json")
     return EXIT_OK
 
@@ -183,13 +195,10 @@ def cmd_sweep(args) -> int:
         [r.lam, r.t, r.distance, r.mean_res, r.mean_sys, *(float(m) for m in r.moments_res[1:4])]
         for r in sweep.rows
     ]
-    _write_csv(
-        out_dir / "sweep.csv",
-        ["lambda", "t", "distance", "mean_R", "mean_S", "m2", "m3", "m4"],
-        rows,
-    )
-
-    _write_json(out_dir / "verdict.json", sweep.verdicts())
+    _write_all(out_dir, {
+        "sweep.csv": _csv_text("sweep.csv", ["lambda", "t", "distance", "mean_R", "mean_S", "m2", "m3", "m4"], rows),
+        "verdict.json": _json_text("verdict.json", sweep.verdicts()),
+    })
     print(f"wrote {out_dir}/sweep.csv, verdict.json")
     return EXIT_OK
 

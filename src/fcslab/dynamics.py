@@ -119,6 +119,18 @@ def _term_sum(terms, s_i, s_j, r_i, r_j) -> np.ndarray:
     return total
 
 
+def _exp_i_eigh(u: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """(u * e^{i theta}) u* for a unitary u.  A real u gives (u cos) u^T +
+    i (u sin) u^T, two real products written into the real and imaginary
+    views of the result, where the complex form would cast u^T to complex."""
+    if np.iscomplexobj(u):
+        return (u * exp_i(theta)) @ dagger(u)
+    out = np.empty(u.shape, dtype=complex)
+    np.matmul(u * np.cos(theta), u.T, out=out.real)
+    np.matmul(u * np.sin(theta), u.T, out=out.imag)
+    return out
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class Scenario:
     """A confined system+reservoir model.
@@ -317,7 +329,7 @@ class Scenario:
     def unitary_coupled(self, t: float) -> np.ndarray:
         """exp(i t H_coupled)."""
         w, u = self._eig_coupled
-        return (u * exp_i(t * w)) @ dagger(u)
+        return _exp_i_eigh(u, t * w)
 
     def unitary_free(self, t: float) -> np.ndarray:
         """exp(i t H_free) = e^{itH_S} (x) e^{itH_R}, from the two factor spectra."""

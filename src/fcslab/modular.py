@@ -10,6 +10,19 @@ operators X -> rho_eta X rho_omega^(-1) carry the non-commutative
 Radon-Nikodym structure; Liouvilleans implement the dynamics as Hermitian
 operators on this space.  Everything is realized as superoperator actions on
 d x d matrices: nothing is materialized at size d^2 x d^2.
+
+A scenario's own weights act in the free product eigenbasis
+Q = V_S (x) V_R, on X~ = Q* X Q.  Q diagonalizes rho_eq, so
+:func:`equilibrium_modular` holds it as its spectrum, the Gibbs weights of
+H_S (x) those of H_R, and Delta^a, S, F and A -> A Omega scale rows and
+columns, O(d^2).  :func:`initial_modular` holds rho_init = rho_S (x) rho_R
+there as B (x) diag(p_R), B = V_S* rho_S V_S, so its actions add one
+d_S x d_S contraction, O(d_S d^2), the same for every rho_S, coherent or
+not.  X -> Q* X Q is unitary on the standard space and commutes with products
+and adjoints, so every identity reads the same in either basis.
+:func:`modular_pair`, :func:`relative_modular` and :func:`reservoir_modular`
+(whose flowed weight has the eigenvectors U(t)) act on dense matrices in the
+standard basis.
 """
 
 from __future__ import annotations
@@ -39,20 +52,34 @@ from .states import gibbs_weights
 RANK_TOL = 1e-12
 
 
-def _weight_power(eig: tuple[np.ndarray, np.ndarray], alpha: complex) -> np.ndarray:
-    """Principal power (v * w^alpha) v* of a weight from its eigh (w, v).
-
-    Eigenvalues at or below RANK_TOL, negative roundoff included, map to
-    zero, which is only valid for Re(alpha) > 0: other powers of a singular
-    weight raise RankDeficientError.
-    """
-    w, v = eig
+def _powers(w: np.ndarray, alpha: complex) -> np.ndarray:
+    """Principal powers w^alpha of a weight's eigenvalues.  Those at or below
+    RANK_TOL, negative roundoff included, map to zero, which is only valid
+    for Re(alpha) > 0: other powers of a singular weight raise
+    RankDeficientError."""
     zero = w <= RANK_TOL
     if np.any(zero) and alpha.real <= 0:
         raise RankDeficientError(f"power {alpha} of a singular weight (min eigenvalue {w.min():.3e})")
     powered = np.zeros(len(w), dtype=complex)
     powered[~zero] = w[~zero].astype(complex) ** alpha
-    return (v * powered) @ dagger(v)
+    return powered
+
+
+def _weight_power(eig: tuple[np.ndarray, np.ndarray], alpha: complex) -> np.ndarray:
+    """Principal power (v * w^alpha) v* of a weight from its eigh (w, v), by :func:`_powers`."""
+    w, v = eig
+    return (v * _powers(w, alpha)) @ dagger(v)
+
+
+def _check_weights(w_eta: np.ndarray, w_omega: np.ndarray) -> None:
+    """The spectra of a pair (eta, omega): same size, eta positive and omega
+    full rank, each read by its minimum (a product spectrum is not sorted)."""
+    if w_eta.shape != w_omega.shape:
+        raise ValueError("weight dimensions differ")
+    if w_eta.min() < -RANK_TOL:
+        raise NotPositiveError(f"rho_eta is not positive: eigenvalue {w_eta.min():.3e}")
+    if w_omega.min() <= RANK_TOL:
+        raise RankDeficientError(f"rho_omega is not full rank: min eigenvalue {w_omega.min():.3e} <= {RANK_TOL:.1e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,13 +100,7 @@ class RelativeModular:
     eig_omega: tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self):
-        w_eta, w_omega = self.eig_eta[0], self.eig_omega[0]
-        if w_eta.shape != w_omega.shape:
-            raise ValueError("weight dimensions differ")
-        if w_eta.min() < -RANK_TOL:
-            raise NotPositiveError(f"rho_eta is not positive: eigenvalue {w_eta.min():.3e}")
-        if w_omega.min() <= RANK_TOL:
-            raise RankDeficientError(f"rho_omega is not full rank: min eigenvalue {w_omega.min():.3e} <= {RANK_TOL:.1e}")
+        _check_weights(self.eig_eta[0], self.eig_omega[0])
 
     @cached_property
     def rho_eta(self) -> np.ndarray:
@@ -100,8 +121,24 @@ class RelativeModular:
         return _weight_power(self.eig_eta, alpha) @ x @ _weight_power(self.eig_omega, -alpha)
 
 
+class _ModularMaps:
+    """J, S and F of a modular structure, from its ``delta_power``."""
+
+    def conjugation(self, x: np.ndarray) -> np.ndarray:
+        """Modular conjugation J: the adjoint map (antiunitary, J^2 = 1)."""
+        return dagger(x)
+
+    def star(self, x: np.ndarray) -> np.ndarray:
+        """S = J Delta^(1/2): maps A Omega to A* Omega."""
+        return self.conjugation(self.delta_power(0.5, x))
+
+    def commutant_star(self, x: np.ndarray) -> np.ndarray:
+        """F = J Delta^(-1/2): acts as X -> r^(1/2) X* r^(-1/2)."""
+        return self.conjugation(self.delta_power(-0.5, x))
+
+
 @dataclass(frozen=True, eq=False, init=False)
-class ModularStructure(RelativeModular):
+class ModularStructure(RelativeModular, _ModularMaps):
     """Modular data of a full-rank positive reference in the standard rep:
     the relative modular operator with eta = omega, both ``eig_ref``.
 
@@ -136,23 +173,69 @@ class ModularStructure(RelativeModular):
         """Principal power rho_ref^alpha as a matrix."""
         return self._half_powers[alpha] if alpha in (0.5, -0.5) else _weight_power(self.eig_eta, alpha)
 
-    def conjugation(self, x: np.ndarray) -> np.ndarray:
-        """Modular conjugation J: the adjoint map (antiunitary, J^2 = 1)."""
-        return dagger(x)
-
     delta = RelativeModular.apply
 
     def delta_power(self, alpha: complex, x: np.ndarray) -> np.ndarray:
         """Delta^alpha X = r^alpha X r^(-alpha), the half powers from the cache."""
         return self.ref_power(alpha) @ x @ self.ref_power(-alpha)
 
-    def star(self, x: np.ndarray) -> np.ndarray:
-        """S = J Delta^(1/2): maps A Omega to A* Omega."""
-        return self.conjugation(self.delta_power(0.5, x))
 
-    def commutant_star(self, x: np.ndarray) -> np.ndarray:
-        """F = J Delta^(-1/2): acts as X -> r^(1/2) X* r^(-1/2)."""
-        return self.conjugation(self.delta_power(-0.5, x))
+@dataclass(frozen=True, eq=False)
+class _FreeBasisModular(_ModularMaps):
+    """:class:`ModularStructure` of a weight that the free product eigenbasis
+    diagonalizes, held as its spectrum w, acting on matrices in that basis:
+    Delta^a X = w^a X w^(-a) scales X's rows by w^a and its columns by
+    w^(-a), O(d^2).  The spectrum is checked as the dense operator checks it."""
+
+    spectrum: np.ndarray
+
+    def __post_init__(self):
+        _check_weights(self.spectrum, self.spectrum)
+
+    def delta_power(self, alpha: complex, x: np.ndarray) -> np.ndarray:
+        y = x * (self.spectrum ** alpha)[:, None]
+        y *= self.spectrum ** -alpha
+        return y
+
+    def delta(self, x: np.ndarray) -> np.ndarray:
+        return self.delta_power(1.0, x)
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """Reference vector diag(w^(1/2))."""
+        return np.diag(np.sqrt(self.spectrum))
+
+    def vector_of(self, a: np.ndarray) -> np.ndarray:
+        """A Omega = A diag(w^(1/2)), O(d^2)."""
+        return a * np.sqrt(self.spectrum)
+
+
+@dataclass(frozen=True, eq=False)
+class _FreeBasisRelative:
+    """:class:`RelativeModular` in the free product eigenbasis, of eta =
+    B (x) diag(p), held as the eigh (b, u) of its d_S x d_S block B and the
+    reservoir spectrum p, against an omega that the basis diagonalizes, held
+    as its spectrum.  X -> eta^a X omega^(-a) contracts B^a with the system
+    index of X's rows, then scales the rows by p^a and the columns by
+    omega^(-a), O(d_S d^2); B^a and p^a by the rule of :func:`_powers`."""
+
+    eta_sys: tuple[np.ndarray, np.ndarray]
+    eta_res: np.ndarray
+    omega: np.ndarray
+
+    def __post_init__(self):
+        _check_weights(np.kron(self.eta_sys[0], self.eta_res), self.omega)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.power(1.0, x)
+
+    def power(self, alpha: complex, x: np.ndarray) -> np.ndarray:
+        b, p = _weight_power(self.eta_sys, alpha), _powers(self.eta_res, alpha)
+        y = (b @ x.reshape(len(b), -1)).reshape(len(b), len(p), -1)
+        y *= p[:, None]
+        y = y.reshape(x.shape)
+        y *= self.omega ** -alpha
+        return y
 
 
 def _eigh_weight(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -214,31 +297,25 @@ def reservoir_weight_vector(scn: Scenario) -> np.ndarray:
     return tensor(np.eye(scn.dim_sys), scn.sqrt_rho_res)
 
 
-def _with_reservoir(scn: Scenario, w_sys: np.ndarray, v_sys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(w, v) of (system weight) (x) rho_res: (w_S (x) p_R, V_S (x) V_R), p_R and V_R from the eigh of h_res."""
-    return np.kron(w_sys, scn.gibbs_weights_res), tensor(v_sys, scn._eig_res[1])
+def equilibrium_modular(scn: Scenario) -> _FreeBasisModular:
+    """Modular structure of rho_eq = rho_S,beta (x) rho_R in the free product
+    eigenbasis, which diagonalizes it: the Gibbs weights of H_S (x) those of H_R."""
+    return _FreeBasisModular(np.kron(gibbs_weights(scn._eig_sys[0], scn.beta), scn.gibbs_weights_res))
 
 
-def equilibrium_modular(scn: Scenario) -> ModularStructure:
-    """Modular structure of rho_eq = rho_S,beta (x) rho_R, from the eigh of H_S and of H_R."""
-    w, v = scn._eig_sys
-    return ModularStructure(_with_reservoir(scn, gibbs_weights(w, scn.beta), v))
-
-
-def initial_modular(scn: Scenario, eq: ModularStructure) -> RelativeModular:
-    """Delta(rho_init | rho_eq), rho_init = rho_S (x) rho_R from the eigh of
-    rho_S, against ``eq = equilibrium_modular(scn)``, whose rho_eq^(-1) it
-    shares."""
-    rel = RelativeModular(_with_reservoir(scn, *np.linalg.eigh(scn.rho_sys)), eq.eig_omega)
-    rel.__dict__["_inv_omega"] = eq._inv_omega  # the cached_property's slot
-    return rel
+def initial_modular(scn: Scenario, eq: _FreeBasisModular) -> _FreeBasisRelative:
+    """Delta(rho_init | rho_eq) in the free product eigenbasis, rho_init =
+    rho_S (x) rho_R: rho_S enters as V_S* rho_S V_S, by the eigh of rho_S,
+    and rho_eq as the spectrum of ``eq = equilibrium_modular(scn)``."""
+    w, v = np.linalg.eigh(scn.rho_sys)
+    return _FreeBasisRelative((w, dagger(scn._eig_sys[1]) @ v), scn.gibbs_weights_res, eq.spectrum)
 
 
 def reservoir_modular(scn: Scenario, t: float) -> RelativeModular:
     """Delta(flowed | static) of the reservoir weight 1 (x) rho_R: eta is its
     pull-back e^{itH} (1 (x) rho_R) e^{-itH} through the coupled flow.  Both
     spectra are 1 (x) p_R; the flowed eigenvectors are U(t) (1 (x) V_R)."""
-    w, v = _with_reservoir(scn, np.ones(scn.dim_sys), np.eye(scn.dim_sys))
+    w, v = np.tile(scn.gibbs_weights_res, scn.dim_sys), tensor(np.eye(scn.dim_sys), scn._eig_res[1])
     return RelativeModular((w, scn.unitary_coupled(t) @ v), (w, v))
 
 

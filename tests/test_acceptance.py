@@ -30,6 +30,7 @@ from fcslab.fcs import (
     system_fcs,
 )
 from fcslab.linalg import (
+    _max_residual,
     dagger,
     hs_inner,
     hs_norm,
@@ -80,35 +81,49 @@ def test_criterion_1_modular_vs_protocol(scenario_suite):
 
 
 def test_criterion_2_mean_identity(scenario_suite):
-    worst = 0.0
-    for scn, t in scenario_suite:
-        mean_r = reservoir_fcs(fcs_at(scn, t)).mean
-        _, dq_r = delta_q_flux(scn, t, quad_tol=1e-8)
-        worst = max(worst, abs(mean_r - dq_r))
+    def residuals():
+        for scn, t in scenario_suite:
+            mean_r = reservoir_fcs(fcs_at(scn, t)).mean
+            _, dq_r = delta_q_flux(scn, t, quad_tol=1e-8)
+            yield abs(mean_r - dq_r)
+    worst = _max_residual(residuals())
     _verdict(2, "mean identity", worst <= 1e-7, f"(max residual {worst:.2e})")
 
 
 def test_criterion_3_balance_identity(scenario_suite):
-    worst = 0.0
-    for scn, t in scenario_suite:
-        worst = max(worst, balance_check(scn, t) / scn.energy_scale)
+    worst = _max_residual(balance_check(scn, t) / scn.energy_scale for scn, t in scenario_suite)
     _verdict(3, "exchange balance", worst <= 1e-10, f"(max scaled residual {worst:.2e})")
+
+
+def test_a_nan_residual_fails_a_criterion(scenario_suite, monkeypatch):
+    # a NaN balance residual on the middle scenario fails criterion 3
+    original, calls = balance_check, []
+
+    def nan_in_the_middle(scn, t):
+        calls.append(t)
+        return float("nan") if len(calls) == len(scenario_suite) // 2 + 1 else original(scn, t)
+
+    monkeypatch.setitem(globals(), "balance_check", nan_in_the_middle)
+    with pytest.raises(AssertionError, match="criterion 3"):
+        test_criterion_3_balance_identity(scenario_suite)
+    assert len(calls) == len(scenario_suite)
 
 
 def test_criterion_4_operator_balance():
     from fcslab.fcs import operator_balance_check
 
-    worst = 0.0
-    for k in range(10):
-        d_r = 2 if k % 2 == 0 else 4
-        scn = random_scenario(np.random.default_rng(4400 + k), 2, d_r)
-        worst = max(worst, operator_balance_check(scn, 1.0 + 0.2 * k, quad_tol=1e-10))
+    def residuals():
+        for k in range(10):
+            d_r = 2 if k % 2 == 0 else 4
+            scn = random_scenario(np.random.default_rng(4400 + k), 2, d_r)
+            yield operator_balance_check(scn, 1.0 + 0.2 * k, quad_tol=1e-10)
+    worst = _max_residual(residuals())
     _verdict(4, "operator-level balance", worst <= 1e-6, f"(max residual {worst:.2e})")
 
 
 def test_criterion_5_half_line_identity(scenario_suite):
     grid = (-2.0, -1.0, 0.0, 1.0, 2.0)
-    worst = max(half_line_identity_check(fcs_at(scn, t), grid) for scn, _ in scenario_suite[:10] for t in grid)
+    worst = _max_residual(half_line_identity_check(fcs_at(scn, t), grid) for scn, _ in scenario_suite[:10] for t in grid)
     _verdict(5, "half-line identity", worst <= 1e-8, f"(max residual {worst:.2e})")
 
 
@@ -116,70 +131,71 @@ def test_criterion_6_strip_bounds(scenario_suite):
     grid = np.array(
         [a + 1j * b for a in np.linspace(0.0, 1.0, 5) for b in np.linspace(-2.0, 2.0, 5)]
     )
-    worst = -np.inf
-    for scn, t in scenario_suite:
-        worst = max(worst, strip_bounds_check(fcs_at(scn, t), grid, CHECKS["strip_growth_bound"].inner_tol))
+    inner_tol = CHECKS["strip_growth_bound"].inner_tol
+    worst = float(np.max([strip_bounds_check(fcs_at(scn, t), grid, inner_tol) for scn, t in scenario_suite]))  # signed
     _verdict(6, "strip growth bounds", worst <= 0.0, f"(max violation {worst:.2e})")
 
 
 def test_criterion_7_modular_suite():
     rng = np.random.default_rng(77)
-    worst = 0.0
 
-    h = random_hermitian(4, rng)
-    rho_b = gibbs(h, 1.3)
-    pairs = [(random_hermitian(4, rng), random_hermitian(4, rng)) for _ in range(100)]
-    worst = max(worst, kms_defect(rho_b, h, 1.3, pairs))
+    def residuals():
+        h = random_hermitian(4, rng)
+        rho_b = gibbs(h, 1.3)
+        pairs = [(random_hermitian(4, rng), random_hermitian(4, rng)) for _ in range(100)]
+        yield kms_defect(rho_b, h, 1.3, pairs)
 
-    scn = random_scenario(np.random.default_rng(78), 2, 4, lam=0.35)
-    d = scn.dim
-    ms = modular_pair(scn.rho_eq)
-    omega = ms.omega
+        scn = random_scenario(np.random.default_rng(78), 2, 4, lam=0.35)
+        d = scn.dim
+        ms = modular_pair(scn.rho_eq)
+        omega = ms.omega
 
-    def rand():
-        return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        def rand():
+            return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
 
-    for _ in range(25):
-        x, y, a, b = rand(), rand(), rand(), rand()
-        # polar-decomposition identities
-        worst = max(worst, abs(hs_inner(ms.conjugation(x), ms.conjugation(y)) - hs_inner(y, x)))
-        worst = max(worst, hs_norm(ms.conjugation(ms.conjugation(x)) - x))
-        worst = max(worst, hs_norm(ms.commutant_star(ms.star(x)) - ms.delta(x)) / hs_norm(x))
-        lhs = ms.conjugation(ms.delta_power(0.5, ms.conjugation(x)))
-        worst = max(worst, hs_norm(lhs - ms.delta_power(-0.5, x)) / hs_norm(x))
-        worst = max(worst, hs_norm(ms.star(a @ omega) - dagger(a) @ omega) / hs_norm(a))
-        # commutation of conjugated observables with the algebra
-        jaj = lambda z: ms.conjugation(a @ ms.conjugation(z))
-        worst = max(worst, hs_norm(jaj(b @ x) - b @ jaj(x)) / hs_norm(x))
+        for _ in range(25):
+            x, y, a, b = rand(), rand(), rand(), rand()
+            # polar-decomposition identities
+            yield abs(hs_inner(ms.conjugation(x), ms.conjugation(y)) - hs_inner(y, x))
+            yield hs_norm(ms.conjugation(ms.conjugation(x)) - x)
+            yield hs_norm(ms.commutant_star(ms.star(x)) - ms.delta(x)) / hs_norm(x)
+            lhs = ms.conjugation(ms.delta_power(0.5, ms.conjugation(x)))
+            yield hs_norm(lhs - ms.delta_power(-0.5, x)) / hs_norm(x)
+            yield hs_norm(ms.star(a @ omega) - dagger(a) @ omega) / hs_norm(a)
+            # commutation of conjugated observables with the algebra
+            jaj = lambda z: ms.conjugation(a @ ms.conjugation(z))
+            yield hs_norm(jaj(b @ x) - b @ jaj(x)) / hs_norm(x)
 
-    rel = relative_modular(scn.rho_init, scn.rho_eq)
-    for _ in range(25):
-        a = rand()
-        worst = max(worst, abs(hs_inner(omega, rel.apply(a @ omega)) - np.trace(scn.rho_init @ a)))
+        rel = relative_modular(scn.rho_init, scn.rho_eq)
+        for _ in range(25):
+            a = rand()
+            yield abs(hs_inner(omega, rel.apply(a @ omega)) - np.trace(scn.rho_init @ a))
 
-    lv = Liouvilleans(scn)
-    for _ in range(25):
-        x = rand()
-        worst = max(worst, hs_norm(lv.coupled(x) - lv.coupled_decomposed(x)) / hs_norm(x))
+        lv = Liouvilleans(scn)
+        for _ in range(25):
+            x = rand()
+            yield hs_norm(lv.coupled(x) - lv.coupled_decomposed(x)) / hs_norm(x)
 
-    vec = perturbed_gibbs_vector(scn)
-    worst = max(worst, hs_norm(lv.coupled(vec)))
-    worst = max(worst, hs_norm(vec - positive_sqrt(gibbs(scn.h_coupled, scn.beta))))
+        vec = perturbed_gibbs_vector(scn)
+        yield hs_norm(lv.coupled(vec))
+        yield hs_norm(vec - positive_sqrt(gibbs(scn.h_coupled, scn.beta)))
 
+    worst = _max_residual(residuals())
     _verdict(7, "modular suite", worst <= 1e-10, f"(max residual {worst:.2e})")
 
 
 def test_criterion_8_trivial_limits():
-    worst = 0.0
     scenarios = [config_to_scenario(shipped_config(n)).scenario
                  for n in ("qubit_qubit", "qubit_chain3", "qutrit_chain2")]
     scenarios.append(chain_scenario(2))
-    for scn in scenarios:
-        for variant, t in ((scn.with_lam(0.0), 2.5), (scn, 0.0)):
-            for mu in (system_fcs(fcs_at(variant, t)).measure, reservoir_fcs(fcs_at(variant, t)).measure):
-                ok = len(mu) == 1 and abs(mu.locations[0]) <= 1e-12
-                residual = abs(mu.weights[0] - 1.0) if ok else 1.0
-                worst = max(worst, residual)
+
+    def residuals():
+        for scn in scenarios:
+            for variant, t in ((scn.with_lam(0.0), 2.5), (scn, 0.0)):
+                for mu in (system_fcs(fcs_at(variant, t)).measure, reservoir_fcs(fcs_at(variant, t)).measure):
+                    ok = len(mu) == 1 and abs(mu.locations[0]) <= 1e-12
+                    yield abs(mu.weights[0] - 1.0) if ok else 1.0
+    worst = _max_residual(residuals())
     _verdict(8, "trivial limits are point masses", worst <= 1e-12,
              f"(max weight defect {worst:.2e})")
 

@@ -1,0 +1,100 @@
+"""Each check of ``suite_modular`` that runs in the free product eigenbasis
+fails when one of its routes carries a planted defect.
+
+A defect goes into one side of a check's identity only: the dense state it
+compares against, built at another beta or from another system state, or one
+action of the modular structure, built from the weight at another beta or
+from a reference vector that is not positive, while the other actions keep
+the true weight.  The structure is ``checks.equilibrium_modular``'s,
+replaced for the run; an action is planted on the instance.  Each case
+asserts that its check's row fails.
+"""
+
+import pytest
+
+from fcslab import checks
+from fcslab.dynamics import Scenario
+from fcslab.linalg import tensor
+from fcslab.modular import equilibrium_modular
+from fcslab.scenarios import config_to_scenario
+from fcslab.states import gibbs, maximally_mixed
+
+from test_scenarios import shipped_config
+
+HOT = 1.01  # the other beta, as a factor
+
+
+def chain3() -> Scenario:
+    return config_to_scenario(shipped_config("qubit_chain3")).scenario
+
+
+def at_beta(scn: Scenario, beta: float) -> Scenario:
+    return Scenario(scn.h_sys, scn.h_res, scn.v, scn.lam, beta, scn.rho_sys)
+
+
+def dense_rho_eq_at_hot_beta(scn, ms, hot):
+    scn.__dict__["rho_eq"] = tensor(gibbs(scn.h_sys, HOT * scn.beta), gibbs(scn.h_res, HOT * scn.beta))
+
+
+def dense_rho_init_of_another_state(scn, ms, hot):
+    scn.__dict__["rho_init"] = tensor(maximally_mixed(scn.dim_sys), scn.rho_res)
+
+
+def planted(name):
+    """A plant that gives ms the action ``name`` of the structure at the other beta."""
+    def plant(scn, ms, hot):
+        ms.__dict__[name] = getattr(hot, name)
+    return plant
+
+
+def with_a_hot_right_factor(name):
+    """A plant that makes ms's action ``name`` X -> r^a X r'^(-a), r' the weight
+    at the other beta: it fixes no vector that Delta^a fixes, and it is no
+    automorphism, as Delta^a is."""
+    def plant(scn, ms, hot):
+        power = lambda alpha, x: x * (ms.spectrum ** alpha)[:, None] * hot.spectrum ** -alpha
+        ms.__dict__[name] = power if name == "delta_power" else lambda x: power(1.0, x)
+    return plant
+
+
+def non_positive_omega(scn, ms, hot):
+    omega = ms.omega.copy()
+    omega[0, 0] *= -1.0
+    ms.__dict__["vector_of"] = lambda a: a @ omega
+
+
+# (check, plant): one side of the check's identity is built otherwise
+PLANTS = [
+    ("gns_trace_agreement", dense_rho_eq_at_hot_beta),
+    ("modular_identities", planted("delta")),
+    ("vacuum_invariance", with_a_hot_right_factor("delta")),
+    ("star_operator_action", planted("vector_of")),
+    ("modular_flow_stability", with_a_hot_right_factor("delta_power")),
+    ("kms_from_modular", planted("delta")),
+    ("radon_nikodym", dense_rho_init_of_another_state),
+    ("cone_generation", non_positive_omega),
+]
+
+
+def rows(monkeypatch, plant=None) -> dict:
+    scn = chain3()
+
+    def structure(s):
+        ms = equilibrium_modular(s)
+        if plant is not None:
+            plant(s, ms, equilibrium_modular(at_beta(s, HOT * s.beta)))
+        return ms
+
+    monkeypatch.setattr(checks, "equilibrium_modular", structure)
+    return {r.check_name: r for r in checks.suite_modular(scn)}
+
+
+def test_every_converted_check_passes_unplanted(monkeypatch):
+    passed = rows(monkeypatch)
+    assert all(passed[check].passed for check, _ in PLANTS)
+
+
+@pytest.mark.parametrize("check, plant", PLANTS, ids=[check for check, _ in PLANTS])
+def test_a_defect_in_one_route_fails_the_check(monkeypatch, check, plant):
+    row = rows(monkeypatch, plant)[check]
+    assert not row.passed, row

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import shlex
@@ -488,7 +489,25 @@ def test_non_finite_summary_value_is_a_numerical_error(config_path, tmp_path, mo
     out = tmp_path / "out"
     assert main(["fcs", "--config", config_path, "--t", "1.0", "--out-dir", str(out)]) == 3
     assert "numerical error: summary.json: Out of range float values" in capsys.readouterr().err
-    assert sorted(p.name for p in out.iterdir()) == ["char.csv", "measures.csv"]
+    assert not out.exists()  # all outputs or none
+
+
+def test_non_finite_csv_value_is_a_numerical_error(config_path, tmp_path, monkeypatch, capsys):
+    # a NaN in one char.csv row: no file is written, the finite measures.csv included
+    reservoir_fcs = cli.fcsmod.reservoir_fcs
+
+    def with_nan_sample(fa, gamma_grid):
+        res = reservoir_fcs(fa, gamma_grid)
+        samples = list(res.char_samples)
+        samples[1] = (samples[1][0], complex(np.nan, 0.0))
+        return dataclasses.replace(res, char_samples=samples)
+
+    monkeypatch.setattr(cli.fcsmod, "reservoir_fcs", with_nan_sample)
+    out = tmp_path / "out"
+    assert main(["fcs", "--config", config_path, "--t", "1.0", "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: char.csv: non-finite value nan in row ")
+    assert not out.exists()
 
 
 def test_sweep_worker_invariance_at_n8(tmp_path):

@@ -74,19 +74,19 @@ class TestScenario:
 
     @staticmethod
     def dense_arrays(scn):
-        """The dense model matrices verify and fcs read, and the modular weights' eigenvectors."""
-        eq = equilibrium_modular(scn)
+        """The dense model matrices verify and fcs read, and the eigenvectors of the
+        initial weight's system factor, V_S* v_rho (the equilibrium one's are 1)."""
         return [scn.h_sys_full, scn.h_res_full, scn.h_free, scn.h_coupled, scn.rho_init, scn.rho_eq,
-                scn._eig_coupled[1], eq.eig_omega[1], initial_modular(scn, eq).eig_eta[1]]
+                scn._eig_coupled[1], initial_modular(scn, equilibrium_modular(scn)).eta_sys[1]]
 
     @pytest.mark.parametrize("source", ["chain_scenario", "qubit_qubit", "qubit_chain3", "qutrit_chain2"])
     def test_the_dense_route_of_a_real_model_is_real(self, source):
         scn = chain_scenario(3) if source == "chain_scenario" else config_to_scenario(shipped_config(source)).scenario
-        assert [x.dtype for x in self.dense_arrays(scn)] == [np.float64] * 9
+        assert [x.dtype for x in self.dense_arrays(scn)] == [np.float64] * 8
 
     def test_the_dense_route_of_a_complex_model_is_complex(self):
         scn = random_scenario(np.random.default_rng(3), 2, 4)
-        assert [x.dtype for x in self.dense_arrays(scn)] == [np.complex128] * 9
+        assert [x.dtype for x in self.dense_arrays(scn)] == [np.complex128] * 8
 
 
 class TestCouplingTerms:
@@ -352,6 +352,19 @@ class TestUnitModulusPhases:
         w, v = qubit_qubit._eig_res
         right = tensor(np.eye(2), (v * exp_complex(-1j * t * w)) @ dagger(v))
         assert np.array_equal(Liouvilleans(qubit_qubit).half_factors(t)[1], right)
+
+    @pytest.mark.parametrize("source", ["qubit_chain3", "random_scenario"])
+    def test_unitary_coupled_agrees_with_the_complex_form(self, source):
+        # real eigenvectors: two real products written into the real and
+        # imaginary views; complex ones: the one complex product
+        scn = (config_to_scenario(shipped_config(source)).scenario if source == "qubit_chain3"
+               else random_scenario(np.random.default_rng(4), 2, 4))
+        w, u = scn._eig_coupled
+        assert u.dtype == (np.float64 if source == "qubit_chain3" else np.complex128)
+        for t in (-1.3, 0.0, 2.1):
+            helper = dynamics._exp_i_eigh(u, t * w)
+            assert np.abs(helper - (u * exp_complex(1j * t * w)) @ dagger(u)).max() <= 1e-14
+            assert np.array_equal(scn.unitary_coupled(t), helper)
 
     def test_characteristic_functions_bitwise_exp_complex(self, qubit_qubit):
         mu = fcs_at(qubit_qubit, 1.7).reservoir_measure

@@ -30,7 +30,7 @@ from fcslab.fcs import (
     system_char_limit,
     system_fcs,
 )
-from fcslab.linalg import dagger, eig_hermitian, eigenvalue_clusters, eigh_blocks, positive_sqrt, tensor
+from fcslab.linalg import _max_residual, dagger, eig_hermitian, eigenvalue_clusters, eigh_blocks, positive_sqrt, tensor
 from fcslab.modular import initial_vector
 from fcslab.scenarios import chain_scenario, config_to_scenario, parse_config, random_scenario
 from fcslab.states import AtomicMeasure, gibbs, random_density
@@ -102,16 +102,17 @@ def operator_balance_loop(scn, t, quad_tol=1e-8):
             return us @ phi_r @ us.conj().T
 
         flux_int, _ = quad_vec(evolved, 0.0, t, epsabs=quad_tol, epsrel=1e-13)
-    worst = 0.0
-    basis = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            basis[k, l] = 1.0
-            lhs = log_flowed @ basis - basis @ log_static
-            rhs = log_static @ basis - basis @ log_static + scn.beta * (flux_int @ basis)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-            basis[k, l] = 0.0
-    return worst
+
+    def residuals():
+        basis = np.zeros((d, d), dtype=complex)
+        for k in range(d):
+            for l in range(d):
+                basis[k, l] = 1.0
+                lhs = log_flowed @ basis - basis @ log_static
+                rhs = log_static @ basis - basis @ log_static + scn.beta * (flux_int @ basis)
+                yield float(np.max(np.abs(lhs - rhs)))
+                basis[k, l] = 0.0
+    return _max_residual(residuals())
 
 
 def raw_reservoir_atoms(scn, t):

@@ -1,10 +1,12 @@
 import dataclasses
+import json
 from functools import cached_property
 
 import numpy as np
 import pytest
 
 from fcslab.checks import suite_modular
+from fcslab.cli import main
 from fcslab.dynamics import exact_cocycle
 from fcslab.fcs import default_gamma_grid, fcs_at, reservoir_char
 from fcslab.linalg import (
@@ -31,8 +33,10 @@ from fcslab.modular import (
     reservoir_modular,
     reservoir_weight_vector,
 )
-from fcslab.scenarios import chain_scenario, random_scenario
+from fcslab.scenarios import chain_scenario, config_to_scenario, matrix_to_pairs, random_scenario
 from fcslab.states import gibbs, maximally_mixed, random_density
+
+from test_scenarios import shipped_config
 
 
 def rand_mat(rng, d):
@@ -331,45 +335,51 @@ SCENARIO_CASES = {
 
 
 class TestScenarioWeights:
-    """The weights of a Scenario, from the eigh of H_S, H_R and rho_S."""
+    """The weights of a Scenario: those of ``equilibrium_modular`` and
+    ``initial_modular`` as Kronecker factors in Q = V_S (x) V_R, from the
+    eigh of H_S, H_R and rho_S, and the dense ones of ``reservoir_modular``."""
 
     @pytest.mark.parametrize("case", sorted(SCENARIO_CASES))
     def test_weights_match_their_matrices(self, case):
         scn = SCENARIO_CASES[case]()
         t = 1.7
+        q = tensor(scn._eig_sys[1], scn._eig_res[1])
+        eq = equilibrium_modular(scn)
+        assert np.abs((q * eq.spectrum) @ dagger(q) - scn.rho_eq).max() <= 1e-14
+        rel = initial_modular(scn, eq)
+        (b, u), p = rel.eta_sys, rel.eta_res
+        eta = np.kron((u * b) @ dagger(u), np.diag(p))  # B (x) diag(p)
+        assert np.abs(q @ eta @ dagger(q) - scn.rho_init).max() <= 1e-14
         static = tensor(np.eye(scn.dim_sys), scn.rho_res)
         rel_t = reservoir_modular(scn, t)
-        assert np.abs(equilibrium_modular(scn).rho_ref - scn.rho_eq).max() <= 1e-14
-        assert np.abs(initial_modular(scn, equilibrium_modular(scn)).rho_eta - scn.rho_init).max() <= 1e-14
         assert np.abs(rel_t.rho_eta - scn.evolve(static, t)).max() <= 1e-14
         inv_static = np.linalg.inv(static)
         assert np.abs(rel_t._inv_omega - inv_static).max() <= 1e-12 * np.abs(inv_static).max()
 
     @pytest.mark.parametrize("case", sorted(SCENARIO_CASES))
     def test_initial_modular_shares_the_equilibrium_inverse(self, case):
+        # rho_eq^(-1) acts through the spectrum of the one equilibrium structure
         scn = SCENARIO_CASES[case]()
         eq = equilibrium_modular(scn)
-        shared = initial_modular(scn, eq)
-        assert shared._inv_omega is eq._inv_omega
-        # the same bits as an operator that forms its own inverse
-        own = RelativeModular(shared.eig_eta, equilibrium_modular(scn).eig_omega)
-        assert np.array_equal(shared._inv_omega, own._inv_omega)
+        assert initial_modular(scn, eq).omega is eq.spectrum
 
-    def test_suite_modular_forms_the_equilibrium_inverse_once(self, monkeypatch):
+    def test_suite_modular_forms_one_dense_inverse(self, monkeypatch):
+        # rho_eq^(-1) is never formed; the one dense inverse is (1 (x) rho_R)^(-1),
+        # of cocycle_conjugation's reservoir modular operator
         scn = chain_scenario(3)
-        w_eq = equilibrium_modular(scn).eig_omega[0]
+        w_static = np.tile(scn.gibbs_weights_res, scn.dim_sys)
         formed = []
         inverse = RelativeModular._inv_omega.func
 
         def recording(self):
-            formed.append(np.array_equal(self.eig_omega[0], w_eq))
+            formed.append(np.array_equal(self.eig_omega[0], w_static))
             return inverse(self)
 
         prop = cached_property(recording)
         prop.__set_name__(RelativeModular, "_inv_omega")
         monkeypatch.setattr(RelativeModular, "_inv_omega", prop)
         assert all(r.passed for r in suite_modular(scn))
-        assert formed.count(True) == 1  # rho_eq^(-1); the other is (1 (x) rho_R)^(-1)
+        assert formed == [True]
 
     @pytest.mark.parametrize("case", sorted(SCENARIO_CASES))
     def test_reservoir_fcs_from_the_relative_modular_operator(self, case):
@@ -390,6 +400,59 @@ class TestScenarioWeights:
         w_rand = np.random.default_rng(0).uniform(size=fa.weights.shape)
         wrong = dataclasses.replace(fa, weights=w_rand / w_rand.sum())
         assert np.max(np.abs(spectral - reservoir_char(wrong, alphas))) > 1e-3
+
+
+def coherent_chain3() -> dict:
+    """qubit_chain3 started in a coherent initial_state.matrix: V_S* rho_S V_S is a full block."""
+    cfg = shipped_config("qubit_chain3")
+    cfg["system"]["initial_state"] = {"matrix": matrix_to_pairs(np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]]))}
+    return cfg
+
+
+FREE_BASIS_CONFIGS = {
+    "qubit_chain3": lambda: shipped_config("qubit_chain3"),
+    "qutrit_chain2": lambda: shipped_config("qutrit_chain2"),
+    "coherent_chain3": coherent_chain3,
+}
+
+
+class TestFreeBasisModular:
+    """``equilibrium_modular`` and ``initial_modular`` act on X~ = Q* X Q, Q =
+    V_S (x) V_R; moved back with Q, each action is the dense operator's."""
+
+    @pytest.mark.parametrize("case", sorted(FREE_BASIS_CONFIGS))
+    def test_actions_match_the_dense_operators(self, case):
+        scn = config_to_scenario(FREE_BASIS_CONFIGS[case]()).scenario
+        q = tensor(scn._eig_sys[1], scn._eig_res[1])
+        back = lambda y: q @ y @ dagger(q)
+        eq = equilibrium_modular(scn)
+        rel = initial_modular(scn, eq)
+        dense_eq, dense_rel = modular_pair(scn.rho_eq), relative_modular(scn.rho_init, scn.rho_eq)
+        assert np.abs(back(eq.omega) - dense_eq.omega).max() <= 1e-12
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            x = rand_mat(rng, scn.dim)
+            x_q = dagger(q) @ x @ q
+            pairs = [(eq.delta(x_q), dense_eq.delta(x)), (eq.star(x_q), dense_eq.star(x)),
+                     (eq.commutant_star(x_q), dense_eq.commutant_star(x)), (rel.apply(x_q), dense_rel.apply(x)),
+                     (eq.vector_of(x_q), x @ dense_eq.omega)]
+            pairs += [(eq.delta_power(alpha, x_q), dense_eq.delta_power(alpha, x)) for alpha in (0.5, -0.5, 0.7j, -0.7j)]
+            for got, want in pairs:
+                assert np.abs(back(got) - want).max() <= 1e-12
+
+    def test_verify_modular_passes_on_a_coherent_state(self, tmp_path):
+        path = tmp_path / "coherent_chain3.json"
+        path.write_text(json.dumps(coherent_chain3()))
+        assert main(["verify", "--config", str(path), "--suite", "modular"]) == 0
+
+    def test_rank_deficient_initial_state_keeps_the_power_rule(self, rng):
+        scn = config_to_scenario(shipped_config("qubit_chain3")).scenario  # excited: rho_S has rank 1
+        rel = initial_modular(scn, equilibrium_modular(scn))
+        x = rand_mat(rng, scn.dim)
+        assert np.all(np.isfinite(rel.power(0.5, x)))
+        for alpha in (-0.5, 0.7j):
+            with pytest.raises(RankDeficientError, match="singular weight"):
+                rel.power(alpha, x)
 
 
 class TestMixingDiagnostic:
