@@ -335,9 +335,10 @@ SCENARIO_CASES = {
 
 
 class TestScenarioWeights:
-    """The weights of a Scenario: those of ``equilibrium_modular`` and
-    ``initial_modular`` as Kronecker factors in Q = V_S (x) V_R, from the
-    eigh of H_S, H_R and rho_S, and the dense ones of ``reservoir_modular``."""
+    """The weights of a Scenario, from the eigh of H_S, H_R and rho_S: in
+    Q = V_S (x) V_R, rho_eq as the spectrum of ``equilibrium_modular`` and
+    rho_init as the factors of ``initial_modular``; the dense weights of
+    ``reservoir_modular``."""
 
     @pytest.mark.parametrize("case", sorted(SCENARIO_CASES))
     def test_weights_match_their_matrices(self, case):
