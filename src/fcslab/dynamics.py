@@ -143,9 +143,9 @@ class Scenario:
     a tuple of its Kronecker terms ((A_1, B_1), ...), V = sum_k A_k (x) B_k,
     as the chain presets give it (see :class:`Coupling`).  V is held in that
     one form; ``v`` is the d x d matrix, built on first read by the dense
-    callers (``h_coupled``, the fluxes, ``v_norm``, Dyson, ``Liouvilleans``,
-    configs) and never by the sweep.  Instances are immutable; derived
-    matrices are cached.
+    callers (``h_coupled``, the fluxes, the direct energy bookkeeping,
+    ``v_norm``, Dyson, ``Liouvilleans``, configs) and never by the sweep.
+    Instances are immutable; derived matrices are cached.
     """
 
     h_sys: np.ndarray
@@ -192,17 +192,9 @@ class Scenario:
         return self.dim_sys * self.dim_res
 
     @cached_property
-    def h_sys_full(self) -> np.ndarray:
-        return tensor(self.h_sys, np.eye(self.dim_res))
-
-    @cached_property
-    def h_res_full(self) -> np.ndarray:
-        return tensor(np.eye(self.dim_sys), self.h_res)
-
-    @cached_property
     def h_free(self) -> np.ndarray:
         """Uncoupled Hamiltonian H_S (x) 1 + 1 (x) H_R."""
-        return self.h_sys_full + self.h_res_full
+        return tensor(self.h_sys, np.eye(self.dim_res)) + tensor(np.eye(self.dim_sys), self.h_res)
 
     @cached_property
     def h_coupled(self) -> np.ndarray:
@@ -362,13 +354,15 @@ class Scenario:
     @cached_property
     def phi_sys(self) -> np.ndarray:
         """System energy current lam * i [H_S (x) 1, V]."""
-        return self.lam * 1j * (self.h_sys_full @ self.v - self.v @ self.h_sys_full)
+        h = tensor(self.h_sys, np.eye(self.dim_res))
+        return self.lam * 1j * (h @ self.v - self.v @ h)
 
     @cached_property
     def phi_res(self) -> np.ndarray:
         """Reservoir energy current lam * i [1 (x) H_R, V]; phi_sys + phi_res =
         lam * i [H_free, V], the total-energy current into the coupling term."""
-        return self.lam * 1j * (self.h_res_full @ self.v - self.v @ self.h_res_full)
+        h = tensor(np.eye(self.dim_sys), self.h_res)
+        return self.lam * 1j * (h @ self.v - self.v @ h)
 
     @cached_property
     def v_norm(self) -> float:
@@ -389,10 +383,18 @@ _COUPLING_CACHES = (
 )
 
 
-def _expectation_changes(scn: Scenario, t: float, observables: tuple) -> list[float]:
-    """<tau^t(A)> - <A> for each observable A, every tau^t from one U(t)."""
+def _energy_changes(scn: Scenario, t: float) -> tuple[float, float, float]:
+    """<tau^t(A)> - <A> for A = H_S (x) 1, 1 (x) H_R and V, read in O(d^2) from the one
+    evolved state rho_t = U(t)* rho_init U(t), viewed as a (d_S, d_R, d_S, d_R) array:
+    its partial traces against h_sys and h_res, and an entrywise sum against V."""
+
+    def energies(rho):
+        blocks = rho.reshape(scn.dim_sys, scn.dim_res, scn.dim_sys, scn.dim_res)
+        pairs = (np.einsum("ibjb->ij", blocks), scn.h_sys), (np.einsum("ibic->bc", blocks), scn.h_res), (rho, scn.v)
+        return [float(np.einsum("ij,ji->", x, a).real) for x, a in pairs]
+
     u = scn.unitary_coupled(t)
-    return [scn.expect(u @ a @ dagger(u)) - scn.expect(a) for a in observables]
+    return tuple(after - before for after, before in zip(energies(dagger(u) @ scn.rho_init @ u), energies(scn.rho_init)))
 
 
 def delta_q_direct(scn: Scenario, t: float) -> tuple[float, float]:
@@ -400,11 +402,12 @@ def delta_q_direct(scn: Scenario, t: float) -> tuple[float, float]:
 
     Returns (dq_sys, dq_res): the increase of the system energy and the
     decrease of the reservoir energy between times 0 and t,
-    dq_sys = <tau^t(H_S)> - <H_S>, dq_res = <H_R> - <tau^t(H_R)>.
+    dq_sys = <tau^t(H_S)> - <H_S>, dq_res = <H_R> - <tau^t(H_R)>, read from one
+    evolved state, its U(t) from the dense eigh of H_coupled, not the FCS's sectors.
     """
     if t == 0.0:
         return 0.0, 0.0
-    gain_s, gain_r = _expectation_changes(scn, t, (scn.h_sys_full, scn.h_res_full))
+    gain_s, gain_r, _ = _energy_changes(scn, t)
     return gain_s, 0.0 - gain_r  # not -gain_r: a zero change is +0.0, as <H_R> - <tau^t(H_R)> gives
 
 
@@ -459,12 +462,13 @@ def balance_check(scn: Scenario, t: float) -> float:
     """Residual of the exchanged-energy balance identity.
 
     |(dq_res - dq_sys) - lam * (<tau^t(V)> - <V>)| with both energies as in
-    :func:`delta_q_direct` and all three observables evolved by one U(t);
-    vanishes up to roundoff for every (lam, t).
+    :func:`delta_q_direct` and all three read from its own one evolved state;
+    vanishes up to roundoff for every (lam, t), and is 0.0 at t = 0, where
+    no U(t) is formed.
     """
-    gain_s, gain_r, gain_v = _expectation_changes(scn, t, (scn.h_sys_full, scn.h_res_full, scn.v))
-    if t == 0.0:  # delta_q_direct's exact zeros
-        gain_s = gain_r = 0.0
+    if t == 0.0:
+        return 0.0
+    gain_s, gain_r, gain_v = _energy_changes(scn, t)
     return abs((-gain_r - gain_s) - scn.lam * gain_v)
 
 

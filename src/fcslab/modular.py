@@ -160,23 +160,14 @@ class ModularStructure(RelativeModular, _ModularMaps):
         """Reference vector rho_ref^(1/2)."""
         return self.ref_power(0.5)
 
-    @cached_property
-    def _half_powers(self) -> dict:
-        """rho_ref^(+-1/2), which star and commutant_star reuse; no other power
-        is kept.  They are handed to every caller, so they are read-only."""
-        powers = {alpha: _weight_power(self.eig_eta, alpha) for alpha in (0.5, -0.5)}
-        for p in powers.values():
-            p.setflags(write=False)
-        return powers
-
     def ref_power(self, alpha: complex) -> np.ndarray:
         """Principal power rho_ref^alpha as a matrix."""
-        return self._half_powers[alpha] if alpha in (0.5, -0.5) else _weight_power(self.eig_eta, alpha)
+        return _weight_power(self.eig_eta, alpha)
 
     delta = RelativeModular.apply
 
     def delta_power(self, alpha: complex, x: np.ndarray) -> np.ndarray:
-        """Delta^alpha X = r^alpha X r^(-alpha), the half powers from the cache."""
+        """Delta^alpha X = r^alpha X r^(-alpha)."""
         return self.ref_power(alpha) @ x @ self.ref_power(-alpha)
 
 

@@ -311,7 +311,7 @@ def config_to_scenario(cfg: dict) -> RunConfig:
         )
         lam = 0.0
     if rho_sys is None:
-        rho_sys = gibbs(h_sys, beta * (thermal_scale or 1.0))
+        rho_sys = gibbs(h_sys, beta * thermal_scale)
 
     try:
         scn = Scenario(h_sys=h_sys, h_res=h_res, v=v, lam=lam, beta=beta, rho_sys=rho_sys)

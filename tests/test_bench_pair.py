@@ -48,7 +48,7 @@ def test_pairs_alternate_and_metrics_summarize(tmp_path):
     assert set(result["first_side"]) == {"parent", "change"}
     assert bench_pair.compare(parent, change, "sweep_t_chain8", 10, 5, run=canned_run([]))["first_side"] == result["first_side"]
     rss, run_s, setup = (result["metrics"][m] for m in ("peak_rss_mb", "run_s", "setup_s"))
-    assert rss["change_better_in"] == 10 and rss["gain"] and rss["within_bound"]
+    assert rss["change_better_in"] == 10 and rss["gain"] and rss["within_bound"] and not rss["unresolved"]
     assert rss["parent_median"] == pytest.approx(50.61) and rss["change_median"] == pytest.approx(48.01)
     assert rss["parent_quartiles"] == pytest.approx([50.6, 50.62])
     assert run_s["change_better_in"] == 0 and not run_s["gain"] and run_s["within_bound"]
@@ -67,6 +67,18 @@ def test_a_gain_needs_nine_pairs_in_ten_and_a_median_gap_past_the_parent_spread(
     assert summarize(parent, [x + 0.6 for x in parent], "higher", 0.1)["gain"]
     worse = summarize(parent, [x * 1.2 for x in parent], "lower", 0.1)
     assert not worse["within_bound"] and summarize(parent, [x * 1.05 for x in parent], "lower", 0.1)["within_bound"]
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved_unless_every_change_run_is_better():
+    summarize = bench_pair.summarize
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]  # spread 0.55 around a median of 1.45
+    same = summarize(parent, parent, "lower", 0.1)
+    assert same["unresolved"] and same["within_bound"]  # unchanged median, but the runs cannot tell
+    assert not summarize(parent, parent, "lower", 0.5)["unresolved"]  # 0.55 < 0.5 * 1.45
+    assert summarize(parent, [x - 0.6 for x in parent], "lower", 0.1)["unresolved"]  # a gain, yet 1.3 > 1.0
+    assert not summarize(parent, [x - 1.0 for x in parent], "lower", 0.1)["unresolved"]  # 0.9 < 1.0
+    assert not summarize(parent, [x + 1.0 for x in parent], "higher", 0.1)["unresolved"]
+    assert summarize(parent, [x + 1.0 for x in parent], "lower", 0.1)["unresolved"]  # every run worse
 
 
 def test_sign_test_p_values_by_hand():
@@ -110,3 +122,5 @@ def test_out_file_keeps_other_workloads(tmp_path, monkeypatch, capsys):
     assert sorted(doc["workloads"]) == ["sweep_t_chain8", "verify_chain6"] and "protocol" in doc
     out = capsys.readouterr().out
     assert "sweep_t_chain8 peak_rss_mb: parent 50.6" in out and "(sign test p = 0.25)" in out
+    assert all("unresolved" in m for m in doc["workloads"]["verify_chain6"]["metrics"].values())
+    assert "within bound yes, unresolved no" in out

@@ -76,17 +76,17 @@ class TestScenario:
     def dense_arrays(scn):
         """The dense model matrices verify and fcs read, and the eigenvectors of the
         initial weight's system factor, V_S* v_rho (the equilibrium one's are 1)."""
-        return [scn.h_sys_full, scn.h_res_full, scn.h_free, scn.h_coupled, scn.rho_init, scn.rho_eq,
+        return [scn.v, scn.h_free, scn.h_coupled, scn.rho_init, scn.rho_eq,
                 scn._eig_coupled[1], initial_modular(scn, equilibrium_modular(scn)).eta_sys[1]]
 
     @pytest.mark.parametrize("source", ["chain_scenario", "qubit_qubit", "qubit_chain3", "qutrit_chain2"])
     def test_the_dense_route_of_a_real_model_is_real(self, source):
         scn = chain_scenario(3) if source == "chain_scenario" else config_to_scenario(shipped_config(source)).scenario
-        assert [x.dtype for x in self.dense_arrays(scn)] == [np.float64] * 8
+        assert [x.dtype for x in self.dense_arrays(scn)] == [np.float64] * 7
 
     def test_the_dense_route_of_a_complex_model_is_complex(self):
         scn = random_scenario(np.random.default_rng(3), 2, 4)
-        assert [x.dtype for x in self.dense_arrays(scn)] == [np.complex128] * 8
+        assert [x.dtype for x in self.dense_arrays(scn)] == [np.complex128] * 7
 
 
 class TestCouplingTerms:
@@ -463,12 +463,33 @@ class TestBalance:
     def test_uncoupled(self, qubit_qubit):
         assert balance_check(qubit_qubit.with_lam(0.0), 4.0) <= 1e-14
 
-    def test_zero_time(self, qubit_qubit):
-        assert balance_check(qubit_qubit, 0.0) <= 1e-14
+    def test_zero_time(self, qubit_qubit, monkeypatch):
+        monkeypatch.setattr(Scenario, "unitary_coupled", lambda self, t: pytest.fail("U(0) formed"))
+        assert balance_check(qubit_qubit, 0.0) == 0.0
 
     def test_random_scenario(self):
         scn = random_scenario(np.random.default_rng(99), 2, 8, lam=0.3)
         assert balance_check(scn, 5.0) <= 1e-10 * scn.energy_scale
+
+
+HEISENBERG_CASES = {
+    **{name: lambda name=name: config_to_scenario(shipped_config(name)).scenario
+       for name in ("qubit_qubit", "qubit_chain3", "qutrit_chain2")},
+    "random_3x5": lambda: random_scenario(np.random.default_rng(5), 3, 5),  # complex, 9 block terms
+}
+
+
+@pytest.mark.parametrize("t", [0.7, -2.3])
+@pytest.mark.parametrize("case", sorted(HEISENBERG_CASES))
+def test_direct_route_matches_the_heisenberg_picture(case, t):
+    # the reference evolves each observable as U A U*; the route evolves the state once
+    scn = HEISENBERG_CASES[case]()
+    u = scn.unitary_coupled(t)
+    observables = (tensor(scn.h_sys, np.eye(scn.dim_res)), tensor(np.eye(scn.dim_sys), scn.h_res), scn.v)
+    gain_s, gain_r, gain_v = (scn.expect(u @ a @ dagger(u)) - scn.expect(a) for a in observables)
+    dq_s, dq_r = delta_q_direct(scn, t)
+    assert abs(dq_s - gain_s) <= 1e-13 and abs(dq_r + gain_r) <= 1e-13
+    assert abs(balance_check(scn, t) - abs((-gain_r - gain_s) - scn.lam * gain_v)) <= 1e-13
 
 
 class TestDyson:

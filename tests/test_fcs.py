@@ -91,7 +91,7 @@ def operator_balance_loop(scn, t, quad_tol=1e-8):
     log_static = np.kron(np.eye(scn.dim_sys), log_rho_res)
     u = _expm_i(np.asarray(scn.h_coupled), t)
     log_flowed = u @ log_static @ u.conj().T
-    h_r = np.asarray(scn.h_res_full)
+    h_r = np.kron(np.eye(scn.dim_sys), scn.h_res)
     v = np.asarray(scn.v)
     phi_r = scn.lam * 1j * (h_r @ v - v @ h_r)
     if t == 0.0:
@@ -1114,7 +1114,7 @@ class TestSweepPathHoldsNoDenseMatrix:
         def fail(*args):
             pytest.fail("the sweep read a d x d coupled or model matrix")
 
-        for name in ("h_coupled", "h_free", "h_sys_full", "h_res_full", "_eig_coupled", "v"):
+        for name in ("h_coupled", "h_free", "phi_sys", "phi_res", "_eig_coupled", "v"):
             monkeypatch.setattr(Scenario, name, property(fail))
         monkeypatch.setattr(Scenario, "unitary_coupled", fail)
         scn = chain_scenario(5)

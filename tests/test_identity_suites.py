@@ -180,14 +180,6 @@ class TestModularCaches:
                     (v * w.astype(complex) ** -alpha) @ dagger(v))
                 assert np.array_equal(ms.delta_power(alpha, x), expected)
 
-    def test_only_the_half_powers_are_cached(self, rng):
-        ms = modular_pair(random_density(4, rng))
-        ms.star(np.eye(4))
-        assert ms.ref_power(0.5) is ms.ref_power(0.5) and ms.ref_power(-0.5) is ms.ref_power(-0.5)
-        assert ms.ref_power(0.3j) is not ms.ref_power(0.3j)
-        assert set(ms._half_powers) == {0.5, -0.5}
-        assert not ms.ref_power(0.5).flags.writeable
-
     def test_relative_apply_bitwise_uncached(self, rng):
         eta, omega = random_density(5, rng), random_density(5, rng)
         rel = relative_modular(eta, omega)

@@ -276,7 +276,8 @@ class TestScenarioVectors:
         scn = scenario_factory(6, d_sys=2, d_res=3)
         lv = Liouvilleans(scn)
         d = scn.dim
-        half = lambda x: scn.h_coupled @ x - x @ scn.h_res_full  # generates half_factors
+        h_r = np.kron(np.eye(scn.dim_sys), scn.h_res)
+        half = lambda x: scn.h_coupled @ x - x @ h_r  # generates half_factors
         for op in (lv.free, lv.coupled, half):
             x, y = rand_mat(rng, d), rand_mat(rng, d)
             assert abs(hs_inner(x, op(y)) - hs_inner(op(x), y)) <= 1e-10

@@ -109,6 +109,14 @@ class TestConfig:
         assert dtypes == [np.dtype(float)] * 2
         assert matrix.dtype == ladder.dtype == np.dtype(float) and matrix.tobytes() == ladder.tobytes()
 
+    @pytest.mark.parametrize("scale, populations", [(0.0, [0.5, 0.5]), (2.0, [1 / (1 + np.exp(-2.0)), 1 / (1 + np.exp(2.0))])])
+    def test_thermal_beta_scale_is_taken_as_given(self, scale, populations):
+        # a scale of 0 is the infinite-temperature state, not a fallback to beta
+        cfg = shipped_config("qubit_qubit")
+        cfg["system"]["initial_state"] = {"preset": "thermal", "beta_scale": scale}
+        rho = config_to_scenario(cfg).scenario.rho_sys
+        assert np.allclose(rho, np.diag(populations), rtol=0, atol=1e-15)
+
     def test_lambda_omitted_warns_and_defaults(self):
         cfg = shipped_config("qubit_qubit")
         del cfg["coupling"]["lambda"]

@@ -10,12 +10,15 @@ first is drawn at random for each pair (from S, so a rerun repeats the
 order).  The last line of each run's output is its JSON result.
 
 For each end-to-end metric the script prints both sides' medians and
-quartiles, the number of pairs in which the change is better, and two
+quartiles, the number of pairs in which the change is better, and three
 verdicts.  ``gain``: the change is better in at least 9 of 10 pairs (ties
 count for neither side) and the medians differ, in the change's favour, by
 more than the parent's quartile spread.  ``within bound``: the change's
 median is no worse than the parent's by more than the metric's bound in
-BENCHMARK.json, a fraction of the parent's median.  It also prints the exact
+BENCHMARK.json, a fraction of the parent's median.  ``unresolved``: the
+parent's quartile spread is wider than that bound, so the runs cannot tell
+a change within it from none, unless every change run is better than every
+parent run; such a metric is unresolved, not unchanged.  It also prints the exact
 two-sided sign-test p-value of the pairs the change wins against those it
 loses, ties dropped.  Failed operations are summed per side.  With
 ``--out`` the workload's entry is written into that JSON file, beside the
@@ -82,7 +85,7 @@ def sign_test_p(wins: int, losses: int) -> float:
 
 def summarize(parent: list[float], change: list[float], better: str, bound: float) -> dict:
     """Medians, quartiles, pairs won by the change, the sign-test p-value and
-    the two verdicts of one metric over paired runs (``parent[k]`` and
+    the three verdicts of one metric over paired runs (``parent[k]`` and
     ``change[k]`` are pair k)."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change, strict=True))
@@ -96,6 +99,8 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
         "change_better_in": wins, "pairs": len(parent), "sign_test_p": sign_test_p(wins, losses),
         "gain": wins >= WIN_SHARE * len(parent) and sign * (p_med - c_med) > p_q[1] - p_q[0],
         "within_bound": sign * (c_med - p_med) <= bound * abs(p_med),
+        "unresolved": p_q[1] - p_q[0] > bound * abs(p_med)
+                      and not all(sign * (p - c) > 0 for p in parent for c in change),
     }
 
 
@@ -136,7 +141,8 @@ def report_lines(workload: str, result: dict) -> list[str]:
             f"{workload} {name}: parent {m['parent_median']:.6g} [{p1:.6g}, {p3:.6g}] -> "
             f"change {m['change_median']:.6g} [{c1:.6g}, {c3:.6g}] {m['unit']}, "
             f"change better in {m['change_better_in']}/{m['pairs']} (sign test p = {m['sign_test_p']:.3g}), "
-            f"gain {'yes' if m['gain'] else 'no'}, within bound {'yes' if m['within_bound'] else 'NO'}"
+            f"gain {'yes' if m['gain'] else 'no'}, within bound {'yes' if m['within_bound'] else 'NO'}, "
+            f"unresolved {'YES' if m['unresolved'] else 'no'}"
         )
     ops = result["operations"]
     lines.append(f"{workload} failed: parent {ops['parent']['failed']}/{ops['parent']['attempted']}, "
