@@ -39,7 +39,6 @@ from .linalg import (
     SpectrumDomainError,
     eig_hermitian,
     expm_hermitian,
-    func_calc,
     positive_sqrt,
     tensor,
 )

@@ -12,7 +12,8 @@ the modular log and the time-integrated flux, the half-line identity at
 Re(alpha) = 1/2, the strip growth bound, and the weak-coupling/long-time
 limit sweeps.  A sweep cell reads the reservoir characteristic function, mean
 and moments from the d_R^2 unmerged atoms, the weight matrix W; only ``fcs``
-and ``verify`` merge them.
+and ``verify`` merge them.  ``derivative_moments`` is the one contour route to
+the moments, for ``verify`` and the sweep alike.
 """
 
 from __future__ import annotations
@@ -131,19 +132,6 @@ class FcsAtTime:
         for k in range(N_MOMENTS):
             term *= locations
             out[k] = term.sum()
-        return out
-
-    def contour_moments(self) -> np.ndarray:
-        """Moments from the derivatives of F at 0 by a 64-node trapezoid rule (see derivative_moments)."""
-        beta = self.scn.beta
-        span = float(self.levels[-1] - self.levels[0])
-        radius = min(0.45, 0.5 / max(1.0, beta * span))
-        nodes = exp_i(2 * np.pi * np.arange(64) / 64)
-        values = self.char(radius * nodes)
-        out = np.empty(N_MOMENTS)
-        for k in range(1, N_MOMENTS + 1):
-            deriv = math.factorial(k) * np.mean(values * nodes ** (-k)) / radius**k
-            out[k - 1] = deriv.real / beta**k
         return out
 
 
@@ -339,8 +327,12 @@ def half_line_identity_check(fa: FcsAtTime, s_grid: np.ndarray) -> float:
     vector with the square root of the system state.  U(t) is formed once
     for the grid, U(beta s) and 1 (x) e^{-i beta s H_R} once per s.  F is
     evaluated one s at a time: an array call sums in another order.  The
-    result is NaN if the residual at any s is NaN.
+    result is NaN if the residual at any s is NaN.  An empty grid is a
+    ValueError, raised before anything is formed.
     """
+    grid = np.atleast_1d(s_grid)
+    if grid.size == 0:
+        raise ValueError("s_grid has no points")
     scn = fa.scn
     omega_hat = tensor(positive_sqrt(scn.rho_sys), np.eye(scn.dim_res)) @ initial_vector(scn)
     omega_eta = reservoir_weight_vector(scn)
@@ -352,9 +344,6 @@ def half_line_identity_check(fa: FcsAtTime, s_grid: np.ndarray) -> float:
         ket = u @ (left @ omega_eta @ right) @ dagger(u)
         return abs(fa.char(0.5 + 1j * s) - hs_inner(left @ omega_hat @ right, ket))
 
-    grid = np.atleast_1d(s_grid)
-    if grid.size == 0:
-        raise ValueError("s_grid has no points")
     return _max_residual(residual(float(s)) for s in grid)
 
 
@@ -362,8 +351,10 @@ def strip_bounds_check(fa: FcsAtTime, alpha_grid: np.ndarray, tol: float) -> flo
     """Largest violation of |F(alpha)| <= 1 + (d_S - 1) Re(alpha) + tol on a
     strip grid and of F(1) <= d_S + tol, tol the slack for roundoff; the
     bounds hold where it is <= 0.  It is negative when every bound holds with
-    room, and NaN if any violation is NaN."""
+    room, and NaN if any violation is NaN.  An empty grid is a ValueError."""
     grid = np.atleast_1d(_in_strip(alpha_grid))
+    if grid.size == 0:
+        raise ValueError("alpha_grid has no points")
     d_s = fa.scn.dim_sys
     bound = 1.0 + (d_s - 1) * grid.real + tol
     vals = np.abs(fa.char(grid))
@@ -374,10 +365,20 @@ def derivative_moments(fa: FcsAtTime) -> np.ndarray:
     """Moments of the reservoir FCS from derivatives of F at alpha = 0.
 
     F(alpha) is entire at finite size, so the k-th derivative at 0 is a
-    contour integral over a small circle, evaluated with the trapezoid rule
-    (spectrally accurate); moment k is that derivative divided by beta^k.
+    contour integral over a small circle, evaluated with the 64-node
+    trapezoid rule (spectrally accurate); moment k is that derivative divided
+    by beta^k.  The contour route of both ``verify`` and the limit sweep.
     """
-    return fa.contour_moments()
+    beta = fa.scn.beta
+    span = float(fa.levels[-1] - fa.levels[0])
+    radius = min(0.45, 0.5 / max(1.0, beta * span))
+    nodes = exp_i(2 * np.pi * np.arange(64) / 64)
+    values = fa.char(radius * nodes)
+    out = np.empty(N_MOMENTS)
+    for k in range(1, N_MOMENTS + 1):
+        deriv = math.factorial(k) * np.mean(values * nodes ** (-k)) / radius**k
+        out[k - 1] = deriv.real / beta**k
+    return out
 
 
 @dataclass(frozen=True)
@@ -441,7 +442,7 @@ def _sweep_cell(
         mean_res=float(moments[0]),
         mean_sys=fa.system_measure.mean,
         moments_res=moments,
-        moment_gap=float(np.max(np.abs(fa.contour_moments() - moments))),
+        moment_gap=float(np.max(np.abs(derivative_moments(fa) - moments))),
     )
 
 

@@ -165,7 +165,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     projectors: list = field(repr=False)
-    multiplicities: np.ndarray = field(repr=False)
 
     def reconstruct(self) -> np.ndarray:
         """Sum of eigenvalue * projector."""
@@ -175,7 +174,10 @@ class SpectralDecomposition:
         return out
 
     def apply(self, f: Callable[[float], complex]) -> np.ndarray:
-        """Assemble sum of f(eigenvalue) * projector, checking f's domain."""
+        """f of the decomposed matrix through its spectrum: sum of
+        f(eigenvalue) * projector, whose spectrum is f of the matrix's
+        spectrum.  Raises SpectrumDomainError naming the eigenvalue where f
+        is undefined or not finite."""
         out = np.zeros(self.projectors[0].shape, dtype=complex)
         for lam, p in zip(self.eigenvalues, self.projectors):
             try:
@@ -212,21 +214,20 @@ def eigenvalue_clusters(w: np.ndarray, cluster_tol: float | None = None) -> list
     return np.split(np.arange(len(w)), cluster_starts(w, cluster_tol)[1:])
 
 
-def eig_hermitian(a: np.ndarray, cluster_tol: float | None = None) -> SpectralDecomposition:
+def eig_hermitian(a: np.ndarray) -> SpectralDecomposition:
     """Clustered eigendecomposition of a Hermitian matrix.
 
-    Eigenvalues lying within ``cluster_tol`` of each other (default
-    1e-9 * ||a||) are merged into a single projector; the cluster
-    representative is the mean of the merged eigenvalues.
+    Eigenvalues within 1e-9 * ||a|| of each other (the default rule of
+    :func:`eigenvalue_clusters`) are merged into a single projector; the
+    cluster representative is the mean of the merged eigenvalues.
     """
     assert_square(a)
     assert_hermitian(a)
     w, v = np.linalg.eigh(a)
-    groups = eigenvalue_clusters(w, cluster_tol)
+    groups = eigenvalue_clusters(w)
     return SpectralDecomposition(
         eigenvalues=np.array([float(np.mean(w[g])) for g in groups]),
         projectors=[v[:, g] @ dagger(v[:, g]) for g in groups],
-        multiplicities=np.array([len(g) for g in groups]),
     )
 
 
@@ -311,21 +312,6 @@ def rayleigh_quotients(a: np.ndarray, v: np.ndarray) -> np.ndarray:
             terms *= x[cs]
             q[cols] += terms.sum(axis=0)
     return (q / norm).real.astype(float)
-
-
-def func_calc(
-    a: np.ndarray,
-    f: Callable[[float], complex],
-    cluster_tol: float | None = None,
-) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum.
-
-    Returns sum of f(eigenvalue) * projector.  The spectral mapping property
-    holds: the spectrum of the result is f applied to the spectrum of ``a``.
-    Raises SpectrumDomainError naming the offending eigenvalue if f is
-    undefined there.
-    """
-    return eig_hermitian(a, cluster_tol).apply(f)
 
 
 def positivity_floor(w: np.ndarray) -> float:

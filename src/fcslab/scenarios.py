@@ -42,13 +42,6 @@ def check_dense_size(d: int, source: str) -> None:
         )
 
 
-def _check_chain_size(dim_sys: int, n: int) -> None:
-    """:func:`check_dense_size` of an n-site chain; an n out of range is left
-    to :func:`build_chain_reservoir`, so 2**n is never formed for it."""
-    if 1 <= n <= MAX_CHAIN_SITES:
-        check_dense_size(dim_sys * 2**n, f"n={n}")
-
-
 def build_chain_reservoir(
     n: int,
     j_coupling: float,
@@ -204,9 +197,19 @@ def _check_hermitian_field(a: np.ndarray, field_name: str) -> np.ndarray:
     return a
 
 
-def _system_from_config(cfg: dict) -> tuple[np.ndarray, np.ndarray, float | None]:
-    cfg = _as_object(cfg, "system")
-    dim = _integer(_require(cfg, "dim", "system"), "system.dim", 1)
+def _check_config_size(dim_sys: int, dim_res: int, res_field: str, res_source: str) -> None:
+    """:func:`check_dense_size` of d = d_S d_R as a ConfigError that names
+    ``system.dim`` if d_S is the larger factor, else the reservoir's
+    ``res_field``, whose ``res_source`` sets d_R."""
+    if dim_sys > dim_res:
+        res_field, res_source = "system.dim", f"{dim_sys} with d_R = {dim_res}"
+    try:
+        check_dense_size(dim_sys * dim_res, res_source)
+    except ValueError as exc:
+        raise ConfigError(f"{res_field}: {exc}") from exc
+
+
+def _system_from_config(cfg: dict, dim: int) -> tuple[np.ndarray, np.ndarray, float | None]:
     ham = _as_object(_require(cfg, "hamiltonian", "system"), "system.hamiltonian")
     if "matrix" in ham:
         h = _check_hermitian_field(pairs_to_matrix(ham["matrix"], "system.hamiltonian.matrix"),
@@ -251,10 +254,7 @@ def _reservoir_from_config(cfg: dict, dim_sys: int) -> tuple[np.ndarray, np.ndar
     if "matrix" in cfg:
         h = _check_hermitian_field(pairs_to_matrix(cfg["matrix"], "reservoir.matrix"),
                                    "reservoir.matrix")
-        try:
-            check_dense_size(dim_sys * h.shape[0], f"d_R = {h.shape[0]}")
-        except ValueError as exc:
-            raise ConfigError(f"reservoir.matrix: {exc}") from exc
+        _check_config_size(dim_sys, h.shape[0], "reservoir.matrix", f"d_R = {h.shape[0]}")
         return h, None
     preset = _require(cfg, "preset", "reservoir")
     if preset != "chain":
@@ -266,8 +266,9 @@ def _reservoir_from_config(cfg: dict, dim_sys: int) -> tuple[np.ndarray, np.ndar
     if disorder != 0.0 and "seed" not in cfg:  # unseeded, it would draw new fields on every run
         raise ConfigError("reservoir.seed: required when reservoir.disorder is nonzero")
     seed = _integer(cfg["seed"], "reservoir.seed", 0) if "seed" in cfg else None
+    if n <= MAX_CHAIN_SITES:  # a larger n is left to build_chain_reservoir, so 2**n is never formed for it
+        _check_config_size(dim_sys, 2**n, "reservoir", f"n={n}")
     try:
-        _check_chain_size(dim_sys, n)
         h, edge = build_chain_reservoir(n, j_coupling, field, seed=seed, disorder=disorder)
     except ValueError as exc:
         raise ConfigError(f"reservoir: {exc}") from exc
@@ -298,8 +299,11 @@ def config_to_scenario(cfg: dict) -> RunConfig:
         raise ConfigError("top level: expected a JSON object")
     beta = _number(_require(cfg, "beta", "top level"), "beta")
 
-    h_sys, rho_sys, thermal_scale = _system_from_config(_require(cfg, "system", "top level"))
-    h_res, edge = _reservoir_from_config(_require(cfg, "reservoir", "top level"), h_sys.shape[0])
+    system_cfg = _as_object(_require(cfg, "system", "top level"), "system")
+    dim_sys = _integer(_require(system_cfg, "dim", "system"), "system.dim", 1)
+    # The reservoir first: its size check, on d_S d_R, comes before any d_S x d_S array.
+    h_res, edge = _reservoir_from_config(_require(cfg, "reservoir", "top level"), dim_sys)
+    h_sys, rho_sys, thermal_scale = _system_from_config(system_cfg, dim_sys)
     coupling_cfg = _as_object(_require(cfg, "coupling", "top level"), "coupling")
     v = _coupling_from_config(coupling_cfg, h_sys.shape[0], h_res.shape[0], edge)
     if "lambda" in coupling_cfg:
@@ -376,7 +380,8 @@ def chain_scenario(
     postpones the finite-size recurrence.  A chain too large for the dense
     memory budget raises ValueError before anything is built.
     """
-    _check_chain_size(2, n)
+    if 1 <= n <= MAX_CHAIN_SITES:  # an n out of range is left to build_chain_reservoir
+        check_dense_size(2 * 2**n, f"n={n}")
     h_sys = ladder_hamiltonian(2)
     h_res, edge = build_chain_reservoir(n, j_coupling, field, seed=seed, disorder=disorder)
     v = ((SIGMA_X, edge),)

@@ -213,20 +213,19 @@ class MeasurementResult:
         return self.outcomes.mean
 
 
-def measure(
-    rho: np.ndarray, a: np.ndarray, cluster_tol: float | None = None
-) -> MeasurementResult:
+def measure(rho: np.ndarray, a: np.ndarray) -> MeasurementResult:
     """Projective measurement of a Hermitian observable in a state.
 
     Outcome weight at eigenvalue x is tr(rho P_x); the conditional post state
-    is P_x rho P_x / tr(rho P_x).  Degenerate eigenvalues (clustered) yield a
-    single outcome; outcomes of weight at most WEIGHT_DROP_TOL are left out,
+    is P_x rho P_x / tr(rho P_x).  Eigenvalues within 1e-9 * ||a|| of each
+    other (clustered by :func:`~fcslab.linalg.eig_hermitian`) yield a single
+    outcome; outcomes of weight at most WEIGHT_DROP_TOL are left out,
     and their total is the outcome law's ``dropped_mass``.
     """
     assert_density(rho)
     if rho.shape != a.shape:
         raise ValueError(f"state dim {rho.shape[0]} != observable dim {a.shape[0]}")
-    dec = eig_hermitian(a, cluster_tol)
+    dec = eig_hermitian(a)
     locs, wts, posts, dropped = [], [], [], 0.0
     for lam, p in zip(dec.eigenvalues, dec.projectors):
         w = float(np.trace(rho @ p).real)

@@ -124,3 +124,18 @@ def test_out_file_keeps_other_workloads(tmp_path, monkeypatch, capsys):
     assert "sweep_t_chain8 peak_rss_mb: parent 50.6" in out and "(sign test p = 0.25)" in out
     assert all("unresolved" in m for m in doc["workloads"]["verify_chain6"]["metrics"].values())
     assert "within bound yes, unresolved no" in out
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+def test_a_malformed_out_file_is_refused_before_the_first_pair(tmp_path, monkeypatch, capsys, text):
+    parent, change = make_tree(tmp_path / "parent"), make_tree(tmp_path / "change")
+    calls = []
+    real = bench_pair.compare
+    monkeypatch.setattr(bench_pair, "compare", lambda *args: real(*args, run=canned_run(calls)))
+    out = tmp_path / "BENCH.json"
+    out.write_text(text)
+    argv = [str(parent), str(change), "--workload", "sweep_t_chain8", "--pairs", "3", "--seed0", "2", "--out", str(out)]
+    assert bench_pair.main(argv) == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith(f"error: {out}: ")
+    assert out.read_text() == text

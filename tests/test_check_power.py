@@ -1,5 +1,6 @@
-"""Each check of ``suite_modular`` that runs in the free product eigenbasis
-fails when one of its routes carries a planted defect.
+"""Each check of ``suite_modular`` that runs in the free product eigenbasis,
+and each check of ``suite_operator``, fails when one of its routes carries a
+planted defect.
 
 A defect goes into one side of a check's identity only: the dense state it
 compares against, built at another beta or from another system state, or one
@@ -8,13 +9,20 @@ from a reference vector that is not positive, while the other actions keep
 the true weight.  The structure is ``checks.equilibrium_modular``'s,
 replaced for the run; an action is planted on the instance.  Each case
 asserts that its check's row fails.
+
+An operator check's defect is planted in the norm or in the spectral
+decomposition that ``checks`` reads; the other side of its identity is the
+direct computation.
 """
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from fcslab import checks
 from fcslab.dynamics import Scenario
-from fcslab.linalg import tensor
+from fcslab.linalg import eig_hermitian, hs_norm, tensor
 from fcslab.modular import equilibrium_modular
 from fcslab.scenarios import config_to_scenario
 from fcslab.states import gibbs, maximally_mixed
@@ -22,6 +30,7 @@ from fcslab.states import gibbs, maximally_mixed
 from test_scenarios import shipped_config
 
 HOT = 1.01  # the other beta, as a factor
+EPS = 1e-6  # an operator defect's size, far above each operator tolerance
 
 
 def chain3() -> Scenario:
@@ -97,4 +106,46 @@ def test_every_converted_check_passes_unplanted(monkeypatch):
 @pytest.mark.parametrize("check, plant", PLANTS, ids=[check for check, _ in PLANTS])
 def test_a_defect_in_one_route_fails_the_check(monkeypatch, check, plant):
     row = rows(monkeypatch, plant)[check]
+    assert not row.passed, row
+
+
+def decomposed_otherwise(change):
+    """A plant that has ``checks`` decompose a matrix by ``eig_hermitian``,
+    then ``change`` the decomposition."""
+    def plant(monkeypatch):
+        monkeypatch.setattr(checks, "eig_hermitian", lambda a: change(eig_hermitian(a)))
+    return plant
+
+
+def frobenius_op_norm(monkeypatch):
+    monkeypatch.setattr(checks, "op_norm", hs_norm)
+
+
+# (check, plant): the norm, or the decomposition, is built otherwise
+OPERATOR_PLANTS = [
+    ("cstar_identity", frobenius_op_norm),
+    ("spectral_reconstruction", decomposed_otherwise(
+        lambda dec: dataclasses.replace(dec, projectors=[p + EPS * np.eye(len(p)) for p in dec.projectors]))),
+    ("spectral_mapping", decomposed_otherwise(
+        lambda dec: dataclasses.replace(dec, eigenvalues=(1 + EPS) * dec.eigenvalues))),
+    ("calculus_homomorphism", decomposed_otherwise(  # projectors that are not idempotent
+        lambda dec: dataclasses.replace(dec, projectors=[(1 + EPS) * p for p in dec.projectors]))),
+]
+
+
+def operator_rows(monkeypatch, plant=None) -> dict:
+    if plant is not None:
+        plant(monkeypatch)
+    return {r.check_name: r for r in checks.suite_operator(chain3())}
+
+
+def test_every_operator_check_passes_unplanted(monkeypatch):
+    passed = operator_rows(monkeypatch)
+    assert list(passed) == [check for check, _ in OPERATOR_PLANTS]
+    assert all(row.passed for row in passed.values())
+
+
+@pytest.mark.parametrize("check, plant", OPERATOR_PLANTS, ids=[check for check, _ in OPERATOR_PLANTS])
+def test_a_defect_in_the_operator_route_fails_the_check(monkeypatch, check, plant):
+    row = operator_rows(monkeypatch, plant)[check]
     assert not row.passed, row

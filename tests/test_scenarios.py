@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fcslab import scenarios
+from fcslab.cli import main
 from fcslab.linalg import tensor
 from fcslab.states import gibbs
 from fcslab.scenarios import (
@@ -259,6 +260,33 @@ class TestSizeGuard:
         monkeypatch.setattr(scenarios, "MEMORY_BUDGET_BYTES", scenarios.DENSE_MATRICES * 16 * 16**2 - 1)
         monkeypatch.setattr(scenarios, "_coupling_from_config", lambda *a: pytest.fail("coupling built"))
         with pytest.raises(ConfigError, match=r"^reservoir\.matrix: d_R = 8 gives d = 16 .*budget"):
+            config_to_scenario(cfg)
+
+    @pytest.fixture
+    def no_builders(self, monkeypatch):
+        def refuse(*args, **kw):
+            raise AssertionError("a model matrix was built")
+
+        for name in ("ladder_hamiltonian", "build_chain_reservoir"):
+            monkeypatch.setattr(scenarios, name, refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+
+    def test_oversized_system_refused_before_it_is_built(self, tmp_path, no_builders, capsys):
+        # a 10**7-level ladder alone is 800 TB; with the qubit_qubit reservoir d = 2e7
+        cfg = shipped_config("qubit_qubit")
+        cfg["system"]["dim"] = 10**7
+        with pytest.raises(ConfigError, match=r"^system\.dim: 10000000 with d_R = 2 gives d = 20000000 .*budget"):
+            config_to_scenario(cfg)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: system.dim: ")
+
+    def test_system_that_fits_alone_is_refused_with_its_reservoir(self, no_builders):
+        # a 3000-level ladder fits the budget alone, but not with 4 chain sites: d = 48000
+        cfg = shipped_config("qubit_qubit")
+        cfg["system"]["dim"], cfg["reservoir"]["n"] = 3000, 4
+        with pytest.raises(ConfigError, match=r"^system\.dim: 3000 with d_R = 16 gives d = 48000 .*budget"):
             config_to_scenario(cfg)
 
     def test_library_chain_refused_without_allocating(self, no_kron):

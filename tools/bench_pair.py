@@ -22,7 +22,8 @@ parent run; such a metric is unresolved, not unchanged.  It also prints the exac
 two-sided sign-test p-value of the pairs the change wins against those it
 loses, ties dropped.  Failed operations are summed per side.  With
 ``--out`` the workload's entry is written into that JSON file, beside the
-entries of other workloads already there.
+entries of other workloads already there; a file there that is not a JSON
+object is refused (exit 2) before the first pair runs.
 
 The two trees must be of one kind: two git checkouts, or two plain copies.
 A checkout and a copy are refused: one such comparison read a 13.5% run_s
@@ -150,6 +151,20 @@ def report_lines(workload: str, result: dict) -> list[str]:
     return lines
 
 
+def read_out(path: Path) -> dict:
+    """The JSON object in ``path``, or {} if there is no such file; ValueError
+    naming the file if it holds anything else."""
+    if not path.exists():
+        return {}
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -160,13 +175,13 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     try:
+        doc = read_out(args.out) if args.out else {}
         result = compare(args.parent.resolve(), args.change.resolve(), args.workload, args.pairs, args.seed0)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print("\n".join(report_lines(args.workload, result)))
     if args.out:
-        doc = json.loads(args.out.read_text()) if args.out.exists() else {}
         doc.setdefault("protocol", f"tools/bench_pair.py: perfbench/run.py --trace 0 in each tree, one fresh "
                                    f"process per run, first side random per pair; Python {platform.python_version()}")
         doc.setdefault("workloads", {})[args.workload] = result
