@@ -366,8 +366,7 @@ def two_time_reservoir_oracle(scn: Scenario, t: float):
     """
     assert_hermitian(scn.h_res, name="reservoir Hamiltonian")
     w, v = np.linalg.eigh(scn.h_res)
-    groups = eigenvalue_clusters(w)  # as eig_hermitian clusters them, each level the mean
-    levels = np.array([float(np.mean(w[g])) for g in groups])
+    groups, levels = eigenvalue_clusters(w)  # as eig_hermitian clusters them
     label = np.tile(np.repeat(np.arange(len(groups)), [len(g) for g in groups]), scn.dim_sys)  # level of Q's columns
     q = tensor(np.eye(scn.dim_sys), v)
     g = dagger(q) @ scn.unitary_coupled(t) @ q

@@ -5,13 +5,13 @@ Exit codes: 0 success (all checks passed), 1 at least one check failed
 ``verify_report.json`` records as null), 2 usage, config or I/O error,
 3 numerical failure (a quadrature or contour rule missed its tolerance, a
 sweep's moment routes disagree or their gap is NaN, a LAPACK routine did
-not converge, a computed state is not positive or not of full rank, or an
-output would hold a NaN or an infinity, which strict JSON cannot and a CSV
-number column should not).  A command renders all its outputs before it
-writes any, so it writes all of them or none.  Outputs are CSV (measures,
-characteristic functions, sweep tables) and JSON (reports, verdicts);
-identical inputs and seeds give byte-identical outputs regardless of the
-sweep's worker count.
+not converge, a computed state is not positive or not of full rank, an
+arithmetic operation overflowed, or an output would hold a NaN or an
+infinity, which strict JSON cannot and a CSV number column should not).  A
+command renders all its outputs before it writes any, so it writes all of
+them or none.  Outputs are CSV (measures, characteristic functions, sweep
+tables) and JSON (reports, verdicts); identical inputs and seeds give
+byte-identical outputs regardless of the sweep's worker count.
 Only ``sweep`` pins numpy's BLAS to one thread, so only its outputs are also
 independent of the caller's BLAS thread count; ``verify`` and ``fcs`` run on
 the caller's BLAS threads, and a ``verify`` residual can move in its last
@@ -141,7 +141,7 @@ def cmd_fcs(args) -> int:
     out_dir = Path(args.out_dir)
     gamma_grid = args.gamma_grid if args.gamma_grid is not None else fcsmod.default_gamma_grid(scn)
 
-    fa = fcsmod.fcs_at(scn, t, cluster_tol=run.cluster_tol)
+    fa = fcsmod.fcs_at(scn, t)
     sys_res = fcsmod.system_fcs(fa, gamma_grid)
     res_res = fcsmod.reservoir_fcs(fa, gamma_grid)
 
@@ -249,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:  # NumericalError's base, so also an overflow
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, FileNotFoundError, ValueError) as exc:

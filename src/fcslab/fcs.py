@@ -68,8 +68,7 @@ def default_gamma_grid(scn: Scenario, n: int = 41) -> np.ndarray:
     Resolves every system atom without aliasing; falls back to dE = 1 when
     the system Hamiltonian has a single (clustered) level.
     """
-    w = scn._eig_sys[0]
-    gaps = np.diff([w[g].mean() for g in eigenvalue_clusters(w)])
+    gaps = np.diff(eigenvalue_clusters(scn._eig_sys[0])[1])
     de = float(gaps.min()) if len(gaps) else 1.0
     return np.linspace(-np.pi / de, np.pi / de, n)
 
@@ -135,10 +134,11 @@ class FcsAtTime:
         return out
 
 
-def fcs_at(scn: Scenario, t: float, cluster_tol: float | None = None) -> FcsAtTime:
+def fcs_at(scn: Scenario, t: float) -> FcsAtTime:
     """Both FCS of (scn, t), read from U~ = exp(itH) in the free eigenbasis
-    one sector block at a time; U~ is never formed whole.  ``cluster_tol``
-    groups the system levels; the reservoir atoms merge at MERGE_TOL.
+    one sector block at a time; U~ is never formed whole.  The system levels
+    are those of :func:`~fcslab.linalg.eigenvalue_clusters`, as in ``verify``
+    and the sweep; the reservoir atoms merge in ``AtomicMeasure.from_points``.
 
     With sigma = V_S* rho_S V_S and p the reservoir populations, both weight
     sets are sums over the columns (s, a) of U~ of p_b u* sigma u, where u
@@ -159,8 +159,7 @@ def fcs_at(scn: Scenario, t: float, cluster_tol: float | None = None) -> FcsAtTi
     """
     d_r = scn.dim_res
     w_s, v_s = scn._eig_sys
-    groups = eigenvalue_clusters(w_s, cluster_tol)
-    levels = np.array([w_s[g].mean() for g in groups])
+    groups, levels = eigenvalue_clusters(w_s)
     level_of = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     in_level = (level_of[:, None] == np.arange(len(levels))).astype(float)
     sigma = dagger(v_s) @ scn.rho_sys @ v_s
@@ -364,20 +363,23 @@ def strip_bounds_check(fa: FcsAtTime, alpha_grid: np.ndarray, tol: float) -> flo
 def derivative_moments(fa: FcsAtTime) -> np.ndarray:
     """Moments of the reservoir FCS from derivatives of F at alpha = 0.
 
-    F(alpha) is entire at finite size, so the k-th derivative at 0 is a
-    contour integral over a small circle, evaluated with the 64-node
-    trapezoid rule (spectrally accurate); moment k is that derivative divided
-    by beta^k.  The contour route of both ``verify`` and the limit sweep.
+    F(alpha) is entire at finite size, and moment k is the k-th derivative
+    at 0 of G(z) = F(z / beta), z = alpha beta: a contour integral over the
+    circle |z| = 0.5 / span (span the width of the reservoir spectrum; 0.5
+    for a one-level reservoir), on which no centred exponent of F exceeds
+    1/4 in modulus.  It is evaluated with the 64-node trapezoid rule
+    (spectrally accurate) and divided by the radius^k; no power of beta is
+    formed, so a hot reservoir loses no digits and a cold one no overflow.
+    The contour route of both ``verify`` and the limit sweep.
     """
-    beta = fa.scn.beta
     span = float(fa.levels[-1] - fa.levels[0])
-    radius = min(0.45, 0.5 / max(1.0, beta * span))
+    radius = 0.5 / span if span > 0 else 0.5
     nodes = exp_i(2 * np.pi * np.arange(64) / 64)
-    values = fa.char(radius * nodes)
+    values = fa.char(radius * nodes / fa.scn.beta)
     out = np.empty(N_MOMENTS)
     for k in range(1, N_MOMENTS + 1):
         deriv = math.factorial(k) * np.mean(values * nodes ** (-k)) / radius**k
-        out[k - 1] = deriv.real / beta**k
+        out[k - 1] = deriv.real
     return out
 
 

@@ -29,7 +29,7 @@ import numpy as np
 # Relative tolerance for accepting a matrix as Hermitian / positive.
 HERMITICITY_RTOL = 1e-12
 POSITIVITY_RTOL = 1e-12
-# Default eigenvalue clustering: relative to the spectral norm.  FCS atom
+# Eigenvalue clustering, relative to the spectral norm.  FCS atom
 # locations are energy differences, so spuriously split near-degenerate
 # eigenvalues would fragment atoms.
 CLUSTER_RTOL = 1e-9
@@ -203,30 +203,27 @@ def cluster_starts(values: np.ndarray, tol: float) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([len(values) > 0], np.diff(values) > tol)))
 
 
-def eigenvalue_clusters(w: np.ndarray, cluster_tol: float | None = None) -> list[np.ndarray]:
-    """Index groups of ascending eigenvalues ``w`` of a Hermitian matrix that
-    lie within ``cluster_tol`` of each other (default 1e-9 * max|w|, which is
-    1e-9 times the operator norm)."""
-    if cluster_tol is None:
-        cluster_tol = CLUSTER_RTOL * max(abs(w[0]), abs(w[-1]), 1e-300)
-    if cluster_tol <= 0:
-        raise ValueError("cluster_tol must be positive")
-    return np.split(np.arange(len(w)), cluster_starts(w, cluster_tol)[1:])
+def eigenvalue_clusters(w: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """``(groups, levels)`` of ascending eigenvalues ``w`` of a Hermitian matrix:
+    the index groups of eigenvalues within 1e-9 * max|w| (1e-9 times the
+    operator norm) of each other, by :func:`cluster_starts`, and each group's
+    mean.  The one rule for which energies of a Hamiltonian are one level."""
+    tol = CLUSTER_RTOL * max(abs(w[0]), abs(w[-1]), 1e-300)
+    groups = np.split(np.arange(len(w)), cluster_starts(w, tol)[1:])
+    return groups, np.array([w[g].mean() for g in groups])
 
 
 def eig_hermitian(a: np.ndarray) -> SpectralDecomposition:
-    """Clustered eigendecomposition of a Hermitian matrix.
-
-    Eigenvalues within 1e-9 * ||a|| of each other (the default rule of
-    :func:`eigenvalue_clusters`) are merged into a single projector; the
-    cluster representative is the mean of the merged eigenvalues.
+    """Clustered eigendecomposition of a Hermitian matrix: the levels of
+    :func:`eigenvalue_clusters`, each with the projector onto its merged
+    eigenspace.
     """
     assert_square(a)
     assert_hermitian(a)
     w, v = np.linalg.eigh(a)
-    groups = eigenvalue_clusters(w)
+    groups, levels = eigenvalue_clusters(w)
     return SpectralDecomposition(
-        eigenvalues=np.array([float(np.mean(w[g])) for g in groups]),
+        eigenvalues=levels,
         projectors=[v[:, g] @ dagger(v[:, g]) for g in groups],
     )
 

@@ -18,7 +18,6 @@ from .states import gibbs, maximally_mixed, random_density, random_hermitian
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 MAX_CHAIN_SITES = 12
-DEFAULT_CLUSTER_TOL = 1e-9
 # A dense Scenario and one FCS cell hold about this many d x d matrices at once (coupling,
 # Hamiltonians, eigenvectors, U(t), temporaries), budgeted as complex, the worst case; a
 # config whose estimate exceeds the budget is refused before any is built.
@@ -137,9 +136,12 @@ def matrix_to_pairs(a: np.ndarray) -> list:
 def pairs_to_matrix(rows: list, field_name: str) -> np.ndarray:
     """A config's [re, im] pairs as a read-only ``linalg.real_or_complex`` array, or a ConfigError naming the field."""
     try:
-        arr = np.asarray(rows, dtype=float)
+        arr = np.asarray(rows)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{field_name}: not a numeric [re, im] matrix: {exc}") from exc
+    if arr.dtype.kind not in "iuf":  # a string entry makes a string array, a null an object one
+        raise ConfigError(f"{field_name}: not a numeric [re, im] matrix: entries of dtype {arr.dtype}")
+    arr = arr.astype(float)
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise ConfigError(
             f"{field_name}: expected a square matrix of [re, im] pairs, got shape {arr.shape}"
@@ -154,7 +156,6 @@ class RunConfig:
     """A parsed scenario plus the numerical tolerances of the run."""
 
     scenario: Scenario
-    cluster_tol: float = DEFAULT_CLUSTER_TOL
     quad_tol: float = DEFAULT_QUAD_TOL
 
 
@@ -171,9 +172,9 @@ def _as_object(value, context: str) -> dict:
 
 
 def _number(value, field_name: str, positive: bool = False) -> float:
-    """A finite number (> 0 if ``positive``) and not a bool, or a ConfigError naming the field."""
+    """A finite number (> 0 if ``positive``), not a bool or a string, or a ConfigError naming the field."""
     try:
-        x = math.nan if isinstance(value, bool) else float(value)
+        x = math.nan if isinstance(value, (bool, str)) else float(value)
     except (TypeError, ValueError):
         x = math.nan
     if not math.isfinite(x) or (positive and x <= 0):
@@ -322,11 +323,10 @@ def config_to_scenario(cfg: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     tols = _as_object(cfg.get("tolerances", {}), "tolerances")
-    return RunConfig(
-        scenario=scn,
-        cluster_tol=_number(tols.get("cluster_tol", DEFAULT_CLUSTER_TOL), "tolerances.cluster_tol", True),
-        quad_tol=_number(tols.get("quad_tol", DEFAULT_QUAD_TOL), "tolerances.quad_tol", True),
-    )
+    unknown = sorted(tols.keys() - {"quad_tol"})
+    if unknown:
+        raise ConfigError(f"tolerances.{unknown[0]}: unknown key; quad_tol is the only tolerance a config sets")
+    return RunConfig(scenario=scn, quad_tol=_number(tols.get("quad_tol", DEFAULT_QUAD_TOL), "tolerances.quad_tol", True))
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -358,7 +358,7 @@ def scenario_to_config(run: RunConfig) -> dict:
         "reservoir": {"matrix": matrix_to_pairs(scn.h_res)},
         "coupling": {"matrix": matrix_to_pairs(scn.v), "lambda": scn.lam},
         "beta": scn.beta,
-        "tolerances": {"cluster_tol": run.cluster_tol, "quad_tol": run.quad_tol},
+        "tolerances": {"quad_tol": run.quad_tol},
     }
 
 

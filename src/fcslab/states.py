@@ -66,10 +66,11 @@ class AtomicMeasure:
     """Finite positive point measure on the real line.
 
     Locations are strictly ascending; weights are nonnegative.  Construction
-    through :meth:`from_points` merges points closer than its ``merge_tol``
+    through :meth:`from_points` merges points closer than MERGE_TOL
     (weight-averaged location, so the first moment is preserved exactly) and
-    drops negligible weights, whose total it records as ``dropped_mass``
-    (0.0 for a measure built directly).
+    drops atoms of weight at most WEIGHT_DROP_TOL, whose total it records as
+    ``dropped_mass`` (0.0 for a measure built directly).  These two constants
+    are the one rule for which FCS atoms are one.
     """
 
     locations: np.ndarray
@@ -77,19 +78,13 @@ class AtomicMeasure:
     dropped_mass: float = 0.0
 
     @classmethod
-    def from_points(
-        cls,
-        locations: np.ndarray,
-        weights: np.ndarray,
-        merge_tol: float = MERGE_TOL,
-        drop_tol: float = WEIGHT_DROP_TOL,
-    ) -> "AtomicMeasure":
+    def from_points(cls, locations: np.ndarray, weights: np.ndarray) -> "AtomicMeasure":
         """Sort the points and merge them with the eigenvalue clustering rule
         of :func:`~fcslab.linalg.cluster_starts`: a new atom starts wherever
-        the gap to the previous point exceeds ``merge_tol``.  Each atom carries
-        its cluster's total weight at the weighted-mean location (the first
-        point's location for zero total weight); atoms of weight at most
-        ``drop_tol`` are dropped, and their total weight is the measure's
+        the gap to the previous point exceeds MERGE_TOL.  Each atom carries
+        its cluster's total weight at the weighted-mean location; atoms of
+        weight at most WEIGHT_DROP_TOL are dropped, so every atom kept has
+        positive mass, and their total weight is the measure's
         ``dropped_mass``.  A non-finite location or weight raises
         NumericalError: NaN weights would otherwise be dropped silently."""
         locations = np.asarray(locations, dtype=float).ravel()
@@ -103,14 +98,12 @@ class AtomicMeasure:
         weights = np.clip(weights, 0.0, None)
         order = np.argsort(locations)
         locations, weights = locations[order], weights[order]
-        starts = cluster_starts(locations, merge_tol)
+        starts = cluster_starts(locations, MERGE_TOL)
         mass = np.add.reduceat(weights, starts)
         moment = np.add.reduceat(locations * weights, starts)
-        keep = mass > drop_tol
+        keep = mass > WEIGHT_DROP_TOL
         dropped = float(mass[~keep].sum())
-        mass, moment, first = mass[keep], moment[keep], locations[starts[keep]]
-        mean = np.divide(moment, mass, out=first, where=mass > 0)
-        return cls(mean, mass, dropped)
+        return cls(moment[keep] / mass[keep], mass[keep], dropped)
 
     def __len__(self) -> int:
         return len(self.locations)

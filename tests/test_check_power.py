@@ -13,6 +13,11 @@ asserts that its check's row fails.
 An operator check's defect is planted in the norm or in the spectral
 decomposition that ``checks`` reads; the other side of its identity is the
 direct computation.
+
+A states check's defect is planted in a name its route reads: ``checks``'
+own imports ``entropy`` and ``measure``, the ``states`` names that
+``gibbs_variational_check`` and ``measure`` read, or the scenario's thermal
+state.
 """
 
 import dataclasses
@@ -20,12 +25,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fcslab import checks
+from fcslab import checks, states
 from fcslab.dynamics import Scenario
 from fcslab.linalg import eig_hermitian, hs_norm, tensor
 from fcslab.modular import equilibrium_modular
 from fcslab.scenarios import config_to_scenario
-from fcslab.states import gibbs, maximally_mixed
+from fcslab.states import entropy, gibbs, maximally_mixed, measure
 
 from test_scenarios import shipped_config
 
@@ -148,4 +153,62 @@ def test_every_operator_check_passes_unplanted(monkeypatch):
 @pytest.mark.parametrize("check, plant", OPERATOR_PLANTS, ids=[check for check, _ in OPERATOR_PLANTS])
 def test_a_defect_in_the_operator_route_fails_the_check(monkeypatch, check, plant):
     row = operator_rows(monkeypatch, plant)[check]
+    assert not row.passed, row
+
+
+def entropy_in_bits(monkeypatch, scn):
+    monkeypatch.setattr(checks, "entropy", lambda rho: entropy(rho) / np.log(2))
+    monkeypatch.setattr(states, "entropy", lambda rho: entropy(rho) / np.log(2))
+
+
+def gibbs_at_hot_beta(monkeypatch, scn):
+    monkeypatch.setattr(states, "gibbs", lambda h, beta: gibbs(h, HOT * beta))
+
+
+def thermal_state_at_hot_beta(monkeypatch, scn):
+    scn.__dict__["rho_sys_thermal"] = gibbs(scn.h_sys, HOT * scn.beta)
+
+
+def last_projector_dropped(monkeypatch, scn):
+    # chain3's qubit starts excited: the last level carries all the weight
+    def decompose(a):
+        dec = eig_hermitian(a)
+        return dataclasses.replace(dec, eigenvalues=dec.eigenvalues[:-1], projectors=dec.projectors[:-1])
+    monkeypatch.setattr(states, "eig_hermitian", decompose)
+
+
+def post_states_scaled(monkeypatch, scn):
+    def scaled(rho, a):
+        res = measure(rho, a)
+        return dataclasses.replace(res, post_states=[(1 + EPS) * p for p in res.post_states])
+    monkeypatch.setattr(checks, "measure", scaled)
+
+
+# (check, plant): one route of the check reads a defective name
+STATES_PLANTS = [
+    ("entropy_bounds", entropy_in_bits),
+    ("gibbs_variational_inequality", entropy_in_bits),
+    ("gibbs_variational_equality", gibbs_at_hot_beta),
+    ("kms_defect_at_thermal", thermal_state_at_hot_beta),
+    ("measurement_normalization", last_projector_dropped),
+    ("post_state_validity", post_states_scaled),
+]
+
+
+def states_rows(monkeypatch, plant=None) -> dict:
+    scn = chain3()
+    if plant is not None:
+        plant(monkeypatch, scn)
+    return {r.check_name: r for r in checks.suite_states(scn)}
+
+
+def test_every_states_check_passes_unplanted(monkeypatch):
+    passed = states_rows(monkeypatch)
+    assert list(passed) == [check for check, _ in STATES_PLANTS]
+    assert all(row.passed for row in passed.values())
+
+
+@pytest.mark.parametrize("check, plant", STATES_PLANTS, ids=[check for check, _ in STATES_PLANTS])
+def test_a_defect_in_a_states_route_fails_the_check(monkeypatch, check, plant):
+    row = states_rows(monkeypatch, plant)[check]
     assert not row.passed, row

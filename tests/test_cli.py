@@ -159,8 +159,8 @@ def test_oracle_runs_within_the_dense_budget(tmp_path, monkeypatch):
 @pytest.mark.parametrize("disorder", [None, 0.27224210453])
 def test_fcs_measures_are_the_library_atoms(tmp_path, disorder):
     # At disorder 0.27224210453 (seed 1) two distinct reservoir atoms lie
-    # 4.0e-9 apart: merged at cluster_tol (1e-9) the reservoir has 27 atoms,
-    # at the library's MERGE_TOL (1e-8) 21.
+    # 4.0e-9 apart: merged at 1e-9 the reservoir would have 27 atoms, at the
+    # library's MERGE_TOL (1e-8) it has 21.
     cfg = shipped_config("qubit_chain3")
     if disorder is not None:
         cfg["reservoir"].update(disorder=disorder, seed=1)
@@ -168,7 +168,7 @@ def test_fcs_measures_are_the_library_atoms(tmp_path, disorder):
     path.write_text(json.dumps(cfg))
     assert main(["fcs", "--config", str(path), "--t", "5.0", "--out-dir", str(tmp_path)]) == 0
     run = parse_config(path)
-    fa = fcs_at(run.scenario, 5.0, cluster_tol=run.cluster_tol)
+    fa = fcs_at(run.scenario, 5.0)
     expected = [
         f"{x!r},{w!r},{which}"
         for which, mu in (("system", fa.system_measure), ("reservoir", fa.reservoir_measure))
@@ -313,8 +313,8 @@ def test_config_integers_and_the_disorder_seed(tmp_path, capsys, path, value):
 
 
 def test_nan_cluster_tol_is_a_config_error(tmp_path, capsys):
-    # every atom gap compares False against NaN: the run would merge the
-    # reservoir measure into a handful of atoms and still exit 0
+    # cluster_tol is no setting (system levels group by the library rule):
+    # a config that sets it, NaN or not, is refused by name before any output
     cfg = shipped_config("qubit_chain3")
     cfg["tolerances"] = {"cluster_tol": float("nan")}
     path = tmp_path / "nan.json"
@@ -445,6 +445,36 @@ def test_overflowing_time_is_a_numerical_error(argv, tmp_path, capsys):
         rc = main([argv[0], "--config", str(cfg), *argv[1:], "--out-dir", str(tmp_path / "out")])
     assert rc == 3
     assert capsys.readouterr().err == "numerical error: atom with a non-finite location or weight\n"
+
+
+@pytest.mark.parametrize("beta, verify_code", [(0.01, 0), (0.001, 0), (1e80, 1)])
+def test_hot_and_cold_reservoirs_run_the_contour_route(beta, verify_code, tmp_path, capsys):
+    # the contour circle once shrank with beta below beta * span ~ 1.1
+    # (moment_consistency 6.3e-6 at beta = 0.01, and the sweep exited 3), and
+    # its beta**k overflowed with a traceback past beta ~ 1.3e77.  At 1e80
+    # only the strip checks fail, on their NaN residuals
+    cfg = shipped_config("qubit_chain3")
+    cfg["beta"] = beta
+    path = tmp_path / "chain3.json"
+    path.write_text(json.dumps(cfg))
+    with np.errstate(all="ignore"):
+        assert main(["sweep", "--config", str(path), *"--t-grid 0:30:7 --lambda-grid 0.2".split(),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert main(["verify", "--config", str(path), "--suite", "fcs"]) == verify_code
+    out = capsys.readouterr().out
+    assert "[pass] moment_consistency" in out
+    assert verify_code == 0 or re.findall(r"\[FAIL\] (\w+): residual nan", out) == ["half_line_identity", "strip_growth_bound"]
+
+
+@pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError])
+def test_an_arithmetic_error_is_a_numerical_failure(error, config_path, tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise error("planted")
+
+    monkeypatch.setattr(cli.fcsmod, "limit_sweep", fail)
+    assert main(["sweep", "--config", config_path, "--t-grid", "0,1", "--lambda-grid", "0.2",
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "numerical error: planted\n"
 
 
 def test_sweep_moment_defect_exit_code(config_path, tmp_path, monkeypatch, capsys):

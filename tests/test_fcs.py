@@ -535,6 +535,20 @@ class TestMoments:
         _, dq_r = delta_q_direct(scn, 1.1)
         assert abs(derivative_moments(fcs_at(scn, 1.1))[0] - dq_r) <= 1e-8
 
+    @pytest.mark.parametrize("beta", [1e-4, 1e-2, 1e80])
+    @pytest.mark.parametrize("case", ["chain3", "one_level_reservoir"])
+    def test_contour_route_is_fixed_in_alpha_beta(self, case, beta):
+        # a circle of radius <= 0.45 in alpha shrinks in alpha * beta as beta
+        # falls (the gap was 6.3e-6 at beta = 0.01 on chain3), and beta**k
+        # overflowed past beta ~ 1.3e77.  A one-level reservoir has span 0
+        qubit, sx = np.diag([0.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        if case == "chain3":
+            scn = chain_scenario(3, beta=beta)
+        else:
+            scn = Scenario(qubit, np.array([[0.3]]), sx, 0.2, beta, qubit)
+        fa = fcs_at(scn, 1.0)
+        assert np.max(np.abs(derivative_moments(fa) - fa.exact_moments())) <= 1e-9
+
 
 def per_cell_sweep_rows(scn, t_grid, lam_grid, gamma_grid):
     """The per-cell sweep loop: a with_lam and a limit law for every (lam, t),
@@ -945,11 +959,10 @@ class TestFreeBasisWeights:
         scn = chain_scenario(4, disorder=0.3, seed=1)
         data = fcs_at(scn, 5.0)
         x_ref, w_ref = matrix_product_reservoir_atoms(scn, 5.0)
-        radius = min(0.45, 0.5 / max(1.0, scn.beta * float(np.max(np.abs(x_ref)))))
+        radius = 0.5 / float(np.max(np.abs(x_ref)))  # in alpha * beta
         nodes = np.exp(2j * np.pi * np.arange(64) / 64)
-        values = per_atom_char(x_ref, w_ref, scn.beta, radius * nodes)
-        ref = [math.factorial(k) * np.mean(values * nodes ** (-k)).real / radius**k / scn.beta**k
-               for k in range(1, 5)]
+        values = per_atom_char(x_ref, w_ref, scn.beta, radius * nodes / scn.beta)
+        ref = [math.factorial(k) * np.mean(values * nodes ** (-k)).real / radius**k for k in range(1, 5)]
         assert np.max(np.abs(derivative_moments(data) - ref)) <= 1e-9
 
     def test_sweep_uses_one_coupled_eigh_per_lambda_and_no_unitary_coupled(self, monkeypatch):
@@ -977,12 +990,12 @@ class TestFreeBasisWeights:
         assert unitary_calls == [1.0]
 
 
-def dense_system_measure(scn, u_tilde, cluster_tol=None):
+def dense_system_measure(scn, u_tilde):
     """Reference: the system FCS read from the whole U~, the weight of the
     level pair (i, j) being tr((sigma_ii (x) diag p) U~_ij U~_ij*)."""
     w_s, v_s = scn._eig_sys
-    groups = eigenvalue_clusters(w_s, cluster_tol)
-    levels, starts = np.array([w_s[g].mean() for g in groups]), [g[0] for g in groups]
+    groups, levels = eigenvalue_clusters(w_s)
+    starts = [g[0] for g in groups]
     sigma = dagger(v_s) @ scn.rho_sys @ v_s
     u4 = u_tilde.reshape(scn.dim_sys, scn.dim_res, scn.dim_sys, scn.dim_res)
     locs, wts = [], []
@@ -1019,7 +1032,7 @@ def full_row_weights(scn, t):
     (a e^{itw}) a*."""
     d_r = scn.dim_res
     w_s, v_s = scn._eig_sys
-    groups = eigenvalue_clusters(w_s)
+    groups, levels = eigenvalue_clusters(w_s)
     level_of = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     sigma = dagger(v_s) @ scn.rho_sys @ v_s
     p = scn.gibbs_weights_res
@@ -1035,7 +1048,6 @@ def full_row_weights(scn, t):
                 np.add.at(sys_w, (level_of[s[i]], level_of[s]), cross)
         np.add.at(res_w, (r[None, :], r[:, None]), x)
         np.add.at(sys_w, (level_of[s[:, None]], level_of[s[None, :]]), x)
-    levels = np.array([w_s[g].mean() for g in groups])
     return res_w, AtomicMeasure.from_points(levels[None, :] - levels[:, None], sys_w)
 
 
@@ -1222,9 +1234,9 @@ class TestSuiteFcsSharing:
         built, unitaries = [], []
         build, sector_unitary = fcsmod.fcs_at, fcsmod._sector_unitary
 
-        def counting(scn, t, cluster_tol=None):
+        def counting(scn, t):
             built.append((scn.lam, t))
-            return build(scn, t, cluster_tol)
+            return build(scn, t)
 
         monkeypatch.setattr(fcsmod, "fcs_at", counting)
         monkeypatch.setattr(fcsmod, "_sector_unitary", lambda sec, t, *rows: unitaries.append(t) or sector_unitary(sec, t, *rows))

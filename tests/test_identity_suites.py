@@ -39,7 +39,7 @@ def rel_err(a, b):
 # -- references: the earlier routes ------------------------------------------------
 
 
-def einsum_loop_oracle(scn, t, merge_tol=1e-8):
+def einsum_loop_oracle(scn, t):
     """Reference: the two-time oracle with one einsum per projector pair."""
     dec = eig_hermitian(scn.h_res)
     i_sys = np.eye(scn.dim_sys)
@@ -52,7 +52,7 @@ def einsum_loop_oracle(scn, t, merge_tol=1e-8):
         for e2, p2t in zip(dec.eigenvalues, evolved):
             locs.append(e1 - e2)
             wts.append(float(np.einsum("ij,ji->", start, p2t).real))
-    return AtomicMeasure.from_points(np.array(locs), np.array(wts), merge_tol=merge_tol)
+    return AtomicMeasure.from_points(np.array(locs), np.array(wts))
 
 
 def evolved_expectation(scn, phi, s):

@@ -53,12 +53,14 @@ class TestEigHermitian:
     @pytest.mark.parametrize("gap, n_levels", [(2e-9, 2), (6e-9, 3)])
     def test_default_tolerance_is_relative_to_the_norm(self, gap, n_levels):
         # ||a|| = 5 clusters gaps below 5e-9, whichever end of the spectrum
-        # carries the norm
+        # carries the norm; eig_hermitian's levels are eigenvalue_clusters'
         for w in ([1e-3, 5.0, 5.0 + gap], [-5.0 - gap, -5.0, 1e-3]):
             dec = eig_hermitian(np.diag(w).astype(complex))
             assert len(dec.eigenvalues) == n_levels
             ranks = [round(np.trace(p).real) for p in dec.projectors]
-            assert [len(g) for g in eigenvalue_clusters(np.array(w))] == ranks
+            groups, levels = eigenvalue_clusters(np.array(w))
+            assert [len(g) for g in groups] == ranks
+            assert levels.tolist() == dec.eigenvalues.tolist() == [np.mean(np.array(w)[g]) for g in groups]
 
     def test_identity_single_cluster(self):
         dec = eig_hermitian(np.eye(5, dtype=complex))

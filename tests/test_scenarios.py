@@ -25,6 +25,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
+def refusal(key: str, kind: str) -> str:
+    """The start of the ConfigError message for a bad value of a number field
+    ``key``; tolerances.cluster_tol is no setting, so any value is refused as
+    an unknown key."""
+    return "unknown key" if key == "cluster_tol" else f"expected a {kind}"
+
+
 def shipped_config(name: str) -> dict:
     """configs/<name>.json as a fresh mapping."""
     return json.loads((ROOT / "configs" / f"{name}.json").read_text())
@@ -96,7 +103,7 @@ class TestConfig:
         run = parse_config(path)
         assert run.scenario.dim == 4
         assert run.scenario.lam == 0.2
-        assert run.cluster_tol == 1e-9 and run.quad_tol == 1e-8
+        assert run.quad_tol == 1e-8
 
     def test_a_real_matrix_hamiltonian_reaches_the_thermal_preset_real(self, monkeypatch):
         # the config door decides the dtype: states.gibbs runs before any Scenario exists
@@ -180,15 +187,53 @@ class TestConfig:
         cfg.setdefault(section, {})[key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
-        with pytest.raises(ConfigError, match=f"{section}.{key}: expected a finite"):
+        with pytest.raises(ConfigError, match=f"{section}.{key}: {refusal(key, 'finite')}"):
             parse_config(path)
+
+    @pytest.mark.parametrize("path, value", [
+        (("beta",), "1.0"), (("coupling", "lambda"), "0.2"), (("reservoir", "field"), "0.5"),
+        (("reservoir", "coupling"), "0.3"), (("reservoir", "disorder"), "0.1"),
+        (("system", "initial_state", "beta_scale"), "2"), (("tolerances", "quad_tol"), "1e-8"),
+    ], ids=lambda x: ".".join(x) if isinstance(x, tuple) else x)
+    def test_a_numeric_string_is_not_a_number(self, path, value):
+        # float() reads "0.5"; the schema refuses it as "not of type 'number'"
+        cfg = shipped_config("qubit_chain3")
+        cfg["system"]["initial_state"] = {"preset": "thermal"}
+        node = cfg
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+        with pytest.raises(ConfigError, match=f"^{'.'.join(path)}: expected a finite"):
+            config_to_scenario(cfg)
+
+    @pytest.mark.parametrize("field", [
+        "system.hamiltonian.matrix", "system.initial_state.matrix", "reservoir.matrix",
+        "coupling.matrix",
+    ])
+    def test_a_string_matrix_entry_is_refused(self, scenario_factory, field):
+        cfg = scenario_to_config(RunConfig(scenario=scenario_factory(3, d_sys=2, d_res=2)))
+        node = cfg
+        for key in field.split("."):
+            node = node[key]
+        node[0][0][1] = "0"
+        with pytest.raises(ConfigError, match=rf"^{field}: not a numeric \[re, im\] matrix: entries of dtype <U"):
+            config_to_scenario(cfg)
 
     @pytest.mark.parametrize("value", [0.0, -1e-9])
     @pytest.mark.parametrize("key", ["cluster_tol", "quad_tol"])
     def test_tolerances_must_be_positive(self, key, value):
         cfg = shipped_config("qubit_qubit")
         cfg["tolerances"] = {key: value}
-        with pytest.raises(ConfigError, match=f"tolerances.{key}: expected a finite positive"):
+        with pytest.raises(ConfigError, match=f"tolerances.{key}: {refusal(key, 'finite positive')}"):
+            config_to_scenario(cfg)
+
+    @pytest.mark.parametrize("tols", [{"cluster_tol": 1e-9}, {"quad_tol": 1e-8, "merge_tol": 1e-8}])
+    def test_unknown_tolerance_is_refused_by_name(self, tols):
+        # never silently ignored: a key the run would not read fails the config
+        cfg = shipped_config("qubit_qubit")
+        cfg["tolerances"] = tols
+        key = next(k for k in tols if k != "quad_tol")
+        with pytest.raises(ConfigError, match=f"^tolerances.{key}: unknown key"):
             config_to_scenario(cfg)
 
     def test_round_trip_bit_identical(self, tmp_path, scenario_factory):
@@ -316,7 +361,7 @@ class TestPresets:
 
 class TestSchema:
     """docs/config.schema.json accepts every shipped config and the configs
-    that scenario_to_config writes."""
+    that scenario_to_config writes, and refuses what the parser refuses."""
 
     @pytest.fixture(scope="class")
     def validator(self):
@@ -329,6 +374,33 @@ class TestSchema:
     @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.stem)
     def test_shipped_configs_validate(self, validator, path):
         validator.validate(json.loads(path.read_text()))
+
+    @pytest.mark.parametrize("name", [
+        *(path.stem for path in sorted((ROOT / "configs").glob("*.json"))),
+        "matrix_hamiltonian", "string_beta", "string_matrix_entry", "cluster_tol", "unknown_tolerance",
+    ])
+    def test_schema_and_parser_agree(self, validator, name):
+        # each config is accepted by both the schema and config_to_scenario, or refused by both
+        path = ROOT / "configs" / f"{name}.json"
+        cfg = shipped_config(name if path.exists() else "qubit_qubit")
+        matrix = [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]
+        if name == "matrix_hamiltonian":
+            cfg["system"]["hamiltonian"] = {"matrix": matrix}
+        elif name == "string_matrix_entry":
+            matrix[1][1][0] = "1"
+            cfg["system"]["hamiltonian"] = {"matrix": matrix}
+        elif name == "string_beta":
+            cfg["beta"] = "1.0"
+        elif name == "cluster_tol":
+            cfg["tolerances"] = {"cluster_tol": 1e-9}
+        elif name == "unknown_tolerance":
+            cfg["tolerances"] = {"quad_tol": 1e-8, "atom_tol": 1e-8}
+        try:
+            config_to_scenario(cfg)
+            parsed = True
+        except ConfigError:
+            parsed = False
+        assert validator.is_valid(cfg) == parsed == (path.exists() or name == "matrix_hamiltonian")
 
     @pytest.mark.parametrize("which", ["random", "chain"])
     def test_round_trip_config_validates(self, validator, scenario_factory, which):

@@ -21,40 +21,42 @@ from fcslab.states import (
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def from_points_loop(locations, weights, merge_tol=MERGE_TOL, drop_tol=WEIGHT_DROP_TOL):
+def from_points_loop(locations, weights):
     """Reference: the sequential merge loop that AtomicMeasure.from_points
-    replaced.  Returns (locations, weights) of the merged atoms."""
+    replaced.  Returns (locations, weights, dropped mass) of the merged atoms."""
     locations = np.asarray(locations, dtype=float).ravel()
     weights = np.clip(np.asarray(weights, dtype=float).ravel(), 0.0, None)
     order = np.argsort(locations)
     locations, weights = locations[order], weights[order]
-    locs, wts = [], []
+    locs, wts, dropped = [], [], 0.0
     i = 0
     while i < len(locations):
         j = i
-        while j + 1 < len(locations) and locations[j + 1] - locations[j] <= merge_tol:
+        while j + 1 < len(locations) and locations[j + 1] - locations[j] <= MERGE_TOL:
             j += 1
         w = weights[i : j + 1].sum()
-        if w > drop_tol:
-            x = (
-                float(np.dot(locations[i : j + 1], weights[i : j + 1]) / w)
-                if w > 0
-                else float(locations[i])
-            )
-            locs.append(x)
+        if w > WEIGHT_DROP_TOL:
+            locs.append(float(np.dot(locations[i : j + 1], weights[i : j + 1]) / w))
             wts.append(float(w))
+        else:
+            dropped += w
         i = j + 1
-    return np.array(locs), np.array(wts)
+    return np.array(locs), np.array(wts), dropped
 
 
-def assert_matches_loop(locations, weights, **kw):
-    """Same atoms as the loop up to summation order: locations to 1e-15
-    (relative beyond |x| = 1), weights to 1e-15 relative."""
-    mu = AtomicMeasure.from_points(locations, weights, **kw)
-    ref_x, ref_w = from_points_loop(locations, weights, **kw)
+def assert_matches_loop(locations, weights, dropped=None):
+    """Same atoms and dropped mass as the loop up to summation order:
+    locations to 1e-15 (relative beyond |x| = 1), weights to 1e-15 relative,
+    dropped mass to 1e-14 relative (a sum of at most 40 nonnegative terms,
+    40 eps < 1e-14).  ``dropped``, if given, is the dropped mass expected
+    exactly."""
+    mu = AtomicMeasure.from_points(locations, weights)
+    ref_x, ref_w, ref_dropped = from_points_loop(locations, weights)
     assert len(mu) == len(ref_x)
     assert np.all(np.abs(mu.locations - ref_x) <= 1e-15 * np.maximum(1.0, np.abs(ref_x)))
     assert np.all(np.abs(mu.weights - ref_w) <= 1e-15 * ref_w)
+    assert abs(mu.dropped_mass - ref_dropped) <= 1e-14 * ref_dropped
+    assert dropped is None or mu.dropped_mass == dropped
     return mu
 
 
@@ -206,7 +208,7 @@ class TestKmsDefect:
 class TestAtomicMeasure:
     def test_merging_preserves_mean(self):
         mu = AtomicMeasure.from_points(
-            np.array([0.0, 1e-10, 1.0]), np.array([0.3, 0.3, 0.4]), merge_tol=1e-8
+            np.array([0.0, 1e-10, 1.0]), np.array([0.3, 0.3, 0.4])
         )
         assert len(mu) == 2
         assert abs(mu.mass - 1.0) <= 1e-15
@@ -240,7 +242,7 @@ class TestAtomicMeasure:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["locations", "weights"])
     def test_non_finite_point_raises_numerical_error(self, bad, where):
-        # a NaN weight passes the negativity check and fails mass > drop_tol,
+        # a NaN weight passes the negativity check and fails mass > WEIGHT_DROP_TOL,
         # so without the guard every atom would be dropped without a word
         points = {"locations": np.array([0.0, 1.0]), "weights": np.array([0.5, 0.5])}
         points[where][1] = bad
@@ -250,10 +252,11 @@ class TestAtomicMeasure:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 20))
     def test_merge_separation_invariant(self, seed, n):
+        # normal locations scaled so that MERGE_TOL plays the part of a 0.3 gap
         g = np.random.default_rng(seed)
-        mu = assert_matches_loop(g.normal(size=n), g.uniform(0.1, 1.0, size=n), merge_tol=0.3)
+        mu = assert_matches_loop(g.normal(size=n) * (MERGE_TOL / 0.3), g.uniform(0.1, 1.0, size=n))
         if len(mu) > 1:
-            assert np.min(np.diff(mu.locations)) > 0.3 * 0.999
+            assert np.min(np.diff(mu.locations)) > MERGE_TOL * 0.999
         assert abs(mu.mass - sum(mu.weights)) <= 1e-12
 
     @pytest.mark.parametrize(
@@ -265,9 +268,10 @@ class TestAtomicMeasure:
             (0.2 + np.cumsum([0, 0.999e-8, 1.001e-8, 0.999e-8, 0.999e-8, 1.001e-8]),
              np.full(6, 1 / 6), {}),  # chains broken by gaps just over tol
             ([-0.5, 0.0, 0.5, 0.5], [0.0, 0.5, 0.0, 0.5], {}),  # zero weights
-            ([-0.5, 0.0, 0.5], [0.0, 0.0, 1.0], {"drop_tol": -1.0}),  # zero-mass atoms kept
+            ([-0.5, 0.0, 0.5], [0.0, 0.0, 1.0], {"dropped": 0.0}),  # zero-mass atoms dropped
             ([0.0, 0.1, 0.1, 0.2], [WEIGHT_DROP_TOL, 0.6 * WEIGHT_DROP_TOL,
-                                    0.6 * WEIGHT_DROP_TOL, 1.0], {}),  # weights at drop_tol
+                                    0.6 * WEIGHT_DROP_TOL, 1.0],
+             {"dropped": WEIGHT_DROP_TOL}),  # weights at WEIGHT_DROP_TOL
             ([0.7], [1.0], {}),  # single point
             ([], [], {}),  # empty
         ],
@@ -279,7 +283,7 @@ class TestAtomicMeasure:
     @given(st.integers(0, 2**32 - 1), st.integers(0, 40))
     def test_matches_loop_reference(self, seed, n):
         g = np.random.default_rng(seed)
-        # Gaps of exact ties, just under and just over merge_tol, and wide.
+        # Gaps of exact ties, just under and just over MERGE_TOL, and wide.
         gaps = g.choice([0.0, 0.999 * MERGE_TOL, 1.001 * MERGE_TOL, 0.05], size=n)
         locations = g.permutation(np.cumsum(gaps) - 0.5)
         weights = g.uniform(0.0, 1.0, size=n)
