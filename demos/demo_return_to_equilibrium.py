@@ -28,7 +28,7 @@ for n in (3, 5):
     limit = np.array([system_char_limit(scn, g) for g in gammas])
 
     def distance(t):
-        res = reservoir_fcs(fcs_at(scn, t), gamma_grid=gammas)
+        res = reservoir_fcs(fcs_at(scn, t))
         vals = np.array([v for _, v in res.char_samples])
         return float(np.max(np.abs(vals - limit)))
 

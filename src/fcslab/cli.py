@@ -139,11 +139,10 @@ def cmd_fcs(args) -> int:
     scn = run.scenario
     t = args.t
     out_dir = Path(args.out_dir)
-    gamma_grid = args.gamma_grid if args.gamma_grid is not None else fcsmod.default_gamma_grid(scn)
 
     fa = fcsmod.fcs_at(scn, t)
-    sys_res = fcsmod.system_fcs(fa, gamma_grid)
-    res_res = fcsmod.reservoir_fcs(fa, gamma_grid)
+    sys_res = fcsmod.system_fcs(fa)
+    res_res = fcsmod.reservoir_fcs(fa)
 
     rows = [
         [float(x), float(w), "system"]
@@ -188,9 +187,7 @@ def cmd_sweep(args) -> int:
     run = parse_config(args.config)
     scn = run.scenario
     out_dir = Path(args.out_dir)
-    sweep = fcsmod.limit_sweep(
-        scn, args.t_grid, args.lambda_grid, gamma_grid=args.gamma_grid, workers=args.workers
-    )
+    sweep = fcsmod.limit_sweep(scn, args.t_grid, args.lambda_grid, workers=args.workers)
     rows = [
         [r.lam, r.t, r.distance, r.mean_res, r.mean_sys, *(float(m) for m in r.moments_res[1:4])]
         for r in sweep.rows
@@ -226,14 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_fcs.add_argument("--config", required=True)
     p_fcs.add_argument("--t", type=_finite_float, required=True)
     p_fcs.add_argument("--out-dir", required=True)
-    p_fcs.add_argument("--gamma-grid", type=_parse_grid, default=None)
     p_fcs.set_defaults(func=cmd_fcs)
 
     p_sw = sub.add_parser("sweep", help="sweep the FCS over a (lambda, t) grid")
     p_sw.add_argument("--config", required=True)
     p_sw.add_argument("--t-grid", type=_parse_grid, required=True)
     p_sw.add_argument("--lambda-grid", type=_parse_grid, required=True)
-    p_sw.add_argument("--gamma-grid", type=_parse_grid, default=None)
     p_sw.add_argument("--workers", type=_int_at_least(1), default=1)
     p_sw.add_argument("--out-dir", required=True)
     p_sw.set_defaults(func=cmd_sweep)

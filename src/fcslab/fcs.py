@@ -205,18 +205,16 @@ def _sector_unitary(sector: FreeBasisSector, t: float, keep=slice(None)) -> tupl
     return (left * phase.real) @ a.T, (left * phase.imag) @ a.T
 
 
-def system_fcs(fa: FcsAtTime, gamma_grid: np.ndarray | None = None) -> FcsResult:
+def system_fcs(fa: FcsAtTime) -> FcsResult:
     """Two-time measurement statistics of the system energy change.
 
     Measure the system energy, evolve for time t under the coupled dynamics,
     measure again; atoms sit at differences (second - first) of clustered
     system levels, weighted by the joint outcome law.  Reduces to a point
-    mass at zero for t = 0 or lam = 0.  ``gamma_grid`` here and in
-    :func:`reservoir_fcs` defaults to ``default_gamma_grid(fa.scn)``.
+    mass at zero for t = 0 or lam = 0.  Its characteristic function, as in
+    :func:`reservoir_fcs`, is sampled on the model's ``default_gamma_grid``.
     """
-    if gamma_grid is None:
-        gamma_grid = default_gamma_grid(fa.scn)
-    return FcsResult.from_measure(fa.system_measure, gamma_grid)
+    return FcsResult.from_measure(fa.system_measure, default_gamma_grid(fa.scn))
 
 
 def system_char_limit(scn: Scenario, gamma: float) -> complex:
@@ -232,17 +230,16 @@ def system_char_limit(scn: Scenario, gamma: float) -> complex:
     )
 
 
-def reservoir_fcs(fa: FcsAtTime, gamma_grid: np.ndarray | None = None) -> FcsResult:
+def reservoir_fcs(fa: FcsAtTime) -> FcsResult:
     """Reservoir energy statistics from the relative modular operator.
 
     Spectral measure of (1/beta) log Delta(flowed weight | static weight) in
     the initial-state vector.  Atoms sit at the *decrease* of the reservoir
     energy between the two measurements, so the mean equals the
     reservoir-energy drop dq_res; a point mass at zero for t = 0 or lam = 0.
+    Its characteristic function is sampled on ``default_gamma_grid(fa.scn)``.
     """
-    if gamma_grid is None:
-        gamma_grid = default_gamma_grid(fa.scn)
-    return FcsResult.from_measure(fa.reservoir_measure, gamma_grid)
+    return FcsResult.from_measure(fa.reservoir_measure, default_gamma_grid(fa.scn))
 
 
 def _in_strip(alpha: complex | np.ndarray) -> np.ndarray:
@@ -404,10 +401,10 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Limit-sweep table over a (lam, t) grid, in deterministic grid order."""
+    """Limit-sweep table over a (lam, t) grid, in deterministic grid order; each
+    ``distance`` is over the model's ``default_gamma_grid``, which is not stored."""
 
     rows: list
-    gamma_grid: np.ndarray
 
     def verdicts(self) -> list[dict]:
         """Convergence verdict per lambda, in grid order.
@@ -459,14 +456,13 @@ def limit_sweep(
     scn: Scenario,
     t_grid: np.ndarray,
     lam_grid: np.ndarray,
-    gamma_grid: np.ndarray | None = None,
     workers: int = 1,
 ) -> SweepResult:
     """Sweep the FCS over a (lam, t) grid against the decoupled limit law.
 
-    Each cell records the sup-over-gamma distance between the reservoir
-    characteristic function F(i gamma / beta) and the limit law, both FCS
-    means, and the reservoir moments: the characteristic function and the
+    Each cell records the sup over ``default_gamma_grid(scn)`` of the distance
+    from the reservoir characteristic function F(i gamma / beta) to the limit
+    law, both FCS means, and the reservoir moments: the function and the
     moments come from W (``FcsAtTime.char`` and ``exact_moments``), so no
     reservoir atom is merged.  The exact moments are cross-checked against
     the derivative route within ``MOMENT_TOL``; if the largest gap of the
@@ -493,8 +489,7 @@ def limit_sweep(
     lams = [float(lam) for lam in np.atleast_1d(lam_grid)]
     ts = [float(t) for t in np.atleast_1d(t_grid)]
     with one_blas_thread() as pinned:
-        if gamma_grid is None:
-            gamma_grid = default_gamma_grid(scn)
+        gamma_grid = default_gamma_grid(scn)
         limit_vals = np.array([system_char_limit(scn, g) for g in gamma_grid])
         if workers == 1 or not pinned:
             per_lam = [_sweep_lam(scn, lam, ts, gamma_grid, limit_vals) for lam in lams]
@@ -513,4 +508,4 @@ def limit_sweep(
             f"gap {gap:.3e}, tolerance {MOMENT_TOL:.1e}",
             achieved=gap,
         )
-    return SweepResult(rows=rows, gamma_grid=np.asarray(gamma_grid))
+    return SweepResult(rows=rows)

@@ -17,7 +17,6 @@ from .states import gibbs, maximally_mixed, random_density, random_hermitian
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
-MAX_CHAIN_SITES = 12
 # A dense Scenario and one FCS cell hold about this many d x d matrices at once (coupling,
 # Hamiltonians, eigenvectors, U(t), temporaries), budgeted as complex, the worst case; a
 # config whose estimate exceeds the budget is refused before any is built.
@@ -32,13 +31,26 @@ class ConfigError(ValueError):
 def check_dense_size(d: int, source: str) -> None:
     """ValueError, before anything is built, if DENSE_MATRICES complex d x d
     matrices, d the joint dimension, would exceed MEMORY_BUDGET_BYTES; the
-    message starts with ``source``, the input that sets d."""
+    message starts with ``source``, the input that sets d, of any int size."""
     estimate = DENSE_MATRICES * 16 * d**2
     if estimate > MEMORY_BUDGET_BYTES:
+        from decimal import Decimal  # here, not at the top: the import adds 0.3 MB to every run's peak
+        gib = Decimal(estimate) / 2**30  # a float overflows past d ~ 1e153
         raise ValueError(
-            f"{source} gives d = {d} and an estimated {estimate / 2**30:.1f} GiB "
+            f"{source} gives d = {d} and an estimated {gib:{'.1f' if gib < 10**6 else '.1e'}} GiB "
             f"of dense matrices, above the {MEMORY_BUDGET_BYTES / 2**30:.0f} GiB budget"
         )
+
+
+def check_chain_size(n: int, dim_sys: int = 1) -> None:
+    """:func:`check_dense_size` of d = dim_sys 2^n for an n-site chain, n >= 1.  An n
+    past the bit length of the largest d the budget admits is refused from n alone,
+    so 2^n is never formed for it, in bounded time and memory for any int n."""
+    max_dim = math.isqrt(MEMORY_BUDGET_BYTES // (DENSE_MATRICES * 16))
+    if not 1 <= n <= max_dim.bit_length():
+        raise ValueError(f"chain size n={n} outside [1, {max_dim.bit_length()}]; the "
+                         f"{MEMORY_BUDGET_BYTES / 2**30:.0f} GiB budget of dense matrices admits d up to {max_dim}")
+    check_dense_size(dim_sys << n, f"n={n}")
 
 
 def build_chain_reservoir(
@@ -55,15 +67,10 @@ def build_chain_reservoir(
     (bit-for-bit reproducible).  Returns (H_R, B_edge), both float64, where
     B_edge is sx on the first site, the operator through which couplings
     V = A (x) B_edge enter; their bit-flip entries are set in place, with
-    no Kronecker product.  The site count is capped: the joint space and
-    its matrix operations grow as 4^n.
+    no Kronecker product.  A chain past the dense budget by itself (n > 12 at
+    the default budget, :func:`check_chain_size`) raises ValueError first.
     """
-    if not 1 <= n <= MAX_CHAIN_SITES:
-        mem = (2 ** (2 * n)) * 8 / 1e9
-        raise ValueError(
-            f"chain size n={n} outside [1, {MAX_CHAIN_SITES}] "
-            f"(a single reservoir matrix alone would take ~{mem:.1f} GB)"
-        )
+    check_chain_size(n)
     fields = np.full(n, float(field))
     if disorder != 0.0:
         rng = np.random.default_rng(seed)
@@ -134,18 +141,21 @@ def matrix_to_pairs(a: np.ndarray) -> list:
 
 
 def pairs_to_matrix(rows: list, field_name: str) -> np.ndarray:
-    """A config's [re, im] pairs as a read-only ``linalg.real_or_complex`` array, or a ConfigError naming the field."""
+    """A config's [re, im] pairs as a read-only ``linalg.real_or_complex`` array, or a ConfigError
+    naming the field; as in the schema, a string, null or boolean (numpy's 0 or 1) entry is refused."""
     try:
         arr = np.asarray(rows)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{field_name}: not a numeric [re, im] matrix: {exc}") from exc
     if arr.dtype.kind not in "iuf":  # a string entry makes a string array, a null an object one
         raise ConfigError(f"{field_name}: not a numeric [re, im] matrix: entries of dtype {arr.dtype}")
-    arr = arr.astype(float)
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise ConfigError(
             f"{field_name}: expected a square matrix of [re, im] pairs, got shape {arr.shape}"
         )
+    if any(isinstance(x, bool) for row in rows for pair in row for x in pair):
+        raise ConfigError(f"{field_name}: not a numeric [re, im] matrix: a boolean entry")
+    arr = arr.astype(float)
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{field_name}: matrix has a non-finite entry")
     return real_or_complex(arr[:, :, 0] + 1j * arr[:, :, 1])
@@ -175,7 +185,7 @@ def _number(value, field_name: str, positive: bool = False) -> float:
     """A finite number (> 0 if ``positive``), not a bool or a string, or a ConfigError naming the field."""
     try:
         x = math.nan if isinstance(value, (bool, str)) else float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # an int beyond float range overflows
         x = math.nan
     if not math.isfinite(x) or (positive and x <= 0):
         kind = "finite positive" if positive else "finite"
@@ -267,13 +277,12 @@ def _reservoir_from_config(cfg: dict, dim_sys: int) -> tuple[np.ndarray, np.ndar
     if disorder != 0.0 and "seed" not in cfg:  # unseeded, it would draw new fields on every run
         raise ConfigError("reservoir.seed: required when reservoir.disorder is nonzero")
     seed = _integer(cfg["seed"], "reservoir.seed", 0) if "seed" in cfg else None
-    if n <= MAX_CHAIN_SITES:  # a larger n is left to build_chain_reservoir, so 2**n is never formed for it
-        _check_config_size(dim_sys, 2**n, "reservoir", f"n={n}")
     try:
-        h, edge = build_chain_reservoir(n, j_coupling, field, seed=seed, disorder=disorder)
+        check_chain_size(n)  # the chain alone, so 2**n below is formed only for an n the budget could admit
     except ValueError as exc:
-        raise ConfigError(f"reservoir: {exc}") from exc
-    return h, edge
+        raise ConfigError(f"reservoir.n: {exc}") from exc
+    _check_config_size(dim_sys, 2**n, "reservoir.n", f"n={n}")
+    return build_chain_reservoir(n, j_coupling, field, seed=seed, disorder=disorder)
 
 
 def _coupling_from_config(cfg: dict, dim_sys: int, dim_res: int, edge: np.ndarray | None):
@@ -378,10 +387,9 @@ def chain_scenario(
     the unit qubit gap and keep the band narrow (j_coupling < field), so the
     excited qubit actually relaxes within moderate time windows; growing n
     postpones the finite-size recurrence.  A chain too large for the dense
-    memory budget raises ValueError before anything is built.
+    memory budget (:func:`check_chain_size`) raises ValueError first.
     """
-    if 1 <= n <= MAX_CHAIN_SITES:  # an n out of range is left to build_chain_reservoir
-        check_dense_size(2 * 2**n, f"n={n}")
+    check_chain_size(n, 2)
     h_sys = ladder_hamiltonian(2)
     h_res, edge = build_chain_reservoir(n, j_coupling, field, seed=seed, disorder=disorder)
     v = ((SIGMA_X, edge),)

@@ -21,14 +21,14 @@ def make_tree(path: Path, git: bool = False) -> Path:
     return path
 
 
-def canned_run(calls):
-    """A run whose peak RSS is 50.6 MB in the parent and 48.0 MB in the
-    change, with a seed-dependent wobble, and whose run_s does not move."""
+def canned_run(calls, change_rss=48.0):
+    """A run whose peak RSS is 50.6 MB in the parent and ``change_rss`` MB in
+    the change, with a seed-dependent wobble, and whose run_s does not move."""
 
     def run(root, workload, seed, seconds):
         calls.append((root.name, workload, seed, seconds))
         wobble = (seed % 3) * 0.01
-        rss = (50.6 if root.name == "parent" else 48.0) + wobble
+        rss = (50.6 if root.name == "parent" else change_rss) + wobble
         run_s = 0.1 + (seed % 5) * 0.01 + (0.001 if root.name == "change" and seed % 2 else 0.0)
         metrics = {"run_s": run_s, "setup_s": 0.2, "peak_rss_mb": rss}
         return {"correct": True, "attempted": 3, "failed": int(root.name == "change" and seed == 7),
@@ -49,6 +49,7 @@ def test_pairs_alternate_and_metrics_summarize(tmp_path):
     assert bench_pair.compare(parent, change, "sweep_t_chain8", 10, 5, run=canned_run([]))["first_side"] == result["first_side"]
     rss, run_s, setup = (result["metrics"][m] for m in ("peak_rss_mb", "run_s", "setup_s"))
     assert rss["change_better_in"] == 10 and rss["gain"] and rss["within_bound"] and not rss["unresolved"]
+    assert not rss["heap_placement"] and "heap_placement" not in run_s
     assert rss["parent_median"] == pytest.approx(50.61) and rss["change_median"] == pytest.approx(48.01)
     assert rss["parent_quartiles"] == pytest.approx([50.6, 50.62])
     assert run_s["change_better_in"] == 0 and not run_s["gain"] and run_s["within_bound"]
@@ -139,3 +140,14 @@ def test_a_malformed_out_file_is_refused_before_the_first_pair(tmp_path, monkeyp
     assert calls == []
     assert capsys.readouterr().err.startswith(f"error: {out}: ")
     assert out.read_text() == text
+
+
+@pytest.mark.parametrize("change_rss, placement", [(50.69, True), (50.41, True), (50.9, False), (50.2, False)])
+def test_a_peak_rss_move_under_the_heap_placement_margin_is_marked(tmp_path, change_rss, placement):
+    # medians 50.61 and change_rss + 0.01: a move of 0.09 MB in 10 of 10 pairs is still heap placement
+    parent, change = make_tree(tmp_path / "parent"), make_tree(tmp_path / "change")
+    result = bench_pair.compare(parent, change, "sweep_t_chain8", 10, 5, run=canned_run([], change_rss))
+    rss = result["metrics"]["peak_rss_mb"]
+    assert rss["heap_placement"] is placement
+    line = next(x for x in bench_pair.report_lines("sweep_t_chain8", result) if "peak_rss_mb" in x)
+    assert line.endswith(", heap placement (median move under 0.2 MB)") is placement

@@ -18,19 +18,30 @@ A states check's defect is planted in a name its route reads: ``checks``'
 own imports ``entropy`` and ``measure``, the ``states`` names that
 ``gibbs_variational_check`` and ``measure`` read, or the scenario's thermal
 state.
+
+An fcs check's defect is planted in one of ``checks``' own names (the
+two-time oracle, a flux, direct or Dyson route), in the ``fcs`` module as
+``checks`` sees it (the weights W, or the merged atoms, of the FCS it
+reads), or in a scenario cache (the coupled eigenbasis, the reservoir flux,
+the sector eigenvectors, or ``with_lam``).  ``char_conjugate_symmetry`` is
+moved by no defect: F(-i gamma / beta) is the conjugate of F(i gamma / beta)
+for any real W, so its residual is exactly 0.0.
 """
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
 
 from fcslab import checks, states
-from fcslab.dynamics import Scenario
+from fcslab import fcs as fcsmod
+from fcslab.checks import two_time_reservoir_oracle
+from fcslab.dynamics import Scenario, delta_q_direct, delta_q_flux, dyson_cocycle
 from fcslab.linalg import eig_hermitian, hs_norm, tensor
 from fcslab.modular import equilibrium_modular
 from fcslab.scenarios import config_to_scenario
-from fcslab.states import entropy, gibbs, maximally_mixed, measure
+from fcslab.states import AtomicMeasure, entropy, gibbs, maximally_mixed, measure
 
 from test_scenarios import shipped_config
 
@@ -212,3 +223,109 @@ def test_every_states_check_passes_unplanted(monkeypatch):
 def test_a_defect_in_a_states_route_fails_the_check(monkeypatch, check, plant):
     row = states_rows(monkeypatch, plant)[check]
     assert not row.passed, row
+
+
+def fcs_seen_by_checks(monkeypatch, **names):
+    """Give ``checks`` the fcs module with ``names`` replaced; every other
+    caller keeps the true one."""
+    module = types.ModuleType(fcsmod.__name__)
+    module.__dict__.update(vars(fcsmod), **names)
+    monkeypatch.setattr(checks, "fcsmod", module)
+
+
+def fcs_at_otherwise(change):
+    """A plant that has ``checks`` read ``change(fcs_at(scn, t), scn, t)``."""
+    def plant(monkeypatch, scn):
+        fcs_seen_by_checks(monkeypatch, fcs_at=lambda s, t: change(fcsmod.fcs_at(s, t), s, t))
+    return plant
+
+
+def oracle_at_hot_beta(monkeypatch, scn):
+    monkeypatch.setattr(checks, "two_time_reservoir_oracle",
+                        lambda s, t: two_time_reservoir_oracle(at_beta(s, HOT * s.beta), t))
+
+
+def flux_at_hot_beta(monkeypatch, scn):
+    monkeypatch.setattr(checks, "delta_q_flux",
+                        lambda s, t, tol: delta_q_flux(at_beta(s, HOT * s.beta), t, tol))
+
+
+def direct_at_hot_beta(monkeypatch, scn):
+    monkeypatch.setattr(checks, "delta_q_direct", lambda s, t: delta_q_direct(at_beta(s, HOT * s.beta), t))
+
+
+def evolved_at_another_coupling(monkeypatch, scn):
+    # U(t) generated by H_free + HOT lam V, read against lam V
+    scn.__dict__["_eig_coupled"] = scn.with_lam(HOT * scn.lam)._eig_coupled
+
+
+def reservoir_flux_scaled(monkeypatch, scn):
+    scn.__dict__["phi_res"] = HOT * scn.phi_res
+
+
+def coupling_kept_at_lam_zero(monkeypatch, scn):
+    scn.__dict__["with_lam"] = lambda lam: scn
+
+
+def sector_vectors_scaled(monkeypatch, scn):
+    # eigenvectors that are not unit vectors: U~(0) = (1 + EPS)^2 on every sector
+    scn.__dict__["_free_basis_sectors"] = [s._replace(a=(1 + EPS) * s.a) for s in scn._free_basis_sectors]
+
+
+def dyson_two_orders_short(monkeypatch, scn):
+    monkeypatch.setattr(checks, "dyson_cocycle", lambda s, t, k, tol: dyson_cocycle(s, t, k - 2, tol))
+
+
+weights_scaled = fcs_at_otherwise(lambda fa, s, t: dataclasses.replace(fa, weights=(1 + EPS) * fa.weights))
+# W of a later time, filed under t: the Liouvillean side still evolves to t
+weights_at_a_later_time = fcs_at_otherwise(lambda fa, s, t: dataclasses.replace(fcsmod.fcs_at(s, HOT * t), t=t))
+
+
+def atoms_displaced(fa, s, t):
+    # the merged atoms only; W, which the contour reads, is the true one
+    mu = fa.reservoir_measure
+    fa.__dict__["reservoir_measure"] = AtomicMeasure(HOT * mu.locations, mu.weights)
+    return fa
+
+
+# (check, plant): one route of the check reads a defective name or cache
+FCS_PLANTS = [
+    ("reservoir_fcs_two_route", oracle_at_hot_beta),
+    ("probability_mass", weights_scaled),
+    ("mean_identity", flux_at_hot_beta),
+    ("exchange_balance", evolved_at_another_coupling),
+    ("flux_vs_direct", direct_at_hot_beta),
+    ("operator_balance", reservoir_flux_scaled),
+    ("half_line_identity", weights_at_a_later_time),
+    ("strip_growth_bound", weights_scaled),
+    ("moment_consistency", fcs_at_otherwise(atoms_displaced)),
+    ("system_delta_uncoupled", coupling_kept_at_lam_zero),
+    ("reservoir_delta_uncoupled", coupling_kept_at_lam_zero),
+    ("system_delta_instant", sector_vectors_scaled),
+    ("reservoir_delta_instant", sector_vectors_scaled),
+    ("dyson_truncation_bound", dyson_two_orders_short),
+]
+
+
+def fcs_rows(monkeypatch, plant=None) -> dict:
+    scn = chain3()
+    if plant is not None:
+        plant(monkeypatch, scn)
+    return {r.check_name: r for r in checks.suite_fcs(scn)}
+
+
+def test_every_fcs_check_passes_unplanted(monkeypatch):
+    passed = fcs_rows(monkeypatch)
+    assert set(passed) == {check for check, _ in FCS_PLANTS} | {"char_conjugate_symmetry"}
+    assert all(row.passed for row in passed.values())
+
+
+@pytest.mark.parametrize("check, plant", FCS_PLANTS, ids=[check for check, _ in FCS_PLANTS])
+def test_a_defect_in_an_fcs_route_fails_the_check(monkeypatch, check, plant):
+    row = fcs_rows(monkeypatch, plant)[check]
+    assert not row.passed, row
+
+
+def test_char_conjugate_symmetry_is_moved_by_no_defect(monkeypatch):
+    # a blind spot: F(-i gamma / beta) is the conjugate of F(i gamma / beta) for any real W
+    assert fcs_rows(monkeypatch, weights_at_a_later_time)["char_conjugate_symmetry"].residual == 0.0

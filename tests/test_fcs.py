@@ -560,7 +560,7 @@ def per_cell_sweep_rows(scn, t_grid, lam_grid, gamma_grid):
             cell = scn.with_lam(float(lam))
             data = fcs_at(cell, float(t))
             moments = data.exact_moments()
-            sys = system_fcs(fcs_at(cell, float(t)), gamma_grid=gamma_grid)
+            sys = system_fcs(fcs_at(cell, float(t)))
             limit_vals = np.array([system_char_limit(cell, g) for g in gamma_grid])
             fcs_vals = reservoir_char(data, 1j * gamma_grid / cell.beta)
             rows.append(SweepRow(
@@ -673,17 +673,15 @@ class TestLimitSweep:
         assert np.isnan(exc.value.achieved)
 
     def test_uncoupled_column_is_baseline(self, qubit_qubit):
-        gam = default_gamma_grid(qubit_qubit, 11)
-        sweep = limit_sweep(qubit_qubit, np.array([0.0, 1.0, 2.0]), np.array([0.0]),
-                            gamma_grid=gam)
+        gam = default_gamma_grid(qubit_qubit)
+        sweep = limit_sweep(qubit_qubit, np.array([0.0, 1.0, 2.0]), np.array([0.0]))
         baseline = max(abs(1.0 - system_char_limit(qubit_qubit, g)) for g in gam)
         for row in sweep.rows:
             assert row.distance == pytest.approx(baseline, abs=1e-12)
 
     def test_zero_time_row_is_baseline(self, qubit_qubit):
-        gam = default_gamma_grid(qubit_qubit, 11)
-        sweep = limit_sweep(qubit_qubit, np.array([0.0]), np.array([0.0, 0.2, 0.4]),
-                            gamma_grid=gam)
+        gam = default_gamma_grid(qubit_qubit)
+        sweep = limit_sweep(qubit_qubit, np.array([0.0]), np.array([0.0, 0.2, 0.4]))
         baseline = max(abs(1.0 - system_char_limit(qubit_qubit, g)) for g in gam)
         for row in sweep.rows:
             assert row.distance == pytest.approx(baseline, abs=1e-12)

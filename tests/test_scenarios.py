@@ -32,6 +32,14 @@ def refusal(key: str, kind: str) -> str:
     return "unknown key" if key == "cluster_tol" else f"expected a {kind}"
 
 
+def validate_refuses(cfg: dict, field: str, tmp_path, capsys) -> None:
+    """``fcslab validate`` on ``cfg`` exits 2 with an error that names ``field``."""
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
 def shipped_config(name: str) -> dict:
     """configs/<name>.json as a fresh mapping."""
     return json.loads((ROOT / "configs" / f"{name}.json").read_text())
@@ -75,7 +83,7 @@ class TestChainReservoir:
         assert not np.allclose(a, c)
 
     def test_size_guard_mentions_memory(self):
-        with pytest.raises(ValueError, match="GB"):
+        with pytest.raises(ValueError, match="GiB"):
             build_chain_reservoir(13, 1.0, 1.0)
 
     def test_hermitian(self):
@@ -190,6 +198,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{section}.{key}: {refusal(key, 'finite')}"):
             parse_config(path)
 
+    @staticmethod
+    def _with_number(path, value) -> dict:
+        cfg = shipped_config("qubit_chain3")
+        cfg["system"]["initial_state"] = {"preset": "thermal"}
+        node = cfg
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+        return cfg
+
     @pytest.mark.parametrize("path, value", [
         (("beta",), "1.0"), (("coupling", "lambda"), "0.2"), (("reservoir", "field"), "0.5"),
         (("reservoir", "coupling"), "0.3"), (("reservoir", "disorder"), "0.1"),
@@ -197,26 +215,47 @@ class TestConfig:
     ], ids=lambda x: ".".join(x) if isinstance(x, tuple) else x)
     def test_a_numeric_string_is_not_a_number(self, path, value):
         # float() reads "0.5"; the schema refuses it as "not of type 'number'"
-        cfg = shipped_config("qubit_chain3")
-        cfg["system"]["initial_state"] = {"preset": "thermal"}
-        node = cfg
-        for key in path[:-1]:
-            node = node.setdefault(key, {})
-        node[path[-1]] = value
         with pytest.raises(ConfigError, match=f"^{'.'.join(path)}: expected a finite"):
-            config_to_scenario(cfg)
+            config_to_scenario(self._with_number(path, value))
+
+    @pytest.mark.parametrize("path", [
+        ("beta",), ("coupling", "lambda"), ("reservoir", "field"), ("reservoir", "coupling"),
+        ("reservoir", "disorder"), ("system", "initial_state", "beta_scale"), ("tolerances", "quad_tol"),
+    ], ids=".".join)
+    def test_an_int_beyond_float_range_is_a_config_error(self, tmp_path, capsys, path):
+        # float(10**400) overflows: this once exited 3 as a numerical error
+        field = ".".join(path)
+        with pytest.raises(ConfigError, match=f"^{field}: expected a finite"):
+            config_to_scenario(self._with_number(path, 10**400))
+        validate_refuses(self._with_number(path, 10**400), field, tmp_path, capsys)
 
     @pytest.mark.parametrize("field", [
         "system.hamiltonian.matrix", "system.initial_state.matrix", "reservoir.matrix",
         "coupling.matrix",
     ])
     def test_a_string_matrix_entry_is_refused(self, scenario_factory, field):
+        cfg = self._with_matrix_entry(scenario_factory, field, 1, "0")
+        with pytest.raises(ConfigError, match=rf"^{field}: not a numeric \[re, im\] matrix: entries of dtype <U"):
+            config_to_scenario(cfg)
+
+    @staticmethod
+    def _with_matrix_entry(scenario_factory, field, part, value) -> dict:
+        """A round-trip config whose matrix ``field`` has ``value`` as part ``part`` (re 0, im 1) of entry (0, 0)."""
         cfg = scenario_to_config(RunConfig(scenario=scenario_factory(3, d_sys=2, d_res=2)))
         node = cfg
         for key in field.split("."):
             node = node[key]
-        node[0][0][1] = "0"
-        with pytest.raises(ConfigError, match=rf"^{field}: not a numeric \[re, im\] matrix: entries of dtype <U"):
+        node[0][0][part] = value
+        return cfg
+
+    @pytest.mark.parametrize("field", [
+        "system.hamiltonian.matrix", "system.initial_state.matrix", "reservoir.matrix",
+        "coupling.matrix",
+    ])
+    def test_a_boolean_matrix_entry_is_refused(self, scenario_factory, field):
+        # numpy reads true among numbers as 1: a Hamiltonian with one once built and validated
+        cfg = self._with_matrix_entry(scenario_factory, field, 0, True)
+        with pytest.raises(ConfigError, match=rf"^{field}: not a numeric \[re, im\] matrix: a boolean entry"):
             config_to_scenario(cfg)
 
     @pytest.mark.parametrize("value", [0.0, -1e-9])
@@ -327,6 +366,23 @@ class TestSizeGuard:
         assert main(["validate", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: system.dim: ")
 
+    @pytest.mark.parametrize("field, value, message", [
+        # 2**n is never formed: n = 600 and 1e7 once exited 3, as the refusal message
+        # overflowed, and n = 1e400 grew without bound
+        ("reservoir.n", 600, r"chain size n=600 outside \[1, 13\]; .* admits d up to 4729$"),
+        ("reservoir.n", 10**7, r"chain size n=10000000 outside \[1, 13\]"),
+        ("reservoir.n", 10**400, r"chain size n=10+ outside \[1, 13\]"),
+        # d = 8e400: its estimate in GiB once overflowed a float and exited 3
+        ("system.dim", 10**400, r"10+ with d_R = 8 gives d = 80+ and an estimated 1\.1e\+795 GiB .*budget"),
+    ], ids=["n600", "n1e7", "n1e400", "dim1e400"])
+    def test_an_int_of_any_size_is_refused_without_allocating(self, tmp_path, no_builders, capsys, field, value, message):
+        cfg = shipped_config("qubit_chain3")
+        section, key = field.split(".")
+        cfg[section][key] = value
+        with pytest.raises(ConfigError, match=f"^{field}: {message}"):
+            config_to_scenario(cfg)
+        validate_refuses(cfg, field, tmp_path, capsys)
+
     def test_system_that_fits_alone_is_refused_with_its_reservoir(self, no_builders):
         # a 3000-level ladder fits the budget alone, but not with 4 chain sites: d = 48000
         cfg = shipped_config("qubit_qubit")
@@ -337,6 +393,11 @@ class TestSizeGuard:
     def test_library_chain_refused_without_allocating(self, no_kron):
         with pytest.raises(ValueError, match=r"n=12 gives d = 8192 .*12\.0 GiB .*4 GiB budget"):
             chain_scenario(12)
+
+    def test_library_chain_refused_from_n_alone(self, no_builders):
+        # chain_scenario(600) once raised OverflowError
+        with pytest.raises(ValueError, match=r"^chain size n=600 outside \[1, 13\]; the 4 GiB budget .* admits d up to 4729$"):
+            chain_scenario(600)
 
     def test_library_chain_budget_is_the_boundary(self, monkeypatch):
         monkeypatch.setattr(scenarios, "MEMORY_BUDGET_BYTES", scenarios.DENSE_MATRICES * 16 * 16**2)
@@ -377,7 +438,8 @@ class TestSchema:
 
     @pytest.mark.parametrize("name", [
         *(path.stem for path in sorted((ROOT / "configs").glob("*.json"))),
-        "matrix_hamiltonian", "string_beta", "string_matrix_entry", "cluster_tol", "unknown_tolerance",
+        "matrix_hamiltonian", "string_beta", "string_matrix_entry", "boolean_matrix_entry", "cluster_tol",
+        "unknown_tolerance",
     ])
     def test_schema_and_parser_agree(self, validator, name):
         # each config is accepted by both the schema and config_to_scenario, or refused by both
@@ -388,6 +450,9 @@ class TestSchema:
             cfg["system"]["hamiltonian"] = {"matrix": matrix}
         elif name == "string_matrix_entry":
             matrix[1][1][0] = "1"
+            cfg["system"]["hamiltonian"] = {"matrix": matrix}
+        elif name == "boolean_matrix_entry":
+            matrix[1][1][0] = True
             cfg["system"]["hamiltonian"] = {"matrix": matrix}
         elif name == "string_beta":
             cfg["beta"] = "1.0"

@@ -20,7 +20,10 @@ parent's quartile spread is wider than that bound, so the runs cannot tell
 a change within it from none, unless every change run is better than every
 parent run; such a metric is unresolved, not unchanged.  It also prints the exact
 two-sided sign-test p-value of the pairs the change wins against those it
-loses, ties dropped.  Failed operations are summed per side.  With
+loses, ties dropped.  A peak_rss_mb whose medians differ by less than
+HEAP_PLACEMENT_MB is marked ``heap placement``: at the benchmark's sizes the
+peak follows where the heap lands, so such a move, even in 10 of 10 pairs,
+shows no change in what a run holds.  Failed operations are summed per side.  With
 ``--out`` the workload's entry is written into that JSON file, beside the
 entries of other workloads already there; a file there that is not a JSON
 object is refused (exit 2) before the first pair runs.
@@ -45,6 +48,7 @@ import sys
 from pathlib import Path
 
 WIN_SHARE = 0.9
+HEAP_PLACEMENT_MB = 0.2
 
 
 def tree_kind(root: Path) -> str:
@@ -125,6 +129,9 @@ def compare(parent: Path, change: Path, workload: str, pairs: int, seed0: int, r
                                 m["better"], m["bound"])}
         for m in spec["end_to_end"]
     }
+    if "peak_rss_mb" in metrics:
+        rss = metrics["peak_rss_mb"]
+        rss["heap_placement"] = abs(rss["change_median"] - rss["parent_median"]) < HEAP_PLACEMENT_MB
     return {
         "seeds": [seed0, seed0 + pairs - 1], "first_side": firsts, "tree_kind": kinds[0],
         "operations": {side: {"attempted": sum(r["attempted"] for r in rs), "failed": sum(r["failed"] for r in rs)}
@@ -144,6 +151,7 @@ def report_lines(workload: str, result: dict) -> list[str]:
             f"change better in {m['change_better_in']}/{m['pairs']} (sign test p = {m['sign_test_p']:.3g}), "
             f"gain {'yes' if m['gain'] else 'no'}, within bound {'yes' if m['within_bound'] else 'NO'}, "
             f"unresolved {'YES' if m['unresolved'] else 'no'}"
+            + (f", heap placement (median move under {HEAP_PLACEMENT_MB} MB)" if m.get("heap_placement") else "")
         )
     ops = result["operations"]
     lines.append(f"{workload} failed: parent {ops['parent']['failed']}/{ops['parent']['attempted']}, "
